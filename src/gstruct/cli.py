@@ -78,7 +78,7 @@ def _tolerance(args) -> ToleranceProfile:
 
 
 def _params_from_args(sid: str, args) -> spaces.MetricParams:
-    extra_count = {"su4-so2": 7, "u4-so2so2": 5, "u4u1-so2so2so2": 5, "su5-sp2": 0}[sid]
+    extra_count = spaces._EXTRA_ALPHAS[sid]
     supplied = [getattr(args, f"alpha{i}") for i in range(2, 9)]
     supplied = [s for s in supplied if s is not None]
     if supplied and len(supplied) != extra_count:
@@ -156,7 +156,7 @@ def cmd_analyze(args) -> int:
         sub = spin.invariant_spinors(space, tol)
         spin_report = {"invariant_dim": sub.dim}
         if conn is not None and sub.dim > 0:
-            drep = spin.dirac_on_invariants(space, conn, tol)
+            drep = spin.dirac_on_invariants(space, conn, tol, sub=sub)
             if parallel and crep is not None:
                 drep = spin.eigenvalue_estimates(
                     drep, crep.scal_riem, conn=conn, parallel_checked=True, tol=tol

@@ -42,13 +42,8 @@ class InvariantConnection:
 
     def nonzero_entries(self, cutoff: float = 1e-9):
         """[(K index, A index, coefficient)] with 1-based indices."""
-        out = []
-        for j in range(14):
-            for a in range(21):
-                c = self.lambda_coeffs[j, a]
-                if abs(c) > cutoff:
-                    out.append((j + 1, a + 1, float(c)))
-        return out
+        L = self.lambda_coeffs
+        return [(int(j) + 1, int(a) + 1, float(L[j, a])) for j, a in np.argwhere(np.abs(L) > cutoff)]
 
 
 @dataclass(frozen=True)
@@ -59,11 +54,8 @@ class TorsionTensor:
     @property
     def norm2_increasing(self) -> float:
         """Sum of squared coefficients over strictly increasing triples."""
-        n = self.t3.shape[0]
-        total = 0.0
-        for i, j, k in reps.triples(n):
-            total += self.t3[i, j, k] ** 2
-        return float(total)
+        i, j, k = np.indices(self.t3.shape)
+        return float(np.sum(self.t3[(i < j) & (j < k)] ** 2))
 
     def skew_defect(self) -> float:
         return float(np.max(np.abs(self.t3 + np.swapaxes(self.t3, 1, 2))))
@@ -76,25 +68,21 @@ class HolonomyResult:
     label: str
 
 
+def _equivariance_block(R: np.ndarray) -> np.ndarray:
+    """Rows of the equivariance system for one isotropy generator R; row
+    (j, c), column (k, a) holds R[k, j] delta_ac - delta_jk m[a, c], with m
+    the matrix of [R, .] on the rho basis."""
+    R21 = np.array(sp3.load().rho)
+    # [R, rho_a] expanded over the rho basis
+    br = np.einsum("kl,alm->akm", R, R21) - np.einsum("akl,lm->akm", R21, R)
+    m = np.einsum("akm,cmk->ac", br, R21) / (-4.0)  # <., .> = -tr(..)/4
+    return np.kron(R.T, np.eye(21)) - np.kron(np.eye(14), m.T)
+
+
 def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> EquivariantFamily:
     """Nullspace of the infinitesimal equivariance system
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks."""
-    data = sp3.load()
-    R21 = np.array(data.rho)
-    rows = []
-    for R, rc in zip(space.iso, space.iso_coeffs):
-        # [R, rho_a] expanded over the rho basis
-        br = np.einsum("kl,alm->akm", R, R21) - np.einsum("akl,lm->akm", R21, R)
-        m = np.einsum("akm,cmk->ac", br, R21) / (-4.0)  # <., .> = -tr(..)/4
-        block = np.zeros((14 * 21, 14 * 21))
-        for j in range(14):
-            for c in range(21):
-                row = np.zeros((14, 21))
-                row[:, c] += R[:, j]
-                row[j, :] -= m[:, c]
-                block[j * 21 + c] = row.ravel()
-        rows.append(block)
-    ker = nullspace(np.vstack(rows), tol)
+    ker = nullspace(np.vstack([_equivariance_block(R) for R in space.iso]), tol)
     return EquivariantFamily(space=space, basis=ker.T.reshape(-1, 14, 21))
 
 

@@ -42,8 +42,8 @@ class CoordinateFrame:
     """Least-squares coordinates with respect to a fixed list of matrices."""
 
     def __init__(self, mats):
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
-        self._pinv = np.linalg.pinv(_stack(self.mats)) if self.mats else None
+        self.mats = np.array(mats, dtype=complex)
+        self._pinv = np.linalg.pinv(_stack(self.mats)) if len(self.mats) else None
 
     def coords(self, X):
         """Coefficients c with X ~ sum c_i mats_i, plus the residual norm."""
@@ -51,7 +51,7 @@ class CoordinateFrame:
             return np.zeros(0), float(np.linalg.norm(X))
         v = np.concatenate([np.asarray(X).real.ravel(), np.asarray(X).imag.ravel()])
         c = self._pinv @ v
-        recon = sum(ci * m for ci, m in zip(c, self.mats))
+        recon = np.tensordot(c, self.mats, axes=1)
         return c, float(np.linalg.norm(X - recon))
 
 

@@ -68,12 +68,17 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal kernel basis, returned as the columns of an (n, k) array.
 
     k equals ``cols(M) - rank(M)``; for a zero or empty matrix the kernel
-    is the full column space.
+    is the full column space.  Tall input (rows > cols) is first reduced to
+    the square R factor of its QR decomposition, which has the same
+    singular values and right singular vectors, so the tall left factor
+    is never formed.
     """
     A = as_matrix(M)
     n = A.shape[1]
     if A.size == 0:
         return np.eye(n, dtype=A.dtype if A.dtype.kind == "c" else float)
+    if A.shape[0] > n:
+        A = np.linalg.qr(A, mode="r")
     try:
         # the full right factor is only needed when rows < cols
         _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])

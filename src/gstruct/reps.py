@@ -122,19 +122,20 @@ def pair_index(n: int):
     return pairs, {p: i for i, p in enumerate(pairs)}
 
 
+@lru_cache(maxsize=8)
+def _pair_rows_cols(n: int):
+    """Row and column indices of the pairs a < b, in pair_index order."""
+    return np.triu_indices(n, 1)
+
+
 def pack_so(M, n: int) -> np.ndarray:
-    pairs, _ = pair_index(n)
-    M = np.asarray(M)
-    return np.array([M[a, b] for a, b in pairs])
+    return np.asarray(M)[_pair_rows_cols(n)]
 
 
 def unpack_so(v, n: int) -> np.ndarray:
-    pairs, _ = pair_index(n)
     M = np.zeros((n, n))
-    for coeff, (a, b) in zip(v, pairs):
-        M[a, b] = coeff
-        M[b, a] = -coeff
-    return M
+    M[_pair_rows_cols(n)] = v
+    return M - M.T
 
 
 def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionN
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
 from .spaces import HomogeneousSpaceInstance
 
-# torsion 3-form Clifford action: increasing-triple sum, unit scale
-TORSION_OP_SCALE = 1.0
 # coefficient of the torsion term inside the Dirac operator; the value was
 # calibrated against the first space's closed-form spectrum and frozen
 DIRAC_TORSION_FACTOR = -0.5
@@ -47,9 +46,6 @@ class CliffordAlgebra:
     @property
     def dim(self) -> int:
         return self.gammas[0].shape[0]
-
-    def pair_products(self) -> dict:
-        return _pair_products(self.n)
 
 
 @lru_cache(maxsize=8)
@@ -69,14 +65,39 @@ def build_clifford(n: int) -> CliffordAlgebra:
     return CliffordAlgebra(n=n, gammas=tuple(gammas))
 
 
-@lru_cache(maxsize=8)
-def _pair_products(n: int):
-    cl = build_clifford(n)
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i, j)] = cl.gammas[i] @ cl.gammas[j]
-    return out
+@lru_cache(maxsize=16)
+def _product_table(n: int, k: int):
+    """The products e_p = e_i1 ... e_ik over increasing tuples p, in
+    combinations order.  Each gamma is a Kronecker product of 2x2 factors
+    with one nonzero entry per row, so each product is too: returns the
+    tuples and the column and value of that entry in every row, the last
+    two of shape (C(n, k), 2^(n/2))."""
+    g = np.array(build_clifford(n).gammas)
+    gcols = np.argmax(g != 0, axis=2)
+    gvals = np.take_along_axis(g, gcols[..., None], axis=2)[..., 0]
+    combos = np.array(list(combinations(range(n), k)))
+    cols = np.broadcast_to(np.arange(g.shape[1]), (len(combos), g.shape[1]))
+    vals = np.ones(cols.shape, dtype=complex)
+    for b in combos.T:
+        # row r of (P G_b) is vals[r] times row cols[r] of G_b
+        vals = vals * gvals[b[:, None], cols]
+        cols = gcols[b[:, None], cols]
+    return combos, cols, vals
+
+
+def _form_action(t: np.ndarray, n: int) -> np.ndarray:
+    """sum over increasing tuples p of t[p] e_p, for a k-index array t over
+    R^n, scattering the one entry per row of each e_p with t[p] != 0."""
+    if t.shape != (n,) * t.ndim:
+        raise BadDimension(f"need {t.ndim} indices over R^{n}, got shape {t.shape}")
+    combos, cols, vals = _product_table(n, t.ndim)
+    coeffs = t[tuple(combos.T)]
+    nz = np.flatnonzero(coeffs)
+    dim = cols.shape[1]
+    idx = (np.arange(dim) * dim + cols[nz]).ravel()
+    w = (coeffs[nz, None] * vals[nz]).ravel()
+    out = np.bincount(idx, w.real, dim * dim) + 1j * np.bincount(idx, w.imag, dim * dim)
+    return out.reshape(dim, dim)
 
 
 def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -86,12 +107,7 @@ def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np
     A = np.asarray(A)
     if np.max(np.abs(A + A.T)) > tol.residual_tol * max(np.max(np.abs(A)), 1.0):
         raise NotAntisymmetric("spin_lift needs an antisymmetric matrix")
-    pp = cl.pair_products()
-    out = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for (i, j), G in pp.items():
-        if A[i, j] != 0.0:
-            out -= 0.5 * A[i, j] * G
-    return out
+    return _form_action(-0.5 * A, cl.n)
 
 
 @dataclass(frozen=True)
@@ -114,20 +130,7 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
 
 def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
     """Clifford action of the torsion 3-form (increasing-triple sum)."""
-    cl = build_clifford(n)
-    pp = cl.pair_products()
-    out = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = np.zeros((cl.dim, cl.dim), dtype=complex)
-            nonzero = False
-            for k in range(j + 1, n):
-                if t3[i, j, k] != 0.0:
-                    w += t3[i, j, k] * cl.gammas[k]
-                    nonzero = True
-            if nonzero:
-                out += pp[(i, j)] @ w
-    return TORSION_OP_SCALE * out
+    return _form_action(np.asarray(t3), n)
 
 
 @dataclass
@@ -138,33 +141,39 @@ class DiracReport:
     torsion_op_eigenvalues: np.ndarray  # mu spectrum on the subspace
     torsion_norm2: float  # sum over increasing triples of T(K_i,K_j,K_k)^2
     parallel_spinor_dim: int
-    mu_differs_on_full_module: bool
     friedrich_rhs: float = None
     twistor_rhs: float = None
     friedrich_equality: bool = None
     twistor_strict: bool = None
 
 
+def _dirac_terms(lam: np.ndarray, t3: np.ndarray, tol: ToleranceProfile):
+    """(lifts of the Lambda(e_i), torsion operator T_cl, Dirac matrix D) on
+    the full spinor module, for connection matrices lam and torsion t3."""
+    cl = build_clifford(14)
+    lifts = np.array([spin_lift(cl, lam[i], tol) for i in range(14)])
+    # c(e_i) lift_i: gamma i has one entry per row, so this permutes rows and applies phases
+    _, cols, vals = _product_table(14, 1)
+    apart = np.einsum("ir,irc->rc", vals, lifts[np.arange(14)[:, None], cols])
+    t_op = torsion_clifford(t3)
+    return lifts, t_op, apart + DIRAC_TORSION_FACTOR * t_op
+
+
 def dirac_on_invariants(
     space: HomogeneousSpaceInstance,
     conn: InvariantConnection,
     tol: ToleranceProfile = DEFAULT_TOL,
+    sub: SpinorSubspace = None,
 ) -> DiracReport:
     """Dirac matrix of the connection with torsion T/3 on invariant spinors,
-    plus the torsion-operator spectrum and norm used by the estimates."""
-    sub = invariant_spinors(space, tol)
+    plus the torsion-operator spectrum and norm used by the estimates;
+    ``sub`` is the space's invariant-spinor subspace if already computed."""
+    if sub is None:
+        sub = invariant_spinors(space, tol)
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{space.space_id} has no invariant spinors")
-    cl = build_clifford(14)
-    lam = conn.so_matrices()
     T = torsion(conn)
-
-    apart = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for i in range(14):
-        if np.max(np.abs(lam[i])) > 0.0:
-            apart += cl.gammas[i] @ spin_lift(cl, lam[i], tol)
-    t_op = torsion_clifford(T.t3)
-    D = apart + DIRAC_TORSION_FACTOR * t_op
+    lifts, t_op, D = _dirac_terms(conn.so_matrices(), T.t3, tol)
 
     B = sub.basis
     Dr = B.conj().T @ D @ B
@@ -175,11 +184,8 @@ def dirac_on_invariants(
 
     Tr = B.conj().T @ t_op @ B
     mu = np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T))
-    mu_full = np.linalg.eigvalsh(0.5 * (t_op + t_op.conj().T))
-    differs = bool(abs(np.max(np.abs(mu_full)) - np.max(np.abs(mu))) > 1e-6)
 
-    lifted = [spin_lift(cl, lam[i], tol) @ B for i in range(14)]
-    par = nullspace(np.vstack(lifted), tol)
+    par = nullspace((lifts @ B).reshape(-1, sub.dim), tol)
 
     return DiracReport(
         space_id=space.space_id,
@@ -188,7 +194,6 @@ def dirac_on_invariants(
         torsion_op_eigenvalues=mu,
         torsion_norm2=T.norm2_increasing,
         parallel_spinor_dim=par.shape[1],
-        mu_differs_on_full_module=differs,
     )
 
 

@@ -89,7 +89,7 @@ def _check_space(sid: str, tol, results):
             )
         )
         if sub.dim and "dirac" in fx.extras:
-            drep = spin.dirac_on_invariants(space, conn, tol)
+            drep = spin.dirac_on_invariants(space, conn, tol, sub=sub)
             lam_exp = fx.extras["dirac"](p)
             ddev = float(np.max(np.abs(np.abs(drep.eigenvalues) - lam_exp)))
             results.append((f"{tag} Dirac spectrum", ddev <= 1e-9 * max(1.0, lam_exp), f"dev {ddev:.2e}"))

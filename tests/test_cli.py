@@ -117,3 +117,21 @@ def test_tol_env_override(capsys, monkeypatch):
     code, out = run_cli(capsys, "theta", "sp3")
     assert code == 0
     assert json.loads(out)["kernel_dim"] == 0
+
+
+@pytest.mark.parametrize("space", ["M2", "M4"])
+def test_analyze_solves_invariant_spinors_once(capsys, monkeypatch, space):
+    from gstruct import spin
+
+    calls = []
+    original = spin.invariant_spinors
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spin, "invariant_spinors", counting)
+    code, out = run_cli(capsys, "analyze", space, "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
+    assert code == 0
+    assert json.loads(out)["spin"]["dirac_eigenvalues"]
+    assert len(calls) == 1

@@ -181,3 +181,28 @@ def test_parallel_vector_fields():
 
     vecs_full, _ = con.parallel_vector_fields(pipeline("M4", alpha=1.0, beta=1.6, gamma=1.0)["conn"])
     assert vecs_full.shape[1] == 0
+
+
+def _loop_equivariance_block(R):
+    """Reference: the row-by-row construction the array-built block replaced."""
+    import gstruct.sp3 as sp3
+
+    R21 = np.array(sp3.load().rho)
+    br = np.einsum("kl,alm->akm", R, R21) - np.einsum("akl,lm->akm", R21, R)
+    m = np.einsum("akm,cmk->ac", br, R21) / (-4.0)
+    block = np.zeros((14 * 21, 14 * 21))
+    for j in range(14):
+        for c in range(21):
+            row = np.zeros((14, 21))
+            row[:, c] += R[:, j]
+            row[j, :] -= m[:, c]
+            block[j * 21 + c] = row.ravel()
+    return block
+
+
+def test_equivariance_block_matches_loop_reference():
+    for sid in ("M2", "M4"):
+        space = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5, want_char=False)["space"]
+        for R in space.iso:
+            ref = _loop_equivariance_block(R)
+            assert np.max(np.abs(con._equivariance_block(R) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)

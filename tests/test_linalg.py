@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstruct.errors import NotSelfAdjoint
 from gstruct.linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, rank
@@ -77,3 +79,33 @@ def test_determinism():
     e1 = eig_selfadjoint(A @ A.T)
     e2 = eig_selfadjoint(A @ A.T)
     assert all(np.array_equal(b1, b2) and ev1 == ev2 for (ev1, b1), (ev2, b2) in zip(e1, e2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 24),
+    extra_rows=st.integers(1, 40),
+    rank_frac=st.floats(0.0, 1.0),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nullspace_tall_matches_full_svd(n, extra_rows, rank_frac, complex_, seed):
+    """Tall input goes through the QR reduction; a planted rank with
+    singular values in [1, 10] must give the full-SVD rank and kernel span."""
+    rng = np.random.default_rng(seed)
+    m, r = n + extra_rows, int(round(rank_frac * n))
+
+    def unitary(size):
+        X = rng.standard_normal((size, size))
+        if complex_:
+            X = X + 1j * rng.standard_normal((size, size))
+        return np.linalg.qr(X)[0]
+
+    A = unitary(m)[:, :r] @ np.diag(rng.uniform(1.0, 10.0, r)) @ unitary(n)[:r]
+    ker = nullspace(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    r_ref = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * s[0])) if s[0] > 0 else 0
+    ref = vh[r_ref:].conj().T
+    assert r_ref == r and ker.shape == (n, n - r)
+    assert np.linalg.norm(ker @ ker.conj().T - ref @ ref.conj().T) <= 1e-10
+    assert np.all(np.linalg.norm(A @ ker, axis=0) <= DEFAULT_TOL.residual_tol * np.linalg.norm(A))

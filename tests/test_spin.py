@@ -5,7 +5,7 @@ from conftest import pipeline
 from gstruct import spin, spaces
 from gstruct import curvature as curv
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from gstruct.linalg import nullspace
+from gstruct.linalg import DEFAULT_TOL, nullspace
 
 
 def test_clifford_small_and_large():
@@ -188,3 +188,85 @@ def test_parallel_spinors_are_torsion_eigenvectors():
     # with a vanishing connection map the Dirac matrix is the torsion term
     assert set(np.round(np.abs(rep.eigenvalues), 9)) == {round(np.sqrt(5.0), 9)}
     assert np.max(np.abs(np.abs(rep.torsion_op_eigenvalues) - 2 * np.sqrt(5.0))) < 1e-9
+
+
+# Reference implementations: the dense pair-product loops that the scattered
+# monomial tables replaced.
+def _loop_pair_products(cl):
+    return {(i, j): cl.gammas[i] @ cl.gammas[j] for i in range(cl.n) for j in range(i + 1, cl.n)}
+
+
+def _loop_spin_lift(cl, A):
+    out = np.zeros((cl.dim, cl.dim), dtype=complex)
+    for (i, j), G in _loop_pair_products(cl).items():
+        if A[i, j] != 0.0:
+            out -= 0.5 * A[i, j] * G
+    return out
+
+
+def _loop_torsion_clifford(cl, t3):
+    pp = _loop_pair_products(cl)
+    out = np.zeros((cl.dim, cl.dim), dtype=complex)
+    for i in range(cl.n):
+        for j in range(i + 1, cl.n):
+            w = np.zeros((cl.dim, cl.dim), dtype=complex)
+            for k in range(j + 1, cl.n):
+                if t3[i, j, k] != 0.0:
+                    w += t3[i, j, k] * cl.gammas[k]
+            out += pp[(i, j)] @ w
+    return out
+
+
+def _random_form(rng, n, degree, density):
+    """Antisymmetric random array; a share 1 - density of its increasing entries is zero."""
+    from itertools import combinations, permutations
+
+    t = np.zeros((n,) * degree)
+    for idx in combinations(range(n), degree):
+        if rng.random() < density:
+            c = rng.standard_normal()
+            for p in permutations(range(degree)):
+                sign = np.linalg.det(np.eye(degree)[list(p)])
+                t[tuple(idx[s] for s in p)] = sign * c
+    return t
+
+
+def test_spin_lift_matches_loop_reference():
+    cl = spin.build_clifford(14)
+    rng = np.random.default_rng(21)
+    for density in (1.0, 0.3, 0.05):
+        A = _random_form(rng, 14, 2, density)
+        ref = _loop_spin_lift(cl, A)
+        assert np.max(np.abs(spin.spin_lift(cl, A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_torsion_clifford_matches_loop_reference():
+    cl = spin.build_clifford(14)
+    rng = np.random.default_rng(22)
+    for density in (1.0, 0.2):
+        t3 = _random_form(rng, 14, 3, density)
+        ref = _loop_torsion_clifford(cl, t3)
+        assert np.max(np.abs(spin.torsion_clifford(t3) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_restricted_dirac_matrix_matches_loop_reference():
+    from gstruct import connections as con
+
+    cl = spin.build_clifford(14)
+    for sid in ("M2", "M4"):
+        ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
+        lam, T = ctx["conn"].so_matrices(), con.torsion(ctx["conn"])
+        D_ref = sum(cl.gammas[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
+        D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
+        _, _, D = spin._dirac_terms(lam, T.t3, DEFAULT_TOL)
+        B = spin.invariant_spinors(ctx["space"]).basis
+        ref = B.conj().T @ D_ref @ B
+        assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_clifford_shape_mismatch_rejected():
+    cl = spin.build_clifford(14)
+    with pytest.raises(BadDimension):
+        spin.spin_lift(cl, np.zeros((12, 12)))
+    with pytest.raises(BadDimension):
+        spin.torsion_clifford(np.zeros((12, 12, 12)))
