@@ -13,6 +13,7 @@ import numpy as np
 
 from . import reps, sp3
 from .errors import Infeasible, NotSkew
+from .liealg import generating_set
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns
 from .spaces import HomogeneousSpaceInstance
 
@@ -81,8 +82,11 @@ def _equivariance_block(R: np.ndarray) -> np.ndarray:
 
 def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> EquivariantFamily:
     """Nullspace of the infinitesimal equivariance system
-    Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks."""
-    ker = nullspace(np.vstack([_equivariance_block(R) for R in space.iso]), tol)
+    Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
+
+    The system is a representation of the isotropy algebra on the maps, so
+    it is stacked only over ``liealg.generating_set(space.iso)``."""
+    ker = nullspace(np.vstack([_equivariance_block(R) for R in generating_set(space.iso, tol)]), tol)
     return EquivariantFamily(space=space, basis=ker.T.reshape(-1, 14, 21))
 
 
@@ -145,15 +149,20 @@ def nabla_torsion(conn_lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
 
 
 def torsion_is_parallel(conn: InvariantConnection, T: TorsionTensor = None, rel: float = 1e-7):
-    """(flag, max |nabla T| / ||T||); the threshold is relative per the
-    accumulation of triple products.  Vanishing torsion is parallel."""
+    """(flag, max |nabla T| / (||pm|| ||T||)).
+
+    Under a uniform metric scaling by s the bracket table pm and T scale
+    like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
+    T vanishes (and is parallel) when ||T|| <= rel ||pm||, and is parallel
+    when the ratio is <= rel."""
     if T is None:
         T = torsion(conn)
-    nt = nabla_torsion(conn.so_matrices(), T.t12)
     tnorm = float(np.sqrt(T.norm2_increasing))
-    if tnorm <= 1e-12:
+    pnorm = float(np.linalg.norm(conn.space.pm))
+    if tnorm <= rel * pnorm:
         return True, 0.0
-    ratio = float(np.max(np.abs(nt)) / tnorm)
+    nt = nabla_torsion(conn.so_matrices(), T.t12)
+    ratio = float(np.max(np.abs(nt)) / (pnorm * tnorm))
     return ratio <= rel, ratio
 
 

@@ -34,8 +34,11 @@ def bracket(X, Y) -> np.ndarray:
 
 def _stack(mats) -> np.ndarray:
     """Real column-stack of complex matrices (re/im interleaved)."""
-    cols = [np.concatenate([m.real.ravel(), m.imag.ravel()]) for m in mats]
-    return np.array(cols).T if cols else np.zeros((0, 0))
+    M = np.asarray(mats)
+    if not len(M):
+        return np.zeros((0, 0))
+    M = M.reshape(len(M), -1)
+    return np.concatenate([M.real, M.imag], axis=1).T
 
 
 class CoordinateFrame:
@@ -102,6 +105,52 @@ def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_T
             c[i, j] = coef
             c[j, i] = -coef
     return c
+
+
+# seed of the two fixed combinations drawn by generating_set
+_PAIR_SEED = 20121011
+
+
+def _pair_coefficients(count: int) -> np.ndarray:
+    """(2, count) coefficients of the two combinations; fixed per count."""
+    return np.random.default_rng(_PAIR_SEED).standard_normal((2, count))
+
+
+def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> list:
+    """Two fixed combinations of ``gens`` when they provably generate
+    span(gens) as a Lie algebra, else ``gens`` unchanged.
+
+    Only valid for a joint kernel whose operator is a Lie algebra
+    representation X -> rho(X): then ker rho(X1) & ker rho(X2) is killed by
+    every bracket of X1, X2, so it is the joint kernel over the generated
+    algebra.  Two generic elements generate a compact semisimple algebra,
+    but a draw can fail (both in one Cartan subalgebra, say); the
+    certificate closes {X1, X2} under brackets until the rank stops
+    growing and accepts the pair only if the closure has the rank of
+    span(gens) and contains every generator.  A failed draw costs speed,
+    never the answer.
+    """
+    gens = [np.asarray(g) for g in gens]
+    if len(gens) <= 2:
+        return gens
+    pair = list(np.tensordot(_pair_coefficients(len(gens)), np.array(gens), axes=1))
+    G = _stack(gens)
+    target = orthonormal_columns(G, tol).shape[1]
+    # brackets of unit-norm elements keep every column on one scale
+    unit = np.array(pair) / np.linalg.norm(pair, axis=(1, 2), keepdims=True)
+    span = orthonormal_columns(_stack(unit), tol)
+    n = gens[0].shape[0]
+    while span.shape[1] <= target:
+        mats = (span[: n * n] + 1j * span[n * n:]).T.reshape(-1, 1, n, n)
+        brackets = (mats @ unit - unit @ mats).reshape(-1, n, n)
+        grown = orthonormal_columns(np.hstack([span, _stack(brackets)]), tol)
+        if grown.shape[1] == span.shape[1]:
+            break
+        span = grown
+    outside = np.linalg.norm(G - span @ (span.T @ G), axis=0)
+    if span.shape[1] == target and np.all(outside <= tol.rank_tol * np.linalg.norm(G, axis=0)):
+        return pair
+    return gens
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import sp3
 from .errors import DimensionMismatch, NotClosed
+from .liealg import CoordinateFrame, bracket, generating_set
 from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace
 
 
@@ -208,8 +209,6 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     data = sp3.load()
     gens = [data.rho_of(v) for v in row.generators]
     # closure check of the generator span
-    from .liealg import CoordinateFrame, bracket
-
     frame = CoordinateFrame(gens)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
@@ -220,7 +219,8 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
 
     sym = _symmetric_basis(14)
     rows = []
-    for R in gens:
+    # S |-> [S, R] is linear in R and kills brackets once it kills R1, R2
+    for R in generating_set(gens, tol):
         block = np.array([(S @ R - R @ S).ravel() for S in sym]).T
         rows.append(block)
     ker = nullspace(np.vstack(rows), tol)
@@ -301,7 +301,8 @@ def invariant_cubics_cached():
 
 def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
     """Orthonormal basis of invariant symmetric 3-tensors on the 14-dim
-    module, as (14,14,14) arrays (joint kernel of the derivative action)."""
+    module, as (14,14,14) arrays (joint kernel of the derivative action,
+    stacked over ``liealg.generating_set`` of the sp(3) generators)."""
     data = sp3.load()
     n = 14
     multis, weights = _sym3_basis(n)
@@ -310,7 +311,7 @@ def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
     J = np.array([m[1] for m in multis])
     K = np.array([m[2] for m in multis])
     gens = []
-    for A in data.rho:
+    for A in generating_set(data.rho, tol):
         W = _sym3_action(A, batch)
         D = (W[:, I, J, K] * weights[None, :]).T  # (560, 560), D[r, c]
         gens.append(D)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .connections import InvariantConnection, torsion, torsion_is_parallel
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
+from .liealg import generating_set
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
 from .spaces import HomogeneousSpaceInstance
 
@@ -121,9 +122,12 @@ class SpinorSubspace:
 
 
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
-    """Joint kernel of the lifted isotropy generators inside the spinor module."""
+    """Joint kernel of the lifted isotropy generators inside the spinor module.
+
+    The spin lift is a Lie algebra representation, so only the lifts of
+    ``liealg.generating_set(space.iso)`` are stacked."""
     cl = build_clifford(14)
-    lifts = [spin_lift(cl, R, tol) for R in space.iso]
+    lifts = [spin_lift(cl, R, tol) for R in generating_set(space.iso, tol)]
     basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
     return SpinorSubspace(space_id=space.space_id, basis=basis)
 
@@ -215,7 +219,7 @@ def eigenvalue_estimates(
             raise TorsionNotParallel("pass the connection or assert parallelism")
         flag, ratio = torsion_is_parallel(conn)
         if not flag:
-            raise TorsionNotParallel(f"nabla T / ||T|| = {ratio:.3e}")
+            raise TorsionNotParallel(f"nabla T / (||pm|| ||T||) = {ratio:.3e}")
     t2 = report.torsion_norm2
     mu2 = float(np.max(np.abs(report.torsion_op_eigenvalues)) ** 2) if report.torsion_op_eigenvalues.size else 0.0
     n = 14.0

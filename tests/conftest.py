@@ -4,7 +4,6 @@ import pytest
 from gstruct import connections as con
 from gstruct import spaces
 
-_EXTRA = {"su4-so2": 7, "u4-so2so2": 5, "u4u1-so2so2so2": 5, "su5-sp2": 0}
 _cache = {}
 
 

@@ -16,7 +16,6 @@ from gstruct.liealg import bracket
 from gstruct.linalg import rank
 
 SIDS = ["M1", "M2", "M3", "M4"]
-_EXTRA = {"M1": 7, "M2": 5, "M3": 5, "M4": 0}
 
 
 def _report(n, text):
@@ -60,7 +59,7 @@ def test_criterion_04_wang_family_dimensions():
     for sid in SIDS:
         for _ in range(3):
             a, b, g = rng.uniform(0.5, 2.0, 3)
-            alphas = tuple(rng.uniform(0.5, 2.0, _EXTRA[sid]))
+            alphas = tuple(rng.uniform(0.5, 2.0, spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]))
             fam = pipeline(sid, alpha=float(a), beta=float(b), gamma=float(g),
                            alphas=alphas, want_char=False)["family"]
             assert fam.dim == want[sid], sid
@@ -85,7 +84,7 @@ def test_criterion_05_characteristic_closed_forms():
                 worst = max(worst, float(np.max(np.abs(L[~mask]))))
     assert worst <= 1e-9
     for sid in ["M1", "M2", "M3"]:
-        alphas = tuple([1.7] + [1.0] * (_EXTRA[sid] - 1))
+        alphas = tuple([1.7] + [1.0] * (spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)] - 1))
         ctx = pipeline(sid, alphas=alphas, want_char=False)
         with pytest.raises(Infeasible):
             con.characteristic_connection(ctx["space"], ctx["family"])

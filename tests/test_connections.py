@@ -93,6 +93,23 @@ def test_nabla_torsion_m4_cases():
     assert not flag and ratio > 1e-4
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e14])
+def test_parallel_flag_is_scale_invariant(scale):
+    points = [
+        ("M1", (1.0, 1.3, 0.7)),
+        ("M2", (1.0, 1.5, 0.8)),
+        ("M3", (0.7, 1.2, 1.4)),
+        ("M4", (1.0, 1.0, 1.6)),
+        ("M4", (1.0, 2.0, 1.2)),
+        ("M4", (1.0, 2.0, 1.3)),
+        ("M4", (1.0, 1.5, 1.0)),
+    ]
+    for sid, (a, b, g) in points:
+        ctx = pipeline(sid, alpha=a * scale, beta=b * scale, gamma=g * scale)
+        flag, ratio = con.torsion_is_parallel(ctx["conn"])
+        assert flag == spaces.fixtures(sid).parallel(ctx["params"]), (sid, a, b, g, ratio)
+
+
 def test_classify_type_parseval_and_mixed():
     ctx = pipeline("M1", alpha=1.0, beta=1.0, gamma=1.0)
     T = con.torsion(ctx["conn"])

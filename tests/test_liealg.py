@@ -1,12 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from gstruct import sp3
+from gstruct import connections, liealg, reps, sp3, spaces, spin
 from gstruct.errors import DimensionMismatch, NotClosed
 from gstruct.groups import su_algebra
 from gstruct.liealg import (
     MatrixLieAlgebra,
     bracket,
+    generating_set,
     inner,
     is_naturally_reductive,
     isotropy_matrices,
@@ -14,6 +17,7 @@ from gstruct.liealg import (
     structure_constants,
     uniform_ip,
 )
+from gstruct.linalg import nullspace
 
 
 def test_bracket_antisymmetry_and_shapes():
@@ -162,3 +166,83 @@ def test_gram_matrices_orthonormal():
         space = pipeline(sid, alpha=0.8, beta=1.7, gamma=0.6)["space"]
         G = space.split.gram_m()
         assert np.max(np.abs(G - np.eye(14))) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# generating_set: the joint kernel of a representation over the returned
+# pair must be the joint kernel over every generator.
+
+
+@lru_cache(maxsize=1)
+def _sym3_batch():
+    return reps._sym3_tensors(14)
+
+
+def _cubic_system(A):
+    multis, weights = reps._sym3_basis(14)
+    I, J, K = np.array(multis).T
+    W = reps._sym3_action(A, _sym3_batch())
+    return (W[:, I, J, K] * weights[None, :]).T
+
+
+_SYSTEMS = {
+    "equivariance": connections._equivariance_block,
+    "spinor": lambda R: spin.spin_lift(spin.build_clifford(14), R),
+    "cubics": _cubic_system,
+    "commutant": lambda R: np.array([(S @ R - R @ S).ravel() for S in reps._symmetric_basis(14)]).T,
+}
+
+
+def _generators(source):
+    from conftest import pipeline
+
+    if source in spaces.ALIASES:
+        return pipeline(source, alpha=1.1, beta=0.8, gamma=1.4, want_char=False)["space"].iso
+    if source == "sp3":
+        return list(sp3.load().rho)
+    row = next(r for r in sp3.subgroup_rows() if r.name == source)
+    return [sp3.load().rho_of(v) for v in row.generators]
+
+
+def _projector(system, gens):
+    K = nullspace(np.vstack([_SYSTEMS[system](R) for R in gens]))
+    return K @ K.conj().T
+
+
+@pytest.mark.parametrize(
+    "system,source",
+    [(s, sid) for s in ("equivariance", "spinor") for sid in ("M2", "M3", "M4")]
+    + [("cubics", "sp3")]
+    + [("commutant", row.name) for row in sp3.subgroup_rows()],
+)
+def test_generating_set_kernel_equals_full_stack(system, source):
+    gens = _generators(source)
+    full = _projector(system, gens)
+    pair = _projector(system, generating_set(gens))
+    assert np.max(np.abs(pair - full)) <= 1e-12
+
+
+def test_generating_set_sizes():
+    assert len(generating_set(_generators("M4"))) == 2
+    assert len(generating_set(_generators("sp3"))) == 2
+    for sid in ("M1", "M2", "M3"):
+        gens = _generators(sid)
+        got = generating_set(gens)
+        assert len(got) == len(gens)
+        assert all(np.array_equal(g, h) for g, h in zip(got, gens))
+
+
+def test_generating_set_degenerate_draw_falls_back(monkeypatch):
+    space = spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+    # iso[8] and iso[9] commute: both combinations lie in one Cartan subalgebra
+    R8, R9 = space.iso[8], space.iso[9]
+    assert np.max(np.abs(R8 @ R9 - R9 @ R8)) < 1e-14
+    coeffs = np.zeros((2, 10))
+    coeffs[0, 8:] = (1.0, 0.7)
+    coeffs[1, 8:] = (0.4, -1.3)
+    monkeypatch.setattr(liealg, "_pair_coefficients", lambda count: coeffs)
+    got = generating_set(space.iso)
+    assert len(got) == 10
+    assert all(np.array_equal(g, h) for g, h in zip(got, space.iso))
+    assert connections.solve_equivariant(space).dim == 7
+    assert spin.invariant_spinors(space).dim == 4
