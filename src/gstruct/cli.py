@@ -186,16 +186,15 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     tol = _tolerance(args)
     if args.selector == "lambda3":
-        rep = reps.lambda3_action(list(sp3.load().rho))
+        dec = reps.lambda3_decomposition(tol)
     elif args.selector == "v14xv70":
-        rep = reps.v14_v70_rep()
+        dec = reps.isotypic_decompose(reps.v14_v70_rep(), tol)
     else:
         raise GstructError(f"unknown selector {args.selector!r}")
-    dec = reps.isotypic_decompose(rep, tol)
     _emit(
         {
             "selector": args.selector,
-            "total_dim": rep.dim,
+            "total_dim": dec.dim,
             "parts": [{"casimir_eigenvalue": ev, "dim": d} for ev, d, _ in dec.parts],
         },
         args.format,

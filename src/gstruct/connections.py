@@ -7,7 +7,6 @@ classification, holonomy, and parallel vector fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -110,7 +109,9 @@ def characteristic_connection(
 
     Solves the affine-linear skewness system inside the equivariant family;
     raises Infeasible when the residual shows no member has skew torsion,
-    and asserts a zero-dimensional solution set otherwise.
+    and asserts a zero-dimensional solution set otherwise.  The residual is
+    measured against ||pm||, which scales with it under a uniform metric
+    scaling (||b|| itself is round-off at a naturally reductive metric).
     """
     if family is None:
         family = solve_equivariant(space, tol)
@@ -125,8 +126,7 @@ def characteristic_connection(
     b = -sym(t0).ravel()
     coeffs, _, rank_, sv = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ coeffs - b))
-    scale = max(float(np.linalg.norm(b)), 1.0)
-    if resid > 1e3 * tol.residual_tol * scale:
+    if resid > 1e3 * tol.residual_tol * float(np.linalg.norm(space.pm)):
         raise Infeasible(
             f"{space.space_id}: no skew-torsion member (residual {resid:.3e})"
         )
@@ -166,13 +166,6 @@ def torsion_is_parallel(conn: InvariantConnection, T: TorsionTensor = None, rel:
     return ratio <= rel, ratio
 
 
-@lru_cache(maxsize=1)
-def _lambda3_projectors():
-    rep = reps.lambda3_action(list(sp3.load().rho))
-    dec = reps.isotypic_decompose(rep)
-    return tuple((round(ev), basis) for ev, _, basis in dec.parts)
-
-
 def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Squared norms of the 3-form over the Casimir eigenspaces of the
     3-form module; the keys are the (integer) Casimir eigenvalues."""
@@ -183,9 +176,11 @@ def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     scale = max(float(np.max(np.abs(t3))), 1.0)
     if skew_defect > 1e3 * tol.residual_tol * scale:
         raise NotSkew(f"tensor is not a 3-form (defect {skew_defect:.3e})")
-    trips = reps.triples(14)
-    v = np.array([t3[i, j, k] for i, j, k in trips])
-    return {ev: float(np.linalg.norm(basis.T @ v) ** 2) for ev, basis in _lambda3_projectors()}
+    v = t3[tuple(np.array(reps.triples(14)).T)]
+    return {
+        round(ev): float(np.linalg.norm(basis.T @ v) ** 2)
+        for ev, _, basis in reps.lambda3_decomposition(tol).parts
+    }
 
 
 def _span_rank(vectors, tol: ToleranceProfile):

@@ -107,13 +107,15 @@ def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_T
     return c
 
 
-# seed of the two fixed combinations drawn by generating_set
+# frequency of the two fixed combinations formed by generating_set
 _PAIR_SEED = 20121011
 
 
 def _pair_coefficients(count: int) -> np.ndarray:
-    """(2, count) coefficients of the two combinations; fixed per count."""
-    return np.random.default_rng(_PAIR_SEED).standard_normal((2, count))
+    """(2, count) coefficients of the two combinations; fixed per count.
+    A closed form rather than a seeded draw: it keeps ``numpy.random`` (a
+    lazy import of ~15 ms) off the ``analyze`` path."""
+    return np.sin(np.sqrt(np.arange(1, 2 * count + 1)) * _PAIR_SEED).reshape(2, count)
 
 
 def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> list:
@@ -124,10 +126,10 @@ def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> list:
     representation X -> rho(X): then ker rho(X1) & ker rho(X2) is killed by
     every bracket of X1, X2, so it is the joint kernel over the generated
     algebra.  Two generic elements generate a compact semisimple algebra,
-    but a draw can fail (both in one Cartan subalgebra, say); the
+    but a given pair can fail (both in one Cartan subalgebra, say); the
     certificate closes {X1, X2} under brackets until the rank stops
     growing and accepts the pair only if the closure has the rank of
-    span(gens) and contains every generator.  A failed draw costs speed,
+    span(gens) and contains every generator.  A failed pair costs speed,
     never the answer.
     """
     gens = [np.asarray(g) for g in gens]

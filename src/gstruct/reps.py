@@ -32,6 +32,10 @@ class RepAction:
 class IsotypicDecomposition:
     parts: tuple  # (casimir eigenvalue, dimension, orthonormal basis columns)
 
+    @property
+    def dim(self) -> int:
+        return sum(dim for _, dim, _ in self.parts)
+
     def dimension_table(self) -> dict:
         return {ev: dim for ev, dim, _ in self.parts}
 
@@ -44,21 +48,23 @@ def triples(n: int):
 
 
 @lru_cache(maxsize=8)
-def triple_index(n: int):
-    return {t: i for i, t in enumerate(triples(n))}
-
-
-_PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
-              for p in permutations(range(3))}
-
-
-def _sort_sign(t):
-    """(sorted tuple, permutation sign); None sign for repeated indices."""
-    i, j, k = t
-    if i == j or j == k or i == k:
-        return None, 0
-    order = tuple(sorted(range(3), key=lambda s: t[s]))
-    return tuple(sorted(t)), _PERM_SIGN[order]
+def _lambda3_scatter(n: int):
+    """(flat target index, sign, flat source index) of every term of the
+    derivative action on 3-forms, in the order (column, slot, l): the term
+    puts l into slot ``slot`` of triple ``column`` and adds sign * A[l, orig]
+    at the sorted triple's row (orig: the replaced index)."""
+    T = np.array(triples(n), dtype=np.intp).reshape(-1, 3)
+    N = len(T)
+    col, slot, l = (g.ravel() for g in np.indices((N, 3, n)))
+    new = T[col]
+    new[np.arange(col.size), slot] = l
+    a, b, c = new.T
+    sign = np.sign((b - a) * (c - a) * (c - b))  # permutation sign, 0 on repeats
+    keep = sign != 0
+    lut = np.zeros((n, n, n), dtype=np.intp)
+    lut[tuple(T.T)] = np.arange(N)
+    row = lut[tuple(np.sort(new[keep], axis=1).T)]
+    return row * N + col[keep], sign[keep].astype(float), (l * n + T[col, slot])[keep]
 
 
 def lambda3_action(rho_list) -> RepAction:
@@ -68,23 +74,14 @@ def lambda3_action(rho_list) -> RepAction:
     for r in rho_list:
         if r.shape != (n, n):
             raise DimensionMismatch("generators must share one square shape")
-    trips = triples(n)
-    idx = triple_index(n)
-    gens = []
-    for A in rho_list:
-        M = np.zeros((len(trips), len(trips)))
-        nz_cols = [np.nonzero(A[:, c])[0] for c in range(n)]
-        for col, t in enumerate(trips):
-            for slot in range(3):
-                orig = t[slot]
-                for l in nz_cols[orig]:
-                    newt = list(t)
-                    newt[slot] = int(l)
-                    srt, sign = _sort_sign(tuple(newt))
-                    if sign:
-                        M[idx[srt], col] += sign * A[l, orig]
-        gens.append(M)
-    return RepAction(dim=len(trips), generators=tuple(gens), source="lambda3")
+    N = len(triples(n))
+    target, sign, source = _lambda3_scatter(n)
+    # add.at accumulates in index order, as the entry-by-entry sum did; one
+    # block for all generators is much cheaper to fault in than 1 MB each
+    out = np.zeros((len(rho_list), N * N))
+    for M, A in zip(out, rho_list):
+        np.add.at(M, target, sign * A.ravel()[source])
+    return RepAction(dim=N, generators=tuple(out.reshape(-1, N, N)), source="lambda3")
 
 
 def casimir(rep: RepAction) -> np.ndarray:
@@ -102,6 +99,17 @@ def isotypic_decompose(rep: RepAction, tol: ToleranceProfile = DEFAULT_TOL) -> I
         for ev, basis in eig_selfadjoint(casimir(rep), tol)
     ]
     return IsotypicDecomposition(parts=tuple(parts))
+
+
+@lru_cache(maxsize=4)
+def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
+    """Casimir splitting 21 + 70 + 84 + 189 of the 3-forms on the 14-dim
+    sp(3) module, built once per process and tolerance profile; every
+    caller shares it, so the bases are read-only."""
+    dec = isotypic_decompose(lambda3_action(sp3.load().rho), tol)
+    for _, _, basis in dec.parts:
+        basis.flags.writeable = False
+    return dec
 
 
 def invariant_vectors(rep: RepAction, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

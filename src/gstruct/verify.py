@@ -140,7 +140,7 @@ def _check_reps(tol, results):
     dev = max(float(np.max(np.abs(d - t))) for d, t in zip(derived, data.rho))
     results.append(("isotropy transcription", dev <= 1e-12, f"max dev {dev:.2e}"))
 
-    dec = reps.isotypic_decompose(reps.lambda3_action(list(data.rho)), tol)
+    dec = reps.lambda3_decomposition(tol)
     want = {-8: 21, -12: 70, -18: 84, -16: 189}
     got = {int(round(ev)): d for ev, d, _ in dec.parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))

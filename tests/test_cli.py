@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,3 +139,20 @@ def test_analyze_solves_invariant_spinors_once(capsys, monkeypatch, space):
     assert code == 0
     assert json.loads(out)["spin"]["dirac_eigenvalues"]
     assert len(calls) == 1
+
+
+def test_analyze_does_not_import_numpy_random():
+    # numpy imports numpy.random lazily, on first use; analyze never uses it
+    child = (
+        "import contextlib, io, sys\n"
+        "from gstruct import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['analyze', 'M3']) == 0\n"
+        "    assert cli.main(['analyze', 'M4']) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -110,6 +110,19 @@ def test_parallel_flag_is_scale_invariant(scale):
         assert flag == spaces.fixtures(sid).parallel(ctx["params"]), (sid, a, b, g, ratio)
 
 
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e6, 1e14])
+def test_feasibility_is_scale_invariant(scale):
+    for alphas in ((), (2.0,) + (1.0,) * 6):
+        ctx = pipeline("M1", alpha=scale, beta=scale, gamma=scale,
+                       alphas=tuple(a * scale for a in alphas), want_char=False)
+        try:
+            con.characteristic_connection(ctx["space"], ctx["family"])
+            feasible = True
+        except Infeasible:
+            feasible = False
+        assert feasible == spaces.fixtures("M1").char_feasible(ctx["params"]), alphas
+
+
 def test_classify_type_parseval_and_mixed():
     ctx = pipeline("M1", alpha=1.0, beta=1.0, gamma=1.0)
     T = con.torsion(ctx["conn"])

@@ -1,8 +1,52 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstruct import reps, sp3
+from gstruct.errors import DimensionMismatch
 from gstruct.linalg import rank
+
+_PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
+              for p in permutations(range(3))}
+
+
+def _sort_sign(t):
+    """(sorted tuple, permutation sign); None sign for repeated indices."""
+    i, j, k = t
+    if i == j or j == k or i == k:
+        return None, 0
+    order = tuple(sorted(range(3), key=lambda s: t[s]))
+    return tuple(sorted(t)), _PERM_SIGN[order]
+
+
+def _triple_index(n):
+    return {t: i for i, t in enumerate(reps.triples(n))}
+
+
+def _lambda3_action_loop(rho_list):
+    """Reference: the derivative action on 3-forms, entry by entry."""
+    rho_list = [np.asarray(r) for r in rho_list]
+    n = rho_list[0].shape[0]
+    trips = reps.triples(n)
+    idx = _triple_index(n)
+    gens = []
+    for A in rho_list:
+        M = np.zeros((len(trips), len(trips)))
+        nz_cols = [np.nonzero(A[:, c])[0] for c in range(n)]
+        for col, t in enumerate(trips):
+            for slot in range(3):
+                orig = t[slot]
+                for l in nz_cols[orig]:
+                    newt = list(t)
+                    newt[slot] = int(l)
+                    srt, sign = _sort_sign(tuple(newt))
+                    if sign:
+                        M[idx[srt], col] += sign * A[l, orig]
+        gens.append(M)
+    return gens
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +62,7 @@ def test_lambda3_leibniz_spot_check(sp3_data, lambda3):
     # action on a decomposable 3-form agrees with the slot-wise rule
     A = sp3_data.rho[8]
     trips = reps.triples(14)
-    idx = reps.triple_index(14)
+    idx = _triple_index(14)
     col = idx[(4, 5, 8)]
     v = np.zeros(364)
     v[col] = 1.0
@@ -32,9 +76,72 @@ def test_lambda3_leibniz_spot_check(sp3_data, lambda3):
             t[slot] = l
             if len(set(t)) < 3:
                 continue
-            srt, sign = reps._sort_sign(tuple(t))
+            srt, sign = _sort_sign(tuple(t))
             expect[idx[srt]] += sign * A[l, orig]
     assert np.max(np.abs(out - expect)) < 1e-14
+
+
+def test_lambda3_matches_loop_reference(sp3_data, lambda3):
+    ref = _lambda3_action_loop(list(sp3_data.rho))
+    assert len(ref) == len(lambda3.generators) == 21
+    assert all(np.array_equal(g, r) for g, r in zip(lambda3.generators, ref))
+
+
+_entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+_nonzero = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0)
+
+
+@st.composite
+def _square_lists(draw):
+    """1-3 real n x n matrices as nested lists, n in 3..9, nonzero diagonal."""
+    n = draw(st.integers(3, 9))
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        for i, x in enumerate(draw(st.lists(_nonzero, min_size=n, max_size=n))):
+            rows[i][i] = x
+        mats.append(rows)
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(_square_lists())
+def test_lambda3_arbitrary_real_input_matches_loop(mats):
+    got = reps.lambda3_action(mats)
+    assert got.dim == len(reps.triples(len(mats[0])))
+    ref = _lambda3_action_loop(mats)
+    assert all(np.array_equal(g, r) for g, r in zip(got.generators, ref))
+
+
+def test_lambda3_rejects_mixed_shapes():
+    with pytest.raises(DimensionMismatch):
+        reps.lambda3_action([np.zeros((4, 4)), np.zeros((5, 5))])
+    with pytest.raises(DimensionMismatch):
+        reps.lambda3_action([np.zeros((4, 5))])
+
+
+def test_lambda3_built_once_for_verify_and_classify(monkeypatch):
+    from conftest import pipeline
+
+    from gstruct import connections as con
+    from gstruct import verify
+    from gstruct.linalg import DEFAULT_TOL
+
+    calls = []
+    original = reps.lambda3_action
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reps, "lambda3_action", counting)
+    reps.lambda3_decomposition.cache_clear()
+    results = []
+    verify._check_reps(DEFAULT_TOL, results)
+    assert all(ok for _, ok, _ in results)
+    comps = con.classify_type(con.torsion(pipeline("M1")["conn"]).t3)
+    assert set(comps) == {-8, -12, -18, -16}
+    assert len(calls) == 1
 
 
 def test_lambda3_respects_structure_constants(sp3_data, lambda3):
