@@ -12,7 +12,6 @@ import numpy as np
 
 from . import reps, sp3
 from .errors import Infeasible, NotSkew
-from .liealg import generating_set
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns
 from .spaces import HomogeneousSpaceInstance
 
@@ -84,8 +83,8 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
 
     The system is a representation of the isotropy algebra on the maps, so
-    it is stacked only over ``liealg.generating_set(space.iso)``."""
-    ker = nullspace(np.vstack([_equivariance_block(R) for R in generating_set(space.iso, tol)]), tol)
+    it is stacked only over ``space.generators(tol)``."""
+    ker = nullspace(np.vstack([_equivariance_block(R) for R in space.generators(tol)]), tol)
     return EquivariantFamily(space=space, basis=ker.T.reshape(-1, 14, 21))
 
 

@@ -48,52 +48,119 @@ def as_matrix(M) -> np.ndarray:
 
 
 def rank(M, tol: ToleranceProfile = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_tol`` times the largest one."""
-    A = as_matrix(M)
-    if A.size == 0:
-        return 0
+    """Number of singular values above ``rank_tol`` times the largest one:
+    the column count minus the dimension of ``nullspace(M, tol)``."""
+    ker = nullspace(M, tol)
+    return ker.shape[0] - ker.shape[1]
+
+
+def _block_labels(mask: np.ndarray):
+    """Connected components of the bipartite row/column graph of ``mask``.
+
+    Returns (the label of every column, the rows with an entry, their
+    labels); a label is the smallest column index of its component, and a
+    column with no entry is its own component.  Min labels are propagated
+    column -> row -> column, with one pointer jump per round, until nothing
+    changes: each round only lowers labels and every label stays a column
+    of its own component, so the fixed point is one label per component.
+    """
+    r, c = np.nonzero(mask)  # row-major, so r is sorted
+    by_col = np.argsort(c, kind="stable")
+    row_start = np.flatnonzero(np.diff(r, prepend=-1))
+    col_start = np.flatnonzero(np.diff(c[by_col], prepend=-1))
+    row_slot = np.cumsum(np.diff(r, prepend=-1) != 0) - 1  # entry -> row_start index
+    cols = c[by_col][col_start]
+    label = np.arange(mask.shape[1])
+    while True:
+        row_label = np.minimum.reduceat(label[c], row_start)
+        new = label.copy()
+        new[cols] = np.minimum.reduceat(row_label[row_slot][by_col], col_start)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label, r[row_start], row_label
+        label = new
+
+
+# narrower tall blocks go straight to the SVD: there the extra QR call
+# costs more than the smaller SVD saves
+_QR_MIN_COLS = 32
+
+
+def _block_svd(blocks: np.ndarray):
+    """Singular values (descending) and right factors of a stack of equal
+    blocks; full right factors when the blocks are wide.  Tall blocks of
+    at least ``_QR_MIN_COLS`` columns are first reduced to the R factor of
+    their QR decomposition, which has the same singular values and right
+    singular vectors."""
+    if blocks.shape[1] > blocks.shape[2] >= _QR_MIN_COLS:
+        blocks = np.linalg.qr(blocks, mode="r")
     try:
-        s = np.linalg.svd(A, compute_uv=False)
+        _, s, vh = np.linalg.svd(blocks, full_matrices=blocks.shape[1] < blocks.shape[2])
     except np.linalg.LinAlgError:
-        G = A.conj().T @ A if A.shape[0] >= A.shape[1] else A @ A.conj().T
-        w = np.linalg.eigvalsh(G)[::-1].copy()
-        w[w < 64 * np.finfo(float).eps * max(w[0], 0.0)] = 0.0
+        # gesdd occasionally fails to converge; the Gram route is robust
+        w, v = np.linalg.eigh(blocks.conj().swapaxes(1, 2) @ blocks)
+        w = w[:, ::-1]
+        w = np.where(w < 64 * np.finfo(float).eps * np.maximum(w[:, :1], 0.0), 0.0, w)
         s = np.sqrt(np.maximum(w, 0.0))
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_tol * s[0]))
+        vh = v[:, :, ::-1].conj().swapaxes(1, 2)
+    return s, vh
 
 
 def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal kernel basis, returned as the columns of an (n, k) array.
 
     k equals ``cols(M) - rank(M)``; for a zero or empty matrix the kernel
-    is the full column space.  Tall input (rows > cols) is first reduced to
-    the square R factor of its QR decomposition, which has the same
-    singular values and right singular vectors, so the tall left factor
-    is never formed.
+    is the full column space.
+
+    Entries of at most tau = max|M| * min(64 eps, 1e-3 rank_tol / sqrt(m n))
+    are round-off and are dropped.  The dropped part E has
+    ||E||_2 <= ||E||_F <= sqrt(m n) tau <= 1e-3 rank_tol ||M||_2, so no
+    singular value moves by more than 0.1% of the rank cut, and no entry
+    above 64 ulp of the largest is dropped.  What is left splits into
+    independent blocks (the connected components of its row/column
+    pattern); blocks of equal shape are solved together by one batched
+    SVD.  The rank cut stays global: ``rank_tol`` times the largest
+    singular value over all blocks, i.e. of M up to the bound above.
+    A column with no entry above tau is a block without rows, a kernel
+    vector as it stands.  The basis is ordered by block (smallest column
+    index first), and its transpose is C-contiguous.
     """
     A = as_matrix(M)
-    n = A.shape[1]
-    if A.size == 0:
-        return np.eye(n, dtype=A.dtype if A.dtype.kind == "c" else float)
-    if A.shape[0] > n:
-        A = np.linalg.qr(A, mode="r")
-    try:
-        # the full right factor is only needed when rows < cols
-        _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; the Gram route is robust
-        w, v = np.linalg.eigh(A.conj().T @ A)
-        w = w[::-1].copy()
-        w[w < 64 * np.finfo(float).eps * max(w[0], 0.0)] = 0.0
-        s = np.sqrt(np.maximum(w, 0.0))
-        vh = v[:, ::-1].conj().T
-    if s.size == 0 or s[0] == 0.0:
-        r = 0
-    else:
-        r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
-    return vh[r:].conj().T
+    m, n = A.shape
+    dtype = np.result_type(A.dtype, float)
+    amax = np.abs(A).max() if A.size else 0.0
+    if amax == 0.0:
+        return np.eye(n, dtype=dtype)
+    tau = amax * min(64 * np.finfo(float).eps, 1e-3 * tol.rank_tol / np.sqrt(m * n))
+    col_label, rows, row_label = _block_labels(np.abs(A) > tau)
+    labels, col_block = np.unique(col_label, return_inverse=True)
+    row_block = np.searchsorted(labels, row_label)
+    col_order = np.argsort(col_block, kind="stable")
+    row_order = rows[np.argsort(row_block, kind="stable")]
+    ncols = np.bincount(col_block, minlength=labels.size)
+    nrows = np.bincount(row_block, minlength=labels.size)
+    col_start = np.cumsum(ncols) - ncols
+    row_start = np.cumsum(nrows) - nrows
+    shape_key = nrows * (n + 1) + ncols
+    solved = []
+    for key in np.unique(shape_key):
+        ids = np.flatnonzero(shape_key == key)
+        ri = row_order[row_start[ids, None] + np.arange(nrows[ids[0]])]
+        ci = col_order[col_start[ids, None] + np.arange(ncols[ids[0]])]
+        solved.append((ids, ci, *_block_svd(A[ri[:, :, None], ci[:, None, :]])))
+    cut = tol.rank_tol * max(s.max(initial=0.0) for _, _, s, _ in solved)
+    # kernel vectors as (sort key, columns, values); the key orders by
+    # block label, then by position in the block's right factor
+    parts = []
+    for ids, ci, s, vh in solved:
+        keep = np.count_nonzero(s > cut, axis=1)
+        owner, j = np.nonzero(np.arange(ci.shape[1]) >= keep[:, None])
+        parts.append((labels[ids[owner]] * n + j, ci[owner], vh[owner, j].conj()))
+    order = np.sort(np.concatenate([key for key, _, _ in parts]))
+    ker = np.zeros((order.size, n), dtype=dtype)
+    for key, ci, vals in parts:
+        ker[np.searchsorted(order, key)[:, None], ci] = vals
+    return ker.T
 
 
 def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):

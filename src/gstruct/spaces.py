@@ -30,6 +30,7 @@ from .liealg import (
     MatrixLieAlgebra,
     ReductiveSplit,
     bracket,
+    generating_set,
     inner,
     isotropy_matrices,
 )
@@ -87,10 +88,19 @@ class HomogeneousSpaceInstance:
     iso_coeffs: np.ndarray  # (r, 21) coefficients over rho(A_i)
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
+    _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim_m(self) -> int:
         return 14
+
+    def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> list:
+        """``liealg.generating_set(self.iso, tol)``, computed on first use
+        for each tolerance profile; the equivariance and spinor systems
+        both stack over it."""
+        if tol not in self._generators:
+            self._generators[tol] = generating_set(self.iso, tol)
+        return self._generators[tol]
 
     def iso_so14(self, h_coords) -> np.ndarray:
         """Isotropy matrix of an h-coefficient vector."""

@@ -26,7 +26,6 @@ import numpy as np
 
 from .connections import InvariantConnection, torsion, torsion_is_parallel
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from .liealg import generating_set
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
 from .spaces import HomogeneousSpaceInstance
 
@@ -125,9 +124,9 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     """Joint kernel of the lifted isotropy generators inside the spinor module.
 
     The spin lift is a Lie algebra representation, so only the lifts of
-    ``liealg.generating_set(space.iso)`` are stacked."""
+    ``space.generators(tol)`` are stacked."""
     cl = build_clifford(14)
-    lifts = [spin_lift(cl, R, tol) for R in generating_set(space.iso, tol)]
+    lifts = [spin_lift(cl, R, tol) for R in space.generators(tol)]
     basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
     return SpinorSubspace(space_id=space.space_id, basis=basis)
 

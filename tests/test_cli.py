@@ -141,6 +141,24 @@ def test_analyze_solves_invariant_spinors_once(capsys, monkeypatch, space):
     assert len(calls) == 1
 
 
+def test_analyze_draws_generating_set_once(capsys, monkeypatch):
+    # solve_equivariant and invariant_spinors share the space's generators
+    from gstruct import spaces
+
+    calls = []
+    original = spaces.generating_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spaces, "generating_set", counting)
+    code, out = run_cli(capsys, "analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
+    assert code == 0
+    assert json.loads(out)["spin"]["dirac_eigenvalues"]
+    assert len(calls) == 1
+
+
 def test_analyze_does_not_import_numpy_random():
     # numpy imports numpy.random lazily, on first use; analyze never uses it
     child = (

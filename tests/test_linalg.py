@@ -109,3 +109,104 @@ def test_nullspace_tall_matches_full_svd(n, extra_rows, rank_frac, complex_, see
     assert r_ref == r and ker.shape == (n, n - r)
     assert np.linalg.norm(ker @ ker.conj().T - ref @ ref.conj().T) <= 1e-10
     assert np.all(np.linalg.norm(A @ ker, axis=0) <= DEFAULT_TOL.residual_tol * np.linalg.norm(A))
+
+
+def _full_svd_kernel(A):
+    """Reference: one SVD of the whole matrix, cut at rank_tol * s_max."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    r = int(np.count_nonzero(s > DEFAULT_TOL.rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    return r, vh[r:].conj().T
+
+
+_BLOCK = st.tuples(st.integers(1, 8), st.integers(1, 8), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    blocks=st.lists(_BLOCK, min_size=1, max_size=6),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nullspace_block_split_matches_full_svd(blocks, complex_, seed):
+    """Planted block-diagonal matrix, rows and columns permuted, 1 ulp of
+    noise on every entry; the last block has rank >= 1, and with two or
+    more blocks the first is scaled so that all its singular values fall
+    under the global rank cut, which a per-block relative cut would keep."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(size):
+        X = rng.standard_normal((size, size))
+        if complex_:
+            X = X + 1j * rng.standard_normal((size, size))
+        return np.linalg.qr(X)[0]
+
+    scaled = len(blocks) > 1
+    m, n = sum(b[0] for b in blocks), sum(b[1] for b in blocks)
+    A = np.zeros((m, n), dtype=complex if complex_ else float)
+    planted, i, j = 0, 0, 0
+    for k, (rows, cols, frac) in enumerate(blocks):
+        r = int(round(frac * min(rows, cols)))
+        if k == len(blocks) - 1 or (k == 0 and scaled):
+            r = max(r, 1)
+        B = unitary(rows)[:, :r] @ np.diag(rng.uniform(1.0, 10.0, r)) @ unitary(cols)[:r]
+        if k == 0 and scaled:
+            B *= 1e-11  # singular values <= 1e-10, cut >= 1e-8
+        else:
+            planted += r
+        A[i : i + rows, j : j + cols] = B
+        i, j = i + rows, j + cols
+    A = A[rng.permutation(m)][:, rng.permutation(n)]
+    ulp = np.spacing(np.max(np.abs(A)))
+    noise = rng.uniform(-1.0, 1.0, A.shape)
+    if complex_:
+        noise = (noise + 1j * rng.uniform(-1.0, 1.0, A.shape)) / np.sqrt(2.0)
+    A = A + ulp * noise
+
+    r_ref, ref = _full_svd_kernel(A)
+    ker = nullspace(A)
+    assert r_ref == planted and rank(A) == planted and ker.shape == (n, n - planted)
+    assert np.linalg.norm(ker.conj().T @ ker - np.eye(n - planted)) <= 1e-12
+    assert np.linalg.norm(ker @ ker.conj().T - ref @ ref.conj().T) <= 1e-10
+
+
+def test_nullspace_transpose_is_c_contiguous():
+    # solve_equivariant reshapes ker.T; a strided kernel would force a copy
+    A = np.kron(np.eye(3), np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]))
+    ker = nullspace(A[::-1])
+    assert ker.shape == (9, 3) and ker.T.flags.c_contiguous
+
+
+# The joint kernels of the catalog, solved block by block, against one SVD
+# of the same stacked system.  At M3 (1e-6, 1, 1e6) the isotropy round-off
+# reaches ~5.6e-11 of the largest entry, above the floor, so blocks merge.
+_CATALOG_DIMS = {"M1": (98, 48), "M2": (30, 16), "M3": (18, 0), "M4": (7, 4)}
+_CATALOG_POINTS = [(sid, s * 1.1, s * 0.8, s * 1.4) for sid in _CATALOG_DIMS for s in (1.0, 1e-8, 1e14)]
+
+
+@pytest.mark.parametrize("sid,alpha,beta,gamma", _CATALOG_POINTS + [("M3", 1e-6, 1.0, 1e6)])
+def test_catalog_kernels_match_single_svd(sid, alpha, beta, gamma):
+    from gstruct import connections, spaces, spin
+
+    space = spaces.build(sid, spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma))
+    cl = spin.build_clifford(14)
+    systems = (
+        np.vstack([connections._equivariance_block(R) for R in space.generators()]),
+        np.vstack([spin.spin_lift(cl, R) for R in space.generators()]),
+    )
+    for A, dim in zip(systems, _CATALOG_DIMS[sid]):
+        ker = nullspace(A)
+        _, ref = _full_svd_kernel(A)
+        assert ker.shape[1] == ref.shape[1] == dim
+        assert np.max(np.abs(ker @ ker.conj().T - ref @ ref.conj().T)) <= 1e-12
+
+
+def test_m3_extreme_point_merges_blocks():
+    from gstruct import connections, linalg, spaces
+
+    def block_count(params):
+        A = np.vstack([connections._equivariance_block(R) for R in spaces.build("M3", params).iso])
+        labels, _, _ = linalg._block_labels(np.abs(A) > 64 * np.finfo(float).eps * np.max(np.abs(A)))
+        return np.unique(labels).size
+
+    merged = block_count(spaces.MetricParams(alpha=1e-6, beta=1.0, gamma=1e6))
+    assert merged < block_count(spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
