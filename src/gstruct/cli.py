@@ -10,6 +10,7 @@ rendered to 15 significant digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,13 +212,11 @@ def cmd_theta(args) -> int:
     else:
         raise GstructError(f"unknown selector {args.selector!r}")
     kdim, _ = reps.theta_kernel(tmap, tol)
-    from .linalg import rank
-
     _emit(
         {
             "selector": args.selector,
             "shape": list(tmap.matrix.shape),
-            "rank": rank(tmap.matrix, tol),
+            "rank": tmap.matrix.shape[1] - kdim,
             "kernel_dim": kdim,
         },
         args.format,
@@ -290,7 +289,10 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 3
 
 
+@functools.cache
 def make_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     p = _Parser(prog="gstruct", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -182,56 +182,43 @@ def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     }
 
 
-def _span_rank(vectors, tol: ToleranceProfile):
-    if not vectors:
-        return 0, np.zeros((91, 0))
-    V = np.array([reps.pack_so(m, 14) for m in vectors]).T
-    on = orthonormal_columns(V, tol)
-    return on.shape[1], on
-
-
 def holonomy_algebra(
     conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL
 ) -> HolonomyResult:
     """Nested-bracket closure of the curvature span:
     seed [Lambda X, Lambda Y] - Lambda([X,Y]_m) - rho([X,Y]_h), then close
-    under bracketing with the image of Lambda until the rank stabilizes."""
+    under bracketing with the image of Lambda until the rank stabilizes.
+    The basis is kept as orthonormal pair coordinates (``reps.pack_so``)."""
     space = conn.space
     lam = conn.so_matrices()
-    seeds = []
-    for i in range(14):
-        for j in range(i + 1, 14):
-            m = lam[i] @ lam[j] - lam[j] @ lam[i]
-            m -= np.einsum("k,kab->ab", space.pm[i, j], lam)
-            m -= space.iso_so14(space.ph[i, j])
-            seeds.append(m)
-    rank_, on = _span_rank(seeds, tol)
-    basis = [reps.unpack_so(col, 14) for col in on.T]
+    i, j = np.triu_indices(14, 1)
+    seeds = (
+        lam[i] @ lam[j] - lam[j] @ lam[i]
+        - np.tensordot(space.pm[i, j], lam, axes=1)
+        - np.tensordot(space.ph[i, j], np.reshape(space.iso, (-1, 14, 14)), axes=1)
+    )
+    on = orthonormal_columns(reps.pack_so(seeds, 14).T, tol)
+    basis = reps.unpack_so(on.T, 14)
     for _ in range(91):
-        new = []
-        for L in lam:
-            for Bm in basis:
-                new.append(L @ Bm - Bm @ L)
-        rank2, on2 = _span_rank(basis + new, tol)
-        if rank2 == rank_:
+        new = (lam[:, None] @ basis - basis @ lam[:, None]).reshape(-1, 14, 14)
+        grown = orthonormal_columns(np.hstack([on, reps.pack_so(new, 14).T]), tol)
+        if grown.shape[1] == on.shape[1]:
             break
-        rank_ = rank2
-        basis = [reps.unpack_so(col, 14) for col in on2.T]
-    return HolonomyResult(basis=tuple(basis), dim=rank_, label=_holonomy_label(basis, tol))
+        on, basis = grown, reps.unpack_so(grown.T, 14)
+    return HolonomyResult(basis=tuple(basis), dim=len(basis), label=_holonomy_label(on, tol))
 
 
-def _holonomy_label(basis, tol: ToleranceProfile) -> str:
-    data = sp3.load()
-    dim = len(basis)
+def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
+    """Name of the smallest listed subalgebra of rho(sp3) that holds the
+    basis, given as (pairs, dim) pair coordinates."""
+    rho = reps.pack_so(np.array(sp3.load().rho), 14)
+    dim = on.shape[1]
 
     def inside(target_idx):
-        T = np.array([reps.pack_so(data.rho[i], 14) for i in target_idx]).T
-        Ton = orthonormal_columns(T, tol)
-        for m in basis:
-            v = reps.pack_so(m, 14)
-            if np.linalg.norm(v - Ton @ (Ton.T @ v)) > 1e3 * tol.residual_tol * max(np.linalg.norm(v), 1.0):
-                return False
-        return True
+        Ton = orthonormal_columns(rho[list(target_idx)].T, tol)
+        resid = np.linalg.norm(on - Ton @ (Ton.T @ on), axis=0)
+        scale = np.maximum(np.linalg.norm(on, axis=0), 1.0)
+        return bool(np.all(resid <= 1e3 * tol.residual_tol * scale))
 
     if dim <= 3 and inside([8, 9, 20]):
         return "torus"

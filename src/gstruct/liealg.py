@@ -10,6 +10,7 @@ Conventions fixed here and used everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,20 @@ def _stack(mats) -> np.ndarray:
     return np.concatenate([M.real, M.imag], axis=1).T
 
 
+def pair_brackets(mats):
+    """(i, j, [mats_i, mats_j]) over the pairs i < j of np.triu_indices,
+    the brackets as one (pairs, n, n) stack."""
+    B = np.asarray(mats)
+    i, j = np.triu_indices(len(B), 1)
+    return i, j, B[i] @ B[j] - B[j] @ B[i]
+
+
+def stack_scales(X) -> np.ndarray:
+    """max(||X_k||, 1) for each matrix of a stack: every residual test is
+    relative to its own element, never to a whole batch."""
+    return np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1.0)
+
+
 class CoordinateFrame:
     """Least-squares coordinates with respect to a fixed list of matrices."""
 
@@ -48,14 +63,20 @@ class CoordinateFrame:
         self.mats = np.array(mats, dtype=complex)
         self._pinv = np.linalg.pinv(_stack(self.mats)) if len(self.mats) else None
 
+    def stack_coords(self, X):
+        """Coefficients (N, len(mats)) of a stack of N matrices, each with
+        X_k ~ sum_i c[k, i] mats_i, plus the (N,) residual norms."""
+        X = np.asarray(X)
+        flat = X.reshape(len(X), math.prod(X.shape[1:]))
+        if self._pinv is None:
+            return np.zeros((len(X), 0)), np.linalg.norm(flat, axis=1)
+        c = np.concatenate([flat.real, flat.imag], axis=1) @ self._pinv.T
+        return c, np.linalg.norm(flat - c @ self.mats.reshape(len(self.mats), -1), axis=1)
+
     def coords(self, X):
         """Coefficients c with X ~ sum c_i mats_i, plus the residual norm."""
-        if self._pinv is None:
-            return np.zeros(0), float(np.linalg.norm(X))
-        v = np.concatenate([np.asarray(X).real.ravel(), np.asarray(X).imag.ravel()])
-        c = self._pinv @ v
-        recon = np.tensordot(c, self.mats, axes=1)
-        return c, float(np.linalg.norm(X - recon))
+        c, res = self.stack_coords(np.asarray(X)[None])
+        return c[0], float(res[0])
 
 
 @dataclass(frozen=True)
@@ -91,19 +112,16 @@ class MatrixLieAlgebra:
 def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k."""
     d = alg.dim
-    frame = CoordinateFrame(alg.basis)
+    i, j, br = pair_brackets(alg.basis)
+    coef, res = CoordinateFrame(alg.basis).stack_coords(br)
+    bad = np.flatnonzero(res > tol.residual_tol * stack_scales(br))
+    if bad.size:
+        k = bad[0]
+        raise NotClosed(
+            f"{alg.name}: [b_{i[k]}, b_{j[k]}] leaves the span (residual {res[k]:.3e})"
+        )
     c = np.zeros((d, d, d))
-    for i in range(d):
-        for j in range(i + 1, d):
-            br = bracket(alg.basis[i], alg.basis[j])
-            coef, res = frame.coords(br)
-            scale = max(np.linalg.norm(br), 1.0)
-            if res > tol.residual_tol * scale:
-                raise NotClosed(
-                    f"{alg.name}: [b_{i}, b_{j}] leaves the span (residual {res:.3e})"
-                )
-            c[i, j] = coef
-            c[j, i] = -coef
+    c[i, j], c[j, i] = coef, -coef
     return c
 
 
@@ -214,35 +232,32 @@ class ReductiveSplit:
     def dim_m(self) -> int:
         return len(self.m_basis)
 
+    def split_stack(self, X, tol: ToleranceProfile = DEFAULT_TOL):
+        """(h-coordinates, m-coordinates) of a stack of N matrices, as
+        (N, dim_h) and (N, dim_m) arrays; raises if an element leaves h + m."""
+        X = np.asarray(X)
+        c, res = self._frame.stack_coords(X)
+        bad = np.flatnonzero(res > 1e3 * tol.residual_tol * stack_scales(X))
+        if bad.size:
+            raise NotReductive(f"element leaves h+m (residual {res[bad[0]]:.3e})")
+        return c[:, : self.dim_h], c[:, self.dim_h:]
+
     def split_coords(self, X, tol: ToleranceProfile = DEFAULT_TOL):
         """(h-coordinates, m-coordinates) of X; raises if X leaves h + m."""
-        c, res = self._frame.coords(X)
-        scale = max(np.linalg.norm(X), 1.0)
-        if res > 1e3 * tol.residual_tol * scale:
-            raise NotReductive(f"element leaves h+m (residual {res:.3e})")
-        return c[: self.dim_h], c[self.dim_h:]
+        ch, cm = self.split_stack(np.asarray(X)[None], tol)
+        return ch[0], cm[0]
 
     def gram_m(self) -> np.ndarray:
-        """Gram matrix of m_basis under the ip metric (identity if orthonormal)."""
-        K = self.m_basis
-        n = len(K)
-        blocks = self.ip.blocks
-        # metric = sum_b coeff_b <pr_b X, pr_b Y>; with block-orthogonal bases
-        # this reduces to coeff-weighted base inner products, so evaluate via
-        # projections onto each block's span.
-        G = np.zeros((n, n))
-        spans = []
-        for blk in blocks:
-            vecs = _stack([K[i] for i in blk])
-            spans.append(orthonormal_columns(vecs))
-        for i in range(n):
-            vi = np.concatenate([K[i].real.ravel(), K[i].imag.ravel()])
-            for j in range(i, n):
-                vj = np.concatenate([K[j].real.ravel(), K[j].imag.ravel()])
-                total = 0.0
-                for span, coeff in zip(spans, self.ip.coefficients):
-                    total += coeff * float((span.T @ vi) @ (span.T @ vj))
-                G[i, j] = G[j, i] = total
+        """Gram matrix of m_basis under the ip metric (identity if orthonormal).
+
+        metric = sum_b coeff_b <pr_b X, pr_b Y>; with block-orthogonal bases
+        this reduces to coeff-weighted base inner products, evaluated via
+        projections onto each block's span."""
+        V = _stack(self.m_basis)
+        G = np.zeros((self.dim_m, self.dim_m))
+        for blk, coeff in zip(self.ip.blocks, self.ip.coefficients):
+            P = orthonormal_columns(V[:, list(blk)]).T @ V
+            G += coeff * (P.T @ P)
         return G
 
 
@@ -272,39 +287,32 @@ def reductive_split(
         else:
             vecs = Kon
         n = k.ambient_dim
-        mats = []
-        for col in vecs.T:
-            m = (col[: n * n] + 1j * col[n * n:]).reshape(n, n)
-            mats.append(m / np.sqrt(max(inner(m, m), 1e-300)))
-        m_basis = mats
+        mats = (vecs[: n * n] + 1j * vecs[n * n:]).T.reshape(vecs.shape[1], n, n)
+        norms = -np.einsum("kab,kba->k", mats, mats).real
+        m_basis = list(mats / np.sqrt(np.maximum(norms, 1e-300))[:, None, None])
     if ip is None:
         ip = uniform_ip(len(m_basis))
     split = ReductiveSplit(algebra=k, h_basis=h_basis, m_basis=list(m_basis), ip=ip)
-    # reductivity: every [h, m] must have vanishing h-part
-    for H in h_basis:
-        for M in split.m_basis:
-            br = bracket(H, M)
-            ch, _ = split.split_coords(br, tol)
-            scale = max(np.linalg.norm(br), 1.0)
-            if ch.size and np.linalg.norm(ch) > 1e3 * tol.residual_tol * scale:
-                raise NotReductive(f"[h, m] leaves m (h-part {np.linalg.norm(ch):.3e})")
+    isotropy_matrices(split, tol)  # raises NotReductive
     return split
 
 
 def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL):
-    """ad(h)|_m in the orthonormal m basis, one real matrix per h generator."""
-    out = []
-    for H in split.h_basis:
-        R = np.zeros((split.dim_m, split.dim_m))
-        for j, Kj in enumerate(split.m_basis):
-            br = bracket(H, Kj)
-            ch, cm = split.split_coords(br, tol)
-            scale = max(np.linalg.norm(br), 1.0)
-            if ch.size and np.linalg.norm(ch) > 1e3 * tol.residual_tol * scale:
-                raise NotReductive("isotropy action leaves m")
-            R[:, j] = cm
-        out.append(R)
-    return out
+    """ad(h)|_m in the orthonormal m basis, one real matrix per h generator.
+
+    Raises NotReductive if some [H, K_j] has an h-part (each bracket is
+    measured against its own norm)."""
+    r, d, n = split.dim_h, split.dim_m, split.algebra.ambient_dim
+    H = np.reshape(split.h_basis, (r, 1, n, n))
+    K = np.reshape(split.m_basis, (1, d, n, n))
+    br = (H @ K - K @ H).reshape(r * d, n, n)
+    ch, cm = split.split_stack(br, tol)
+    hpart = np.linalg.norm(ch, axis=1)
+    bad = np.flatnonzero(hpart > 1e3 * tol.residual_tol * stack_scales(br))
+    if bad.size:
+        raise NotReductive(f"[h, m] leaves m (h-part {hpart[bad[0]]:.3e})")
+    # R[:, j] holds the m-coordinates of [H, K_j]
+    return list(cm.reshape(r, d, d).swapaxes(1, 2))
 
 
 def is_naturally_reductive(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL):
@@ -312,11 +320,9 @@ def is_naturally_reductive(split: ReductiveSplit, tol: ToleranceProfile = DEFAUL
     n = split.dim_m
     # n3[i, j, k] = g([K_i, K_j]_m, K_k); with orthonormal m the metric
     # coefficients are already absorbed into the basis.
+    i, j, br = pair_brackets(split.m_basis)
+    _, cm = split.split_stack(br, tol)
     n3 = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            _, cm = split.split_coords(bracket(split.m_basis[i], split.m_basis[j]), tol)
-            n3[i, j] = cm
-            n3[j, i] = -cm
+    n3[i, j], n3[j, i] = cm, -cm
     defect = float(np.max(np.abs(n3 + np.swapaxes(n3, 1, 2))))
     return defect <= 1e3 * tol.residual_tol, defect

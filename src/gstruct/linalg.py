@@ -142,9 +142,11 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     col_start = np.cumsum(ncols) - ncols
     row_start = np.cumsum(nrows) - nrows
     shape_key = nrows * (n + 1) + ncols
+    # group equal keys by a sort: a plain np.unique imports numpy.ma
+    by_key = np.argsort(shape_key, kind="stable")
+    groups = np.split(by_key, np.flatnonzero(np.diff(shape_key[by_key])) + 1)
     solved = []
-    for key in np.unique(shape_key):
-        ids = np.flatnonzero(shape_key == key)
+    for ids in groups:
         ri = row_order[row_start[ids, None] + np.arange(nrows[ids[0]])]
         ci = col_order[col_start[ids, None] + np.arange(ncols[ids[0]])]
         solved.append((ids, ci, *_block_svd(A[ri[:, :, None], ci[:, None, :]])))

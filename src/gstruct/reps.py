@@ -14,7 +14,7 @@ import numpy as np
 
 from . import sp3
 from .errors import DimensionMismatch, NotClosed
-from .liealg import CoordinateFrame, bracket, generating_set
+from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
 from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace
 
 
@@ -138,23 +138,23 @@ def _pair_rows_cols(n: int):
 
 
 def pack_so(M, n: int) -> np.ndarray:
-    return np.asarray(M)[_pair_rows_cols(n)]
+    """Pair coordinates of an n x n matrix, or (..., pairs) of a stack."""
+    return np.asarray(M)[(..., *_pair_rows_cols(n))]
 
 
 def unpack_so(v, n: int) -> np.ndarray:
-    M = np.zeros((n, n))
-    M[_pair_rows_cols(n)] = v
-    return M - M.T
+    """Antisymmetric matrix of pair coordinates; a (..., pairs) stack gives
+    a (..., n, n) stack."""
+    v = np.asarray(v)
+    M = np.zeros(v.shape[:-1] + (n, n))
+    M[(..., *_pair_rows_cols(n))] = v
+    return M - np.swapaxes(M, -1, -2)
 
 
 def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL):
     """Orthonormal basis of the complement of span(group_gens) in so(n)."""
-    if len(group_gens) == 0:
-        G = np.zeros((0, n * (n - 1) // 2))
-    else:
-        G = np.array([pack_so(g, n) for g in group_gens])
-    comp = nullspace(G, tol)
-    return [unpack_so(col, n) for col in comp.T]
+    comp = nullspace(pack_so(np.reshape(group_gens, (len(group_gens), n, n)), n), tol)
+    return list(unpack_so(comp.T, n))
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> ThetaMap:
     n = group_gens[0].shape[0] if group_gens else 0
     comp = so_complement(group_gens, n, tol)
     q = len(comp)
-    F = np.array([pack_so(f, n) for f in comp]) if q else np.zeros((0, n * (n - 1) // 2))
+    F = pack_so(np.reshape(comp, (q, n, n)), n)
     trips = triples(n)
     _, pidx = pair_index(n)
     theta = np.zeros((n * q, len(trips)))
@@ -217,13 +217,10 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     data = sp3.load()
     gens = [data.rho_of(v) for v in row.generators]
     # closure check of the generator span
-    frame = CoordinateFrame(gens)
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = bracket(gens[i], gens[j])
-            _, res = frame.coords(br)
-            if res > 1e3 * tol.residual_tol * max(np.linalg.norm(br), 1.0):
-                raise NotClosed(f"{row.name}: generators do not span a subalgebra")
+    _, _, br = pair_brackets(gens)
+    _, res = CoordinateFrame(gens).stack_coords(br)
+    if np.any(res > 1e3 * tol.residual_tol * stack_scales(br)):
+        raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
     sym = _symmetric_basis(14)
     rows = []

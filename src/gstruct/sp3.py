@@ -22,7 +22,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConventionMismatch
-from .liealg import MatrixLieAlgebra, bracket, isotropy_matrices, reductive_split
+from .liealg import (
+    CoordinateFrame,
+    MatrixLieAlgebra,
+    isotropy_matrices,
+    pair_brackets,
+    reductive_split,
+)
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
@@ -195,14 +201,16 @@ class Sp3Data:
         return np.tensordot(np.asarray(coeffs), np.array(self.rho), axes=(0, 0))
 
     def project_rho(self, M):
-        """(coefficients, residual) of a 14x14 matrix against span{rho(A_i)}.
+        """(coefficients, residual) of a 14x14 matrix against span{rho(A_i)};
+        for an (N, 14, 14) stack, (N, 21) coefficients and (N,) residuals.
 
         The rho matrices are mutually orthogonal with Frobenius norm^2 = 4.
         """
         R = np.array(self.rho)
-        coeffs = np.tensordot(R, np.asarray(M), axes=([1, 2], [0, 1])) / 4.0
-        resid = np.asarray(M) - np.tensordot(coeffs, R, axes=(0, 0))
-        return coeffs, float(np.linalg.norm(resid))
+        M = np.asarray(M)
+        coeffs = np.tensordot(M, R, axes=([-2, -1], [1, 2])) / 4.0
+        resid = np.linalg.norm(M - np.tensordot(coeffs, R, axes=1), axis=(-2, -1))
+        return coeffs, resid if M.ndim > 2 else float(resid)
 
 
 @lru_cache(maxsize=1)
@@ -243,14 +251,8 @@ def subgroup_rows():
 def homomorphism_defect() -> float:
     """max over pairs of || rho([A_i, A_j]) - [rho(A_i), rho(A_j)] ||."""
     data = load()
-    from .liealg import CoordinateFrame
-
-    frame = CoordinateFrame(list(data.A))
-    worst = 0.0
-    for i in range(21):
-        for j in range(i + 1, 21):
-            c, res = frame.coords(bracket(data.A[i], data.A[j]))
-            lhs = data.rho_of(c)
-            rhs = bracket(data.rho[i], data.rho[j])
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))), res)
-    return worst
+    _, _, br = pair_brackets(data.A)
+    c, res = CoordinateFrame(data.A).stack_coords(br)
+    lhs = np.tensordot(c, np.array(data.rho), axes=1)
+    _, _, rhs = pair_brackets(data.rho)
+    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(res)))

@@ -25,14 +25,13 @@ import numpy as np
 from . import sp3
 from .errors import BadParams, StructureViolation
 from .liealg import (
-    CoordinateFrame,
     InnerProductSpec,
     MatrixLieAlgebra,
     ReductiveSplit,
-    bracket,
     generating_set,
-    inner,
     isotropy_matrices,
+    pair_brackets,
+    stack_scales,
 )
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .sp3 import E, S
@@ -101,10 +100,6 @@ class HomogeneousSpaceInstance:
         if tol not in self._generators:
             self._generators[tol] = generating_set(self.iso, tol)
         return self._generators[tol]
-
-    def iso_so14(self, h_coords) -> np.ndarray:
-        """Isotropy matrix of an h-coefficient vector."""
-        return np.tensordot(np.asarray(h_coords), np.array(self.iso), axes=(0, 0))
 
 
 def _su4_frames(p: MetricParams):
@@ -209,17 +204,13 @@ def _su5_frames(p: MetricParams):
     basis = _su5_basis()
     sp2 = [data.A[i] for i in range(10)]
     # X in su(5) with <X, A_i> = 0 (i<=10) and <X, B_j> = delta: one linear solve
-    G = np.zeros((24, 24))
-    constraints = sp2 + list(data.B)
-    for col, u in enumerate(basis):
-        for row, c in enumerate(constraints):
-            G[row, col] = inner(u, c)
+    G = -np.einsum("rab,cba->rc", np.array(sp2 + list(data.B)), np.array(basis)).real
     rhs = np.zeros((24, 14))
     rhs[10:, :] = np.eye(14)
     X = np.linalg.solve(G, rhs)  # coefficient columns over the su(5) basis
-    khat = [sum(X[a, i] * basis[a] for a in range(24)) for i in range(14)]
+    khat = np.tensordot(X.T, np.array(basis), axes=1)
     # blockwise norms must agree inside each isotypic block
-    norms = np.array([inner(k, k) for k in khat])
+    norms = -np.einsum("kab,kba->k", khat, khat).real
     for blk in ((0, 8), (8, 13), (13, 14)):
         seg = norms[blk[0]:blk[1]]
         if np.max(np.abs(seg - seg[0])) > 1e-10:
@@ -231,7 +222,7 @@ def _su5_frames(p: MetricParams):
             np.full(1, np.sqrt(p.gamma * norms[13])),
         ]
     )
-    K = [k / s for k, s in zip(khat, scales)]
+    K = list(khat / scales[:, None, None])
     H = sp2
     blocks = (tuple(range(8)), tuple(range(8, 13)), (13,))
     coeffs = (p.alpha, p.beta, p.gamma)
@@ -258,29 +249,26 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     k_alg = MatrixLieAlgebra(label, tuple(H) + tuple(K))
     split = ReductiveSplit(algebra=k_alg, h_basis=list(H), m_basis=list(K), ip=ip)
     iso = isotropy_matrices(split, tol)
-    data = sp3.load()
-    coeff_rows = []
-    for R in iso:
-        coeffs, resid = data.project_rho(R)
-        if resid > 1e3 * tol.residual_tol * max(np.linalg.norm(R), 1.0):
-            raise StructureViolation(
-                f"{label}: isotropy leaves rho(sp3) (residual {resid:.3e})"
-            )
-        coeff_rows.append(coeffs)
+    R = np.reshape(iso, (len(H), 14, 14))
+    coeffs, resid = sp3.load().project_rho(R)
+    bad = np.flatnonzero(resid > 1e3 * tol.residual_tol * stack_scales(R))
+    if bad.size:
+        raise StructureViolation(
+            f"{label}: isotropy leaves rho(sp3) (residual {resid[bad[0]]:.3e})"
+        )
     n = len(K)
+    i, j, br = pair_brackets(K)
+    ch, cm = split.split_stack(br, tol)
     pm = np.zeros((n, n, n))
     ph = np.zeros((n, n, len(H)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            ch, cm = split.split_coords(bracket(K[i], K[j]), tol)
-            pm[i, j], pm[j, i] = cm, -cm
-            ph[i, j], ph[j, i] = ch, -ch
+    pm[i, j], pm[j, i] = cm, -cm
+    ph[i, j], ph[j, i] = ch, -ch
     return HomogeneousSpaceInstance(
         space_id=label,
         params=params,
         split=split,
         iso=iso,
-        iso_coeffs=np.array(coeff_rows) if coeff_rows else np.zeros((0, 21)),
+        iso_coeffs=coeffs,
         pm=pm,
         ph=ph,
     )

@@ -160,17 +160,37 @@ def test_analyze_draws_generating_set_once(capsys, monkeypatch):
 
 
 def test_analyze_does_not_import_numpy_random():
-    # numpy imports numpy.random lazily, on first use; analyze never uses it
+    # numpy imports numpy.random and numpy.ma lazily, on first use; analyze
+    # never uses them (a plain np.unique(x) imports numpy.ma)
     child = (
         "import contextlib, io, sys\n"
         "from gstruct import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['analyze', 'M3']) == 0\n"
         "    assert cli.main(['analyze', 'M4']) == 0\n"
-        "print('numpy.random' in sys.modules)\n"
+        "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
+
+
+def test_parser_reused_across_calls(capsys):
+    from gstruct import cli
+
+    assert cli.make_parser() is cli.make_parser()
+    code, out = run_cli(capsys, "analyze", "M2", "--alpha", "1", "--beta", "1", "--no-spin")
+    assert code == 0
+    first = json.loads(out)
+    code, out = run_cli(capsys, "analyze", "M4", "--gamma", "1.8", "--no-curvature")
+    assert code == 0
+    second = json.loads(out)
+    code, out = run_cli(capsys, "theta", "su3-adjoint")
+    assert code == 0 and json.loads(out)["kernel_dim"] == 1
+    assert first["space_id"] == "u4-so2so2" and first["params"]["beta"] == 1.0
+    assert first["spin"] is None and first["curvature"] is not None
+    assert second["space_id"] == "su5-sp2" and second["params"]["gamma"] == 1.8
+    assert second["params"]["beta"] == 1.0 and second["curvature"] is None
+    assert second["spin"] is not None and second["holonomy"] == {"dim": 11, "label": "sp2+w1"}

@@ -3,8 +3,9 @@ import pytest
 from conftest import draws, pipeline
 
 from gstruct import connections as con
-from gstruct import spaces
+from gstruct import reps, sp3, spaces
 from gstruct.errors import Infeasible, NotSkew
+from gstruct.linalg import DEFAULT_TOL, orthonormal_columns
 
 
 def test_family_dimensions_random_draws():
@@ -236,3 +237,70 @@ def test_equivariance_block_matches_loop_reference():
         for R in space.iso:
             ref = _loop_equivariance_block(R)
             assert np.max(np.abs(con._equivariance_block(R) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _loop_holonomy(conn, tol=DEFAULT_TOL):
+    """Reference: (dim, label, packed basis) from the per-matrix seed loop,
+    the per-pair closure rounds and the per-element label test."""
+    space = conn.space
+    lam = conn.so_matrices()
+
+    def span(mats):
+        return orthonormal_columns(np.array([reps.pack_so(m, 14) for m in mats]).T, tol)
+
+    seeds = []
+    for i in range(14):
+        for j in range(i + 1, 14):
+            m = lam[i] @ lam[j] - lam[j] @ lam[i]
+            m -= np.einsum("k,kab->ab", space.pm[i, j], lam)
+            m -= np.tensordot(space.ph[i, j], np.array(space.iso), axes=(0, 0))
+            seeds.append(m)
+    on = span(seeds)
+    basis = [reps.unpack_so(col, 14) for col in on.T]
+    for _ in range(91):
+        on2 = span(basis + [L @ B - B @ L for L in lam for B in basis])
+        if on2.shape[1] == on.shape[1]:
+            break
+        on, basis = on2, [reps.unpack_so(col, 14) for col in on2.T]
+
+    def inside(target_idx):
+        rho = sp3.load().rho
+        Ton = span([rho[i] for i in target_idx])
+        for m in basis:
+            v = reps.pack_so(m, 14)
+            if np.linalg.norm(v - Ton @ (Ton.T @ v)) > 1e3 * tol.residual_tol * max(np.linalg.norm(v), 1.0):
+                return False
+        return True
+
+    dim = len(basis)
+    if dim <= 3 and inside([8, 9, 20]):
+        label = "torus"
+    elif dim == 10 and inside(range(10)):
+        label = "sp2"
+    elif dim == 11 and inside(list(range(10)) + [18, 19, 20]):
+        label = "sp2+w1"
+    elif dim == 21 and inside(range(21)):
+        label = "sp3"
+    else:
+        label = f"other({dim})" if not inside(range(21)) else f"sp3-subalgebra({dim})"
+    return dim, label, on
+
+
+@pytest.mark.parametrize("sid,kw", [
+    ("M1", dict(alpha=1.0, beta=1.0, gamma=1.0)),
+    ("M1", dict(alpha=1.1, beta=1.5, gamma=0.7)),
+    ("M2", dict(alpha=1.0, beta=1.0, gamma=2.0)),
+    ("M2", dict(alpha=1.1, beta=1.5, gamma=0.7)),
+    ("M3", dict(alpha=1.1, beta=1.5, gamma=0.7)),
+    ("M4", dict(alpha=1.0, beta=1.0, gamma=1.0)),
+    ("M4", dict(alpha=1.0, beta=1.0, gamma=1.8)),
+    ("M4", dict(alpha=1.1, beta=1.5, gamma=0.7)),
+    ("M4", dict(alpha=1.0, beta=2.0, gamma=1.2)),
+])
+def test_holonomy_matches_loop_reference(sid, kw):
+    conn = pipeline(sid, **kw)["conn"]
+    hol = con.holonomy_algebra(conn)
+    dim, label, on = _loop_holonomy(conn)
+    assert (hol.dim, hol.label) == (dim, label)
+    got = np.array([reps.pack_so(m, 14) for m in hol.basis]).reshape(-1, 91).T
+    assert np.max(np.abs(got @ got.T - on @ on.T)) <= 1e-12

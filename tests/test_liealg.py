@@ -246,3 +246,33 @@ def test_generating_set_degenerate_draw_falls_back(monkeypatch):
     assert all(np.array_equal(g, h) for g, h in zip(got, space.iso))
     assert connections.solve_equivariant(space).dim == 7
     assert spin.invariant_spinors(space).dim == 4
+
+
+def test_stack_coords_matches_least_squares_per_element():
+    rng = np.random.default_rng(3)
+    su3 = su_algebra(3)
+    frame = liealg.CoordinateFrame(su3.basis[:6])
+    X = np.tensordot(rng.standard_normal((5, 8)), np.array(su3.basis), axes=1)
+    c, res = frame.stack_coords(X)
+    S = liealg._stack(su3.basis[:6])
+    for k in range(5):
+        v = np.concatenate([X[k].real.ravel(), X[k].imag.ravel()])
+        want, *_ = np.linalg.lstsq(S, v, rcond=None)
+        assert np.max(np.abs(c[k] - want)) <= 1e-13 * np.max(np.abs(want))
+        assert abs(res[k] - np.linalg.norm(v - S @ want)) <= 1e-13 * np.linalg.norm(v)
+        ck, rk = frame.coords(X[k])
+        assert np.max(np.abs(ck - c[k])) <= 1e-14 * np.max(np.abs(want))
+    assert frame.stack_coords(X[:0])[0].shape == (0, 6)
+
+
+def test_split_stack_rows_are_split_coords():
+    from conftest import pipeline
+
+    split = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7, want_char=False)["space"].split
+    _, _, br = liealg.pair_brackets(split.m_basis)
+    ch, cm = split.split_stack(br)
+    scale = np.max(np.abs(cm))
+    for k in (0, 17, 90):
+        h, m = split.split_coords(br[k])
+        assert np.max(np.abs(h - ch[k])) <= 1e-14 * scale
+        assert np.max(np.abs(m - cm[k])) <= 1e-14 * scale

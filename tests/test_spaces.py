@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from conftest import pipeline
 
-from gstruct import spaces
-from gstruct.errors import BadParams
+from gstruct import sp3, spaces
+from gstruct.errors import BadParams, NotReductive
+from gstruct.liealg import MatrixLieAlgebra, ReductiveSplit, bracket, inner, uniform_ip
+from gstruct.linalg import DEFAULT_TOL
+from gstruct.sp3 import E
 
 
 def test_canonical_ids_and_aliases():
@@ -93,3 +96,94 @@ def test_torsion_fixture_values():
     assert (0, 1, 13) not in t2
     t4 = spaces.fixtures("M4").torsion(p)
     assert abs(t4[(0, 1, 12)] - 0.0) < 1e-15  # (2a-b)/(2a sqrt b) at b=2a
+
+
+# ---------------------------------------------------------------------------
+# assemble and the M4 frames are batched array expressions; the per-matrix
+# loops they replaced are kept here as references.
+
+
+def _loop_su5_frames(p):
+    data = sp3.load()
+    basis = spaces._su5_basis()
+    sp2 = [data.A[i] for i in range(10)]
+    G = np.zeros((24, 24))
+    constraints = sp2 + list(data.B)
+    for col, u in enumerate(basis):
+        for row, c in enumerate(constraints):
+            G[row, col] = inner(u, c)
+    rhs = np.zeros((24, 14))
+    rhs[10:, :] = np.eye(14)
+    X = np.linalg.solve(G, rhs)
+    khat = [sum(X[a, i] * basis[a] for a in range(24)) for i in range(14)]
+    norms = np.array([inner(k, k) for k in khat])
+    scales = [np.sqrt(p.alpha * norms[0])] * 8 + [np.sqrt(p.beta * norms[8])] * 5
+    scales += [np.sqrt(p.gamma * norms[13])]
+    return [k / s for k, s in zip(khat, scales)], sp2
+
+
+def _loop_assemble(K, H, tol=DEFAULT_TOL):
+    """(iso, iso_coeffs, pm, ph) with one bracket and one coordinate solve
+    at a time."""
+    k_alg = MatrixLieAlgebra("ref", tuple(H) + tuple(K))
+    split = ReductiveSplit(algebra=k_alg, h_basis=list(H), m_basis=list(K), ip=uniform_ip(14))
+    iso = []
+    for Hm in split.h_basis:
+        R = np.zeros((14, 14))
+        for j, Kj in enumerate(split.m_basis):
+            br = bracket(Hm, Kj)
+            ch, cm = split.split_coords(br, tol)
+            assert np.linalg.norm(ch) <= 1e3 * tol.residual_tol * max(np.linalg.norm(br), 1.0)
+            R[:, j] = cm
+        iso.append(R)
+    coeffs = np.array([sp3.load().project_rho(R)[0] for R in iso])
+    pm = np.zeros((14, 14, 14))
+    ph = np.zeros((14, 14, len(H)))
+    for i in range(14):
+        for j in range(i + 1, 14):
+            ch, cm = split.split_coords(bracket(split.m_basis[i], split.m_basis[j]), tol)
+            pm[i, j], pm[j, i] = cm, -cm
+            ph[i, j], ph[j, i] = ch, -ch
+    return np.array(iso), coeffs, pm, ph
+
+
+def _close(got, want, rel=1e-13):
+    return np.max(np.abs(np.asarray(got) - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e14])
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
+def test_assemble_matches_loop_reference(sid, scale):
+    p = spaces.MetricParams(alpha=1.1 * scale, beta=1.5 * scale, gamma=0.7 * scale)
+    space = spaces.build(sid, p)
+    if sid == "M4":
+        K, H = _loop_su5_frames(p)
+        assert _close(space.split.m_basis, np.array(K))
+    else:
+        K, H, _ = spaces._FRAME_BUILDERS[spaces.canonical_id(sid)](p)
+    iso, coeffs, pm, ph = _loop_assemble(K, H)
+    assert _close(space.iso, iso)
+    assert _close(space.iso_coeffs, coeffs)
+    assert _close(space.pm, pm)
+    assert _close(space.ph, ph)
+
+
+def test_assemble_small_defect_beside_large_brackets():
+    # M1's frames inside u(5), with alpha2 = 1e-4 so that K3, K4 (in the
+    # e2, e4 plane) have norm 100 and [K3, K4] norm 1e4.  K1 is pushed out
+    # of h + m by 1e-5 * E15, which commutes with K3 and K4: the brackets
+    # of K1 with H and with the unit-size frame elements leave h + m by
+    # about 1e-5 of their own norm, and no large bracket leaves it.  One
+    # residual scale for a whole batch (set by the large brackets) would
+    # let this pass.
+    from gstruct.spaces import _embed5
+
+    p = spaces.MetricParams(alpha=1.0, alphas=(1e-4, 1, 1, 1, 1, 1, 1))
+    K, H, ip = spaces._su4_frames(p)
+    K, H = [_embed5(k) for k in K], [_embed5(h) for h in H]
+    assert np.linalg.norm(bracket(K[2], K[3])) > 1e4
+    good = spaces.assemble("custom", p, K, H, ip)
+    assert np.max(np.abs(good.pm - spaces.build("M1", p).pm)) < 1e-10
+    K[0] = K[0] + 1e-5 * E(5, 1, 5)
+    with pytest.raises(NotReductive):
+        spaces.assemble("custom", p, K, H, ip)
