@@ -17,11 +17,8 @@ import sys
 
 import numpy as np
 
-from . import groups, reps, sp3, spaces
-from . import connections as con
-from . import curvature as curv
-from . import spin
-from .errors import GstructError, Infeasible, StructureViolation
+from . import analysis, groups, reps, sp3, spaces
+from .errors import GstructError, StructureViolation
 from .linalg import ToleranceProfile
 
 
@@ -95,9 +92,11 @@ def cmd_analyze(args) -> int:
     tol = _tolerance(args)
     sid = spaces.canonical_id(args.space)
     params = _params_from_args(sid, args)
-    space = spaces.build(sid, params, tol)
-    fam = con.solve_equivariant(space, tol)
-
+    res = analysis.analyze(
+        sid, params, tol,
+        holonomy=not args.no_holonomy, curvature=not args.no_curvature, spin=not args.no_spin,
+    )
+    conn, T, hol, crep, drep = res.conn, res.torsion, res.holonomy, res.curvature, res.dirac
     report = {
         "space_id": sid,
         "params": {
@@ -106,82 +105,45 @@ def cmd_analyze(args) -> int:
             "beta": params.beta,
             "gamma": params.gamma,
         },
-        "family_dim": fam.dim,
-    }
-    exit_code = 0
-    try:
-        conn = con.characteristic_connection(space, fam, tol)
-    except Infeasible:
-        conn = None
-        exit_code = 2
-    report["characteristic"] = {
-        "exists": conn is not None,
-        "lambda_nonzero_entries": (
-            [[j, a, c] for j, a, c in conn.nonzero_entries()] if conn else None
-        ),
-    }
-
-    if conn is not None:
-        T = con.torsion(conn)
-        parallel, _ = con.torsion_is_parallel(conn, T)
-        comps = con.classify_type(T.t3, tol)
-        report["torsion"] = {
+        "family_dim": res.family.dim,
+        "characteristic": {
+            "exists": conn is not None,
+            "lambda_nonzero_entries": (
+                [[j, a, c] for j, a, c in conn.nonzero_entries()] if conn else None
+            ),
+        },
+        "torsion": None if T is None else {
             "norm2": T.norm2_increasing,
-            "type_components": {str(k): v for k, v in sorted(comps.items())},
-            "parallel": parallel,
-        }
-    else:
-        T, parallel = None, False
-        report["torsion"] = None
-
-    if not args.no_holonomy and conn is not None:
-        hol = con.holonomy_algebra(conn, tol)
-        report["holonomy"] = {"dim": hol.dim, "label": hol.label}
-    else:
-        report["holonomy"] = None
-
-    if not args.no_curvature:
-        crep = curv.curvature_report(space, conn, tol)
-        report["curvature"] = {
+            "type_components": {str(k): v for k, v in sorted(res.type_components.items())},
+            "parallel": res.parallel[0],
+        },
+        "holonomy": None if hol is None else {"dim": hol.dim, "label": hol.label},
+        "curvature": None if crep is None else {
             "ricci_conn_diag": None if conn is None else np.diag(crep.ricci_conn),
             "ricci_riem_diag": np.diag(crep.ricci_riem),
             "scal_conn": None if conn is None else crep.scal_conn,
             "scal_riem": crep.scal_riem,
             "einstein_defect": crep.einstein_defect,
-        }
-    else:
-        crep = None
-        report["curvature"] = None
-
-    if not args.no_spin:
-        sub = spin.invariant_spinors(space, tol)
-        spin_report = {"invariant_dim": sub.dim}
-        if conn is not None and sub.dim > 0:
-            drep = spin.dirac_on_invariants(space, conn, tol, sub=sub)
-            if parallel and crep is not None:
-                drep = spin.eigenvalue_estimates(
-                    drep, crep.scal_riem, conn=conn, parallel_checked=True, tol=tol
-                )
-            spin_report.update(
-                {
-                    "dirac_eigenvalues": drep.eigenvalues,
-                    "mu": float(np.max(np.abs(drep.torsion_op_eigenvalues))),
-                    "torsion_norm2": drep.torsion_norm2,
-                    "friedrich_rhs": drep.friedrich_rhs,
-                    "twistor_rhs": drep.twistor_rhs,
-                    "equality_flags": {
-                        "friedrich_equality": drep.friedrich_equality,
-                        "twistor_strict": drep.twistor_strict,
-                    },
-                    "parallel_spinor_dim": drep.parallel_spinor_dim,
-                }
-            )
-        report["spin"] = spin_report
-    else:
-        report["spin"] = None
-
+        },
+        "spin": None if res.spinors is None else {"invariant_dim": res.spinors.dim},
+    }
+    if drep is not None:
+        report["spin"].update(
+            {
+                "dirac_eigenvalues": drep.eigenvalues,
+                "mu": float(np.max(np.abs(drep.torsion_op_eigenvalues))),
+                "torsion_norm2": drep.torsion_norm2,
+                "friedrich_rhs": drep.friedrich_rhs,
+                "twistor_rhs": drep.twistor_rhs,
+                "equality_flags": {
+                    "friedrich_equality": drep.friedrich_equality,
+                    "twistor_strict": drep.twistor_strict,
+                },
+                "parallel_spinor_dim": drep.parallel_spinor_dim,
+            }
+        )
     _emit(report, args.format)
-    return exit_code
+    return 0 if conn is not None else 2
 
 
 def cmd_decompose(args) -> int:

@@ -1,12 +1,14 @@
 """Invariant metric connections with image in the symplectic subalgebra:
-the equivariant-family solver, torsion and its covariant derivative, the
-unique skew-torsion (characteristic) connection, intrinsic-type
-classification, holonomy, and parallel vector fields.
+the equivariant-family solver, torsion and curvature and the covariant
+derivative of torsion, the unique skew-torsion (characteristic)
+connection, intrinsic-type classification, holonomy, and parallel vector
+fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,18 +33,38 @@ class EquivariantFamily:
 
 @dataclass(frozen=True)
 class InvariantConnection:
+    """The map Lambda of an invariant connection.  Its so(14) stack, torsion
+    and curvature depend on these two fields alone, so each is computed
+    once, on first use, and handed out read-only."""
+
     space: HomogeneousSpaceInstance
     lambda_coeffs: np.ndarray  # (14, 21) over the A basis
 
     def so_matrices(self) -> np.ndarray:
         """(14, 14, 14) stack: entry [j] is the so(14) matrix of Lambda(K_j)."""
-        R = np.array(sp3.load().rho)
-        return np.einsum("ja,akl->jkl", self.lambda_coeffs, R)
+        return self._stack
 
-    def nonzero_entries(self, cutoff: float = 1e-9):
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _read_only(np.einsum("ja,akl->jkl", self.lambda_coeffs, np.array(sp3.load().rho)))
+
+    @cached_property
+    def _torsion(self) -> TorsionTensor:
+        return torsion_of_map(self.space, self._stack)
+
+    @cached_property
+    def _curvature(self) -> np.ndarray:
+        return curvature_of_map(self.space, self._stack)
+
+    def nonzero_entries(self):
         """[(K index, A index, coefficient)] with 1-based indices."""
         L = self.lambda_coeffs
-        return [(int(j) + 1, int(a) + 1, float(L[j, a])) for j, a in np.argwhere(np.abs(L) > cutoff)]
+        return [(int(j) + 1, int(a) + 1, float(L[j, a])) for j, a in np.argwhere(L != 0)]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -55,9 +77,6 @@ class TorsionTensor:
         """Sum of squared coefficients over strictly increasing triples."""
         i, j, k = np.indices(self.t3.shape)
         return float(np.sum(self.t3[(i < j) & (j < k)] ** 2))
-
-    def skew_defect(self) -> float:
-        return float(np.max(np.abs(self.t3 + np.swapaxes(self.t3, 1, 2))))
 
 
 @dataclass(frozen=True)
@@ -90,30 +109,43 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
 
 def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionTensor:
     """Torsion of an arbitrary connection map (stack of so(14) matrices):
-    T(X, Y) = Lambda(X)Y - Lambda(Y)X - [X, Y]_m."""
-    t12 = np.einsum("ikj->kij", lam) - np.einsum("jki->kij", lam) - np.einsum("ijk->kij", space.pm)
+    T(X, Y) = Lambda(X)Y - Lambda(Y)X - [X, Y]_m, as read-only arrays."""
+    t12 = _read_only(np.einsum("ikj->kij", lam) - np.einsum("jki->kij", lam) - np.einsum("ijk->kij", space.pm))
     return TorsionTensor(t12=t12, t3=np.einsum("kij->ijk", t12))
 
 
 def torsion(conn: InvariantConnection) -> TorsionTensor:
-    return torsion_of_map(conn.space, conn.so_matrices())
+    return conn._torsion
+
+
+def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.ndarray:
+    """R4[i, j] = R(K_i, K_j) = [Lambda(K_i), Lambda(K_j)] - Lambda([K_i, K_j]_m)
+    - rho([K_i, K_j]_h), an so(14) matrix acting on frame coordinates; read-only."""
+    comm = np.einsum("iab,jbc->ijac", lam, lam)
+    comm = comm - np.swapaxes(comm, 0, 1)
+    lam_m = np.einsum("ijk,kab->ijab", space.pm, lam)
+    rho_h = np.einsum("ijr,rab->ijab", space.ph, np.array(space.iso))
+    return _read_only(comm - lam_m - rho_h)
+
+
+def curvature(conn: InvariantConnection) -> np.ndarray:
+    return conn._curvature
 
 
 def characteristic_connection(
     space: HomogeneousSpaceInstance,
-    family: EquivariantFamily = None,
+    family: EquivariantFamily,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> InvariantConnection:
     """The unique family member with totally antisymmetric torsion.
 
     Solves the affine-linear skewness system inside the equivariant family;
     raises Infeasible when the residual shows no member has skew torsion,
-    and asserts a zero-dimensional solution set otherwise.  The residual is
-    measured against ||pm||, which scales with it under a uniform metric
-    scaling (||b|| itself is round-off at a naturally reductive metric).
+    and asserts a zero-dimensional solution set otherwise.  The residual and
+    the round-off clamp of the coefficients are measured against ||pm||,
+    which scales with both under a uniform metric scaling (||b|| itself is
+    round-off at a naturally reductive metric).
     """
-    if family is None:
-        family = solve_equivariant(space, tol)
     R21 = np.array(sp3.load().rho)
     lam_members = np.einsum("dja,akl->djkl", family.basis, R21)
     # torsion is affine in the coefficients: T = A(t) + T0
@@ -125,7 +157,8 @@ def characteristic_connection(
     b = -sym(t0).ravel()
     coeffs, _, rank_, sv = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ coeffs - b))
-    if resid > 1e3 * tol.residual_tol * float(np.linalg.norm(space.pm)):
+    pnorm = float(np.linalg.norm(space.pm))
+    if resid > 1e3 * tol.residual_tol * pnorm:
         raise Infeasible(
             f"{space.space_id}: no skew-torsion member (residual {resid:.3e})"
         )
@@ -133,13 +166,12 @@ def characteristic_connection(
         # solution set would be positive-dimensional, contradicting uniqueness
         raise Infeasible(f"{space.space_id}: skewness system is degenerate")
     L = np.einsum("d,dja->ja", coeffs, family.basis)
-    L[np.abs(L) < 1e-12 * max(1.0, float(np.max(np.abs(L))))] = 0.0
-    return InvariantConnection(space=space, lambda_coeffs=L)
+    L[np.abs(L) < 1e-12 * pnorm] = 0.0
+    return InvariantConnection(space=space, lambda_coeffs=_read_only(L))
 
 
-def nabla_torsion(conn_lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
+def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
     """(nabla_V T)(X, Y) over all frame directions: nt[v, k, i, j]."""
-    lam = conn_lam
     return (
         np.einsum("vkl,lij->vkij", lam, t12)
         - np.einsum("vli,klj->vkij", lam, t12)
@@ -147,15 +179,14 @@ def nabla_torsion(conn_lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
     )
 
 
-def torsion_is_parallel(conn: InvariantConnection, T: TorsionTensor = None, rel: float = 1e-7):
+def torsion_is_parallel(conn: InvariantConnection, rel: float = 1e-7):
     """(flag, max |nabla T| / (||pm|| ||T||)).
 
     Under a uniform metric scaling by s the bracket table pm and T scale
     like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
     T vanishes (and is parallel) when ||T|| <= rel ||pm||, and is parallel
     when the ratio is <= rel."""
-    if T is None:
-        T = torsion(conn)
+    T = torsion(conn)
     tnorm = float(np.sqrt(T.norm2_increasing))
     pnorm = float(np.linalg.norm(conn.space.pm))
     if tnorm <= rel * pnorm:
@@ -185,19 +216,12 @@ def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
 def holonomy_algebra(
     conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL
 ) -> HolonomyResult:
-    """Nested-bracket closure of the curvature span:
-    seed [Lambda X, Lambda Y] - Lambda([X,Y]_m) - rho([X,Y]_h), then close
-    under bracketing with the image of Lambda until the rank stabilizes.
-    The basis is kept as orthonormal pair coordinates (``reps.pack_so``)."""
-    space = conn.space
+    """Nested-bracket closure of the curvature span: seed with the
+    R(K_i, K_j), i < j, then close under bracketing with the image of
+    Lambda until the rank stabilizes.  The basis is kept as orthonormal
+    pair coordinates (``reps.pack_so``)."""
     lam = conn.so_matrices()
-    i, j = np.triu_indices(14, 1)
-    seeds = (
-        lam[i] @ lam[j] - lam[j] @ lam[i]
-        - np.tensordot(space.pm[i, j], lam, axes=1)
-        - np.tensordot(space.ph[i, j], np.reshape(space.iso, (-1, 14, 14)), axes=1)
-    )
-    on = orthonormal_columns(reps.pack_so(seeds, 14).T, tol)
+    on = orthonormal_columns(reps.pack_so(curvature(conn)[np.triu_indices(14, 1)], 14).T, tol)
     basis = reps.unpack_so(on.T, 14)
     for _ in range(91):
         new = (lam[:, None] @ basis - basis @ lam[:, None]).reshape(-1, 14, 14)
@@ -231,9 +255,7 @@ def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
     return f"other({dim})" if not inside(range(21)) else f"sp3-subalgebra({dim})"
 
 
-def parallel_vector_fields(
-    conn: InvariantConnection, T: TorsionTensor = None, tol: ToleranceProfile = DEFAULT_TOL
-):
+def parallel_vector_fields(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL):
     """Frame vectors killed by both the holonomy algebra and the isotropy,
     together with the 2-forms obtained by contracting them into the torsion.
 
@@ -246,7 +268,6 @@ def parallel_vector_fields(
         vecs = nullspace(np.vstack(mats), tol)
     else:
         vecs = np.eye(14)
-    if T is None:
-        T = torsion(conn)
+    T = torsion(conn)
     omegas = [np.einsum("i,ijk->jk", v, T.t3) for v in vecs.T]
     return vecs, omegas

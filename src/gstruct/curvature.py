@@ -2,9 +2,9 @@
 Levi-Civita connection, scalar curvatures, and the Einstein defect.
 
 The curvature of an invariant connection given by a map Lambda is
-R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h); its
-correctness is certified end to end by reproducing the four closed-form
-Ricci tables of the catalog spaces.
+R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h)
+(``connections.curvature_of_map``); its correctness is certified end to
+end by reproducing the four closed-form Ricci tables of the catalog spaces.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import InvariantConnection, torsion
+from .connections import InvariantConnection, curvature, curvature_of_map, torsion
 from .errors import Infeasible
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
@@ -28,26 +28,13 @@ class CurvatureReport:
     einstein_defect: float
 
 
-def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.ndarray:
-    """R4[i, j] = R(K_i, K_j) as an so(14) matrix acting on frame coordinates."""
-    comm = np.einsum("iab,jbc->ijac", lam, lam)
-    comm = comm - np.swapaxes(comm, 0, 1)
-    lam_m = np.einsum("ijk,kab->ijab", space.pm, lam)
-    iso = np.array(space.iso)
-    rho_h = np.einsum("ijr,rab->ijab", space.ph, iso)
-    return comm - lam_m - rho_h
-
-
-def curvature(conn: InvariantConnection) -> np.ndarray:
-    return curvature_of_map(conn.space, conn.so_matrices())
-
-
 def ricci_from_curvature(R4: np.ndarray) -> np.ndarray:
     """Ric(X, Y) = sum_i g(R(K_i, X)Y, K_i) in the orthonormal frame."""
     return np.einsum("ixiy->xy", R4)
 
 
 def ricci_connection(conn: InvariantConnection) -> np.ndarray:
+    """Ricci tensor of the connection's cached curvature."""
     return ricci_from_curvature(curvature(conn))
 
 
@@ -61,20 +48,20 @@ def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
     return lam
 
 
+def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarray:
+    """Ric^g = Ric^conn + (1/4) sum_i g(T(X,K_i), T(Y,K_i))."""
+    T = torsion(conn)
+    return ric_conn + 0.25 * np.einsum("kxi,kyi->xy", T.t12, T.t12)
+
+
 def ricci_riemannian(space: HomogeneousSpaceInstance, conn: InvariantConnection = None):
     """(direct Levi-Civita Ricci, identity-route Ricci or None).
 
-    The identity route Ric^g = Ric^conn + (1/4) sum_i g(T(X,K_i), T(Y,K_i))
-    needs a characteristic connection; the direct route always exists.
+    The identity route needs a characteristic connection; the direct route
+    always exists.
     """
     direct = ricci_from_curvature(curvature_of_map(space, levi_civita(space)))
-    via_identity = None
-    if conn is not None:
-        T = torsion(conn)
-        via_identity = ricci_connection(conn) + 0.25 * np.einsum(
-            "kxi,kyi->xy", T.t12, T.t12
-        )
-    return direct, via_identity
+    return direct, None if conn is None else _identity_route(conn, ricci_connection(conn))
 
 
 def curvature_report(
@@ -82,15 +69,14 @@ def curvature_report(
     conn: InvariantConnection = None,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> CurvatureReport:
-    ric_g, ric_via = ricci_riemannian(space, conn)
+    ric_g, _ = ricci_riemannian(space)
     scal_g = float(np.trace(ric_g))
     if conn is not None:
         ric_c = ricci_connection(conn)
         scal_c = float(np.trace(ric_c))
-        if ric_via is not None:
-            dev = np.max(np.abs(ric_via - ric_g))
-            if dev > 1e4 * tol.residual_tol * max(np.max(np.abs(ric_g)), 1.0):
-                raise Infeasible(f"Riemannian Ricci routes disagree by {dev:.3e}")
+        dev = np.max(np.abs(_identity_route(conn, ric_c) - ric_g))
+        if dev > 1e4 * tol.residual_tol * max(np.max(np.abs(ric_g)), 1.0):
+            raise Infeasible(f"Riemannian Ricci routes disagree by {dev:.3e}")
     else:
         ric_c, scal_c = None, float("nan")
     defect = float(np.linalg.norm(ric_g - (scal_g / 14.0) * np.eye(14)))

@@ -97,17 +97,6 @@ class MatrixLieAlgebra:
     def ambient_dim(self) -> int:
         return self.basis[0].shape[0]
 
-    def validate(self, tol: ToleranceProfile = DEFAULT_TOL) -> None:
-        """Check anti-hermiticity, linear independence, and closure."""
-        for i, X in enumerate(self.basis):
-            scale = max(np.linalg.norm(X), 1.0)
-            if np.linalg.norm(X + X.conj().T) > tol.residual_tol * scale:
-                raise ValueError(f"{self.name}: basis element {i} is not anti-hermitian")
-        S = _stack(self.basis)
-        if np.linalg.matrix_rank(S, tol=1e-10) != self.dim:
-            raise ValueError(f"{self.name}: basis is linearly dependent")
-        structure_constants(self, tol)  # raises NotClosed on failure
-
 
 def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k."""
@@ -192,12 +181,6 @@ class InnerProductSpec:
         seen = sorted(i for blk in self.blocks for i in blk)
         if seen != list(range(len(seen))):
             raise ValueError("blocks must partition the index range")
-
-    def coefficient_of(self, index: int) -> float:
-        for blk, c in zip(self.blocks, self.coefficients):
-            if index in blk:
-                return float(c)
-        raise IndexError(index)
 
 
 def uniform_ip(dim: int, coefficient: float = 1.0) -> InnerProductSpec:

@@ -36,9 +36,6 @@ class IsotypicDecomposition:
     def dim(self) -> int:
         return sum(dim for _, dim, _ in self.parts)
 
-    def dimension_table(self) -> dict:
-        return {ev: dim for ev, dim, _ in self.parts}
-
     def dimension_multiset(self) -> tuple:
         return tuple(sorted(dim for _, dim, _ in self.parts))
 

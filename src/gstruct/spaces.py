@@ -89,10 +89,6 @@ class HomogeneousSpaceInstance:
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def dim_m(self) -> int:
-        return 14
-
     def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> list:
         """``liealg.generating_set(self.iso, tol)``, computed on first use
         for each tolerance profile; the equivariance and spinor systems

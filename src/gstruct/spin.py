@@ -169,8 +169,9 @@ def dirac_on_invariants(
     sub: SpinorSubspace = None,
 ) -> DiracReport:
     """Dirac matrix of the connection with torsion T/3 on invariant spinors,
-    plus the torsion-operator spectrum and norm used by the estimates;
-    ``sub`` is the space's invariant-spinor subspace if already computed."""
+    plus the torsion-operator spectrum and norm used by the estimates, from
+    the connection's cached so(14) stack and torsion; ``sub`` is the space's
+    invariant-spinor subspace if already computed."""
     if sub is None:
         sub = invariant_spinors(space, tol)
     if sub.dim == 0:
@@ -229,6 +230,8 @@ def eigenvalue_estimates(
         + n * (4 - n) / (4 * (n - 3) ** 2) * mu2
     )
     lam2 = float(np.min(report.eigenvalues**2))
-    report.friedrich_equality = bool(abs(lam2 - report.friedrich_rhs) <= 1e-9 * max(lam2, 1.0))
-    report.twistor_strict = bool(lam2 - report.twistor_rhs > 1e-9)
+    # every term has the units of lam2, so both flags are scale-free
+    scale = max(lam2, abs(scal_riem) / 4, t2 / 8, mu2 / 4)
+    report.friedrich_equality = bool(abs(lam2 - report.friedrich_rhs) <= 1e-9 * scale)
+    report.twistor_strict = bool(lam2 - report.twistor_rhs > 1e-9 * scale)
     return report

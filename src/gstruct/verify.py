@@ -8,10 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reps, sp3, spaces
-from . import connections as con
-from . import curvature as curv
-from . import spin
-from .errors import Infeasible
+from .analysis import analyze
 from .linalg import DEFAULT_TOL, rank
 
 
@@ -24,113 +21,99 @@ def _sample_params(sid: str, seed: int = 2):
     return out
 
 
+def _record(results, name, a, check):
+    """Append (name, *check()), or a FAIL line when the analysis found no
+    characteristic connection to check."""
+    ok, detail = check() if a.conn is not None else (False, "no characteristic connection")
+    results.append((name, ok, detail))
+
+
+def _lambda_dev(L, expected):
+    mask = np.zeros_like(L, dtype=bool)
+    dev = 0.0
+    for (j, k), c in expected.items():
+        mask[j, k] = True
+        dev = max(dev, abs(L[j, k] - c))
+    if (~mask).any():
+        dev = max(dev, float(np.max(np.abs(L[~mask]))))
+    return dev <= 1e-9, f"max dev {dev:.2e}"
+
+
+def _torsion_dev(t3, table):
+    tdev = max(abs(t3[t] - c) for t, c in table.items()) if table else 0.0
+    return tdev <= 1e-9, f"max dev {tdev:.2e}"
+
+
+def _ricci_devs(crep, fx, p):
+    dc = float(np.max(np.abs(np.diag(crep.ricci_conn) - fx.ricci_conn(p))))
+    dg = float(np.max(np.abs(np.diag(crep.ricci_riem) - fx.ricci_riem(p))))
+    sc = abs(crep.scal_conn - fx.scal_conn(p))
+    sg = abs(crep.scal_riem - fx.scal_riem(p))
+    ok = max(dc, dg, sc, sg) <= 1e-8 * max(1.0, abs(crep.scal_riem))
+    return ok, f"devs ricci {dc:.2e}/{dg:.2e} scal {sc:.2e}/{sg:.2e}"
+
+
+def _dirac_dev(drep, lam_exp):
+    ddev = float(np.max(np.abs(np.abs(drep.eigenvalues) - lam_exp)))
+    return ddev <= 1e-9 * max(1.0, lam_exp), f"dev {ddev:.2e}"
+
+
+def _off_type(comps, ev):
+    off = float(np.sqrt(sum(v for k, v in comps.items() if k != ev)))
+    return off <= 1e-8, f"off-norm {off:.2e}"
+
+
 def _check_space(sid: str, tol, results):
     fx = spaces.fixtures(sid)
     alias = {v: k for k, v in spaces.ALIASES.items()}[sid]
 
     for p in _sample_params(sid):
         tag = f"{alias}(a={p.alpha:.3f},b={p.beta:.3f},g={p.gamma:.3f})"
-        space = spaces.build(sid, p, tol)
-        fam = con.solve_equivariant(space, tol)
-        results.append(
-            (
-                f"{tag} family dim",
-                fam.dim == fx.expected_family_dim,
-                f"{fam.dim} vs {fx.expected_family_dim}",
-            )
-        )
-        conn = con.characteristic_connection(space, fam, tol)
+        a = analyze(sid, p, tol)
+        fam, hol, want_hol, want_par = a.family.dim, a.holonomy, fx.holonomy(p), fx.parallel(p)
+        results.append((f"{tag} family dim", fam == fx.expected_family_dim, f"{fam} vs {fx.expected_family_dim}"))
+        checks = {
+            "characteristic map": lambda: _lambda_dev(a.conn.lambda_coeffs, fx.char_lambda(p)),
+            "torsion table": lambda: _torsion_dev(a.torsion.t3, fx.torsion(p)),
+            "parallel torsion": lambda: (
+                a.parallel[0] == want_par, f"{a.parallel[0]} vs {want_par} ({a.parallel[1]:.2e})"),
+            "Ricci/scalar tables": lambda: _ricci_devs(a.curvature, fx, p),
+            "holonomy": lambda: (
+                (hol.dim, hol.label) == want_hol, f"{hol.dim} {hol.label} vs {want_hol[0]} {want_hol[1]}"),
+        }
+        for name, check in checks.items():
+            _record(results, f"{tag} {name}", a, check)
 
-        L = conn.lambda_coeffs
-        expected = fx.char_lambda(p)
-        mask = np.zeros_like(L, dtype=bool)
-        dev = 0.0
-        for (j, a), c in expected.items():
-            mask[j, a] = True
-            dev = max(dev, abs(L[j, a] - c))
-        if (~mask).any():
-            dev = max(dev, float(np.max(np.abs(L[~mask]))))
-        results.append((f"{tag} characteristic map", dev <= 1e-9, f"max dev {dev:.2e}"))
-
-        T = con.torsion(conn)
-        table = fx.torsion(p)
-        tdev = max(abs(T.t3[t] - c) for t, c in table.items()) if table else 0.0
-        results.append((f"{tag} torsion table", tdev <= 1e-9, f"max dev {tdev:.2e}"))
-
-        flag, ratio = con.torsion_is_parallel(conn, T)
-        want = fx.parallel(p)
-        results.append((f"{tag} parallel torsion", flag == want, f"{flag} vs {want} ({ratio:.2e})"))
-
-        crep = curv.curvature_report(space, conn, tol)
-        dc = float(np.max(np.abs(np.diag(crep.ricci_conn) - fx.ricci_conn(p))))
-        dg = float(np.max(np.abs(np.diag(crep.ricci_riem) - fx.ricci_riem(p))))
-        sc = abs(crep.scal_conn - fx.scal_conn(p))
-        sg = abs(crep.scal_riem - fx.scal_riem(p))
-        results.append(
-            (
-                f"{tag} Ricci/scalar tables",
-                max(dc, dg, sc, sg) <= 1e-8 * max(1.0, abs(crep.scal_riem)),
-                f"devs ricci {dc:.2e}/{dg:.2e} scal {sc:.2e}/{sg:.2e}",
-            )
-        )
-
-        hol = con.holonomy_algebra(conn, tol)
-        hd, hl = fx.holonomy(p)
-        results.append(
-            (f"{tag} holonomy", (hol.dim, hol.label) == (hd, hl), f"{hol.dim} {hol.label} vs {hd} {hl}")
-        )
-
-        sub = spin.invariant_spinors(space, tol)
-        results.append(
-            (
-                f"{tag} invariant spinors",
-                sub.dim == fx.expected_spinor_dim,
-                f"{sub.dim} vs {fx.expected_spinor_dim}",
-            )
-        )
-        if sub.dim and "dirac" in fx.extras:
-            drep = spin.dirac_on_invariants(space, conn, tol, sub=sub)
-            lam_exp = fx.extras["dirac"](p)
-            ddev = float(np.max(np.abs(np.abs(drep.eigenvalues) - lam_exp)))
-            results.append((f"{tag} Dirac spectrum", ddev <= 1e-9 * max(1.0, lam_exp), f"dev {ddev:.2e}"))
+        dim = a.spinors.dim
+        results.append((f"{tag} invariant spinors", dim == fx.expected_spinor_dim, f"{dim} vs {fx.expected_spinor_dim}"))
+        if dim and "dirac" in fx.extras:
+            _record(results, f"{tag} Dirac spectrum", a, lambda: _dirac_dev(a.dirac, fx.extras["dirac"](p)))
 
 
 def _check_m1_infeasible(tol, results):
     p = spaces.MetricParams(alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1), beta=1.0, gamma=1.0)
-    space = spaces.build("su4-so2", p, tol)
-    try:
-        con.characteristic_connection(space, tol=tol)
-        ok = False
-    except Infeasible:
-        ok = True
+    ok = analyze("su4-so2", p, tol, holonomy=False, curvature=False, spin=False).conn is None
     results.append(("M1 unequal coefficients infeasible", ok, "skew system has no solution"))
 
 
 def _check_m4_special(tol, results):
+    def m4(p, curvature=False):
+        return analyze("su5-sp2", p, tol, holonomy=False, curvature=curvature, spin=False)
+
     # integrable point
-    p = spaces.MetricParams(alpha=1.0, beta=2.0, gamma=1.2)
-    space = spaces.build("su5-sp2", p, tol)
-    conn = con.characteristic_connection(space, tol=tol)
-    T = con.torsion(conn)
-    results.append(
-        ("M4 integrable point torsion", T.norm2_increasing <= 1e-18, f"norm2 {T.norm2_increasing:.2e}")
-    )
+    a = m4(spaces.MetricParams(alpha=1.0, beta=2.0, gamma=1.2))
+    _record(results, "M4 integrable point torsion", a, lambda: (
+        a.torsion.norm2_increasing <= 1e-18, f"norm2 {a.torsion.norm2_increasing:.2e}"))
     # pure types
     for which, afun, ev in (("sp3", spaces.m4_pure_sp3_alpha, -8), ("V189", spaces.m4_pure_189_alpha, -16)):
         for b, g in ((1.0, 1.0), (2.0, 0.5)):
-            q = spaces.MetricParams(alpha=float(afun(b, g)), beta=b, gamma=g)
-            sp_ = spaces.build("su5-sp2", q, tol)
-            comps = con.classify_type(con.torsion(con.characteristic_connection(sp_, tol=tol)).t3, tol)
-            off = float(np.sqrt(sum(v for k, v in comps.items() if k != ev)))
-            results.append(
-                (f"M4 pure type {which} (beta={b},gamma={g})", off <= 1e-8, f"off-norm {off:.2e}")
-            )
+            a = m4(spaces.MetricParams(alpha=float(afun(b, g)), beta=b, gamma=g))
+            _record(results, f"M4 pure type {which} (beta={b},gamma={g})", a,
+                    lambda: _off_type(a.type_components, ev))
     # the Ricci proportionality identity at the distinguished locus
     p = spaces.MetricParams(alpha=1.0, beta=float(np.sqrt(2.0)), gamma=float(4 - np.sqrt(2.0)))
-    space = spaces.build("su5-sp2", p, tol)
-    crep = curv.curvature_report(space, con.characteristic_connection(space, tol=tol), tol)
     coeffs = np.array([p.alpha] * 8 + [p.beta] * 5 + [p.gamma])
-    dev = float(np.max(np.abs(crep.ricci_riem - 2.5 * np.diag(coeffs))))
+    dev = float(np.max(np.abs(m4(p, curvature=True).curvature.ricci_riem - 2.5 * np.diag(coeffs))))
     results.append(("M4 Ricci = 2.5 diag(metric coefficients)", dev <= 1e-8, f"dev {dev:.2e}"))
 
 

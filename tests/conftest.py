@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from gstruct import connections as con
 from gstruct import spaces
+from gstruct.analysis import analyze
 
 _cache = {}
 
 
-def pipeline(sid, alpha=1.0, beta=1.0, gamma=1.0, alphas=(), want_char=True):
-    """Build-and-solve cache shared across test modules."""
+def pipeline(sid, alpha=1.0, beta=1.0, gamma=1.0, alphas=()):
+    """Build-and-solve cache shared across test modules: `analyze` with the
+    later stages off (conn is None off the feasibility locus)."""
     sid = spaces.ALIASES.get(sid, sid)
-    key = (sid, alpha, beta, gamma, tuple(alphas), want_char)
+    key = (sid, alpha, beta, gamma, tuple(alphas))
     if key not in _cache:
         p = spaces.MetricParams(alpha=alpha, alphas=tuple(alphas), beta=beta, gamma=gamma)
-        space = spaces.build(sid, p)
-        fam = con.solve_equivariant(space)
-        conn = con.characteristic_connection(space, fam) if want_char else None
-        _cache[key] = {"params": p, "space": space, "family": fam, "conn": conn}
+        a = analyze(sid, p, holonomy=False, curvature=False, spin=False)
+        _cache[key] = {"params": p, "space": a.space, "family": a.family, "conn": a.conn}
     return _cache[key]
 
 

@@ -61,7 +61,7 @@ def test_criterion_04_wang_family_dimensions():
             a, b, g = rng.uniform(0.5, 2.0, 3)
             alphas = tuple(rng.uniform(0.5, 2.0, spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]))
             fam = pipeline(sid, alpha=float(a), beta=float(b), gamma=float(g),
-                           alphas=alphas, want_char=False)["family"]
+                           alphas=alphas)["family"]
             assert fam.dim == want[sid], sid
         dims[sid] = want[sid]
     _report(4, f"equivariant family dims {dims} at 3 random draws each")
@@ -85,7 +85,7 @@ def test_criterion_05_characteristic_closed_forms():
     assert worst <= 1e-9
     for sid in ["M1", "M2", "M3"]:
         alphas = tuple([1.7] + [1.0] * (spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)] - 1))
-        ctx = pipeline(sid, alphas=alphas, want_char=False)
+        ctx = pipeline(sid, alphas=alphas)
         with pytest.raises(Infeasible):
             con.characteristic_connection(ctx["space"], ctx["family"])
     _report(5, f"closed-form maps at 5 draws (max rel dev {worst:.2e}); infeasible off-locus")
@@ -202,7 +202,7 @@ def test_criterion_10_curvature():
 def test_criterion_11_spin_spectra():
     dims = {}
     for sid, want in [("M1", 48), ("M2", 16), ("M3", 0), ("M4", 4)]:
-        space = pipeline(sid, alpha=1.0, beta=1.2, gamma=0.8, want_char=False)["space"]
+        space = pipeline(sid, alpha=1.0, beta=1.2, gamma=0.8)["space"]
         dims[sid] = spin.invariant_spinors(space).dim
         assert dims[sid] == want
     for a, b in ((1.0, 1.0), (1.37, 2.3), (0.7, 0.41)):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -139,6 +140,53 @@ def test_analyze_solves_invariant_spinors_once(capsys, monkeypatch, space):
     assert code == 0
     assert json.loads(out)["spin"]["dirac_eigenvalues"]
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named gstruct function at every module attribute that
+    binds it; returns the call counts by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        mod, attr = name.split(".")
+        original = getattr(importlib.import_module(f"gstruct.{mod}"), attr)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for modname, module in list(sys.modules.items()):
+            if modname.startswith("gstruct"):
+                for key, obj in list(vars(module).items()):
+                    if obj is original:
+                        monkeypatch.setattr(module, key, counting)
+    return counts
+
+
+def test_analyze_runs_each_stage_once(capsys, monkeypatch):
+    counts = _count_calls(monkeypatch, [
+        "connections.holonomy_algebra", "curvature.curvature_report", "spin.invariant_spinors",
+        "spin.dirac_on_invariants", "connections.torsion_of_map", "connections.curvature_of_map",
+    ])
+    stacks = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "ja,akl->jkl":  # InvariantConnection.so_matrices
+            stacks.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    code, out = run_cli(capsys, "analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
+    assert code == 0 and json.loads(out)["spin"]["dirac_eigenvalues"]
+    assert counts == {
+        "connections.holonomy_algebra": 1, "curvature.curvature_report": 1,
+        "spin.invariant_spinors": 1, "spin.dirac_on_invariants": 1,
+        # t0 of the skewness system and the connection
+        "connections.torsion_of_map": 2,
+        # Levi-Civita and the connection
+        "connections.curvature_of_map": 2,
+    }
+    assert len(stacks) == 1
 
 
 def test_analyze_draws_generating_set_once(capsys, monkeypatch):

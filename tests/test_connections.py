@@ -14,12 +14,12 @@ def test_family_dimensions_random_draws():
         a, b, g = rng.uniform(0.5, 2.0, 3)
         alphas = tuple(rng.uniform(0.5, 2.0, extra))
         got = pipeline(sid, alpha=float(a), beta=float(b), gamma=float(g),
-                       alphas=alphas, want_char=False)["family"]
+                       alphas=alphas)["family"]
         assert got.dim == want
 
 
 def test_family_equivariance_residual():
-    ctx = pipeline("M2", alpha=1.2, beta=0.8, gamma=1.5, want_char=False)
+    ctx = pipeline("M2", alpha=1.2, beta=0.8, gamma=1.5)
     space, fam = ctx["space"], ctx["family"]
     import gstruct.sp3 as sp3
 
@@ -69,7 +69,7 @@ def test_characteristic_closed_forms_all_spaces():
 def test_infeasible_off_locus():
     for sid, extra in [("M1", 7), ("M2", 5), ("M3", 5)]:
         alphas = tuple([2.0] + [1.0] * (extra - 1))
-        ctx = pipeline(sid, alphas=alphas, want_char=False)
+        ctx = pipeline(sid, alphas=alphas)
         with pytest.raises(Infeasible):
             con.characteristic_connection(ctx["space"], ctx["family"])
 
@@ -115,13 +115,32 @@ def test_parallel_flag_is_scale_invariant(scale):
 def test_feasibility_is_scale_invariant(scale):
     for alphas in ((), (2.0,) + (1.0,) * 6):
         ctx = pipeline("M1", alpha=scale, beta=scale, gamma=scale,
-                       alphas=tuple(a * scale for a in alphas), want_char=False)
+                       alphas=tuple(a * scale for a in alphas))
         try:
             con.characteristic_connection(ctx["space"], ctx["family"])
             feasible = True
         except Infeasible:
             feasible = False
         assert feasible == spaces.fixtures("M1").char_feasible(ctx["params"]), alphas
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e12, 1e20])
+def test_lambda_entries_are_scale_free(scale):
+    # Lambda scales like s^(-1/2) under alpha, beta -> s alpha, s beta
+    ref = pipeline("M2", alpha=1.0, beta=2.0)["conn"].nonzero_entries()
+    got = pipeline("M2", alpha=scale, beta=2.0 * scale)["conn"].nonzero_entries()
+    assert [(j, a) for j, a, _ in got] == [(j, a) for j, a, _ in ref]
+    for (_, _, c), (_, _, c0) in zip(got, ref):
+        assert abs(c * np.sqrt(scale) - c0) <= 1e-9 * abs(c0)
+
+
+def test_derived_tensors_are_read_only():
+    conn = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["conn"]
+    T = con.torsion(conn)
+    for arr in (conn.so_matrices(), T.t3, T.t12, con.curvature(conn), conn.lambda_coeffs):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+    assert con.torsion(conn) is T and conn.so_matrices() is conn.so_matrices()
 
 
 def test_classify_type_parseval_and_mixed():
@@ -233,7 +252,7 @@ def _loop_equivariance_block(R):
 
 def test_equivariance_block_matches_loop_reference():
     for sid in ("M2", "M4"):
-        space = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5, want_char=False)["space"]
+        space = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5)["space"]
         for R in space.iso:
             ref = _loop_equivariance_block(R)
             assert np.max(np.abs(con._equivariance_block(R) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)

@@ -22,7 +22,7 @@ def test_ricci_is_curvature_trace():
 
 def test_levi_civita_torsion_free_and_metric():
     for sid in ["M1", "M2", "M3", "M4"]:
-        ctx = pipeline(sid, alpha=0.9, beta=1.6, gamma=1.2, want_char=False)
+        ctx = pipeline(sid, alpha=0.9, beta=1.6, gamma=1.2)
         lam = curv.levi_civita(ctx["space"])
         T = con.torsion_of_map(ctx["space"], lam)
         assert np.max(np.abs(T.t12)) < 1e-12, sid
@@ -31,7 +31,7 @@ def test_levi_civita_torsion_free_and_metric():
 
 def test_levi_civita_naturally_reductive_m3():
     # equal alphas: U = 0, the map is half the bracket
-    ctx = pipeline("M3", alpha=1.4, beta=0.7, gamma=1.9, want_char=False)
+    ctx = pipeline("M3", alpha=1.4, beta=0.7, gamma=1.9)
     lam = curv.levi_civita(ctx["space"])
     half_bracket = 0.5 * np.einsum("ijk->ikj", ctx["space"].pm)
     assert np.max(np.abs(lam - half_bracket)) < 1e-12

@@ -152,9 +152,7 @@ def test_naturally_reductive_m3_equal_alphas():
 def test_not_naturally_reductive_m1_unequal():
     from conftest import pipeline
 
-    space = pipeline(
-        "M1", alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1), want_char=False
-    )["space"]
+    space = pipeline("M1", alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1))["space"]
     flag, defect = is_naturally_reductive(space.split)
     assert not flag and defect > 1e-4
 
@@ -197,7 +195,7 @@ def _generators(source):
     from conftest import pipeline
 
     if source in spaces.ALIASES:
-        return pipeline(source, alpha=1.1, beta=0.8, gamma=1.4, want_char=False)["space"].iso
+        return pipeline(source, alpha=1.1, beta=0.8, gamma=1.4)["space"].iso
     if source == "sp3":
         return list(sp3.load().rho)
     row = next(r for r in sp3.subgroup_rows() if r.name == source)
@@ -268,7 +266,7 @@ def test_stack_coords_matches_least_squares_per_element():
 def test_split_stack_rows_are_split_coords():
     from conftest import pipeline
 
-    split = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7, want_char=False)["space"].split
+    split = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["space"].split
     _, _, br = liealg.pair_brackets(split.m_basis)
     ch, cm = split.split_stack(br)
     scale = np.max(np.abs(cm))

@@ -229,8 +229,8 @@ def test_theta_restricted_to_adjoint_part_full_rank(sp3_data, lambda3):
 def test_invariant_vectors_of_space_isotropies():
     from conftest import pipeline
 
-    m1 = pipeline("M1", want_char=False)["space"]
-    m2 = pipeline("M2", want_char=False)["space"]
+    m1 = pipeline("M1")["space"]
+    m2 = pipeline("M2")["space"]
     rep1 = reps.RepAction(14, tuple(m1.iso), "iso1")
     rep2 = reps.RepAction(14, tuple(m2.iso), "iso2")
     inv1 = reps.invariant_vectors(rep1)

@@ -39,27 +39,27 @@ def test_gram_identity_random_draws():
 
 
 def test_isotropy_identifications(sp3_data):
-    m1 = pipeline("M1", want_char=False)["space"]
+    m1 = pipeline("M1")["space"]
     assert np.max(np.abs(m1.iso[0] - np.sqrt(2) * sp3_data.rho[20])) < 1e-12
 
-    m2 = pipeline("M2", want_char=False)["space"]
+    m2 = pipeline("M2")["space"]
     assert np.max(np.abs(m2.iso[0] - np.sqrt(2) * sp3_data.rho[20])) < 1e-12
     assert np.max(np.abs(m2.iso[1] - np.sqrt(2) * sp3_data.rho[9])) < 1e-12
 
-    m3 = pipeline("M3", want_char=False)["space"]
+    m3 = pipeline("M3")["space"]
     targets = [sp3_data.rho[20], sp3_data.rho[9], sp3_data.rho[8]]
     for R, t in zip(m3.iso, targets):
         assert np.max(np.abs(R - np.sqrt(2) * t)) < 1e-12
 
-    m4 = pipeline("M4", want_char=False)["space"]
+    m4 = pipeline("M4")["space"]
     for i in range(10):
         assert np.max(np.abs(m4.iso[i] - sp3_data.rho[i])) < 1e-12
 
 
 def test_isotropy_param_independence_tori():
     for sid in ["M1", "M2", "M3"]:
-        s1 = pipeline(sid, alpha=0.7, beta=1.9, gamma=0.8, want_char=False)["space"]
-        s2 = pipeline(sid, alpha=1.6, beta=0.6, gamma=1.2, want_char=False)["space"]
+        s1 = pipeline(sid, alpha=0.7, beta=1.9, gamma=0.8)["space"]
+        s2 = pipeline(sid, alpha=1.6, beta=0.6, gamma=1.2)["space"]
         for A, B in zip(s1.iso, s2.iso):
             assert np.max(np.abs(A - B)) < 1e-12
 
@@ -67,7 +67,7 @@ def test_isotropy_param_independence_tori():
 def test_bracket_tables_consistency():
     from gstruct.liealg import bracket
 
-    space = pipeline("M4", alpha=1.2, beta=0.9, gamma=1.4, want_char=False)["space"]
+    space = pipeline("M4", alpha=1.2, beta=0.9, gamma=1.4)["space"]
     K, H = space.split.m_basis, space.split.h_basis
     rng = np.random.default_rng(1)
     for _ in range(6):

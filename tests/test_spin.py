@@ -68,7 +68,7 @@ def test_spin_lift_properties(sp3_data):
 
 def test_invariant_spinor_dimensions():
     for sid, want in [("M1", 48), ("M2", 16), ("M3", 0), ("M4", 4)]:
-        space = pipeline(sid, alpha=1.1, beta=0.8, gamma=1.4, want_char=False)["space"]
+        space = pipeline(sid, alpha=1.1, beta=0.8, gamma=1.4)["space"]
         assert spin.invariant_spinors(space).dim == want
 
 
@@ -150,6 +150,18 @@ def test_twistor_strict_everywhere_sampled():
     for g in (0.6, 1.0, 1.9):
         rep = _estimates("M4", 1.0, 1.0, g)
         assert rep.twistor_strict
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e12])
+def test_estimate_flags_are_scale_free(scale):
+    # lambda^2 and both right-hand sides scale like 1/s under a uniform scaling
+    from gstruct.analysis import analyze
+
+    want = {0.5: (False, True), 1.0: (True, True), 2.0: (False, True)}
+    for b, flags in want.items():
+        p = spaces.MetricParams(alpha=scale, beta=b * scale, gamma=scale)
+        rep = analyze("M2", p, holonomy=False).dirac
+        assert (rep.friedrich_equality, rep.twistor_strict) == flags, b
 
 
 def test_estimate_crossovers_bracketing():
