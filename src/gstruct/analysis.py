@@ -6,6 +6,7 @@ spinors.  The CLI, the verification suite and the tests all run it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import connections as con
@@ -19,47 +20,55 @@ from .linalg import DEFAULT_TOL, ToleranceProfile
 @dataclass(frozen=True)
 class Analysis:
     """Every stage's result.  ``conn`` and the stages that need it are None
-    when no family member has skew torsion; a stage switched off is None."""
+    when no family member has skew torsion; a stage switched off is None.
+    The torsion type and the Dirac operator are computed on first access,
+    so a caller that reads neither does not pay for them."""
 
     space: spaces.HomogeneousSpaceInstance
     family: con.EquivariantFamily
+    tol: ToleranceProfile = DEFAULT_TOL
     conn: con.InvariantConnection = None
     torsion: con.TorsionTensor = None
     parallel: tuple = None  # (flag, ratio) of con.torsion_is_parallel
-    type_components: dict = None
     holonomy: con.HolonomyResult = None
     curvature: curv.CurvatureReport = None
     spinors: spin_mod.SpinorSubspace = None
-    dirac: spin_mod.DiracReport = None
+
+    @functools.cached_property
+    def type_components(self) -> dict:
+        return None if self.torsion is None else con.classify_type(self.torsion.t3, self.tol)
+
+    @functools.cached_property
+    def dirac(self) -> spin_mod.DiracReport:
+        """The eigenvalue estimates are filled in only for parallel torsion
+        with curvature on."""
+        if self.conn is None or self.spinors is None or self.spinors.dim == 0:
+            return None
+        drep = spin_mod.dirac_on_invariants(self.space, self.conn, self.tol, sub=self.spinors)
+        if self.parallel[0] and self.curvature is not None:
+            drep = spin_mod.eigenvalue_estimates(
+                drep, self.curvature.scal_riem, parallel_checked=True, tol=self.tol
+            )
+        return drep
 
 
 def analyze(space_id: str, params: spaces.MetricParams, tol: ToleranceProfile = DEFAULT_TOL, *,
             holonomy: bool = True, curvature: bool = True, spin: bool = True) -> Analysis:
     """Run each stage once.  The curvature report and the invariant spinors
-    exist with or without a characteristic connection; the eigenvalue
-    estimates are filled in only for parallel torsion with curvature on."""
+    exist with or without a characteristic connection."""
     space = spaces.build(space_id, params, tol)
     family = con.solve_equivariant(space, tol)
     try:
         conn = con.characteristic_connection(space, family, tol)
     except Infeasible:
         conn = None
-    out = {"space": space, "family": family, "conn": conn}
+    out = {"space": space, "family": family, "tol": tol, "conn": conn}
     if conn is not None:
-        T = con.torsion(conn)
-        out.update(torsion=T, parallel=con.torsion_is_parallel(conn),
-                   type_components=con.classify_type(T.t3, tol))
+        out.update(torsion=con.torsion(conn), parallel=con.torsion_is_parallel(conn))
         if holonomy:
             out["holonomy"] = con.holonomy_algebra(conn, tol)
     if curvature:
         out["curvature"] = curv.curvature_report(space, conn, tol)
     if spin:
-        sub = out["spinors"] = spin_mod.invariant_spinors(space, tol)
-        if conn is not None and sub.dim > 0:
-            drep = spin_mod.dirac_on_invariants(space, conn, tol, sub=sub)
-            if out["parallel"][0] and curvature:
-                drep = spin_mod.eigenvalue_estimates(
-                    drep, out["curvature"].scal_riem, parallel_checked=True, tol=tol
-                )
-            out["dirac"] = drep
+        out["spinors"] = spin_mod.invariant_spinors(space, tol)
     return Analysis(**out)

@@ -151,7 +151,7 @@ def cmd_decompose(args) -> int:
     if args.selector == "lambda3":
         dec = reps.lambda3_decomposition(tol)
     elif args.selector == "v14xv70":
-        dec = reps.isotypic_decompose(reps.v14_v70_rep(), tol)
+        dec = reps.decompose_casimir(reps.v14_v70_casimir(), tol)
     else:
         raise GstructError(f"unknown selector {args.selector!r}")
     _emit(

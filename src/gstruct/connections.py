@@ -219,13 +219,20 @@ def holonomy_algebra(
     """Nested-bracket closure of the curvature span: seed with the
     R(K_i, K_j), i < j, then close under bracketing with the image of
     Lambda until the rank stabilizes.  The basis is kept as orthonormal
-    pair coordinates (``reps.pack_so``)."""
+    pair coordinates (``reps.pack_so``).  A round skips the SVD of
+    S = [on, new] when r = new - on on^T new has ||r||_F <= rank_tol and
+    rank_tol ||S||_F < 1 - rank_tol: as on is orthonormal, the SVD would
+    then keep sigma_k(S) >= 1 - ||r|| and drop sigma_(k+1)(S) <= ||r||."""
     lam = conn.so_matrices()
     on = orthonormal_columns(reps.pack_so(curvature(conn)[np.triu_indices(14, 1)], 14).T, tol)
     basis = reps.unpack_so(on.T, 14)
     for _ in range(91):
-        new = (lam[:, None] @ basis - basis @ lam[:, None]).reshape(-1, 14, 14)
-        grown = orthonormal_columns(np.hstack([on, reps.pack_so(new, 14).T]), tol)
+        new = reps.pack_so((lam[:, None] @ basis - basis @ lam[:, None]).reshape(-1, 14, 14), 14).T
+        norm_s = np.sqrt(on.shape[1] + np.linalg.norm(new) ** 2)
+        if (np.linalg.norm(new - on @ (on.T @ new)) <= tol.rank_tol
+                and tol.rank_tol * norm_s < 1 - tol.rank_tol):
+            break
+        grown = orthonormal_columns(np.hstack([on, new]), tol)
         if grown.shape[1] == on.shape[1]:
             break
         on, basis = grown, reps.unpack_so(grown.T, 14)

@@ -106,33 +106,30 @@ def _block_svd(blocks: np.ndarray):
     return s, vh
 
 
-def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal kernel basis, returned as the columns of an (n, k) array.
+def _split_blocks(A: np.ndarray, tol: ToleranceProfile, hermitian: bool = False):
+    """The independent blocks of A once its round-off entries are dropped.
 
-    k equals ``cols(M) - rank(M)``; for a zero or empty matrix the kernel
-    is the full column space.
-
-    Entries of at most tau = max|M| * min(64 eps, 1e-3 rank_tol / sqrt(m n))
-    are round-off and are dropped.  The dropped part E has
-    ||E||_2 <= ||E||_F <= sqrt(m n) tau <= 1e-3 rank_tol ||M||_2, so no
-    singular value moves by more than 0.1% of the rank cut, and no entry
-    above 64 ulp of the largest is dropped.  What is left splits into
-    independent blocks (the connected components of its row/column
-    pattern); blocks of equal shape are solved together by one batched
-    SVD.  The rank cut stays global: ``rank_tol`` times the largest
-    singular value over all blocks, i.e. of M up to the bound above.
-    A column with no entry above tau is a block without rows, a kernel
-    vector as it stands.  The basis is ordered by block (smallest column
-    index first), and its transpose is C-contiguous.
+    Entries of at most tau = max|A| * min(64 eps, 1e-3 rank_tol / sqrt(m n))
+    are round-off.  The dropped part E has ||E||_2 <= sqrt(m n) tau <=
+    1e-3 rank_tol ||A||_2, which bounds the move of every singular value
+    (and, A Hermitian, every eigenvalue), and no entry above 64 ulp of the
+    largest is dropped.  The blocks are the connected components of the
+    row/column pattern of the rest; ``hermitian`` adds the diagonal, so
+    every block is a principal submatrix.  Returns None for a zero matrix,
+    else (labels, groups): each block's label (smallest column), and per
+    block shape (ids, ri, ci), the block ids and their ascending row and
+    column indices as (blocks, rows) and (blocks, cols) arrays.  A column
+    with no entry above tau is a block without rows.
     """
-    A = as_matrix(M)
     m, n = A.shape
-    dtype = np.result_type(A.dtype, float)
     amax = np.abs(A).max() if A.size else 0.0
     if amax == 0.0:
-        return np.eye(n, dtype=dtype)
+        return None
     tau = amax * min(64 * np.finfo(float).eps, 1e-3 * tol.rank_tol / np.sqrt(m * n))
-    col_label, rows, row_label = _block_labels(np.abs(A) > tau)
+    mask = np.abs(A) > tau
+    if hermitian:
+        np.fill_diagonal(mask, True)
+    col_label, rows, row_label = _block_labels(mask)
     labels, col_block = np.unique(col_label, return_inverse=True)
     row_block = np.searchsorted(labels, row_label)
     col_order = np.argsort(col_block, kind="stable")
@@ -144,12 +141,36 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     shape_key = nrows * (n + 1) + ncols
     # group equal keys by a sort: a plain np.unique imports numpy.ma
     by_key = np.argsort(shape_key, kind="stable")
-    groups = np.split(by_key, np.flatnonzero(np.diff(shape_key[by_key])) + 1)
-    solved = []
-    for ids in groups:
+    groups = []
+    for ids in np.split(by_key, np.flatnonzero(np.diff(shape_key[by_key])) + 1):
         ri = row_order[row_start[ids, None] + np.arange(nrows[ids[0]])]
         ci = col_order[col_start[ids, None] + np.arange(ncols[ids[0]])]
-        solved.append((ids, ci, *_block_svd(A[ri[:, :, None], ci[:, None, :]])))
+        groups.append((ids, ri, ci))
+    return labels, groups
+
+
+def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal kernel basis, returned as the columns of an (n, k) array.
+
+    k equals ``cols(M) - rank(M)``; for a zero or empty matrix the kernel
+    is the full column space.
+
+    M is split into the independent blocks left after dropping its
+    round-off entries (``_split_blocks``), and blocks of equal shape are
+    solved together by one batched SVD.  The rank cut stays global:
+    ``rank_tol`` times the largest singular value over all blocks, i.e. of
+    M up to 0.1% of the cut.  A block without rows is a kernel vector as it
+    stands.  The basis is ordered by block (smallest column index first),
+    and its transpose is C-contiguous.
+    """
+    A = as_matrix(M)
+    n = A.shape[1]
+    dtype = np.result_type(A.dtype, float)
+    split = _split_blocks(A, tol)
+    if split is None:
+        return np.eye(n, dtype=dtype)
+    labels, groups = split
+    solved = [(ids, ci, *_block_svd(A[ri[:, :, None], ci[:, None, :]])) for ids, ri, ci in groups]
     cut = tol.rank_tol * max(s.max(initial=0.0) for _, _, s, _ in solved)
     # kernel vectors as (sort key, columns, values); the key orders by
     # block label, then by position in the block's right factor
@@ -168,27 +189,39 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
     """Spectral decomposition of a (numerically) self-adjoint matrix.
 
-    Eigenvalues closer than ``cluster_tol`` are merged into a single
-    entry whose eigenspace collects the corresponding eigenvectors.
-    Returns a list of ``(eigenvalue, basis)`` pairs sorted by eigenvalue,
-    with ``basis`` an (n, multiplicity) array of orthonormal columns.
+    ||M - M^H||_F may be at most ``residual_tol`` ||M||_F.  The Hermitian
+    part is split by ``_split_blocks``; blocks of equal size share one
+    batched ``eigh``.  The eigenvalues of all blocks are sorted together,
+    and neighbours closer than ``cluster_tol`` times the largest |eigenvalue|
+    are merged into one entry whose eigenspace collects their eigenvectors.
+    Both tests are relative, so scaling M keeps the partition.  Returns
+    ``(eigenvalue, basis)`` pairs sorted by eigenvalue, with ``basis`` an
+    (n, multiplicity) array of orthonormal columns.
     """
     A = as_matrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise NotSelfAdjoint(f"matrix is {A.shape[0]}x{A.shape[1]}, not square")
-    scale = np.linalg.norm(A)
+    n = A.shape[0]
+    if n != A.shape[1]:
+        raise NotSelfAdjoint(f"matrix is {n}x{A.shape[1]}, not square")
     defect = np.linalg.norm(A - A.conj().T)
-    if defect > tol.residual_tol * max(scale, 1.0):
+    if defect > tol.residual_tol * np.linalg.norm(A):
         raise NotSelfAdjoint(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh(0.5 * (A + A.conj().T))
-    out = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol.cluster_tol:
-            block = v[:, start:i]
-            out.append((float(np.mean(w[start:i])), block))
-            start = i
-    return out
+    H = 0.5 * (A + A.conj().T)
+    split = _split_blocks(H, tol, hermitian=True)
+    if split is None:
+        return [(0.0, np.eye(n, dtype=H.dtype))] if n else []
+    # eigenvector j of block b fills columns ci[b] of row done + b k + j
+    w, vt = np.empty(n), np.zeros((n, n), dtype=H.dtype)
+    done = 0
+    for _, _, ci in split[1]:
+        bw, bv = np.linalg.eigh(H[ci[:, :, None], ci[:, None, :]])
+        rows = done + np.arange(ci.size).reshape(ci.shape)
+        w[rows] = bw
+        vt[rows[:, :, None], ci[:, None, :]] = bv.swapaxes(1, 2)
+        done += ci.size
+    order = np.argsort(w, kind="stable")
+    w, vt = w[order], vt[order]
+    cuts = np.flatnonzero(np.diff(w) > tol.cluster_tol * np.abs(w).max()) + 1
+    return [(float(np.mean(wc)), vc.T) for wc, vc in zip(np.split(w, cuts), np.split(vt, cuts))]
 
 
 def orthonormal_columns(V, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:

@@ -189,6 +189,14 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
     assert len(stacks) == 1
 
 
+def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
+    counts = _count_calls(monkeypatch, ["reps.v14_v70_rep", "reps.casimir"])
+    code, out = run_cli(capsys, "decompose", "v14xv70")
+    assert code == 0
+    assert sorted(p["dim"] for p in json.loads(out)["parts"]) == [14, 21, 70, 84, 90, 189, 512]
+    assert counts == {"reps.v14_v70_rep": 0, "reps.casimir": 0}
+
+
 def test_analyze_draws_generating_set_once(capsys, monkeypatch):
     # solve_equivariant and invariant_spinors share the space's generators
     from gstruct import spaces

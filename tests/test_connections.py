@@ -323,3 +323,19 @@ def test_holonomy_matches_loop_reference(sid, kw):
     assert (hol.dim, hol.label) == (dim, label)
     got = np.array([reps.pack_so(m, 14) for m in hol.basis]).reshape(-1, 91).T
     assert np.max(np.abs(got @ got.T - on @ on.T)) <= 1e-12
+
+
+def test_holonomy_skips_the_svd_that_cannot_grow(monkeypatch):
+    # at sp(3) holonomy the last round stacks the 21 basis columns with the
+    # 14 * 21 brackets; their residual is round-off, so no 91x315 SVD runs
+    conn = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["conn"]
+    shapes = []
+
+    def recording(V, *args, **kwargs):
+        shapes.append(np.shape(V))
+        return orthonormal_columns(V, *args, **kwargs)
+
+    monkeypatch.setattr(con, "orthonormal_columns", recording)
+    hol = con.holonomy_algebra(conn)
+    assert (hol.dim, hol.label) == (21, "sp3")
+    assert (91, 315) not in shapes and (91, 91) in shapes

@@ -210,3 +210,68 @@ def test_m3_extreme_point_merges_blocks():
 
     merged = block_count(spaces.MetricParams(alpha=1e-6, beta=1.0, gamma=1e6))
     assert merged < block_count(spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+
+
+def _clusters(w, vecs):
+    """(eigenvalue, projector) per cluster of sorted eigenvalues, cut where
+    neighbours differ by more than cluster_tol * max|w|."""
+    cuts = np.flatnonzero(np.diff(w) > DEFAULT_TOL.cluster_tol * np.abs(w).max()) + 1
+    return [(wc.mean(), vc @ vc.conj().T) for wc, vc in zip(np.split(w, cuts), np.split(vecs, cuts, axis=1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+    complex_=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eig_selfadjoint_block_split_matches_full_eigh(sizes, complex_, seed):
+    """Planted block-diagonal Hermitian matrix with integer eigenvalues in
+    [-5, 5], eigenvalue 1 in every block, rows and columns permuted alike,
+    1 ulp of noise on every entry; the clusters and their projectors must
+    be those of one full eigh, merged across blocks."""
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    A = np.zeros((n, n), dtype=complex if complex_ else float)
+    evs, i = [], 0
+    for size in sizes:
+        X = rng.standard_normal((size, size))
+        if complex_:
+            X = X + 1j * rng.standard_normal((size, size))
+        U = np.linalg.qr(X)[0]
+        lam = np.concatenate([[1.0], rng.integers(-5, 6, size - 1)])
+        A[i : i + size, i : i + size] = U @ np.diag(lam) @ U.conj().T
+        evs.extend(lam)
+        i += size
+    perm = rng.permutation(n)
+    A = A[perm][:, perm]
+    noise = rng.uniform(-1.0, 1.0, A.shape)
+    if complex_:
+        noise = (noise + 1j * rng.uniform(-1.0, 1.0, A.shape)) / np.sqrt(2.0)
+    A = A + np.spacing(np.max(np.abs(A))) * noise
+
+    parts = eig_selfadjoint(A)
+    ref = _clusters(*np.linalg.eigh(0.5 * (A + A.conj().T)))
+    values, counts = np.unique(evs, return_counts=True)
+    assert [b.shape[1] for _, b in parts] == counts.tolist()
+    assert len(ref) == len(parts)
+    for (ev, basis), (ev_ref, P_ref), want in zip(parts, ref, values):
+        assert abs(ev - ev_ref) <= 1e-10 and abs(ev - want) <= 1e-10
+        assert np.linalg.norm(basis.conj().T @ basis - np.eye(basis.shape[1])) <= 1e-12
+        assert np.linalg.norm(basis @ basis.conj().T - P_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8, 1e12])
+def test_eig_selfadjoint_is_scale_free(s):
+    """Scaling by s keeps the partition and scales the eigenvalues; the
+    hermiticity test is relative, so a non-Hermitian matrix fails at any s."""
+    rng = np.random.default_rng(4)
+    for lam in ([1.0, 1.0, 2.0], [-3.0, 1.0, 1.0 + 1e-9, 2.0, 2.0]):
+        Q = np.linalg.qr(rng.standard_normal((len(lam), len(lam))))[0]
+        A = Q @ np.diag(lam) @ Q.T
+        ref, parts = eig_selfadjoint(A), eig_selfadjoint(s * A)
+        assert [b.shape[1] for _, b in parts] == [b.shape[1] for _, b in ref] == ([2, 1] if len(lam) == 3 else [1, 2, 2])
+        for (ev, _), (ev_ref, _) in zip(parts, ref):
+            assert abs(ev - s * ev_ref) <= 1e-12 * s * 3.0
+    with pytest.raises(NotSelfAdjoint):
+        eig_selfadjoint(s * 1e-12 * np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -1,5 +1,5 @@
 from gstruct import connections as con
-from gstruct import verify
+from gstruct import spin, verify
 from gstruct.errors import Infeasible
 
 
@@ -18,3 +18,21 @@ def test_missing_connection_is_reported_not_raised(monkeypatch):
     failed = [name for name, ok, _ in results if not ok]
     assert failed and all("no characteristic connection" == detail for _, ok, detail in results if not ok)
     assert any(name.endswith("family dim") for name, ok, _ in results if ok)
+
+
+def test_space_checks_skip_unchecked_stages(monkeypatch):
+    # no sample check reads a type component, and only M2 and M4 have a
+    # closed-form Dirac spectrum: M1's samples must not compute one
+    counts = {"classify_type": 0, "dirac_on_invariants": 0}
+    for mod, name in ((con, "classify_type"), (spin, "dirac_on_invariants")):
+        original = getattr(mod, name)
+
+        def counting(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    assert all(ok for _, ok, _ in verify.run_all(space="M1"))
+    assert counts == {"classify_type": 0, "dirac_on_invariants": 0}
+    assert all(ok for _, ok, _ in verify.run_all(space="M2"))
+    assert counts["classify_type"] == 0 and counts["dirac_on_invariants"] > 0
