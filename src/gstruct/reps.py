@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from . import sp3
 from .errors import DimensionMismatch, NotClosed
 from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
-from .linalg import DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, nullspace
+from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,15 @@ def lambda3_action(rho_list) -> RepAction:
     return RepAction(dim=N, generators=tuple(out.reshape(-1, N, N)), source="lambda3")
 
 
-def _square_sum(gens) -> np.ndarray:
-    """Sum of g @ g over a stack of square generators.  For skew generators
-    g = -g^T the sum is -G^T G, with G the generators stacked as rows: one
-    product.  A stack with a generator that is not exactly skew gets the
-    plain sum."""
-    gens = np.asarray(gens)
-    if all(np.array_equal(g, -g.T) for g in gens):
-        G = gens.reshape(-1, gens.shape[-1])
-        return -(G.T @ G)
-    return sum(g @ g for g in gens)
+def _square_sum(gens: np.ndarray) -> np.ndarray:
+    """Sum of g @ g over a (k, d, d) stack, as one (d, k d) @ (k d, d) product."""
+    d = gens.shape[-1]
+    return gens.transpose(1, 0, 2).reshape(d, -1) @ gens.reshape(-1, d)
 
 
 def casimir(rep: RepAction) -> np.ndarray:
-    """Sum of squared generators (for an orthonormal source basis); one
-    product for the skew generators of every action built here."""
-    return _square_sum(rep.generators) if rep.generators else np.zeros((rep.dim, rep.dim))
+    """Sum of squared generators (for an orthonormal source basis)."""
+    return _square_sum(np.asarray(rep.generators, dtype=float).reshape(-1, rep.dim, rep.dim))
 
 
 def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
@@ -181,14 +174,18 @@ def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> ThetaMap:
     comp = so_complement(group_gens, n, tol)
     q = len(comp)
     F = pack_so(np.reshape(comp, (q, n, n)), n)
-    T = np.array(triples(n), dtype=np.intp).reshape(-1, 3)
-    pidx = np.zeros((n, n), dtype=np.intp)
-    pidx[_pair_rows_cols(n)] = np.arange(n * (n - 1) // 2)
-    theta = np.zeros((n, q, len(T)))
-    # e_l _| (e_i^e_j^e_k) = e_j^e_k, -e_i^e_k, e_i^e_j for l = i, j, k
-    for slot, a, b, sign in ((0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)):
-        theta[T[:, slot], :, np.arange(len(T))] = sign * F[:, pidx[T[:, a], T[:, b]]].T
-    return ThetaMap(matrix=theta.reshape(n * q, len(T)), complement_basis=tuple(comp), n=n)
+    trips = triples(n)
+    _, pidx = pair_index(n)
+    theta = np.zeros((n * q, len(trips)))
+    if q == 0:
+        return ThetaMap(matrix=theta, complement_basis=tuple(comp), n=n)
+    for col, (i, j, k) in enumerate(trips):
+        # e_l _| (e_i^e_j^e_k) for l = i, j, k
+        for l, pair, sign in ((i, (j, k), 1.0), (j, (i, k), -1.0), (k, (i, j), 1.0)):
+            w = np.zeros(F.shape[1])
+            w[pidx[pair]] = sign
+            theta[l * q:(l + 1) * q, col] = F @ w
+    return ThetaMap(matrix=theta, complement_basis=tuple(comp), n=n)
 
 
 def theta_kernel(tmap: ThetaMap, tol: ToleranceProfile = DEFAULT_TOL):
@@ -201,10 +198,13 @@ def theta_kernel(tmap: ThetaMap, tol: ToleranceProfile = DEFAULT_TOL):
 # Branching of the 14-dimensional module under subalgebras of sp(3).
 
 
-def _symmetric_basis(n: int) -> np.ndarray:
-    """The symmetric matrices with ones at (p, q) and (q, p), p <= q, in row-major order."""
-    (p, q), mats = np.triu_indices(n), np.zeros((n * (n + 1) // 2, n, n))
-    mats[np.arange(p.size), p, q] = mats[np.arange(p.size), q, p] = 1.0
+def _symmetric_basis(n: int):
+    mats = []
+    for p in range(n):
+        for q in range(p, n):
+            m = np.zeros((n, n))
+            m[p, q] = m[q, p] = 1.0
+            mats.append(m)
     return mats
 
 
@@ -224,10 +224,13 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
         raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
     sym = _symmetric_basis(14)
+    rows = []
     # S |-> [S, R] is linear in R and kills brackets once it kills R1, R2
-    ker = nullspace(np.vstack([(sym @ R - R @ sym).reshape(len(sym), -1).T
-                               for R in generating_set(gens, tol)]), tol)
-    commutant = np.tensordot(ker.T, sym, axes=1)
+    for R in generating_set(gens, tol):
+        block = np.array([(S @ R - R @ S).ravel() for S in sym]).T
+        rows.append(block)
+    ker = nullspace(np.vstack(rows), tol)
+    commutant = [sum(c * S for c, S in zip(col, sym)) for col in ker.T]
 
     rng = np.random.default_rng(20140314)
     Sstar = sum(rng.standard_normal() * C for C in commutant)
@@ -235,13 +238,28 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     eigparts = eig_selfadjoint(Sstar, tol)
     blocks = [basis for _, basis in eigparts]
 
-    # merge blocks mapped into each other by some commutant element: the
-    # connected components of the link pattern
-    linked = np.array([[a is b or any(np.linalg.norm(a.T @ C @ b) > 1e3 * tol.residual_tol
-                                      for C in commutant) for b in blocks] for a in blocks])
-    label, _, _ = _block_labels(linked | linked.T)
-    sizes = np.bincount(label, weights=[b.shape[1] for b in blocks])
-    return tuple(sorted(int(d) for d in sizes if d))
+    # merge blocks mapped into each other by some commutant element
+    parent = list(range(len(blocks)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in range(len(blocks)):
+        for b in range(a + 1, len(blocks)):
+            linked = any(
+                np.linalg.norm(blocks[a].T @ C @ blocks[b]) > 1e3 * tol.residual_tol
+                for C in commutant
+            )
+            if linked and find(a) != find(b):
+                parent[find(a)] = find(b)
+    sizes = {}
+    for i, blk in enumerate(blocks):
+        root = find(i)
+        sizes[root] = sizes.get(root, 0) + blk.shape[1]
+    return tuple(sorted(sizes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +274,21 @@ def _sym3_basis(n: int = 14):
     the basis vector of a multiset has entry 1/weight at each distinct
     permutation of its indices.
     """
-    multis = list(combinations_with_replacement(range(n), 3))
+    multis = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                multis.append((i, j, k))
     weights = np.array([np.sqrt(len(set(permutations(m)))) for m in multis])
     return multis, weights
 
 
 def _sym3_tensors(n: int = 14):
     multis, weights = _sym3_basis(n)
-    T, idx = np.zeros((len(multis), n, n, n)), np.array(multis)
-    for p in permutations(range(3)):
-        T[(np.arange(len(multis)), *idx[:, p].T)] = 1.0 / weights
+    T = np.zeros((len(multis), n, n, n))
+    for r, (m, w) in enumerate(zip(multis, weights)):
+        for p in set(permutations(m)):
+            T[r][p] = 1.0 / w
     return T
 
 
@@ -314,9 +337,19 @@ def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
 def trace_cubic() -> np.ndarray:
     """The invariant cubic built directly from the ambient triple trace,
     Im tr(sym(B_i B_j B_k)); an independent construction used as an oracle."""
-    B = np.asarray(sp3.load().B)
-    t = np.imag(np.einsum("iab,jbc,kca->ijk", B, B, B, optimize=True))
-    return sum(np.transpose(t, p) for p in permutations(range(3))) / 6.0
+    B = sp3.load().B
+    n = 14
+    t = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                val = 0.0
+                for p in permutations((i, j, k)):
+                    val += float(np.imag(np.trace(B[p[0]] @ B[p[1]] @ B[p[2]])))
+                val /= 6.0
+                for p in set(permutations((i, j, k))):
+                    t[p] = val
+    return t
 
 
 def metric_reconstructor(tol: ToleranceProfile = DEFAULT_TOL):

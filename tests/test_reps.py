@@ -207,7 +207,7 @@ def test_casimir_is_sum_of_squares(sp3_data, lambda3):
     for rep in (rho, lambda3):
         ref = sum(g @ g for g in rep.generators)
         assert np.max(np.abs(reps.casimir(rep) - ref)) <= 1e-13 * np.linalg.norm(ref)
-    # one generator that is not skew: the sum of squares, not -G^T G
+    # a stack with a generator that is not skew
     rng = np.random.default_rng(5)
     gens = list(sp3_data.rho[:3]) + [rng.standard_normal((14, 14))]
     ref = sum(g @ g for g in gens)
@@ -304,40 +304,3 @@ def test_metric_reconstruction():
     assert worst <= 1e-8
     # trace-freeness of the scaled tensor
     assert np.linalg.norm(np.einsum("iik->k", U)) <= 1e-9
-
-
-def test_array_built_tensors_match_loop_references(sp3_data):
-    """theta_map, _sym3_tensors, _symmetric_basis and trace_cubic against
-    the entry-by-entry loops they replaced."""
-    n = 14
-    comp = reps.so_complement(list(sp3_data.rho), n)
-    trips, (_, pidx) = reps.triples(n), reps.pair_index(n)
-    F = np.array([reps.pack_so(c, n) for c in comp])
-    theta = np.zeros((n * len(comp), len(trips)))
-    for col, (i, j, k) in enumerate(trips):
-        for l, pair, sign in ((i, (j, k), 1.0), (j, (i, k), -1.0), (k, (i, j), 1.0)):
-            theta[l * len(comp):(l + 1) * len(comp), col] = sign * F[:, pidx[pair]]
-    assert np.array_equal(reps.theta_map(list(sp3_data.rho)).matrix, theta)
-
-    multis, weights = reps._sym3_basis(n)
-    T = np.zeros((len(multis), n, n, n))
-    for r, (m, w) in enumerate(zip(multis, weights)):
-        for p in set(permutations(m)):
-            T[r][p] = 1.0 / w
-    assert np.array_equal(reps._sym3_tensors(n), T)
-
-    sym = []
-    for p in range(n):
-        for q in range(p, n):
-            S = np.zeros((n, n))
-            S[p, q] = S[q, p] = 1.0
-            sym.append(S)
-    assert np.array_equal(reps._symmetric_basis(n), sym)
-
-    B = sp3_data.B
-    t = np.zeros((n, n, n))
-    for i, j, k in multis:
-        val = sum(float(np.imag(np.trace(B[a] @ B[b] @ B[c]))) for a, b, c in permutations((i, j, k))) / 6.0
-        for p in set(permutations((i, j, k))):
-            t[p] = val
-    assert np.max(np.abs(reps.trace_cubic() - t)) <= 1e-14 * np.max(np.abs(t))
