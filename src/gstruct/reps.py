@@ -81,15 +81,12 @@ def lambda3_action(rho_list) -> RepAction:
     return RepAction(dim=N, generators=tuple(out.reshape(-1, N, N)), source="lambda3")
 
 
-def _square_sum(gens: np.ndarray) -> np.ndarray:
-    """Sum of g @ g over a (k, d, d) stack, as one (d, k d) @ (k d, d) product."""
-    d = gens.shape[-1]
-    return gens.transpose(1, 0, 2).reshape(d, -1) @ gens.reshape(-1, d)
-
-
 def casimir(rep: RepAction) -> np.ndarray:
     """Sum of squared generators (for an orthonormal source basis)."""
-    return _square_sum(np.asarray(rep.generators, dtype=float).reshape(-1, rep.dim, rep.dim))
+    C = np.zeros((rep.dim, rep.dim))
+    for g in rep.generators:
+        C += g @ g
+    return C
 
 
 def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
@@ -404,6 +401,7 @@ def v14_v70_casimir() -> np.ndarray:
     C = C14 (x) I + I (x) C70 + 2 sum_a R_a (x) ad_a, without the 980x980
     generators; the cross term is one product."""
     R, ad = np.asarray(sp3.load().rho), np.asarray(complement_action()[1])
+    c14, c70 = casimir(RepAction(14, tuple(R))), casimir(RepAction(70, tuple(ad)))
     cross = (R.reshape(21, 196).T @ ad.reshape(21, 4900)).reshape(14, 14, 70, 70)
-    return (np.kron(_square_sum(R), np.eye(70)) + np.kron(np.eye(14), _square_sum(ad))
+    return (np.kron(c14, np.eye(70)) + np.kron(np.eye(14), c70)
             + 2 * cross.transpose(0, 2, 1, 3).reshape(980, 980))

@@ -190,11 +190,18 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
 
 
 def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
-    counts = _count_calls(monkeypatch, ["reps.v14_v70_rep", "reps.casimir"])
+    # the factors' Casimirs (dims 14 and 70) are computed, the 980-dim one is not
+    from gstruct import reps
+
+    counts = _count_calls(monkeypatch, ["reps.v14_v70_rep"])
+    dims = []
+    original = reps.casimir
+    monkeypatch.setattr(reps, "casimir", lambda rep: dims.append(rep.dim) or original(rep))
     code, out = run_cli(capsys, "decompose", "v14xv70")
     assert code == 0
     assert sorted(p["dim"] for p in json.loads(out)["parts"]) == [14, 21, 70, 84, 90, 189, 512]
-    assert counts == {"reps.v14_v70_rep": 0, "reps.casimir": 0}
+    assert counts == {"reps.v14_v70_rep": 0}
+    assert sorted(dims) == [14, 70]
 
 
 def test_analyze_draws_generating_set_once(capsys, monkeypatch):

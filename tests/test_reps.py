@@ -202,18 +202,6 @@ def test_v14_v70_casimir_matches_generators():
     assert np.max(np.abs(C - ref)) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_casimir_is_sum_of_squares(sp3_data, lambda3):
-    rho = reps.RepAction(14, tuple(sp3_data.rho), "v14")
-    for rep in (rho, lambda3):
-        ref = sum(g @ g for g in rep.generators)
-        assert np.max(np.abs(reps.casimir(rep) - ref)) <= 1e-13 * np.linalg.norm(ref)
-    # a stack with a generator that is not skew
-    rng = np.random.default_rng(5)
-    gens = list(sp3_data.rho[:3]) + [rng.standard_normal((14, 14))]
-    ref = sum(g @ g for g in gens)
-    assert np.max(np.abs(reps.casimir(reps.RepAction(14, tuple(gens))) - ref)) <= 1e-13 * np.linalg.norm(ref)
-
-
 def test_theta_sp3_full_rank(sp3_data):
     tmap = reps.theta_map(list(sp3_data.rho))
     assert tmap.matrix.shape == (14 * 70, 364)
