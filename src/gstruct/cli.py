@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, groups, reps, sp3, spaces
-from .errors import GstructError, StructureViolation
+from .errors import BadParams, GstructError, StructureViolation
 from .linalg import ToleranceProfile
 
 
@@ -65,14 +65,15 @@ def _emit(report: dict, fmt: str):
 
 
 def _tolerance(args) -> ToleranceProfile:
-    rank_tol = None
-    if getattr(args, "tol", None) is not None:
-        rank_tol = args.tol
-    elif os.environ.get("GSTRUCT_TOL"):
-        rank_tol = float(os.environ["GSTRUCT_TOL"])
+    """The rank tolerance of --tol, else of GSTRUCT_TOL; an unparsable or
+    out-of-range value is a usage error."""
+    rank_tol = args.tol if args.tol is not None else os.environ.get("GSTRUCT_TOL") or None
     if rank_tol is None:
         return ToleranceProfile()
-    return ToleranceProfile(rank_tol=rank_tol)
+    try:
+        return ToleranceProfile(rank_tol=float(rank_tol))
+    except ValueError as exc:
+        raise BadParams(f"invalid rank tolerance: {exc}") from exc
 
 
 def _params_from_args(sid: str, args) -> spaces.MetricParams:
@@ -168,17 +169,17 @@ def cmd_decompose(args) -> int:
 def cmd_theta(args) -> int:
     tol = _tolerance(args)
     if args.selector == "sp3":
-        tmap = reps.theta_map(list(sp3.load().rho), tol)
+        theta = reps.theta_map(sp3.load().rho, tol)
     elif args.selector == "su3-adjoint":
-        _, _, tmap = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
+        _, _, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
     else:
         raise GstructError(f"unknown selector {args.selector!r}")
-    kdim, _ = reps.theta_kernel(tmap, tol)
+    kdim, _ = reps.theta_kernel(theta, tol)
     _emit(
         {
             "selector": args.selector,
-            "shape": list(tmap.matrix.shape),
-            "rank": tmap.matrix.shape[1] - kdim,
+            "shape": list(theta.shape),
+            "rank": theta.shape[1] - kdim,
             "kernel_dim": kdim,
         },
         args.format,
@@ -219,11 +220,9 @@ def cmd_liegroup(args) -> int:
         raise GstructError(f"unknown selector {args.selector!r}")
     build, partition = _LIEGROUP_ALGEBRAS[args.selector]
     alg = build()
-    kdim, _, tmap = groups.theta_kernel_adjoint(alg, tol)
+    kdim, _, theta = groups.theta_kernel_adjoint(alg, tol)
     family = groups.canonical_torsion_family(alg, partition, tol)
-    in_kernel = [
-        float(np.linalg.norm(tmap.matrix @ v) / np.linalg.norm(v)) for v in family
-    ]
+    in_kernel = [float(np.linalg.norm(theta @ v) / np.linalg.norm(v)) for v in family]
     _emit(
         {
             "selector": args.selector,

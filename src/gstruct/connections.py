@@ -14,8 +14,11 @@ import numpy as np
 
 from . import reps, sp3
 from .errors import Infeasible, NotSkew
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns, read_only
 from .spaces import HomogeneousSpaceInstance
+
+# nabla T (or T itself) counts as zero up to this multiple of its scale
+_PARALLEL_REL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,6 @@ class EquivariantFamily:
     """All isotropy-equivariant maps of the tangent space into rho(sp3),
     encoded as (dim, 14, 21) coefficient stacks over the tangent/A bases."""
 
-    space: HomogeneousSpaceInstance
     basis: np.ndarray
 
     @property
@@ -46,7 +48,7 @@ class InvariantConnection:
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        return _read_only(np.einsum("ja,akl->jkl", self.lambda_coeffs, np.array(sp3.load().rho)))
+        return read_only(np.einsum("ja,akl->jkl", self.lambda_coeffs, sp3.load().rho))
 
     @cached_property
     def _torsion(self) -> TorsionTensor:
@@ -60,11 +62,6 @@ class InvariantConnection:
         """[(K index, A index, coefficient)] with 1-based indices."""
         L = self.lambda_coeffs
         return [(int(j) + 1, int(a) + 1, float(L[j, a])) for j, a in np.argwhere(L != 0)]
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class TorsionTensor:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    basis: tuple  # antisymmetric 14x14 matrices
+    basis: np.ndarray  # (dim, 14, 14) antisymmetric
     dim: int
     label: str
 
@@ -90,7 +87,7 @@ def _equivariance_block(R: np.ndarray) -> np.ndarray:
     """Rows of the equivariance system for one isotropy generator R; row
     (j, c), column (k, a) holds R[k, j] delta_ac - delta_jk m[a, c], with m
     the matrix of [R, .] on the rho basis."""
-    R21 = np.array(sp3.load().rho)
+    R21 = sp3.load().rho
     # [R, rho_a] expanded over the rho basis
     br = np.einsum("kl,alm->akm", R, R21) - np.einsum("akl,lm->akm", R21, R)
     m = np.einsum("akm,cmk->ac", br, R21) / (-4.0)  # <., .> = -tr(..)/4
@@ -104,13 +101,13 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     The system is a representation of the isotropy algebra on the maps, so
     it is stacked only over ``space.generators(tol)``."""
     ker = nullspace(np.vstack([_equivariance_block(R) for R in space.generators(tol)]), tol)
-    return EquivariantFamily(space=space, basis=ker.T.reshape(-1, 14, 21))
+    return EquivariantFamily(basis=ker.T.reshape(-1, 14, 21))
 
 
 def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionTensor:
     """Torsion of an arbitrary connection map (stack of so(14) matrices):
     T(X, Y) = Lambda(X)Y - Lambda(Y)X - [X, Y]_m, as read-only arrays."""
-    t12 = _read_only(np.einsum("ikj->kij", lam) - np.einsum("jki->kij", lam) - np.einsum("ijk->kij", space.pm))
+    t12 = read_only(np.einsum("ikj->kij", lam) - np.einsum("jki->kij", lam) - np.einsum("ijk->kij", space.pm))
     return TorsionTensor(t12=t12, t3=np.einsum("kij->ijk", t12))
 
 
@@ -124,8 +121,8 @@ def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.nda
     comm = np.einsum("iab,jbc->ijac", lam, lam)
     comm = comm - np.swapaxes(comm, 0, 1)
     lam_m = np.einsum("ijk,kab->ijab", space.pm, lam)
-    rho_h = np.einsum("ijr,rab->ijab", space.ph, np.array(space.iso))
-    return _read_only(comm - lam_m - rho_h)
+    rho_h = np.einsum("ijr,rab->ijab", space.ph, space.iso)
+    return read_only(comm - lam_m - rho_h)
 
 
 def curvature(conn: InvariantConnection) -> np.ndarray:
@@ -146,7 +143,7 @@ def characteristic_connection(
     which scales with both under a uniform metric scaling (||b|| itself is
     round-off at a naturally reductive metric).
     """
-    R21 = np.array(sp3.load().rho)
+    R21 = sp3.load().rho
     lam_members = np.einsum("dja,akl->djkl", family.basis, R21)
     # torsion is affine in the coefficients: T = A(t) + T0
     t0 = torsion_of_map(space, np.zeros((14, 14, 14))).t3
@@ -167,7 +164,7 @@ def characteristic_connection(
         raise Infeasible(f"{space.space_id}: skewness system is degenerate")
     L = np.einsum("d,dja->ja", coeffs, family.basis)
     L[np.abs(L) < 1e-12 * pnorm] = 0.0
-    return InvariantConnection(space=space, lambda_coeffs=_read_only(L))
+    return InvariantConnection(space=space, lambda_coeffs=read_only(L))
 
 
 def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
@@ -179,21 +176,21 @@ def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
     )
 
 
-def torsion_is_parallel(conn: InvariantConnection, rel: float = 1e-7):
+def torsion_is_parallel(conn: InvariantConnection):
     """(flag, max |nabla T| / (||pm|| ||T||)).
 
     Under a uniform metric scaling by s the bracket table pm and T scale
     like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
-    T vanishes (and is parallel) when ||T|| <= rel ||pm||, and is parallel
-    when the ratio is <= rel."""
+    T vanishes (and is parallel) when ||T|| <= _PARALLEL_REL ||pm||, and is
+    parallel when the ratio is <= _PARALLEL_REL."""
     T = torsion(conn)
     tnorm = float(np.sqrt(T.norm2_increasing))
     pnorm = float(np.linalg.norm(conn.space.pm))
-    if tnorm <= rel * pnorm:
+    if tnorm <= _PARALLEL_REL * pnorm:
         return True, 0.0
     nt = nabla_torsion(conn.so_matrices(), T.t12)
     ratio = float(np.max(np.abs(nt)) / (pnorm * tnorm))
-    return ratio <= rel, ratio
+    return ratio <= _PARALLEL_REL, ratio
 
 
 def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
@@ -236,13 +233,13 @@ def holonomy_algebra(
         if grown.shape[1] == on.shape[1]:
             break
         on, basis = grown, reps.unpack_so(grown.T, 14)
-    return HolonomyResult(basis=tuple(basis), dim=len(basis), label=_holonomy_label(on, tol))
+    return HolonomyResult(basis=basis, dim=len(basis), label=_holonomy_label(on, tol))
 
 
 def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
     """Name of the smallest listed subalgebra of rho(sp3) that holds the
     basis, given as (pairs, dim) pair coordinates."""
-    rho = reps.pack_so(np.array(sp3.load().rho), 14)
+    rho = reps.pack_so(sp3.load().rho, 14)
     dim = on.shape[1]
 
     def inside(target_idx):
@@ -268,13 +265,8 @@ def parallel_vector_fields(conn: InvariantConnection, tol: ToleranceProfile = DE
 
     Returns (vectors as columns, list of 14x14 antisymmetric 2-forms).
     """
-    space = conn.space
-    hol = holonomy_algebra(conn, tol)
-    mats = list(hol.basis) + list(space.iso)
-    if mats:
-        vecs = nullspace(np.vstack(mats), tol)
-    else:
-        vecs = np.eye(14)
+    mats = np.concatenate([holonomy_algebra(conn, tol).basis, conn.space.iso])
+    vecs = nullspace(mats.reshape(-1, 14), tol)
     T = torsion(conn)
     omegas = [np.einsum("i,ijk->jk", v, T.t3) for v in vecs.T]
     return vecs, omegas

@@ -15,6 +15,10 @@ from .errors import DimensionMismatch, NotAnIdeal
 from .liealg import CoordinateFrame, MatrixLieAlgebra, inner, structure_constants
 from .linalg import DEFAULT_TOL, ToleranceProfile
 
+# random triples drawn by metricity_defect, from a fixed seed
+_METRICITY_SAMPLES = 100
+_METRICITY_SEED = 11
+
 
 def su_algebra(n: int) -> MatrixLieAlgebra:
     """su(n) with an orthonormal basis under -Re tr(XY)."""
@@ -35,27 +39,21 @@ def su_algebra(n: int) -> MatrixLieAlgebra:
         for u in ortho:
             v = v - inner(v, u) * u
         ortho.append(v / np.sqrt(inner(v, v)))
-    return MatrixLieAlgebra(f"su{n}", tuple(basis + ortho))
+    return MatrixLieAlgebra(f"su{n}", basis + ortho)
 
 
 def u_algebra(n: int) -> MatrixLieAlgebra:
     base = su_algebra(n)
     center = 1j * np.eye(n) / np.sqrt(n)
-    return MatrixLieAlgebra(f"u{n}", tuple(base.basis) + (center,))
+    return MatrixLieAlgebra(f"u{n}", np.concatenate([base.basis, center[None]]))
 
 
 def su2_plus_su2() -> MatrixLieAlgebra:
-    a = su_algebra(2)
-    basis = []
-    for b in a.basis:
-        m = np.zeros((4, 4), dtype=complex)
-        m[:2, :2] = b
-        basis.append(m)
-    for b in a.basis:
-        m = np.zeros((4, 4), dtype=complex)
-        m[2:, 2:] = b
-        basis.append(m)
-    return MatrixLieAlgebra("su2+su2", tuple(basis))
+    a = su_algebra(2).basis
+    basis = np.zeros((6, 4, 4), dtype=complex)
+    basis[:3, :2, :2] = a
+    basis[3:, 2:, 2:] = a
+    return MatrixLieAlgebra("su2+su2", basis)
 
 
 @dataclass(frozen=True)
@@ -65,10 +63,9 @@ class BilinearConnectionMap:
 
     algebra: MatrixLieAlgebra
     table: np.ndarray
-    symmetry: str  # "symmetric" | "antisymmetric" | "none"
 
     def apply(self, X, Y):
-        frame = CoordinateFrame(list(self.algebra.basis))
+        frame = CoordinateFrame(self.algebra.basis)
         cx, _ = frame.coords(X)
         cy, _ = frame.coords(Y)
         coeffs = np.einsum("i,j,ijk->k", cx, cy, self.table)
@@ -77,7 +74,7 @@ class BilinearConnectionMap:
 
 def commutator_map(alg: MatrixLieAlgebra, scale: float = 0.5) -> BilinearConnectionMap:
     c = structure_constants(alg)
-    return BilinearConnectionMap(algebra=alg, table=scale * c, symmetry="antisymmetric")
+    return BilinearConnectionMap(algebra=alg, table=scale * c)
 
 
 def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
@@ -109,17 +106,17 @@ def canonical_torsion_family(alg: MatrixLieAlgebra, ideal_partition, tol: Tolera
 
 
 def adjoint_generators(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):
-    """ad matrices in the orthonormal basis (antisymmetric for compact type)."""
+    """ad matrices in the orthonormal basis (antisymmetric for compact
+    type), as a (dim, dim, dim) stack."""
     c = structure_constants(alg, tol)
-    return [c[i].T.copy() for i in range(alg.dim)]  # ad(b_i)[k, j] = c[i, j, k]
+    return c.transpose(0, 2, 1)  # ad(b_i)[k, j] = c[i, j, k]
 
 
 def theta_kernel_adjoint(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):
-    """(kernel dimension, kernel basis, theta map) for the adjoint embedding."""
-    ads = adjoint_generators(alg, tol)
-    tmap = reps.theta_map(ads, tol)
-    dim, basis = reps.theta_kernel(tmap, tol)
-    return dim, basis, tmap
+    """(kernel dimension, kernel basis, theta matrix) for the adjoint embedding."""
+    theta = reps.theta_map(adjoint_generators(alg, tol), tol)
+    dim, basis = reps.theta_kernel(theta, tol)
+    return dim, basis, theta
 
 
 def laquer_eta(X, Y, alpha: float = 1.0) -> np.ndarray:
@@ -159,13 +156,13 @@ def u_metric(n: int, center_coefficient: float = 1.0):
     return g
 
 
-def metricity_defect(lam, metric, basis, samples: int = 100, seed: int = 11) -> float:
+def metricity_defect(lam, metric, basis) -> float:
     """max over random triples of |g(lambda(X,Y), Z) + g(Y, lambda(X,Z))|,
     with X, Y, Z drawn as unit-coefficient combinations of the basis."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_METRICITY_SEED)
     d = len(basis)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(_METRICITY_SAMPLES):
         cs = rng.standard_normal((3, d))
         cs /= np.linalg.norm(cs, axis=1, keepdims=True)
         X, Y, Z = (sum(c * b for c, b in zip(row, basis)) for row in cs)

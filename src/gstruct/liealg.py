@@ -5,7 +5,10 @@ Conventions fixed here and used everywhere else:
 
 * base inner product  ``<X, Y> = -Re tr(XY)``  (the catalog bases are
   orthonormal for it);
-* isotropy matrices act by columns,  ``[H, K_j] = sum_k rho(H)_{kj} K_k``.
+* isotropy matrices act by columns,  ``[H, K_j] = sum_k rho(H)_{kj} K_k``;
+* a set of k matrices of size n x n is one (k, n, n) array; the sets
+  cached for the whole process (``sp3.load()``, ``reps.complement_action()``,
+  ``spin.build_clifford``) are read-only.
 """
 
 from __future__ import annotations
@@ -57,10 +60,10 @@ def stack_scales(X) -> np.ndarray:
 
 
 class CoordinateFrame:
-    """Least-squares coordinates with respect to a fixed list of matrices."""
+    """Least-squares coordinates with respect to a fixed stack of matrices."""
 
     def __init__(self, mats):
-        self.mats = np.array(mats, dtype=complex)
+        self.mats = np.asarray(mats, dtype=complex)
         self._pinv = np.linalg.pinv(_stack(self.mats)) if len(self.mats) else None
 
     def stack_coords(self, X):
@@ -81,13 +84,14 @@ class CoordinateFrame:
 
 @dataclass(frozen=True)
 class MatrixLieAlgebra:
-    """A finite basis of anti-hermitian matrices, closed under the bracket."""
+    """A finite basis of anti-hermitian matrices, closed under the bracket,
+    as one complex (dim, n, n) array."""
 
     name: str
-    basis: tuple
+    basis: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(np.asarray(b, dtype=complex) for b in self.basis))
+        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -95,7 +99,7 @@ class MatrixLieAlgebra:
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis[0].shape[0]
+        return self.basis.shape[1]
 
 
 def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
@@ -125,7 +129,7 @@ def _pair_coefficients(count: int) -> np.ndarray:
     return np.sin(np.sqrt(np.arange(1, 2 * count + 1)) * _PAIR_SEED).reshape(2, count)
 
 
-def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> list:
+def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Two fixed combinations of ``gens`` when they provably generate
     span(gens) as a Lie algebra, else ``gens`` unchanged.
 
@@ -139,16 +143,16 @@ def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> list:
     span(gens) and contains every generator.  A failed pair costs speed,
     never the answer.
     """
-    gens = [np.asarray(g) for g in gens]
+    gens = np.asarray(gens)
     if len(gens) <= 2:
         return gens
-    pair = list(np.tensordot(_pair_coefficients(len(gens)), np.array(gens), axes=1))
+    pair = np.tensordot(_pair_coefficients(len(gens)), gens, axes=1)
     G = _stack(gens)
     target = orthonormal_columns(G, tol).shape[1]
     # brackets of unit-norm elements keep every column on one scale
-    unit = np.array(pair) / np.linalg.norm(pair, axis=(1, 2), keepdims=True)
+    unit = pair / np.linalg.norm(pair, axis=(1, 2), keepdims=True)
     span = orthonormal_columns(_stack(unit), tol)
-    n = gens[0].shape[0]
+    n = gens.shape[1]
     while span.shape[1] <= target:
         mats = (span[: n * n] + 1j * span[n * n:]).T.reshape(-1, 1, n, n)
         brackets = (mats @ unit - unit @ mats).reshape(-1, n, n)
@@ -191,21 +195,23 @@ def uniform_ip(dim: int, coefficient: float = 1.0) -> InnerProductSpec:
 class ReductiveSplit:
     """A decomposition k = h + m with [h, m] contained in m.
 
-    ``m_basis`` is orthonormal for the metric described by ``ip``; all
-    coordinate extraction goes through a least-squares frame over the
-    combined (h, m) basis.
+    ``h_basis`` and ``m_basis`` are complex (dim, n, n) arrays, either of
+    them possibly empty; ``m_basis`` is orthonormal for the metric described
+    by ``ip``; all coordinate extraction goes through a least-squares frame
+    over the combined (h, m) basis.
     """
 
     algebra: MatrixLieAlgebra
-    h_basis: list
-    m_basis: list
+    h_basis: np.ndarray
+    m_basis: np.ndarray
     ip: InnerProductSpec
     _frame: CoordinateFrame = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.h_basis = [np.asarray(h, dtype=complex) for h in self.h_basis]
-        self.m_basis = [np.asarray(m, dtype=complex) for m in self.m_basis]
-        self._frame = CoordinateFrame(self.h_basis + self.m_basis)
+        shape = (-1,) + self.algebra.basis.shape[1:]
+        self.h_basis = np.reshape(np.asarray(self.h_basis, dtype=complex), shape)
+        self.m_basis = np.reshape(np.asarray(self.m_basis, dtype=complex), shape)
+        self._frame = CoordinateFrame(np.concatenate([self.h_basis, self.m_basis]))
 
     @property
     def dim_h(self) -> int:
@@ -256,13 +262,12 @@ def reductive_split(
 
     Raises NotReductive if [h, m] does not stay inside m.
     """
-    h_basis = [np.asarray(h, dtype=complex) for h in h_basis]
     if m_basis is None:
         # complement of span(h) inside span(k.basis) under -Re tr(XY):
         # the base form is the Euclidean form on the real stacking.
         K = _stack(k.basis)
         Kon = orthonormal_columns(K)
-        if h_basis:
+        if len(h_basis):
             H = _stack(h_basis)
             proj = Kon.T @ H  # h expressed in the k-frame
             comp = nullspace(proj.T, tol)  # directions of k orthogonal to h
@@ -272,22 +277,23 @@ def reductive_split(
         n = k.ambient_dim
         mats = (vecs[: n * n] + 1j * vecs[n * n:]).T.reshape(vecs.shape[1], n, n)
         norms = -np.einsum("kab,kba->k", mats, mats).real
-        m_basis = list(mats / np.sqrt(np.maximum(norms, 1e-300))[:, None, None])
+        m_basis = mats / np.sqrt(np.maximum(norms, 1e-300))[:, None, None]
     if ip is None:
         ip = uniform_ip(len(m_basis))
-    split = ReductiveSplit(algebra=k, h_basis=h_basis, m_basis=list(m_basis), ip=ip)
+    split = ReductiveSplit(algebra=k, h_basis=h_basis, m_basis=m_basis, ip=ip)
     isotropy_matrices(split, tol)  # raises NotReductive
     return split
 
 
 def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL):
-    """ad(h)|_m in the orthonormal m basis, one real matrix per h generator.
+    """ad(h)|_m in the orthonormal m basis, as a real (dim h, dim m, dim m)
+    stack.
 
     Raises NotReductive if some [H, K_j] has an h-part (each bracket is
     measured against its own norm)."""
     r, d, n = split.dim_h, split.dim_m, split.algebra.ambient_dim
-    H = np.reshape(split.h_basis, (r, 1, n, n))
-    K = np.reshape(split.m_basis, (1, d, n, n))
+    H = split.h_basis.reshape(r, 1, n, n)
+    K = split.m_basis.reshape(1, d, n, n)
     br = (H @ K - K @ H).reshape(r * d, n, n)
     ch, cm = split.split_stack(br, tol)
     hpart = np.linalg.norm(ch, axis=1)
@@ -295,7 +301,7 @@ def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL
     if bad.size:
         raise NotReductive(f"[h, m] leaves m (h-part {hpart[bad[0]]:.3e})")
     # R[:, j] holds the m-coordinates of [H, K_j]
-    return list(cm.reshape(r, d, d).swapaxes(1, 2))
+    return cm.reshape(r, d, d).swapaxes(1, 2)
 
 
 def is_naturally_reductive(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL):

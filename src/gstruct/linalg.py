@@ -35,6 +35,12 @@ class ToleranceProfile:
 DEFAULT_TOL = ToleranceProfile()
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, flagged read-only: for arrays that are cached or shared."""
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(M) -> np.ndarray:
     """Coerce to a finite 2-d array (raises on NaN/Inf)."""
     A = np.asarray(M)

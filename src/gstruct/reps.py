@@ -1,7 +1,8 @@
 """Representation machinery on top of the 14-dimensional isotropy module:
 induced actions on 3-forms and tensor products, Casimir operators and
 isotypic splittings, the skew-torsion compatibility map and its kernel,
-joint invariants, and subgroup branching.
+joint invariants, and subgroup branching.  An action is the (k, N, N)
+stack of its generators, one per basis element of the source algebra.
 """
 
 from __future__ import annotations
@@ -15,17 +16,7 @@ import numpy as np
 from . import sp3
 from .errors import DimensionMismatch, NotClosed
 from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
-from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace
-
-
-@dataclass(frozen=True)
-class RepAction:
-    """A Lie algebra action: one N x N generator per basis element of the
-    source algebra (the generators inherit the source's structure constants)."""
-
-    dim: int
-    generators: tuple
-    source: str = ""
+from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, read_only
 
 
 @dataclass(frozen=True)
@@ -64,27 +55,29 @@ def _lambda3_scatter(n: int):
     return row * N + col[keep], sign[keep].astype(float), (l * n + T[col, slot])[keep]
 
 
-def lambda3_action(rho_list) -> RepAction:
-    """Derivative action on 3-forms, in the orthonormal e_i^e_j^e_k basis."""
-    rho_list = [np.asarray(r) for r in rho_list]
-    n = rho_list[0].shape[0]
-    for r in rho_list:
-        if r.shape != (n, n):
-            raise DimensionMismatch("generators must share one square shape")
+def lambda3_action(gens) -> np.ndarray:
+    """Derivative action on 3-forms, in the orthonormal e_i^e_j^e_k basis:
+    the (k, C(n,3), C(n,3)) stack of k n x n generators."""
+    n = len(gens[0])
+    # checked before stacking: numpy rejects a ragged stack on its own terms
+    if {np.shape(g) for g in gens} != {(n, n)}:
+        raise DimensionMismatch("generators must share one square shape")
+    gens = np.asarray(gens)
     N = len(triples(n))
     target, sign, source = _lambda3_scatter(n)
     # add.at accumulates in index order, as the entry-by-entry sum did; one
     # block for all generators is much cheaper to fault in than 1 MB each
-    out = np.zeros((len(rho_list), N * N))
-    for M, A in zip(out, rho_list):
+    out = np.zeros((len(gens), N * N))
+    for M, A in zip(out, gens):
         np.add.at(M, target, sign * A.ravel()[source])
-    return RepAction(dim=N, generators=tuple(out.reshape(-1, N, N)), source="lambda3")
+    return out.reshape(-1, N, N)
 
 
-def casimir(rep: RepAction) -> np.ndarray:
+def casimir(gens: np.ndarray) -> np.ndarray:
     """Sum of squared generators (for an orthonormal source basis)."""
-    C = np.zeros((rep.dim, rep.dim))
-    for g in rep.generators:
+    d = gens.shape[1]
+    C = np.zeros((d, d))
+    for g in gens:
         C += g @ g
     return C
 
@@ -94,9 +87,9 @@ def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> Iso
     return IsotypicDecomposition(tuple((ev, b.shape[1], b) for ev, b in eig_selfadjoint(C, tol)))
 
 
-def isotypic_decompose(rep: RepAction, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
+def isotypic_decompose(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
     """Casimir eigenspace decomposition; one part per clustered eigenvalue."""
-    return decompose_casimir(casimir(rep), tol)
+    return decompose_casimir(casimir(gens), tol)
 
 
 @lru_cache(maxsize=4)
@@ -106,16 +99,14 @@ def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomp
     caller shares it, so the bases are read-only."""
     dec = isotypic_decompose(lambda3_action(sp3.load().rho), tol)
     for _, _, basis in dec.parts:
-        basis.flags.writeable = False
+        read_only(basis)
     return dec
 
 
-def invariant_vectors(rep: RepAction, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint kernel of all generators."""
-    if not rep.generators:
-        return np.eye(rep.dim)
-    stacked = np.vstack([np.asarray(g) for g in rep.generators])
-    return nullspace(stacked, tol)
+def invariant_vectors(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (columns) of the joint kernel of a (k, d, d) stack
+    of generators; all of R^d for an empty stack."""
+    return nullspace(gens.reshape(-1, gens.shape[-1]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -149,45 +140,37 @@ def unpack_so(v, n: int) -> np.ndarray:
     return M - np.swapaxes(M, -1, -2)
 
 
-def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL):
-    """Orthonormal basis of the complement of span(group_gens) in so(n)."""
+def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of span(group_gens) in so(n), as
+    a (q, n, n) stack."""
     comp = nullspace(pack_so(np.reshape(group_gens, (len(group_gens), n, n)), n), tol)
-    return list(unpack_so(comp.T, n))
+    return unpack_so(comp.T, n)
 
 
-@dataclass(frozen=True)
-class ThetaMap:
-    """Skew-torsion compatibility map of a subalgebra g of so(n):
-    T |-> sum_l e_l (x) pr_m(e_l _| T), with m the complement of g."""
-
-    matrix: np.ndarray  # (n * dim m) x C(n, 3)
-    complement_basis: tuple
-    n: int
-
-
-def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> ThetaMap:
-    group_gens = [np.asarray(g) for g in group_gens]
-    n = group_gens[0].shape[0] if group_gens else 0
-    comp = so_complement(group_gens, n, tol)
-    q = len(comp)
-    F = pack_so(np.reshape(comp, (q, n, n)), n)
+def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Skew-torsion compatibility map of a subalgebra g of so(n), given by
+    a (k, n, n) stack: T |-> sum_l e_l (x) pr_m(e_l _| T), with m the
+    complement of g, as an (n * dim m, C(n, 3)) matrix."""
+    n = np.shape(group_gens)[-1]
+    F = pack_so(so_complement(group_gens, n, tol), n)
+    q = len(F)
     trips = triples(n)
     _, pidx = pair_index(n)
     theta = np.zeros((n * q, len(trips)))
     if q == 0:
-        return ThetaMap(matrix=theta, complement_basis=tuple(comp), n=n)
+        return theta
     for col, (i, j, k) in enumerate(trips):
         # e_l _| (e_i^e_j^e_k) for l = i, j, k
         for l, pair, sign in ((i, (j, k), 1.0), (j, (i, k), -1.0), (k, (i, j), 1.0)):
             w = np.zeros(F.shape[1])
             w[pidx[pair]] = sign
             theta[l * q:(l + 1) * q, col] = F @ w
-    return ThetaMap(matrix=theta, complement_basis=tuple(comp), n=n)
+    return theta
 
 
-def theta_kernel(tmap: ThetaMap, tol: ToleranceProfile = DEFAULT_TOL):
+def theta_kernel(theta: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """(kernel dimension, orthonormal kernel basis as columns over triples)."""
-    ker = nullspace(tmap.matrix, tol)
+    ker = nullspace(theta, tol)
     return ker.shape[1], ker
 
 
@@ -212,8 +195,7 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     seeded random commutant element, and merges blocks connected by the
     commutant (same isotypic type).
     """
-    data = sp3.load()
-    gens = [data.rho_of(v) for v in row.generators]
+    gens = sp3.load().rho_of(row.generators)
     # closure check of the generator span
     _, _, br = pair_brackets(gens)
     _, res = CoordinateFrame(gens).stack_coords(br)
@@ -310,9 +292,7 @@ def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
     n = 14
     multis, weights = _sym3_basis(n)
     batch = _sym3_tensors(n)  # (560, n, n, n)
-    I = np.array([m[0] for m in multis])
-    J = np.array([m[1] for m in multis])
-    K = np.array([m[2] for m in multis])
+    I, J, K = np.array(multis).T
     gens = []
     for A in generating_set(data.rho, tol):
         W = _sym3_action(A, batch)
@@ -373,35 +353,33 @@ def metric_reconstructor(tol: ToleranceProfile = DEFAULT_TOL):
 
 @lru_cache(maxsize=1)
 def complement_action():
-    """(complement basis of rho(sp3) in so(14), the 21 induced 70x70 actions)."""
-    data = sp3.load()
-    comp = so_complement(list(data.rho), 14)
-    F = np.array(comp)  # (70, 14, 14)
-    acts = []
-    for R in data.rho:
+    """(complement basis of rho(sp3) in so(14), the induced actions), as
+    read-only (70, 14, 14) and (21, 70, 70) stacks."""
+    rho = sp3.load().rho
+    F = so_complement(rho, 14)
+    acts = np.zeros((len(rho), len(F), len(F)))
+    for R, ad in zip(rho, acts):
         Br = np.einsum("ab,lbc->lac", R, F) - np.einsum("lab,bc->lac", F, R)
-        ad = -0.5 * np.einsum("lab,kba->kl", Br, F)
-        acts.append(ad)
-    return comp, acts
+        ad[:] = -0.5 * np.einsum("lab,kba->kl", Br, F)
+    return read_only(F), read_only(acts)
 
 
-def v14_v70_rep() -> RepAction:
-    """Action on the 980-dimensional product module."""
-    data = sp3.load()
-    _, acts = complement_action()
-    gens = []
+def v14_v70_rep() -> np.ndarray:
+    """Action on the 980-dimensional product module, a (21, 980, 980) stack."""
+    R, acts = sp3.load().rho, complement_action()[1]
     I14, I70 = np.eye(14), np.eye(70)
-    for R, ad in zip(data.rho, acts):
-        gens.append(np.kron(R, I70) + np.kron(I14, ad))
-    return RepAction(dim=980, generators=tuple(gens), source="v14xv70")
+    out = np.empty((len(R), 980, 980))
+    for g, r, ad in zip(out, R, acts):
+        g[:] = np.kron(r, I70) + np.kron(I14, ad)
+    return out
 
 
 def v14_v70_casimir() -> np.ndarray:
     """Casimir of the product module by the split-Casimir identity
     C = C14 (x) I + I (x) C70 + 2 sum_a R_a (x) ad_a, without the 980x980
     generators; the cross term is one product."""
-    R, ad = np.asarray(sp3.load().rho), np.asarray(complement_action()[1])
-    c14, c70 = casimir(RepAction(14, tuple(R))), casimir(RepAction(70, tuple(ad)))
+    R, ad = sp3.load().rho, complement_action()[1]
+    c14, c70 = casimir(R), casimir(ad)
     cross = (R.reshape(21, 196).T @ ad.reshape(21, 4900)).reshape(14, 14, 70, 70)
     return (np.kron(c14, np.eye(70)) + np.kron(np.eye(14), c70)
             + 2 * cross.transpose(0, 2, 1, 3).reshape(980, 980))

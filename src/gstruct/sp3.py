@@ -29,9 +29,12 @@ from .liealg import (
     pair_brackets,
     reductive_split,
 )
+from .linalg import read_only
 
 SQ2 = np.sqrt(2.0)
 SQ3 = np.sqrt(3.0)
+# entrywise agreement required of the transcribed and the derived rho(A_i)
+_TRANSCRIPTION_TOL = 1e-12
 
 
 def E(n: int, i: int, j: int) -> np.ndarray:
@@ -130,12 +133,10 @@ _RHO_TERMS = [
 
 
 def _rho_matrices():
-    out = []
-    for terms in _RHO_TERMS:
-        m = np.zeros((14, 14))
+    out = np.zeros((len(_RHO_TERMS), 14, 14))
+    for m, terms in zip(out, _RHO_TERMS):
         for coeff, i, j in terms:
             m += coeff * E(14, i, j)
-        out.append(m)
     return out
 
 
@@ -187,9 +188,9 @@ def _subgroup_table():
 
 @dataclass(frozen=True)
 class Sp3Data:
-    A: tuple  # 21 anti-hermitian 6x6 matrices
-    B: tuple  # 14 anti-hermitian 6x6 matrices, orthonormal complement of A
-    rho: tuple  # 21 real antisymmetric 14x14 matrices
+    A: np.ndarray  # (21, 6, 6) anti-hermitian
+    B: np.ndarray  # (14, 6, 6) anti-hermitian, orthonormal complement of A
+    rho: np.ndarray  # (21, 14, 14) real antisymmetric
     subgroup_table: tuple
 
     @property
@@ -197,8 +198,9 @@ class Sp3Data:
         return MatrixLieAlgebra("sp3", self.A)
 
     def rho_of(self, coeffs) -> np.ndarray:
-        """rho applied to an A-coefficient vector."""
-        return np.tensordot(np.asarray(coeffs), np.array(self.rho), axes=(0, 0))
+        """rho applied to an A-coefficient vector, or to each row of an
+        (N, 21) stack of them."""
+        return np.tensordot(coeffs, self.rho, axes=1)
 
     def project_rho(self, M):
         """(coefficients, residual) of a 14x14 matrix against span{rho(A_i)};
@@ -206,36 +208,35 @@ class Sp3Data:
 
         The rho matrices are mutually orthogonal with Frobenius norm^2 = 4.
         """
-        R = np.array(self.rho)
         M = np.asarray(M)
-        coeffs = np.tensordot(M, R, axes=([-2, -1], [1, 2])) / 4.0
-        resid = np.linalg.norm(M - np.tensordot(coeffs, R, axes=1), axis=(-2, -1))
+        coeffs = np.tensordot(M, self.rho, axes=([-2, -1], [1, 2])) / 4.0
+        resid = np.linalg.norm(M - np.tensordot(coeffs, self.rho, axes=1), axis=(-2, -1))
         return coeffs, resid if M.ndim > 2 else float(resid)
 
 
 @lru_cache(maxsize=1)
 def load() -> Sp3Data:
     return Sp3Data(
-        A=tuple(_a_basis()),
-        B=tuple(_b_basis()),
-        rho=tuple(_rho_matrices()),
+        A=read_only(np.array(_a_basis())),
+        B=read_only(np.array(_b_basis())),
+        rho=read_only(_rho_matrices()),
         subgroup_table=tuple(_subgroup_table()),
     )
 
 
-def derive_isotropy(tol_match: float = 1e-12):
+def derive_isotropy():
     """Recompute ad(A_i)|_m in the B basis and compare with the transcription.
 
-    Returns the derived matrices; raises ConventionMismatch if a derived
-    matrix agrees with neither the stored one nor its transpose.
+    Returns the derived (21, 14, 14) stack; raises ConventionMismatch if a
+    derived matrix agrees with neither the stored one nor its transpose.
     """
     data = load()
-    su6 = MatrixLieAlgebra("su6", list(data.A) + list(data.B))
-    split = reductive_split(su6, list(data.A), m_basis=list(data.B))
+    su6 = MatrixLieAlgebra("su6", np.concatenate([data.A, data.B]))
+    split = reductive_split(su6, data.A, m_basis=data.B)
     derived = isotropy_matrices(split)
     for i, (d, t) in enumerate(zip(derived, data.rho)):
-        if np.max(np.abs(d - t)) > tol_match:
-            if np.max(np.abs(d - t.T)) <= tol_match:
+        if np.max(np.abs(d - t)) > _TRANSCRIPTION_TOL:
+            if np.max(np.abs(d - t.T)) <= _TRANSCRIPTION_TOL:
                 raise ConventionMismatch(f"rho(A_{i + 1}) matches only as a transpose")
             raise ConventionMismatch(
                 f"rho(A_{i + 1}) disagrees with ad(A_{i + 1})|_m "
@@ -253,6 +254,6 @@ def homomorphism_defect() -> float:
     data = load()
     _, _, br = pair_brackets(data.A)
     c, res = CoordinateFrame(data.A).stack_coords(br)
-    lhs = np.tensordot(c, np.array(data.rho), axes=1)
+    lhs = np.tensordot(c, data.rho, axes=1)
     _, _, rhs = pair_brackets(data.rho)
     return max(float(np.max(np.abs(lhs - rhs))), float(np.max(res)))

@@ -39,6 +39,8 @@ from .sp3 import E, S
 SPACE_IDS = ("su4-so2", "u4-so2so2", "u4u1-so2so2so2", "su5-sp2")
 ALIASES = {"M1": "su4-so2", "M2": "u4-so2so2", "M3": "u4u1-so2so2so2", "M4": "su5-sp2"}
 _EXTRA_ALPHAS = {"su4-so2": 7, "u4-so2so2": 5, "u4u1-so2so2so2": 5, "su5-sp2": 0}
+# two metric coefficients a, b count as equal when |a - b| <= _EQUAL_REL * alpha
+_EQUAL_REL = 1e-9
 
 
 def canonical_id(space_id: str) -> str:
@@ -70,8 +72,8 @@ class MetricParams:
             raise BadParams(f"expected {count} extra alpha coefficients, got {len(self.alphas)}")
         return tuple(float(a) for a in self.alphas)
 
-    def equal_alphas(self, count: int, rel: float = 1e-12) -> bool:
-        return all(abs(a - self.alpha) <= rel * self.alpha for a in self.filled_alphas(count))
+    def equal_alphas(self, count: int) -> bool:
+        return all(abs(a - self.alpha) <= _EQUAL_REL * self.alpha for a in self.filled_alphas(count))
 
 
 @dataclass
@@ -83,13 +85,13 @@ class HomogeneousSpaceInstance:
     space_id: str
     params: MetricParams
     split: ReductiveSplit
-    iso: list  # isotropy matrices (14x14 real), one per h generator
+    iso: np.ndarray  # (r, 14, 14) real isotropy matrices, one per h generator
     iso_coeffs: np.ndarray  # (r, 21) coefficients over rho(A_i)
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
     _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> list:
+    def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
         """``liealg.generating_set(self.iso, tol)``, computed on first use
         for each tolerance profile; the equivariance and spinor systems
         both stack over it."""
@@ -197,14 +199,14 @@ def _su5_frames(p: MetricParams):
     complement basis B through the sp(3)-complement projection."""
     p.filled_alphas(0)
     data = sp3.load()
-    basis = _su5_basis()
-    sp2 = [data.A[i] for i in range(10)]
+    basis = np.array(_su5_basis())
+    sp2 = data.A[:10]
     # X in su(5) with <X, A_i> = 0 (i<=10) and <X, B_j> = delta: one linear solve
-    G = -np.einsum("rab,cba->rc", np.array(sp2 + list(data.B)), np.array(basis)).real
+    G = -np.einsum("rab,cba->rc", np.concatenate([sp2, data.B]), basis).real
     rhs = np.zeros((24, 14))
     rhs[10:, :] = np.eye(14)
     X = np.linalg.solve(G, rhs)  # coefficient columns over the su(5) basis
-    khat = np.tensordot(X.T, np.array(basis), axes=1)
+    khat = np.tensordot(X.T, basis, axes=1)
     # blockwise norms must agree inside each isotypic block
     norms = -np.einsum("kab,kba->k", khat, khat).real
     for blk in ((0, 8), (8, 13), (13, 14)):
@@ -218,7 +220,7 @@ def _su5_frames(p: MetricParams):
             np.full(1, np.sqrt(p.gamma * norms[13])),
         ]
     )
-    K = list(khat / scales[:, None, None])
+    K = khat / scales[:, None, None]
     H = sp2
     blocks = (tuple(range(8)), tuple(range(8, 13)), (13,))
     coeffs = (p.alpha, p.beta, p.gamma)
@@ -242,12 +244,11 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     Verifies orthonormality of the frame, reductivity, and that the isotropy
     lands inside rho(sp3) (StructureViolation otherwise).
     """
-    k_alg = MatrixLieAlgebra(label, tuple(H) + tuple(K))
-    split = ReductiveSplit(algebra=k_alg, h_basis=list(H), m_basis=list(K), ip=ip)
+    k_alg = MatrixLieAlgebra(label, np.concatenate([H, K]))
+    split = ReductiveSplit(algebra=k_alg, h_basis=H, m_basis=K, ip=ip)
     iso = isotropy_matrices(split, tol)
-    R = np.reshape(iso, (len(H), 14, 14))
-    coeffs, resid = sp3.load().project_rho(R)
-    bad = np.flatnonzero(resid > 1e3 * tol.residual_tol * stack_scales(R))
+    coeffs, resid = sp3.load().project_rho(iso)
+    bad = np.flatnonzero(resid > 1e3 * tol.residual_tol * stack_scales(iso))
     if bad.size:
         raise StructureViolation(
             f"{label}: isotropy leaves rho(sp3) (residual {resid[bad[0]]:.3e})"
@@ -369,9 +370,9 @@ def _fixtures_m1():
         a, b, g = p.alpha, p.beta, p.gamma
         return np.array([6 * a - g] * 4 + [6 * a - b] * 4 + [6 * a - b - g] * 4 + [4 * b, 4 * g]) / (2 * a**2)
 
-    def holonomy(p, rel=1e-9):
-        eb = abs(p.beta - p.alpha) <= rel * p.alpha
-        eg = abs(p.gamma - p.alpha) <= rel * p.alpha
+    def holonomy(p):
+        eb = abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha
+        eg = abs(p.gamma - p.alpha) <= _EQUAL_REL * p.alpha
         return (1 if (eb and eg) else 2 if (eb or eg) else 3, "torus")
 
     return SpaceFixtures(
@@ -380,7 +381,7 @@ def _fixtures_m1():
         expected_spinor_dim=48,
         torsion=torsion,
         char_lambda=char_lambda,
-        char_feasible=lambda p: p.equal_alphas(7, rel=1e-9),
+        char_feasible=lambda p: p.equal_alphas(7),
         ricci_conn=ricci_conn,
         ricci_riem=ricci_riem,
         scal_conn=lambda p: 8 * (3 * p.alpha - p.beta - p.gamma) / p.alpha**2,
@@ -412,9 +413,9 @@ def _fixtures_m2():
         a, b = p.alpha, p.beta
         return np.array([6 * a] * 4 + [6 * a - b] * 8 + [4 * b, 0]) / (2 * a**2)
 
-    def holonomy(p, rel=1e-9):
+    def holonomy(p):
         # computed case split: 2 iff beta = alpha, independent of gamma
-        return (2 if abs(p.beta - p.alpha) <= rel * p.alpha else 3, "torus")
+        return (2 if abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha else 3, "torus")
 
     return SpaceFixtures(
         space_id="u4-so2so2",
@@ -422,7 +423,7 @@ def _fixtures_m2():
         expected_spinor_dim=16,
         torsion=torsion,
         char_lambda=char_lambda,
-        char_feasible=lambda p: p.equal_alphas(5, rel=1e-9),
+        char_feasible=lambda p: p.equal_alphas(5),
         ricci_conn=ricci_conn,
         ricci_riem=ricci_riem,
         scal_conn=lambda p: 8 * (3 * p.alpha - p.beta) / p.alpha**2,
@@ -452,7 +453,7 @@ def _fixtures_m3():
         expected_spinor_dim=0,
         torsion=torsion,
         char_lambda=lambda p: {},
-        char_feasible=lambda p: p.equal_alphas(5, rel=1e-9),
+        char_feasible=lambda p: p.equal_alphas(5),
         ricci_conn=ricci_conn,
         ricci_riem=lambda p: 1.5 * ricci_conn(p),
         scal_conn=lambda p: 24 / p.alpha,
@@ -503,19 +504,19 @@ def _fixtures_m4():
         rb = (8 * a**2 + b**2) / b
         return np.array([ra] * 8 + [rb] * 5 + [5 * g]) / (2 * a**2)
 
-    def holonomy(p, rel=1e-9):
-        eb = abs(p.beta - p.alpha) <= rel * p.alpha
-        eg = abs(p.gamma - p.alpha) <= rel * p.alpha
+    def holonomy(p):
+        eb = abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha
+        eg = abs(p.gamma - p.alpha) <= _EQUAL_REL * p.alpha
         if not eb:
             return 21, "sp3"
         return (10, "sp2") if eg else (11, "sp2+w1")
 
-    def parallel(p, rel=1e-9):
-        if abs(p.beta - p.alpha) <= rel * p.alpha:
+    def parallel(p):
+        if abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha:
             return True
         return (
-            abs(p.beta - 2 * p.alpha) <= rel * p.alpha
-            and abs(p.gamma - 1.2 * p.alpha) <= rel * p.alpha
+            abs(p.beta - 2 * p.alpha) <= _EQUAL_REL * p.alpha
+            and abs(p.gamma - 1.2 * p.alpha) <= _EQUAL_REL * p.alpha
         )
 
     def dirac(p):

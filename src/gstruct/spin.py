@@ -26,7 +26,7 @@ import numpy as np
 
 from .connections import InvariantConnection, torsion, torsion_is_parallel
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, read_only
 from .spaces import HomogeneousSpaceInstance
 
 # coefficient of the torsion term inside the Dirac operator; the value was
@@ -41,11 +41,11 @@ _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 @dataclass(frozen=True)
 class CliffordAlgebra:
     n: int
-    gammas: tuple
+    gammas: np.ndarray  # (n, 2^(n/2), 2^(n/2)), read-only: build_clifford shares it
 
     @property
     def dim(self) -> int:
-        return self.gammas[0].shape[0]
+        return self.gammas.shape[1]
 
 
 @lru_cache(maxsize=8)
@@ -62,7 +62,7 @@ def build_clifford(n: int) -> CliffordAlgebra:
             for f in factors[1:]:
                 g = np.kron(g, f)
             gammas.append(g)
-    return CliffordAlgebra(n=n, gammas=tuple(gammas))
+    return CliffordAlgebra(n=n, gammas=read_only(np.array(gammas)))
 
 
 @lru_cache(maxsize=16)
@@ -72,7 +72,7 @@ def _product_table(n: int, k: int):
     with one nonzero entry per row, so each product is too: returns the
     tuples and the column and value of that entry in every row, the last
     two of shape (C(n, k), 2^(n/2))."""
-    g = np.array(build_clifford(n).gammas)
+    g = build_clifford(n).gammas
     gcols = np.argmax(g != 0, axis=2)
     gvals = np.take_along_axis(g, gcols[..., None], axis=2)[..., 0]
     combos = np.array(list(combinations(range(n), k)))
@@ -112,7 +112,6 @@ def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np
 
 @dataclass(frozen=True)
 class SpinorSubspace:
-    space_id: str
     basis: np.ndarray  # (2^(n/2), k), orthonormal columns
 
     @property
@@ -128,7 +127,7 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     cl = build_clifford(14)
     lifts = [spin_lift(cl, R, tol) for R in space.generators(tol)]
     basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
-    return SpinorSubspace(space_id=space.space_id, basis=basis)
+    return SpinorSubspace(basis=basis)
 
 
 def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
@@ -138,7 +137,6 @@ def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
 
 @dataclass
 class DiracReport:
-    space_id: str
     invariant_dim: int
     eigenvalues: np.ndarray  # Dirac spectrum on the invariant subspace
     torsion_op_eigenvalues: np.ndarray  # mu spectrum on the subspace
@@ -192,7 +190,6 @@ def dirac_on_invariants(
     par = nullspace((lifts @ B).reshape(-1, sub.dim), tol)
 
     return DiracReport(
-        space_id=space.space_id,
         invariant_dim=sub.dim,
         eigenvalues=eigs,
         torsion_op_eigenvalues=mu,

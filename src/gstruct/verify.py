@@ -12,8 +12,8 @@ from .analysis import analyze
 from .linalg import DEFAULT_TOL, rank
 
 
-def _sample_params(sid: str, seed: int = 2):
-    rng = np.random.default_rng(seed)
+def _sample_params():
+    rng = np.random.default_rng(2)  # the same two points for every space
     out = []
     for _ in range(2):
         a, b, g = rng.uniform(0.6, 1.8, 3)
@@ -67,7 +67,7 @@ def _check_space(sid: str, tol, results):
     fx = spaces.fixtures(sid)
     alias = {v: k for k, v in spaces.ALIASES.items()}[sid]
 
-    for p in _sample_params(sid):
+    for p in _sample_params():
         tag = f"{alias}(a={p.alpha:.3f},b={p.beta:.3f},g={p.gamma:.3f})"
         a = analyze(sid, p, tol)
         fam, hol, want_hol, want_par = a.family.dim, a.holonomy, fx.holonomy(p), fx.parallel(p)
@@ -118,9 +118,7 @@ def _check_m4_special(tol, results):
 
 
 def _check_reps(tol, results):
-    data = sp3.load()
-    derived = sp3.derive_isotropy()
-    dev = max(float(np.max(np.abs(d - t))) for d, t in zip(derived, data.rho))
+    dev = float(np.max(np.abs(sp3.derive_isotropy() - sp3.load().rho)))
     results.append(("isotropy transcription", dev <= 1e-12, f"max dev {dev:.2e}"))
 
     dec = reps.lambda3_decomposition(tol)
@@ -128,8 +126,7 @@ def _check_reps(tol, results):
     got = {int(round(ev)): d for ev, d, _ in dec.parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))
 
-    tmap = reps.theta_map(list(data.rho), tol)
-    r = rank(tmap.matrix, tol)
+    r = rank(reps.theta_map(sp3.load().rho, tol), tol)
     results.append(("theta rank (14-dim module)", r == 364, f"rank {r}"))
 
     for row in sp3.subgroup_rows():

@@ -23,7 +23,7 @@ def _report(n, text):
 
 
 def test_criterion_01_catalog_self_consistency(sp3_data):
-    derived = sp3.derive_isotropy(tol_match=1e-12)
+    derived = sp3.derive_isotropy()
     worst = max(float(np.max(np.abs(d - t))) for d, t in zip(derived, sp3_data.rho))
     assert worst <= 1e-12
     hom = sp3.homomorphism_defect()
@@ -44,7 +44,7 @@ def test_criterion_02_casimir_tables(sp3_data):
 
 def test_criterion_03_theta_kernels(sp3_data):
     tmap = reps.theta_map(list(sp3_data.rho))
-    r = rank(tmap.matrix)
+    r = rank(tmap)
     kdim, _ = reps.theta_kernel(tmap)
     assert (r, kdim) == (364, 0)
     kdim_su3, _, _ = groups.theta_kernel_adjoint(groups.su_algebra(3))
@@ -282,18 +282,18 @@ def test_criterion_14_lie_groups():
         kdims[name] = kdim
         fam = groups.canonical_torsion_family(alg, parts)
         for v in fam:
-            assert np.linalg.norm(tmap.matrix @ v) <= 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(tmap @ v) <= 1e-9 * np.linalg.norm(v)
     assert kdims == {"su2": 1, "su3": 1, "su2+su2": 2}
     su3 = groups.su_algebra(3)
     g3 = groups.su_metric(3)
     half = lambda X, Y: 0.5 * bracket(X, Y)
-    assert groups.metricity_defect(half, g3, list(su3.basis), samples=100) <= 1e-9
-    d_eta = groups.metricity_defect(groups.laquer_eta, g3, list(su3.basis), samples=100)
+    assert groups.metricity_defect(half, g3, list(su3.basis)) <= 1e-9
+    d_eta = groups.metricity_defect(groups.laquer_eta, g3, list(su3.basis))
     u2 = groups.u_algebra(2)
     gu2 = groups.u_metric(2, center_coefficient=1.3)
-    d_nu = groups.metricity_defect(groups.laquer_nu, gu2, list(u2.basis), samples=100)
+    d_nu = groups.metricity_defect(groups.laquer_nu, gu2, list(u2.basis))
     assert d_eta > 1e-3 and d_nu > 1e-3
-    assert groups.metricity_defect(half, gu2, list(u2.basis), samples=100) <= 1e-9
+    assert groups.metricity_defect(half, gu2, list(u2.basis)) <= 1e-9
     _report(14, f"theta kernels {kdims}; torsion family in kernel; "
                 f"defects eta {d_eta:.3f} / nu {d_nu:.3f} vs commutator <= 1e-9")
 

@@ -63,6 +63,16 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tol, env", [("0", None), ("2", None), ("nan", None), (None, "abc")])
+def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, tol, env):
+    if env is not None:
+        monkeypatch.setenv("GSTRUCT_TOL", env)
+    code = main(["theta", "sp3"] + (["--tol", tol] if tol is not None else []))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_decompose_lambda3(capsys):
     code, out = run_cli(capsys, "decompose", "lambda3")
     assert code == 0
@@ -196,7 +206,7 @@ def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
     counts = _count_calls(monkeypatch, ["reps.v14_v70_rep"])
     dims = []
     original = reps.casimir
-    monkeypatch.setattr(reps, "casimir", lambda rep: dims.append(rep.dim) or original(rep))
+    monkeypatch.setattr(reps, "casimir", lambda rep: dims.append(rep.shape[1]) or original(rep))
     code, out = run_cli(capsys, "decompose", "v14xv70")
     assert code == 0
     assert sorted(p["dim"] for p in json.loads(out)["parts"]) == [14, 21, 70, 84, 90, 189, 512]

@@ -1,0 +1,38 @@
+"""Every set of matrices is one (k, n, n) ndarray, and the process-wide
+caches hand theirs out read-only."""
+
+import numpy as np
+import pytest
+from conftest import pipeline
+
+from gstruct import connections as con
+from gstruct import reps, sp3, spin
+
+STACKS = {
+    "sp3.A": (lambda: sp3.load().A, (21, 6, 6)),
+    "sp3.B": (lambda: sp3.load().B, (14, 6, 6)),
+    "sp3.rho": (lambda: sp3.load().rho, (21, 14, 14)),
+    "complement_basis": (lambda: reps.complement_action()[0], (70, 14, 14)),
+    "complement_acts": (lambda: reps.complement_action()[1], (21, 70, 70)),
+    "lambda3_action": (lambda: reps.lambda3_action(sp3.load().rho), (21, 364, 364)),
+    "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
+    "M4.iso": (lambda: pipeline("M4")["space"].iso, (10, 14, 14)),
+    "M4.generators": (lambda: pipeline("M4")["space"].generators(), (2, 14, 14)),
+    "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
+    "clifford14.gammas": (lambda: spin.build_clifford(14).gammas, (14, 128, 128)),
+}
+
+
+@pytest.mark.parametrize("name", STACKS)
+def test_matrix_sets_are_stacked_arrays(name):
+    get, shape = STACKS[name]
+    stack = get()
+    assert isinstance(stack, np.ndarray) and stack.shape == shape
+
+
+@pytest.mark.parametrize("name", ["sp3.rho", "complement_acts", "clifford14.gammas"])
+def test_shared_caches_are_read_only(name):
+    stack = STACKS[name][0]()
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 1] = 1.0

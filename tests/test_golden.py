@@ -1,10 +1,12 @@
-"""`analyze` reports against stored ones.
+"""CLI reports against stored ones.
 
-`data/analyze_golden.json` holds the reports of the invocations below as
-written before the equivariance and Clifford operators were built from
-arrays.  Floats must agree to 1e-12 relative (absolute below 1); the last
-printed digit is not compared exactly because it moves with the BLAS
-thread count.
+`data/analyze_golden.json` holds `analyze` reports as written before the
+equivariance and Clifford operators were built from arrays;
+`data/commands_golden.json` holds the `decompose`, `theta`, `subgroups` and
+`liegroup` reports as written before every set of matrices became one
+(k, n, n) array.  Floats must agree to 1e-12 relative (absolute below 1);
+the last printed digit is not compared exactly because it moves with the
+BLAS thread count.
 """
 
 import json
@@ -14,7 +16,9 @@ import pytest
 
 from gstruct.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "analyze_golden.json").read_text())
+COMMANDS = json.loads((DATA / "commands_golden.json").read_text())
 
 
 def _assert_close(got, want, path):
@@ -34,6 +38,13 @@ def _assert_close(got, want, path):
 
 @pytest.mark.parametrize("case", GOLDEN, ids=["_".join(c["argv"][1:]) for c in GOLDEN])
 def test_analyze_matches_golden(capsys, case):
+    code = main(case["argv"])
+    assert code == case["exit_code"]
+    _assert_close(json.loads(capsys.readouterr().out), case["report"], "report")
+
+
+@pytest.mark.parametrize("case", COMMANDS, ids=["_".join(c["argv"]) for c in COMMANDS])
+def test_command_matches_golden(capsys, case):
     code = main(case["argv"])
     assert code == case["exit_code"]
     _assert_close(json.loads(capsys.readouterr().out), case["report"], "report")

@@ -78,7 +78,7 @@ def test_torsion_family_inside_theta_kernel():
         fam = groups.canonical_torsion_family(alg, parts)
         assert len(fam) == kdim
         for v in fam:
-            assert np.linalg.norm(tmap.matrix @ v) <= 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(tmap @ v) <= 1e-9 * np.linalg.norm(v)
 
 
 def test_laquer_eta_closed_form_and_structure():

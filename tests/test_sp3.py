@@ -37,7 +37,7 @@ def test_a_basis_symplectic_condition(sp3_data):
 
 
 def test_derive_isotropy_matches_transcription():
-    derived = sp3.derive_isotropy(tol_match=1e-12)
+    derived = sp3.derive_isotropy()
     data = sp3.load()
     worst = max(float(np.max(np.abs(d - t))) for d, t in zip(derived, data.rho))
     assert worst <= 1e-12
