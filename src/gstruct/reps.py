@@ -52,7 +52,8 @@ def _lambda3_scatter(n: int):
     lut = np.zeros((n, n, n), dtype=np.intp)
     lut[tuple(T.T)] = np.arange(N)
     row = lut[tuple(np.sort(new[keep], axis=1).T)]
-    return row * N + col[keep], sign[keep].astype(float), (l * n + T[col, slot])[keep]
+    return tuple(read_only(x) for x in (row * N + col[keep], sign[keep].astype(float),
+                                       (l * n + T[col, slot])[keep]))
 
 
 def lambda3_action(gens) -> np.ndarray:
@@ -245,38 +246,33 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
 # Invariant symmetric cubics on the 14-dimensional module.
 
 
-@lru_cache(maxsize=1)
-def _sym3_basis(n: int = 14):
-    """Orthonormal monomial basis of Sym^3(R^n) inside (R^n)^(x3).
+def sym3_casimir(gens: np.ndarray):
+    """Casimir of Sym^3(R^n) under a (k, n, n) stack, on the orthonormal
+    monomial basis (multisets i <= j <= l in lexicographic order).
 
-    Returns (multisets, weights) with weights = sqrt(#distinct permutations);
-    the basis vector of a multiset has entry 1/weight at each distinct
-    permutation of its indices.
+    On V (x) V (x) V, sum_a D(R_a)^2 = sum_slots C_V + 2 sum_{s<t} Omega_st
+    with Omega = sum_a R_a (x) R_a; the three pair terms agree on Sym^3, so
+    C = S^T ((3 C_V (x) I + 6 Omega) (x) I) S.  Returns (C, S), S the
+    (n^3, N) isometric embedding of the basis.  S^T is applied by gathering
+    the six permuted rows of each monomial, not as a product.
     """
-    multis = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                multis.append((i, j, k))
-    weights = np.array([np.sqrt(len(set(permutations(m)))) for m in multis])
-    return multis, weights
-
-
-def _sym3_tensors(n: int = 14):
-    multis, weights = _sym3_basis(n)
-    T = np.zeros((len(multis), n, n, n))
-    for r, (m, w) in enumerate(zip(multis, weights)):
-        for p in set(permutations(m)):
-            T[r][p] = 1.0 / w
-    return T
-
-
-def _sym3_action(A, batch):
-    """Derivative action of A on a batch of symmetric 3-tensors."""
-    W1 = np.moveaxis(np.tensordot(A, batch, axes=(1, 1)), 0, 1)
-    W2 = np.moveaxis(np.tensordot(A, batch, axes=(1, 2)), 0, 2)
-    W3 = np.tensordot(batch, A, axes=(3, 1))
-    return W1 + W2 + W3
+    k, n, _ = gens.shape
+    idx = np.indices((n, n, n)).reshape(3, -1)
+    mono = idx[:, (idx[0] <= idx[1]) & (idx[1] <= idx[2])]
+    # flat index of every permutation of every monomial, (6, N)
+    flat = n ** np.arange(2, -1, -1) @ mono[np.array(list(permutations(range(3))))]
+    N = mono.shape[1]
+    S = np.zeros((n ** 3, N))
+    S[flat, np.arange(N)] = 1.0
+    w = np.sqrt(S.sum(axis=0))  # sqrt of the number of distinct permutations
+    S /= w
+    R = gens.reshape(k, n * n)
+    omega = (R.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    pair = 3 * np.kron(casimir(gens), np.eye(n)) + 6 * omega
+    Y = (pair @ S.reshape(n * n, n * N)).reshape(n ** 3, N)
+    # row r of S^T Y sums Y at the distinct permutations over w_r, and the
+    # six permutations visit each of them 6 / w_r^2 times
+    return Y[flat].sum(axis=0) * (w / 6)[:, None], S
 
 
 @lru_cache(maxsize=1)
@@ -286,22 +282,12 @@ def invariant_cubics_cached():
 
 def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
     """Orthonormal basis of invariant symmetric 3-tensors on the 14-dim
-    module, as (14,14,14) arrays (joint kernel of the derivative action,
-    stacked over ``liealg.generating_set`` of the sp(3) generators)."""
-    data = sp3.load()
+    module, as (14,14,14) arrays: the kernel of the Sym^3 Casimir of all
+    the sp(3) generators (``sym3_casimir``)."""
     n = 14
-    multis, weights = _sym3_basis(n)
-    batch = _sym3_tensors(n)  # (560, n, n, n)
-    I, J, K = np.array(multis).T
-    gens = []
-    for A in generating_set(data.rho, tol):
-        W = _sym3_action(A, batch)
-        D = (W[:, I, J, K] * weights[None, :]).T  # (560, 560), D[r, c]
-        gens.append(D)
-    ker = nullspace(np.vstack(gens), tol)
+    C, S = sym3_casimir(sp3.load().rho)
     out = []
-    for col in ker.T:
-        U = np.einsum("n,nabc->abc", col, batch)
+    for U in (S @ nullspace(C, tol)).T.reshape(-1, n, n, n):
         for perm in ((0, 2, 1), (1, 0, 2)):
             if np.max(np.abs(U - np.transpose(U, perm))) > tol.residual_tol:
                 raise RuntimeError("invariant cubic is not totally symmetric")
@@ -315,18 +301,8 @@ def trace_cubic() -> np.ndarray:
     """The invariant cubic built directly from the ambient triple trace,
     Im tr(sym(B_i B_j B_k)); an independent construction used as an oracle."""
     B = sp3.load().B
-    n = 14
-    t = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                val = 0.0
-                for p in permutations((i, j, k)):
-                    val += float(np.imag(np.trace(B[p[0]] @ B[p[1]] @ B[p[2]])))
-                val /= 6.0
-                for p in set(permutations((i, j, k))):
-                    t[p] = val
-    return t
+    t = np.imag(np.einsum("iab,jbc,kca->ijk", B, B, B))
+    return sum(np.transpose(t, p) for p in permutations(range(3))) / 6.0
 
 
 def metric_reconstructor(tol: ToleranceProfile = DEFAULT_TOL):

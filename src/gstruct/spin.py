@@ -82,7 +82,7 @@ def _product_table(n: int, k: int):
         # row r of (P G_b) is vals[r] times row cols[r] of G_b
         vals = vals * gvals[b[:, None], cols]
         cols = gcols[b[:, None], cols]
-    return combos, cols, vals
+    return read_only(combos), read_only(cols), read_only(vals)
 
 
 def _form_action(t: np.ndarray, n: int) -> np.ndarray:

@@ -36,3 +36,17 @@ def test_shared_caches_are_read_only(name):
     assert not stack.flags.writeable
     with pytest.raises(ValueError):
         stack[0, 0, 1] = 1.0
+
+
+INDEX_TABLES = {
+    "spin._product_table": lambda: spin._product_table(14, 1),
+    "reps._lambda3_scatter": lambda: reps._lambda3_scatter(14),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_TABLES)
+def test_cached_index_tables_are_read_only(name):
+    for table in INDEX_TABLES[name]():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.flat[0] = table.flat[0]

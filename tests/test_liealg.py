@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -172,14 +173,48 @@ def test_gram_matrices_orthonormal():
 
 
 @lru_cache(maxsize=1)
+def _sym3_basis(n: int = 14):
+    """Orthonormal monomial basis of Sym^3(R^n) inside (R^n)^(x3).
+
+    Returns (multisets, weights) with weights = sqrt(#distinct permutations);
+    the basis vector of a multiset has entry 1/weight at each distinct
+    permutation of its indices.
+    """
+    multis = []
+    for i in range(n):
+        for j in range(i, n):
+            for k in range(j, n):
+                multis.append((i, j, k))
+    weights = np.array([np.sqrt(len(set(permutations(m)))) for m in multis])
+    return multis, weights
+
+
+def _sym3_tensors(n: int = 14):
+    multis, weights = _sym3_basis(n)
+    T = np.zeros((len(multis), n, n, n))
+    for r, (m, w) in enumerate(zip(multis, weights)):
+        for p in set(permutations(m)):
+            T[r][p] = 1.0 / w
+    return T
+
+
+def _sym3_action(A, batch):
+    """Derivative action of A on a batch of symmetric 3-tensors."""
+    W1 = np.moveaxis(np.tensordot(A, batch, axes=(1, 1)), 0, 1)
+    W2 = np.moveaxis(np.tensordot(A, batch, axes=(1, 2)), 0, 2)
+    W3 = np.tensordot(batch, A, axes=(3, 1))
+    return W1 + W2 + W3
+
+
+@lru_cache(maxsize=1)
 def _sym3_batch():
-    return reps._sym3_tensors(14)
+    return _sym3_tensors(14)
 
 
 def _cubic_system(A):
-    multis, weights = reps._sym3_basis(14)
+    multis, weights = _sym3_basis(14)
     I, J, K = np.array(multis).T
-    W = reps._sym3_action(A, _sym3_batch())
+    W = _sym3_action(A, _sym3_batch())
     return (W[:, I, J, K] * weights[None, :]).T
 
 

@@ -1,13 +1,15 @@
 from itertools import permutations
+from math import comb
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
 from gstruct import reps, sp3
 from gstruct.errors import DimensionMismatch
-from gstruct.linalg import rank
+from gstruct.linalg import nullspace, rank
 
 _PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
               for p in permutations(range(3))}
@@ -273,6 +275,63 @@ def test_trace_cubic_lies_in_invariant_space():
     G = np.array([U.ravel() for U in cubics])
     resid = t.ravel() - G.T @ (G @ t.ravel())
     assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(t)
+
+
+def _sym3_reference_casimir(gens):
+    """Sum of the squared derivative actions on the monomial basis, each
+    built tensor by tensor."""
+    n = gens.shape[1]
+    multis, weights = _sym3_basis(n)
+    I, J, K = np.array(multis).T
+    batch = _sym3_tensors(n)
+    D = [(_sym3_action(A, batch)[:, I, J, K] * weights[None, :]).T for A in gens]
+    return sum(d @ d for d in D)
+
+
+@st.composite
+def _skew_stacks(draw):
+    """(k, n, n) stacks of skew matrices, n in 2..6, k in 1..3."""
+    n, k = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(_entry, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
+    return X - np.swapaxes(X, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skew_stacks())
+def test_sym3_casimir_matches_squared_actions(gens):
+    C, S = reps.sym3_casimir(gens)
+    assert np.allclose(S.T @ S, np.eye(S.shape[1]), rtol=0, atol=1e-14)
+    ref = _sym3_reference_casimir(gens)
+    assert np.max(np.abs(C - ref)) <= 1e-12 * max(1.0, np.linalg.norm(C))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_sym3_casimir_kernel_of_zero_stack_is_everything(n):
+    C, _ = reps.sym3_casimir(np.zeros((1, n, n)))
+    assert nullspace(C).shape[1] == comb(n + 2, 3)
+
+
+def test_sym3_casimir_so3_has_no_invariant_cubic():
+    E = np.zeros((3, 3, 3))
+    for g, (a, b) in zip(E, ((0, 1), (0, 2), (1, 2))):
+        g[a, b], g[b, a] = 1.0, -1.0
+    C, _ = reps.sym3_casimir(E)
+    assert nullspace(C).shape[1] == 0
+
+
+def test_invariant_cubic_is_the_trace_cubic():
+    (U,) = reps.invariant_cubics_cached()
+    t = reps.trace_cubic()
+    t /= np.linalg.norm(t)
+    assert min(np.max(np.abs(U - t)), np.max(np.abs(U + t))) <= 1e-12
+
+
+def test_invariant_cubics_need_no_generating_set(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("generating_set called")
+
+    monkeypatch.setattr(reps, "generating_set", fail)
+    assert len(reps.invariant_cubics()) == 1
 
 
 def test_metric_reconstruction():
