@@ -59,7 +59,7 @@ def analyze(space_id: str, params: spaces.MetricParams, tol: ToleranceProfile = 
     space = spaces.build(space_id, params, tol)
     family = con.solve_equivariant(space, tol)
     try:
-        conn = con.characteristic_connection(space, family, tol)
+        conn = con.characteristic_connection(space, tol)
     except Infeasible:
         conn = None
     out = {"space": space, "family": family, "tol": tol, "conn": conn}

@@ -169,7 +169,7 @@ def cmd_decompose(args) -> int:
 def cmd_theta(args) -> int:
     tol = _tolerance(args)
     if args.selector == "sp3":
-        theta = reps.theta_map(sp3.load().rho, tol)
+        theta = reps.sp3_theta(tol)
     elif args.selector == "su3-adjoint":
         _, _, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
     else:

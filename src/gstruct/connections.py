@@ -1,8 +1,8 @@
 """Invariant metric connections with image in the symplectic subalgebra:
 the equivariant-family solver, torsion and curvature and the covariant
-derivative of torsion, the unique skew-torsion (characteristic)
-connection, intrinsic-type classification, holonomy, and parallel vector
-fields.
+derivative of torsion, the Levi-Civita connection and the unique
+skew-torsion (characteristic) connection, intrinsic-type classification,
+holonomy, and parallel vector fields.
 """
 
 from __future__ import annotations
@@ -129,40 +129,74 @@ def curvature(conn: InvariantConnection) -> np.ndarray:
     return conn._curvature
 
 
-def characteristic_connection(
-    space: HomogeneousSpaceInstance,
-    family: EquivariantFamily,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> InvariantConnection:
-    """The unique family member with totally antisymmetric torsion.
+def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
+    """Connection map of the Levi-Civita connection,
+    Lambda(X)Y = [X,Y]_m/2 + U(X,Y)  with
+    2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m)."""
+    pm = space.pm
+    lam = 0.5 * np.einsum("ijk->ikj", pm)
+    lam += 0.5 * (np.einsum("kij->ikj", pm) + np.einsum("kji->ikj", pm))
+    return lam
 
-    Solves the affine-linear skewness system inside the equivariant family;
-    raises Infeasible when the residual shows no member has skew torsion,
-    and asserts a zero-dimensional solution set otherwise.  The residual and
-    the round-off clamp of the coefficients are measured against ||pm||,
-    which scales with both under a uniform metric scaling (||b|| itself is
-    round-off at a naturally reductive metric).
+
+def _rho_coords(stack: np.ndarray) -> np.ndarray:
+    """(14, 21) rho coordinates of the rho(sp3) part of each matrix of a
+    (14, 14, 14) stack; the rho basis is orthonormal for -tr/4."""
+    return -0.25 * np.einsum("jkl,alk->ja", stack, sp3.load().rho)
+
+
+def _pr_m(stack: np.ndarray) -> np.ndarray:
+    """The m part of each matrix of a (14, 14, 14) stack."""
+    return stack - np.einsum("jb,bkl->jkl", _rho_coords(stack), sp3.load().rho)
+
+
+def _three_form(v: np.ndarray) -> np.ndarray:
+    """The antisymmetric (14, 14, 14) array of a 3-form given over the
+    increasing triples; slice l is the matrix of e_l _| T."""
+    slot, row, col, sign = reps.theta_index(14)
+    t3 = np.zeros((14, 14, 14))
+    t3[slot, row, col] = sign * v
+    t3[slot, col, row] = -sign * v
+    return t3
+
+
+def _theta_t(stack: np.ndarray) -> np.ndarray:
+    """Theta^T of a stack of m matrices, over the increasing triples
+    (Theta itself is ``_pr_m(_three_form(v))``)."""
+    slot, row, col, sign = reps.theta_index(14)
+    return np.sum(sign * stack[slot, row, col], axis=0)
+
+
+# (Theta^T Theta)^-1 as the cubic in Theta^T Theta that inverts its four
+# eigenvalues 1/2, 3/2, 5/2, 3 (Lagrange interpolation of 1/x), highest first
+_INVERSE_CUBIC = (-8 / 45, 4 / 3, -154 / 45, 17 / 5)
+
+
+def characteristic_connection(space: HomogeneousSpaceInstance,
+                              tol: ToleranceProfile = DEFAULT_TOL) -> InvariantConnection:
+    """The unique invariant connection with image in rho(sp3) and totally
+    antisymmetric torsion T.
+
+    Its map is Lambda = Lambda_LC - T/2, so T/2 solves Theta(T/2) = Gamma,
+    the intrinsic torsion Gamma = pr_m(Lambda_LC).  Theta is injective, so
+    T/2 = (Theta^T Theta)^-1 Theta^T Gamma, the inverse applied as a cubic
+    in Theta^T Theta by Horner's rule.  Raises Infeasible when the residual
+    ||Theta(T/2) - Gamma|| shows Gamma outside the image of Theta.  The
+    residual and the round-off clamp of the coefficients are measured
+    against ||pm||, which scales with both under a uniform metric scaling.
     """
-    R21 = sp3.load().rho
-    lam_members = np.einsum("dja,akl->djkl", family.basis, R21)
-    # torsion is affine in the coefficients: T = A(t) + T0
-    t0 = torsion_of_map(space, np.zeros((14, 14, 14))).t3
-    a_parts = np.einsum("dikj->dkij", lam_members) - np.einsum("djki->dkij", lam_members)
-    a_t3 = np.einsum("dkij->dijk", a_parts)
-    sym = lambda t: t + np.swapaxes(t, -2, -1)
-    A = sym(a_t3).reshape(family.dim, -1).T
-    b = -sym(t0).ravel()
-    coeffs, _, rank_, sv = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.linalg.norm(A @ coeffs - b))
+    lc = levi_civita(space)
+    gamma = _pr_m(lc)
+    rhs = _theta_t(gamma)
+    half_t = _INVERSE_CUBIC[0] * rhs
+    for c in _INVERSE_CUBIC[1:]:
+        half_t = _theta_t(_pr_m(_three_form(half_t))) + c * rhs
+    half_t3 = _three_form(half_t)
+    resid = float(np.linalg.norm(_pr_m(half_t3) - gamma))
     pnorm = float(np.linalg.norm(space.pm))
     if resid > 1e3 * tol.residual_tol * pnorm:
-        raise Infeasible(
-            f"{space.space_id}: no skew-torsion member (residual {resid:.3e})"
-        )
-    if family.dim and sv.size and np.count_nonzero(sv > tol.rank_tol * sv[0]) < family.dim:
-        # solution set would be positive-dimensional, contradicting uniqueness
-        raise Infeasible(f"{space.space_id}: skewness system is degenerate")
-    L = np.einsum("d,dja->ja", coeffs, family.basis)
+        raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
+    L = _rho_coords(lc - half_t3)
     L[np.abs(L) < 1e-12 * pnorm] = 0.0
     return InvariantConnection(space=space, lambda_coeffs=read_only(L))
 
@@ -259,13 +293,15 @@ def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
     return f"other({dim})" if not inside(range(21)) else f"sp3-subalgebra({dim})"
 
 
-def parallel_vector_fields(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL):
-    """Frame vectors killed by both the holonomy algebra and the isotropy,
-    together with the 2-forms obtained by contracting them into the torsion.
+def parallel_vector_fields(conn: InvariantConnection, holonomy: HolonomyResult,
+                           tol: ToleranceProfile = DEFAULT_TOL):
+    """Frame vectors killed by both the holonomy algebra of ``conn`` (as
+    ``holonomy_algebra`` returns it) and the isotropy, together with the
+    2-forms obtained by contracting them into the torsion.
 
     Returns (vectors as columns, list of 14x14 antisymmetric 2-forms).
     """
-    mats = np.concatenate([holonomy_algebra(conn, tol).basis, conn.space.iso])
+    mats = np.concatenate([holonomy.basis, conn.space.iso])
     vecs = nullspace(mats.reshape(-1, 14), tol)
     T = torsion(conn)
     omegas = [np.einsum("i,ijk->jk", v, T.t3) for v in vecs.T]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connections import InvariantConnection, curvature, curvature_of_map, torsion
+from .connections import InvariantConnection, curvature, curvature_of_map, levi_civita, torsion
 from .errors import Infeasible
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
@@ -36,16 +36,6 @@ def ricci_from_curvature(R4: np.ndarray) -> np.ndarray:
 def ricci_connection(conn: InvariantConnection) -> np.ndarray:
     """Ricci tensor of the connection's cached curvature."""
     return ricci_from_curvature(curvature(conn))
-
-
-def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
-    """Connection map of the Levi-Civita connection,
-    Lambda(X)Y = [X,Y]_m/2 + U(X,Y)  with
-    2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m)."""
-    pm = space.pm
-    lam = 0.5 * np.einsum("ijk->ikj", pm)
-    lam += 0.5 * (np.einsum("kij->ikj", pm) + np.einsum("kji->ikj", pm))
-    return lam
 
 
 def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarray:

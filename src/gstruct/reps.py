@@ -1,6 +1,6 @@
 """Representation machinery on top of the 14-dimensional isotropy module:
-induced actions on 3-forms and tensor products, Casimir operators and
-isotypic splittings, the skew-torsion compatibility map and its kernel,
+Casimir operators and isotypic splittings (of 3-forms and of tensor
+products), the skew-torsion compatibility map and its kernel,
 joint invariants, and subgroup branching.  An action is the (k, N, N)
 stack of its generators, one per basis element of the source algebra.
 """
@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import sp3
-from .errors import DimensionMismatch, NotClosed
+from .errors import NotClosed
 from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
 from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, read_only
 
@@ -33,45 +33,6 @@ class IsotypicDecomposition:
 
 def triples(n: int):
     return list(combinations(range(n), 3))
-
-
-@lru_cache(maxsize=8)
-def _lambda3_scatter(n: int):
-    """(flat target index, sign, flat source index) of every term of the
-    derivative action on 3-forms, in the order (column, slot, l): the term
-    puts l into slot ``slot`` of triple ``column`` and adds sign * A[l, orig]
-    at the sorted triple's row (orig: the replaced index)."""
-    T = np.array(triples(n), dtype=np.intp).reshape(-1, 3)
-    N = len(T)
-    col, slot, l = (g.ravel() for g in np.indices((N, 3, n)))
-    new = T[col]
-    new[np.arange(col.size), slot] = l
-    a, b, c = new.T
-    sign = np.sign((b - a) * (c - a) * (c - b))  # permutation sign, 0 on repeats
-    keep = sign != 0
-    lut = np.zeros((n, n, n), dtype=np.intp)
-    lut[tuple(T.T)] = np.arange(N)
-    row = lut[tuple(np.sort(new[keep], axis=1).T)]
-    return tuple(read_only(x) for x in (row * N + col[keep], sign[keep].astype(float),
-                                       (l * n + T[col, slot])[keep]))
-
-
-def lambda3_action(gens) -> np.ndarray:
-    """Derivative action on 3-forms, in the orthonormal e_i^e_j^e_k basis:
-    the (k, C(n,3), C(n,3)) stack of k n x n generators."""
-    n = len(gens[0])
-    # checked before stacking: numpy rejects a ragged stack on its own terms
-    if {np.shape(g) for g in gens} != {(n, n)}:
-        raise DimensionMismatch("generators must share one square shape")
-    gens = np.asarray(gens)
-    N = len(triples(n))
-    target, sign, source = _lambda3_scatter(n)
-    # add.at accumulates in index order, as the entry-by-entry sum did; one
-    # block for all generators is much cheaper to fault in than 1 MB each
-    out = np.zeros((len(gens), N * N))
-    for M, A in zip(out, gens):
-        np.add.at(M, target, sign * A.ravel()[source])
-    return out.reshape(-1, N, N)
 
 
 def casimir(gens: np.ndarray) -> np.ndarray:
@@ -97,8 +58,13 @@ def isotypic_decompose(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) ->
 def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
     """Casimir splitting 21 + 70 + 84 + 189 of the 3-forms on the 14-dim
     sp(3) module, built once per process and tolerance profile; every
-    caller shares it, so the bases are read-only."""
-    dec = isotypic_decompose(lambda3_action(sp3.load().rho), tol)
+    caller shares it, so the bases are read-only.
+
+    The Casimir of the derivative action is C = -6 I - 4 Theta^T Theta,
+    with Theta = ``sp3_theta``, so no 364 x 364 generator is built; Theta^T
+    Theta is 1/2, 3/2, 5/2 and 3 on the 21, 70, 189 and 84 parts."""
+    theta = sp3_theta(tol)
+    dec = decompose_casimir(-6.0 * np.eye(theta.shape[1]) - 4.0 * (theta.T @ theta), tol)
     for _, _, basis in dec.parts:
         read_only(basis)
     return dec
@@ -116,14 +82,9 @@ def invariant_vectors(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> 
 # for <A, B> = -tr(AB)/2.
 
 
-def pair_index(n: int):
-    pairs = list(combinations(range(n), 2))
-    return pairs, {p: i for i, p in enumerate(pairs)}
-
-
 @lru_cache(maxsize=8)
 def _pair_rows_cols(n: int):
-    """Row and column indices of the pairs a < b, in pair_index order."""
+    """Row and column indices of the pairs a < b, in lexicographic order."""
     return np.triu_indices(n, 1)
 
 
@@ -148,25 +109,36 @@ def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL) -> np
     return unpack_so(comp.T, n)
 
 
+@lru_cache(maxsize=8)
+def theta_index(n: int):
+    """(slot, row, col, sign), each (3, C(n, 3)): column c = (i, j, k) of
+    Theta contracts e_l into e_i^e_j^e_k for l = slot[:, c] = i, j, k, which
+    leaves sign * e_row^e_col with row < col.  Read-only."""
+    i, j, k = np.array(triples(n), dtype=np.intp).reshape(-1, 3).T
+    sign = np.outer([1.0, -1.0, 1.0], np.ones(i.size))
+    return tuple(read_only(x) for x in (np.stack([i, j, k]), np.stack([j, i, i]),
+                                       np.stack([k, k, j]), sign))
+
+
 def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Skew-torsion compatibility map of a subalgebra g of so(n), given by
     a (k, n, n) stack: T |-> sum_l e_l (x) pr_m(e_l _| T), with m the
-    complement of g, as an (n * dim m, C(n, 3)) matrix."""
+    complement of g, as an (n * dim m, C(n, 3)) matrix; block l holds the
+    coordinates over the orthonormal basis ``so_complement`` of m."""
     n = np.shape(group_gens)[-1]
-    F = pack_so(so_complement(group_gens, n, tol), n)
-    q = len(F)
-    trips = triples(n)
-    _, pidx = pair_index(n)
-    theta = np.zeros((n * q, len(trips)))
-    if q == 0:
-        return theta
-    for col, (i, j, k) in enumerate(trips):
-        # e_l _| (e_i^e_j^e_k) for l = i, j, k
-        for l, pair, sign in ((i, (j, k), 1.0), (j, (i, k), -1.0), (k, (i, j), 1.0)):
-            w = np.zeros(F.shape[1])
-            w[pidx[pair]] = sign
-            theta[l * q:(l + 1) * q, col] = F @ w
-    return theta
+    F = so_complement(group_gens, n, tol)
+    slot, row, col, sign = theta_index(n)
+    N = slot.shape[1]
+    theta = np.zeros((n, len(F), N))
+    theta[slot, :, np.arange(N)] = (sign * F[:, row, col]).transpose(1, 2, 0)
+    return theta.reshape(n * len(F), N)
+
+
+@lru_cache(maxsize=4)
+def sp3_theta(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """``theta_map`` of rho(sp3) in so(14), the (980, 364) matrix, built once
+    per process and tolerance profile; read-only."""
+    return read_only(theta_map(sp3.load().rho, tol))
 
 
 def theta_kernel(theta: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):

@@ -430,13 +430,7 @@ def _fixtures_m2():
         scal_riem=lambda p: 2 * (18 * p.alpha - p.beta) / p.alpha**2,
         holonomy=holonomy,
         parallel=lambda p: True,
-        extras={
-            "dirac": lambda p: np.sqrt((p.alpha + 4 * p.beta) / (p.alpha * p.beta)),
-            "mu_alpha1": lambda p: 2 * np.sqrt(4 + p.beta),
-            "t2": lambda p: 8 / p.alpha + 4 * p.beta / p.alpha**2,
-            "friedrich_equality_beta": 1.0,
-            "crossover_beta": 166.0 / 275.0,
-        },
+        extras={"dirac": lambda p: np.sqrt((p.alpha + 4 * p.beta) / (p.alpha * p.beta))},
     )
 
 
@@ -545,18 +539,7 @@ def _fixtures_m4():
         / (2 * p.alpha**2 * p.beta),
         holonomy=holonomy,
         parallel=parallel,
-        extras={
-            "dirac": dirac,
-            "mu_alphabeta1": lambda p: np.sqrt(25 + 5 * p.gamma),
-            "t2": lambda p: 20 * c1(p) ** 2 + 4 * c2(p) ** 2,
-            "c1": c1,
-            "c2": c2,
-            "einstein_point": (1.0, np.sqrt(2.0), 4.0 - np.sqrt(2.0)),
-            "integrable": lambda p: (
-                abs(p.beta - 2 * p.alpha) <= 1e-9 and abs(p.gamma - 1.2 * p.alpha) <= 1e-9
-            ),
-            "crossover_gamma": 189.0 / 275.0,
-        },
+        extras={"dirac": dirac},
     )
 
 

@@ -148,16 +148,22 @@ class DiracReport:
     twistor_strict: bool = None
 
 
-def _dirac_terms(lam: np.ndarray, t3: np.ndarray, tol: ToleranceProfile):
-    """(lifts of the Lambda(e_i), torsion operator T_cl, Dirac matrix D) on
-    the full spinor module, for connection matrices lam and torsion t3."""
+def _dirac_terms(lam: np.ndarray, t3: np.ndarray, basis: np.ndarray, tol: ToleranceProfile):
+    """(lifts of the Lambda(e_i) applied to the columns of ``basis``,
+    torsion operator T_cl, Dirac matrix D) on the full spinor module, for
+    connection matrices lam and torsion t3.  The lifts are taken one at a
+    time, so no per-call temporary is larger than one spinor matrix."""
     cl = build_clifford(14)
-    lifts = np.array([spin_lift(cl, lam[i], tol) for i in range(14)])
-    # c(e_i) lift_i: gamma i has one entry per row, so this permutes rows and applies phases
     _, cols, vals = _product_table(14, 1)
-    apart = np.einsum("ir,irc->rc", vals, lifts[np.arange(14)[:, None], cols])
+    apart = np.zeros((cl.dim, cl.dim), dtype=complex)
+    lifts_b = np.empty((14,) + basis.shape, dtype=complex)
+    for i in range(14):
+        lift = spin_lift(cl, lam[i], tol)
+        # c(e_i) lift_i: gamma i has one entry per row, so this permutes rows and applies phases
+        apart += vals[i][:, None] * lift[cols[i]]
+        lifts_b[i] = lift @ basis
     t_op = torsion_clifford(t3)
-    return lifts, t_op, apart + DIRAC_TORSION_FACTOR * t_op
+    return lifts_b, t_op, apart + DIRAC_TORSION_FACTOR * t_op
 
 
 def dirac_on_invariants(
@@ -175,9 +181,9 @@ def dirac_on_invariants(
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{space.space_id} has no invariant spinors")
     T = torsion(conn)
-    lifts, t_op, D = _dirac_terms(conn.so_matrices(), T.t3, tol)
-
     B = sub.basis
+    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), T.t3, B, tol)
+
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))
     if herm > 1e3 * tol.residual_tol * max(np.max(np.abs(Dr)), 1.0):
@@ -187,7 +193,7 @@ def dirac_on_invariants(
     Tr = B.conj().T @ t_op @ B
     mu = np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T))
 
-    par = nullspace((lifts @ B).reshape(-1, sub.dim), tol)
+    par = nullspace(lifts_b.reshape(-1, sub.dim), tol)
 
     return DiracReport(
         invariant_dim=sub.dim,

@@ -126,7 +126,7 @@ def _check_reps(tol, results):
     got = {int(round(ev)): d for ev, d, _ in dec.parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))
 
-    r = rank(reps.theta_map(sp3.load().rho, tol), tol)
+    r = rank(reps.sp3_theta(tol), tol)
     results.append(("theta rank (14-dim module)", r == 364, f"rank {r}"))
 
     for row in sp3.subgroup_rows():

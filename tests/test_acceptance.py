@@ -32,7 +32,7 @@ def test_criterion_01_catalog_self_consistency(sp3_data):
 
 
 def test_criterion_02_casimir_tables(sp3_data):
-    dec3 = reps.isotypic_decompose(reps.lambda3_action(list(sp3_data.rho)))
+    dec3 = reps.lambda3_decomposition()
     got3 = {int(round(ev)): d for ev, d, _ in dec3.parts}
     for ev, d, _ in dec3.parts:
         assert abs(ev - round(ev)) <= 1e-6
@@ -87,7 +87,7 @@ def test_criterion_05_characteristic_closed_forms():
         alphas = tuple([1.7] + [1.0] * (spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)] - 1))
         ctx = pipeline(sid, alphas=alphas)
         with pytest.raises(Infeasible):
-            con.characteristic_connection(ctx["space"], ctx["family"])
+            con.characteristic_connection(ctx["space"])
     _report(5, f"closed-form maps at 5 draws (max rel dev {worst:.2e}); infeasible off-locus")
 
 

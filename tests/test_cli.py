@@ -191,8 +191,8 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
     assert counts == {
         "connections.holonomy_algebra": 1, "curvature.curvature_report": 1,
         "spin.invariant_spinors": 1, "spin.dirac_on_invariants": 1,
-        # t0 of the skewness system and the connection
-        "connections.torsion_of_map": 2,
+        # the connection
+        "connections.torsion_of_map": 1,
         # Levi-Civita and the connection
         "connections.curvature_of_map": 2,
     }
@@ -248,6 +248,35 @@ def test_analyze_does_not_import_numpy_random():
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False False"
+
+
+THREAD_GUARD_COMMANDS = (
+    ["analyze", "M1", "--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"],
+    ["analyze", "M2", "--alpha", "1", "--beta", "2"],
+    ["analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"],
+    ["analyze", "M4", "--alpha", "1", "--beta", "2", "--gamma", "1.2"],
+    ["decompose", "lambda3"],
+)
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    # one child process per BLAS thread count runs every command in turn
+    child = (
+        "import sys\n"
+        "from gstruct import cli\n"
+        f"for argv in {THREAD_GUARD_COMMANDS!r}:\n"
+        "    print('exit', cli.main(argv), flush=True)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, timeout=300)
+        assert out.returncode == 0, out.stderr.decode()
+        outs.append(out.stdout)
+    assert outs[0].count(b"exit 0") == len(THREAD_GUARD_COMMANDS)
+    assert outs[0] == outs[1]
 
 
 def test_parser_reused_across_calls(capsys):

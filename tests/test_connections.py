@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import draws, pipeline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstruct import connections as con
 from gstruct import reps, sp3, spaces
@@ -71,7 +73,85 @@ def test_infeasible_off_locus():
         alphas = tuple([2.0] + [1.0] * (extra - 1))
         ctx = pipeline(sid, alphas=alphas)
         with pytest.raises(Infeasible):
-            con.characteristic_connection(ctx["space"], ctx["family"])
+            con.characteristic_connection(ctx["space"])
+
+
+def _lstsq_characteristic(space, family, tol=DEFAULT_TOL):
+    """Reference: the skewness system solved by least squares inside the
+    equivariant family; returns (lambda coefficients, t3)."""
+    R21 = sp3.load().rho
+    lam_members = np.einsum("dja,akl->djkl", family.basis, R21)
+    # torsion is affine in the coefficients: T = A(t) + T0
+    t0 = con.torsion_of_map(space, np.zeros((14, 14, 14))).t3
+    a_parts = np.einsum("dikj->dkij", lam_members) - np.einsum("djki->dkij", lam_members)
+    a_t3 = np.einsum("dkij->dijk", a_parts)
+    sym = lambda t: t + np.swapaxes(t, -2, -1)
+    A = sym(a_t3).reshape(family.dim, -1).T
+    b = -sym(t0).ravel()
+    coeffs, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+    resid = float(np.linalg.norm(A @ coeffs - b))
+    pnorm = float(np.linalg.norm(space.pm))
+    if resid > 1e3 * tol.residual_tol * pnorm:
+        raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
+    assert np.count_nonzero(sv > tol.rank_tol * sv[0]) == family.dim
+    L = np.einsum("d,dja->ja", coeffs, family.basis)
+    L[np.abs(L) < 1e-12 * pnorm] = 0.0
+    lam = np.einsum("ja,akl->jkl", L, R21)
+    return L, con.torsion_of_map(space, lam).t3
+
+
+@settings(max_examples=24, deadline=None)
+@given(sid=st.sampled_from(["M1", "M2", "M3", "M4"]),
+       abg=st.tuples(*[st.floats(0.55, 1.9)] * 3),
+       scale=st.sampled_from([1e-8, 1.0, 1e14]),
+       off_locus=st.booleans())
+def test_closed_form_matches_lstsq_reference(sid, abg, scale, off_locus):
+    a, b, g = (x * scale for x in abg)
+    extra = spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]
+    alphas = (1.7 * a,) + (a,) * (extra - 1) if off_locus and extra else ()
+    space = spaces.build(sid, spaces.MetricParams(alpha=a, beta=b, gamma=g, alphas=alphas))
+    try:
+        want = _lstsq_characteristic(space, con.solve_equivariant(space))
+    except Infeasible:
+        with pytest.raises(Infeasible):
+            con.characteristic_connection(space)
+        return
+    conn = con.characteristic_connection(space)
+    # the closed form takes pm as it is, while the reference stays inside the
+    # equivariant family; the bracket table's own round-off (up to ~5e-11
+    # ||pm|| for M4 at s = 1e14) shows as the equivariance defect of Lambda_LC
+    lc = con.levi_civita(space)
+    defect = max(float(np.max(np.abs(np.einsum("ij,ikl->jkl", R, lc) - R @ lc + lc @ R)))
+                 for R in space.iso)
+    bound = 1e-12 * float(np.linalg.norm(space.pm)) + 10 * defect
+    assert np.max(np.abs(conn.lambda_coeffs - want[0])) <= bound
+    assert np.max(np.abs(con.torsion(conn).t3 - want[1])) <= bound
+
+
+def test_characteristic_lies_in_equivariant_family():
+    for sid in ["M1", "M2", "M3", "M4"]:
+        for a, b, g in draws(sid, 2, seed=5):
+            ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
+            B = ctx["family"].basis.reshape(ctx["family"].dim, -1).T  # orthonormal columns
+            L = ctx["conn"].lambda_coeffs.ravel()
+            assert np.linalg.norm(L - B @ (B.T @ L)) <= 1e-12, (sid, a, b, g)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_feasibility_band_m1(scale):
+    # one extra alpha (1 + eps) alpha: the residual grows like eps ||pm||
+    a = 1.1 * scale
+    for eps, feasible in ((0.0, True), (1e-8, True), (1e-7, True), (1e-6, True),
+                          (1e-5, False), (1e-4, False)):
+        p = spaces.MetricParams(alpha=a, beta=0.8 * scale, gamma=1.4 * scale,
+                                alphas=(a * (1 + eps),) + (a,) * 6)
+        space = spaces.build("M1", p)
+        try:
+            con.characteristic_connection(space)
+            got = True
+        except Infeasible:
+            got = False
+        assert got == feasible, eps
 
 
 def test_m4_integrable_point():
@@ -117,7 +197,7 @@ def test_feasibility_is_scale_invariant(scale):
         ctx = pipeline("M1", alpha=scale, beta=scale, gamma=scale,
                        alphas=tuple(a * scale for a in alphas))
         try:
-            con.characteristic_connection(ctx["space"], ctx["family"])
+            con.characteristic_connection(ctx["space"])
             feasible = True
         except Infeasible:
             feasible = False
@@ -212,7 +292,8 @@ def test_holonomy_basis_closed_and_inside_target(sp3_data):
 
 
 def test_parallel_vector_fields():
-    vecs, omegas = con.parallel_vector_fields(pipeline("M1", alpha=1.0, beta=1.4, gamma=0.8)["conn"])
+    conn = pipeline("M1", alpha=1.0, beta=1.4, gamma=0.8)["conn"]
+    vecs, omegas = con.parallel_vector_fields(conn, con.holonomy_algebra(conn))
     assert vecs.shape[1] >= 2
     P = vecs @ vecs.T
     for idx in (12, 13):
@@ -223,13 +304,15 @@ def test_parallel_vector_fields():
     for om in omegas:
         assert np.max(np.abs(om + om.T)) < 1e-12
 
-    vecs4, _ = con.parallel_vector_fields(pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)["conn"])
+    conn4 = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)["conn"]
+    vecs4, _ = con.parallel_vector_fields(conn4, con.holonomy_algebra(conn4))
     e14 = np.zeros(14)
     e14[13] = 1.0
     P4 = vecs4 @ vecs4.T
     assert np.linalg.norm(P4 @ e14 - e14) < 1e-9
 
-    vecs_full, _ = con.parallel_vector_fields(pipeline("M4", alpha=1.0, beta=1.6, gamma=1.0)["conn"])
+    conn_full = pipeline("M4", alpha=1.0, beta=1.6, gamma=1.0)["conn"]
+    vecs_full, _ = con.parallel_vector_fields(conn_full, con.holonomy_algebra(conn_full))
     assert vecs_full.shape[1] == 0
 
 

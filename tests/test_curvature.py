@@ -115,7 +115,7 @@ def test_m2_gamma_independence_derived_observation():
 
 def test_ricci_conn_vanishes_on_parallel_directions():
     ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.9)
-    vecs, _ = con.parallel_vector_fields(ctx["conn"])
+    vecs, _ = con.parallel_vector_fields(ctx["conn"], con.holonomy_algebra(ctx["conn"]))
     ric = curv.ricci_connection(ctx["conn"])
     for v in vecs.T:
         assert np.linalg.norm(ric @ v) < 1e-9

@@ -14,7 +14,6 @@ STACKS = {
     "sp3.rho": (lambda: sp3.load().rho, (21, 14, 14)),
     "complement_basis": (lambda: reps.complement_action()[0], (70, 14, 14)),
     "complement_acts": (lambda: reps.complement_action()[1], (21, 70, 70)),
-    "lambda3_action": (lambda: reps.lambda3_action(sp3.load().rho), (21, 364, 364)),
     "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
     "M4.iso": (lambda: pipeline("M4")["space"].iso, (10, 14, 14)),
     "M4.generators": (lambda: pipeline("M4")["space"].generators(), (2, 14, 14)),
@@ -40,7 +39,7 @@ def test_shared_caches_are_read_only(name):
 
 INDEX_TABLES = {
     "spin._product_table": lambda: spin._product_table(14, 1),
-    "reps._lambda3_scatter": lambda: reps._lambda3_scatter(14),
+    "reps.theta_index": lambda: reps.theta_index(14),
 }
 
 

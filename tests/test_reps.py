@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
 from gstruct import reps, sp3
-from gstruct.errors import DimensionMismatch
 from gstruct.linalg import nullspace, rank
 
 _PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
@@ -51,9 +50,28 @@ def _lambda3_action_loop(rho_list):
     return gens
 
 
+def _theta_map_loop(group_gens):
+    """Reference: Theta column by column, one matvec per contraction."""
+    n = np.shape(group_gens)[-1]
+    F = reps.pack_so(reps.so_complement(group_gens, n), n)
+    q = len(F)
+    trips = reps.triples(n)
+    pidx = {p: i for i, p in enumerate(combinations(range(n), 2))}
+    theta = np.zeros((n * q, len(trips)))
+    if q == 0:
+        return theta
+    for col, (i, j, k) in enumerate(trips):
+        # e_l _| (e_i^e_j^e_k) for l = i, j, k
+        for l, pair, sign in ((i, (j, k), 1.0), (j, (i, k), -1.0), (k, (i, j), 1.0)):
+            w = np.zeros(F.shape[1])
+            w[pidx[pair]] = sign
+            theta[l * q:(l + 1) * q, col] = F @ w
+    return theta
+
+
 @pytest.fixture(scope="module")
 def lambda3(sp3_data):
-    return reps.lambda3_action(list(sp3_data.rho))
+    return np.array(_lambda3_action_loop(list(sp3_data.rho)))
 
 
 def test_lambda3_dimension(lambda3):
@@ -83,43 +101,17 @@ def test_lambda3_leibniz_spot_check(sp3_data, lambda3):
     assert np.max(np.abs(out - expect)) < 1e-14
 
 
-def test_lambda3_matches_loop_reference(sp3_data, lambda3):
-    ref = _lambda3_action_loop(list(sp3_data.rho))
-    assert len(ref) == len(lambda3) == 21
-    assert all(np.array_equal(g, r) for g, r in zip(lambda3, ref))
+def test_lambda3_casimir_matches_loop_reference(lambda3):
+    # the production splitting diagonalizes -6 I - 4 Theta^T Theta
+    theta = reps.sp3_theta()
+    C = reps.casimir(lambda3)
+    assert np.max(np.abs(-6 * np.eye(364) - 4 * theta.T @ theta - C)) <= 1e-12 * np.linalg.norm(C)
+    for ev, _, basis in reps.lambda3_decomposition().parts:
+        assert np.max(np.abs(C @ basis - ev * basis)) <= 1e-12 * np.linalg.norm(C)
 
 
-_entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
-_nonzero = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda x: x != 0.0)
-
-
-@st.composite
-def _square_lists(draw):
-    """1-3 real n x n matrices as nested lists, n in 3..9, nonzero diagonal."""
-    n = draw(st.integers(3, 9))
-    mats = []
-    for _ in range(draw(st.integers(1, 3))):
-        rows = draw(st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n))
-        for i, x in enumerate(draw(st.lists(_nonzero, min_size=n, max_size=n))):
-            rows[i][i] = x
-        mats.append(rows)
-    return mats
-
-
-@settings(max_examples=40, deadline=None)
-@given(_square_lists())
-def test_lambda3_arbitrary_real_input_matches_loop(mats):
-    got = reps.lambda3_action(mats)
-    assert got.shape[1] == len(reps.triples(len(mats[0])))
-    ref = _lambda3_action_loop(mats)
-    assert all(np.array_equal(g, r) for g, r in zip(got, ref))
-
-
-def test_lambda3_rejects_mixed_shapes():
-    with pytest.raises(DimensionMismatch):
-        reps.lambda3_action([np.zeros((4, 4)), np.zeros((5, 5))])
-    with pytest.raises(DimensionMismatch):
-        reps.lambda3_action([np.zeros((4, 5))])
+def test_theta_map_matches_loop_reference(sp3_data):
+    assert np.array_equal(reps.theta_map(sp3_data.rho), _theta_map_loop(sp3_data.rho))
 
 
 def test_lambda3_built_once_for_verify_and_classify(monkeypatch):
@@ -130,20 +122,22 @@ def test_lambda3_built_once_for_verify_and_classify(monkeypatch):
     from gstruct.linalg import DEFAULT_TOL
 
     calls = []
-    original = reps.lambda3_action
+    original = reps.theta_map
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(reps, "lambda3_action", counting)
+    monkeypatch.setattr(reps, "theta_map", counting)
     reps.lambda3_decomposition.cache_clear()
+    reps.sp3_theta.cache_clear()
     results = []
     verify._check_reps(DEFAULT_TOL, results)
     assert all(ok for _, ok, _ in results)
     comps = con.classify_type(con.torsion(pipeline("M1")["conn"]).t3)
     assert set(comps) == {-8, -12, -18, -16}
     assert len(calls) == 1
+    assert not reps.sp3_theta().flags.writeable
 
 
 def test_lambda3_respects_structure_constants(sp3_data, lambda3):
@@ -211,12 +205,9 @@ def test_theta_sp3_full_rank(sp3_data):
 
 
 def test_theta_so_n_itself():
-    from gstruct.reps import pair_index
-
     n = 4
-    pairs, _ = pair_index(n)
     gens = []
-    for a, b in pairs:
+    for a, b in combinations(range(n), 2):
         m = np.zeros((n, n))
         m[a, b], m[b, a] = 1.0, -1.0
         gens.append(m)
@@ -288,12 +279,23 @@ def _sym3_reference_casimir(gens):
     return sum(d @ d for d in D)
 
 
+_entry = st.one_of(st.just(0.0), st.floats(-1e3, 1e3, allow_nan=False))
+
+
 @st.composite
 def _skew_stacks(draw):
     """(k, n, n) stacks of skew matrices, n in 2..6, k in 1..3."""
     n, k = draw(st.integers(2, 6)), draw(st.integers(1, 3))
     X = np.array(draw(st.lists(_entry, min_size=k * n * n, max_size=k * n * n))).reshape(k, n, n)
     return X - np.swapaxes(X, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_skew_stacks())
+def test_theta_map_arbitrary_input_matches_loop(gens):
+    got = reps.theta_map(gens)
+    assert got.shape[1] == len(reps.triples(gens.shape[-1]))
+    assert np.array_equal(got, _theta_map_loop(gens))
 
 
 @settings(max_examples=40, deadline=None)

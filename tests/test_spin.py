@@ -270,8 +270,8 @@ def test_restricted_dirac_matrix_matches_loop_reference():
         lam, T = ctx["conn"].so_matrices(), con.torsion(ctx["conn"])
         D_ref = sum(cl.gammas[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
-        _, _, D = spin._dirac_terms(lam, T.t3, DEFAULT_TOL)
         B = spin.invariant_spinors(ctx["space"]).basis
+        _, _, D = spin._dirac_terms(lam, T.t3, B, DEFAULT_TOL)
         ref = B.conj().T @ D_ref @ B
         assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
