@@ -69,7 +69,7 @@ class BilinearConnectionMap:
         cx, _ = frame.coords(X)
         cy, _ = frame.coords(Y)
         coeffs = np.einsum("i,j,ijk->k", cx, cy, self.table)
-        return sum(c * b for c, b in zip(coeffs, self.algebra.basis))
+        return np.tensordot(coeffs, self.algebra.basis, axes=1)
 
 
 def commutator_map(alg: MatrixLieAlgebra, scale: float = 0.5) -> BilinearConnectionMap:
@@ -80,14 +80,12 @@ def commutator_map(alg: MatrixLieAlgebra, scale: float = 0.5) -> BilinearConnect
 def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
     """Each block of the partition must be an ideal: [g, block] in block."""
     c = structure_constants(alg, tol)
-    for block in ideal_partition:
-        block = set(block)
-        outside = [k for k in range(alg.dim) if k not in block]
-        for i in range(alg.dim):
-            for j in block:
-                leak = np.linalg.norm(c[i, j, outside])
-                if leak > 1e3 * tol.residual_tol * max(np.linalg.norm(c[i, j]), 1.0):
-                    raise NotAnIdeal(f"block {sorted(block)} is not an ideal (leak {leak:.3e})")
+    for block in map(sorted, map(set, ideal_partition)):
+        # leak[i, j] = |pr_outside [b_i, b_j]| for every j in the block
+        leak = np.linalg.norm(np.delete(c[:, block], block, axis=2), axis=2)
+        bad = leak > 1e3 * tol.residual_tol * np.maximum(np.linalg.norm(c[:, block], axis=2), 1.0)
+        if bad.any():
+            raise NotAnIdeal(f"block {block} is not an ideal (leak {leak[bad][0]:.3e})")
     return c
 
 
@@ -95,14 +93,9 @@ def canonical_torsion_family(alg: MatrixLieAlgebra, ideal_partition, tol: Tolera
     """One torsion 3-form per (non-abelian) ideal: the commutator rescaled
     on that ideal, as vectors over increasing basis triples."""
     c = verify_ideals(alg, ideal_partition, tol)
-    trips = reps.triples(alg.dim)
-    family = []
-    for block in ideal_partition:
-        block = set(block)
-        v = np.array([c[i, j, k] if k in block else 0.0 for i, j, k in trips])
-        if np.linalg.norm(v) > tol.residual_tol:
-            family.append(v)
-    return family
+    i, j, k = np.array(reps.triples(alg.dim), dtype=np.intp).reshape(-1, 3).T
+    family = [np.where(np.isin(k, block), c[i, j, k], 0.0) for block in ideal_partition]
+    return [v for v in family if np.linalg.norm(v) > tol.residual_tol]
 
 
 def adjoint_generators(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):
@@ -165,6 +158,6 @@ def metricity_defect(lam, metric, basis) -> float:
     for _ in range(_METRICITY_SAMPLES):
         cs = rng.standard_normal((3, d))
         cs /= np.linalg.norm(cs, axis=1, keepdims=True)
-        X, Y, Z = (sum(c * b for c, b in zip(row, basis)) for row in cs)
+        X, Y, Z = np.tensordot(cs, basis, axes=1)
         worst = max(worst, abs(metric(lam(X, Y), Z) + metric(Y, lam(X, Z))))
     return worst

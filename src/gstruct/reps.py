@@ -16,7 +16,7 @@ import numpy as np
 from . import sp3
 from .errors import NotClosed
 from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
-from .linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, read_only
+from .linalg import DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, nullspace, read_only
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ def triples(n: int):
 
 def casimir(gens: np.ndarray) -> np.ndarray:
     """Sum of squared generators (for an orthonormal source basis)."""
-    d = gens.shape[1]
-    C = np.zeros((d, d))
-    for g in gens:
-        C += g @ g
-    return C
+    return np.matmul(gens, gens).sum(axis=0)
 
 
 def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
@@ -151,22 +147,33 @@ def theta_kernel(theta: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
 # Branching of the 14-dimensional module under subalgebras of sp(3).
 
 
-def _symmetric_basis(n: int):
-    mats = []
-    for p in range(n):
-        for q in range(p, n):
-            m = np.zeros((n, n))
-            m[p, q] = m[q, p] = 1.0
-            mats.append(m)
-    return mats
+@lru_cache(maxsize=1)
+def _symmetric_embedding(n: int) -> np.ndarray:
+    """The (n * n, n(n+1)/2) 0/1 matrix whose column (p, q), p <= q in
+    ``np.triu_indices`` order, is vec(E_pq + E_qp) (vec(E_pp) for p = q):
+    coordinates of the symmetric matrices to their row-major entries.
+    Read-only."""
+    p, q = np.triu_indices(n)
+    P = np.zeros((n * n, p.size))
+    P[p * n + q, np.arange(p.size)] = P[q * n + p, np.arange(p.size)] = 1.0
+    return read_only(P)
+
+
+def _commutant_block(R: np.ndarray) -> np.ndarray:
+    """S |-> vec(S R - R S) on symmetric n x n matrices S, over the
+    coordinates of ``_symmetric_embedding``: vec(S R) = (I (x) R^T) vec S
+    and vec(R S) = (R (x) I) vec S for row-major vec."""
+    I = np.eye(len(R))
+    return (np.kron(I, R.T) - np.kron(R, I)) @ _symmetric_embedding(len(R))
 
 
 def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL):
     """Invariant-block dimensions of the 14-dim module under a subalgebra.
 
     Finds the symmetric commutant of the generator images, eigen-splits a
-    seeded random commutant element, and merges blocks connected by the
-    commutant (same isotypic type).
+    seeded random commutant element S*, and merges the eigenblocks that
+    some commutant element links (same isotypic type): the parts are the
+    connected components of the linked block pairs.
     """
     gens = sp3.load().rho_of(row.generators)
     # closure check of the generator span
@@ -175,43 +182,22 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     if np.any(res > 1e3 * tol.residual_tol * stack_scales(br)):
         raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
-    sym = _symmetric_basis(14)
-    rows = []
     # S |-> [S, R] is linear in R and kills brackets once it kills R1, R2
-    for R in generating_set(gens, tol):
-        block = np.array([(S @ R - R @ S).ravel() for S in sym]).T
-        rows.append(block)
-    ker = nullspace(np.vstack(rows), tol)
-    commutant = [sum(c * S for c, S in zip(col, sym)) for col in ker.T]
+    ker = nullspace(np.vstack([_commutant_block(R) for R in generating_set(gens, tol)]), tol)
+    commutant = (_symmetric_embedding(14) @ ker).T.reshape(-1, 14, 14)
 
     rng = np.random.default_rng(20140314)
-    Sstar = sum(rng.standard_normal() * C for C in commutant)
-    Sstar = 0.5 * (Sstar + Sstar.T)
-    eigparts = eig_selfadjoint(Sstar, tol)
-    blocks = [basis for _, basis in eigparts]
-
-    # merge blocks mapped into each other by some commutant element
-    parent = list(range(len(blocks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            linked = any(
-                np.linalg.norm(blocks[a].T @ C @ blocks[b]) > 1e3 * tol.residual_tol
-                for C in commutant
-            )
-            if linked and find(a) != find(b):
-                parent[find(a)] = find(b)
-    sizes = {}
-    for i, blk in enumerate(blocks):
-        root = find(i)
-        sizes[root] = sizes.get(root, 0) + blk.shape[1]
-    return tuple(sorted(sizes.values()))
+    Sstar = np.tensordot(rng.standard_normal(len(commutant)), commutant, axes=1)
+    bases = [basis for _, basis in eig_selfadjoint(0.5 * (Sstar + Sstar.T), tol)]
+    dims = np.array([b.shape[1] for b in bases])
+    starts = np.cumsum(dims) - dims
+    Q = np.hstack(bases)
+    # squared Frobenius norm of every eigenblock pair of Q^T C Q, per C
+    sq = np.add.reduceat(np.add.reduceat((Q.T @ commutant @ Q) ** 2, starts, axis=1), starts, axis=2)
+    linked = np.any(np.sqrt(sq) > 1e3 * tol.residual_tol, axis=0)
+    labels, _, _ = _block_labels(linked | np.eye(len(dims), dtype=bool))
+    sizes = np.bincount(labels, weights=dims)
+    return tuple(sorted(int(d) for d in sizes[sizes > 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +291,9 @@ def complement_action():
     read-only (70, 14, 14) and (21, 70, 70) stacks."""
     rho = sp3.load().rho
     F = so_complement(rho, 14)
-    acts = np.zeros((len(rho), len(F), len(F)))
-    for R, ad in zip(rho, acts):
-        Br = np.einsum("ab,lbc->lac", R, F) - np.einsum("lab,bc->lac", F, R)
-        ad[:] = -0.5 * np.einsum("lab,kba->kl", Br, F)
+    # acts[r, k, l] = <F_k, [rho_r, F_l]> with <A, B> = -tr(AB)/2
+    Br = (rho[:, None] @ F - F @ rho[:, None]).reshape(len(rho), len(F), -1)
+    acts = -0.5 * (F.swapaxes(1, 2).reshape(len(F), -1) @ Br.swapaxes(1, 2))
     return read_only(F), read_only(acts)
 
 

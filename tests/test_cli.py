@@ -256,6 +256,9 @@ THREAD_GUARD_COMMANDS = (
     ["analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"],
     ["analyze", "M4", "--alpha", "1", "--beta", "2", "--gamma", "1.2"],
     ["decompose", "lambda3"],
+    ["decompose", "v14xv70"],
+    ["subgroups"],
+    ["liegroup", "su3"],
 )
 
 

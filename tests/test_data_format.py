@@ -40,6 +40,7 @@ def test_shared_caches_are_read_only(name):
 INDEX_TABLES = {
     "spin._product_table": lambda: spin._product_table(14, 1),
     "reps.theta_index": lambda: reps.theta_index(14),
+    "reps._symmetric_embedding": lambda: (reps._symmetric_embedding(14),),
 }
 
 

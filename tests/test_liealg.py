@@ -222,8 +222,26 @@ _SYSTEMS = {
     "equivariance": connections._equivariance_block,
     "spinor": lambda R: spin.spin_lift(spin.build_clifford(14), R),
     "cubics": _cubic_system,
-    "commutant": lambda R: np.array([(S @ R - R @ S).ravel() for S in reps._symmetric_basis(14)]).T,
+    "commutant": reps._commutant_block,
 }
+
+
+def _symmetric_basis(n: int):
+    """Reference: the symmetric n x n matrices E_pq + E_qp, p <= q."""
+    mats = []
+    for p in range(n):
+        for q in range(p, n):
+            m = np.zeros((n, n))
+            m[p, q] = m[q, p] = 1.0
+            mats.append(m)
+    return mats
+
+
+def test_commutant_block_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    for R in [*sp3.load().rho, rng.standard_normal((14, 14))]:
+        ref = np.array([(S @ R - R @ S).ravel() for S in _symmetric_basis(14)]).T
+        assert np.array_equal(reps._commutant_block(R), ref)
 
 
 def _generators(source):

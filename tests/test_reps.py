@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
 from gstruct import reps, sp3
-from gstruct.linalg import nullspace, rank
+from gstruct.errors import NotClosed
+from gstruct.linalg import eig_selfadjoint, nullspace, rank
 
 _PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
               for p in permutations(range(3))}
@@ -248,6 +249,41 @@ def test_subgroup_decompose_all_rows():
     for row in sp3.subgroup_rows():
         got = reps.subgroup_decompose(row)
         assert tuple(sorted(got)) == tuple(sorted(row.expected_blocks)), row.name
+
+
+def _unit_rows(*idxs):
+    """Coefficient vectors of A_i, i = 1..21, over the A basis."""
+    return tuple(np.eye(21)[[i - 1 for i in idxs]])
+
+
+# rows whose S* eigensplit is finer than the isotypic split, so the merge
+# decides the answer; the torus splits follow from the weights +-e_i+-e_j+-e_k
+# and +-e_i of the module
+_MERGE_ROWS = [
+    (sp3.SubgroupRow("A21", _unit_rows(21), (8, 6)), 10),
+    (sp3.SubgroupRow("A19,A20,A21", _unit_rows(19, 20, 21), (8, 6)), 8),
+    (sp3.SubgroupRow("A10,A21", _unit_rows(10, 21), (4, 4, 2, 2, 2)), 8),
+    (sp3.SubgroupRow("torus A9,A10,A21", _unit_rows(9, 10, 21), (2,) * 7), 8),
+]
+
+
+@pytest.mark.parametrize("row,eigenblocks", _MERGE_ROWS, ids=[r.name for r, _ in _MERGE_ROWS])
+def test_subgroup_decompose_merges_eigenblocks(row, eigenblocks, monkeypatch):
+    counts = []
+
+    def counting(*args, **kwargs):
+        parts = eig_selfadjoint(*args, **kwargs)
+        counts.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(reps, "eig_selfadjoint", counting)
+    assert reps.subgroup_decompose(row) == tuple(sorted(row.expected_blocks))
+    assert counts == [eigenblocks]
+
+
+def test_subgroup_decompose_rejects_unclosed_generators():
+    with pytest.raises(NotClosed):
+        reps.subgroup_decompose(sp3.SubgroupRow("A1,A3", _unit_rows(1, 3), (14,)))
 
 
 def test_invariant_cubics_properties():
