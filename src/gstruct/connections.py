@@ -99,9 +99,13 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
 
     The system is a representation of the isotropy algebra on the maps, so
-    it is stacked only over ``space.generators(tol)``."""
-    ker = nullspace(np.vstack([_equivariance_block(R) for R in space.generators(tol)]), tol)
-    return EquivariantFamily(basis=ker.T.reshape(-1, 14, 21))
+    it is stacked only over ``space.generators(tol)``; the family depends
+    on the isotropy alone and is shared like it (``isotropy_result``)."""
+    def solve(owner):
+        ker = nullspace(np.vstack([_equivariance_block(R) for R in owner.generators(tol)]), tol)
+        return EquivariantFamily(basis=read_only(ker.T.reshape(-1, 14, 21)))
+
+    return space.isotropy_result("family", tol, solve)
 
 
 def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionTensor:

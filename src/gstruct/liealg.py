@@ -60,11 +60,19 @@ def stack_scales(X) -> np.ndarray:
 
 
 class CoordinateFrame:
-    """Least-squares coordinates with respect to a fixed stack of matrices."""
+    """Least-squares coordinates with respect to a fixed stack of matrices.
+    The pseudo-inverse is taken of the frame with unit-norm columns and
+    its rows are unscaled after, so coordinates do not lose digits when
+    the frame mixes very different scales (a metric scaled by 1e14, say)."""
 
     def __init__(self, mats):
         self.mats = np.asarray(mats, dtype=complex)
-        self._pinv = np.linalg.pinv(_stack(self.mats)) if len(self.mats) else None
+        self._pinv = None
+        if len(self.mats):
+            S = _stack(self.mats)
+            norms = np.linalg.norm(S, axis=0)
+            norms[norms == 0] = 1.0
+            self._pinv = np.linalg.pinv(S / norms) / norms[:, None]
 
     def stack_coords(self, X):
         """Coefficients (N, len(mats)) of a stack of N matrices, each with

@@ -18,6 +18,7 @@ basis B of the 14-dimensional module (isotropy then lands inside rho(sp3)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ from .liealg import (
     pair_brackets,
     stack_scales,
 )
-from .linalg import DEFAULT_TOL, ToleranceProfile
+from .linalg import DEFAULT_TOL, ToleranceProfile, read_only
 from .sp3 import E, S
 
 SPACE_IDS = ("su4-so2", "u4-so2so2", "u4u1-so2so2so2", "su5-sp2")
@@ -89,15 +90,27 @@ class HomogeneousSpaceInstance:
     iso_coeffs: np.ndarray  # (r, 21) coefficients over rho(A_i)
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
-    _generators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the space whose isotropy results this one shares: a catalog build
+    # shares those of its space at the unit metric (see ``build``)
+    _isotropy_owner: HomogeneousSpaceInstance = field(default=None, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def isotropy_result(self, stage: str, tol: ToleranceProfile, compute):
+        """``compute(owner)``, memoized per (stage, tol) on the owner of this
+        space's isotropy: the space itself, or for a catalog build the
+        space at the unit metric, so every metric of a catalog space gets
+        the same (read-only) result.  Only for results that depend on the
+        isotropy alone."""
+        owner = self._isotropy_owner or self
+        key = (stage, tol)
+        if key not in owner._memo:
+            owner._memo[key] = compute(owner)
+        return owner._memo[key]
 
     def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        """``liealg.generating_set(self.iso, tol)``, computed on first use
-        for each tolerance profile; the equivariance and spinor systems
-        both stack over it."""
-        if tol not in self._generators:
-            self._generators[tol] = generating_set(self.iso, tol)
-        return self._generators[tol]
+        """``liealg.generating_set`` of the isotropy, read-only; the
+        equivariance and spinor systems both stack over it."""
+        return self.isotropy_result("generators", tol, lambda s: read_only(generating_set(s.iso, tol)))
 
 
 def _su4_frames(p: MetricParams):
@@ -271,11 +284,29 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInstance:
+    """The catalog space at ``MetricParams()``, with read-only isotropy: it
+    owns the isotropy results of every build of ``sid`` at ``tol``."""
+    space = assemble(sid, MetricParams(), *_FRAME_BUILDERS[sid](MetricParams()), tol)
+    read_only(space.iso)
+    return space
+
+
 def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
-    """Construct a catalog space at concrete parameters."""
+    """Construct a catalog space at concrete parameters.  The isotropy of
+    a catalog space does not depend on the metric, so the build must
+    reproduce the one at the unit metric (StructureViolation otherwise)
+    and then shares its isotropy results."""
     sid = canonical_id(space_id)
     K, H, ip = _FRAME_BUILDERS[sid](params)
-    return assemble(sid, params, K, H, ip, tol)
+    space = assemble(sid, params, K, H, ip, tol)
+    owner = _unit_metric_space(sid, tol)
+    dev = np.max(np.abs(space.iso - owner.iso))
+    if dev > 1e3 * tol.residual_tol * np.max(np.abs(owner.iso)):
+        raise StructureViolation(f"{sid}: isotropy depends on the metric (deviation {dev:.3e})")
+    space._isotropy_owner = owner
+    return space
 
 
 # ---------------------------------------------------------------------------

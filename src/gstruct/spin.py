@@ -123,11 +123,15 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     """Joint kernel of the lifted isotropy generators inside the spinor module.
 
     The spin lift is a Lie algebra representation, so only the lifts of
-    ``space.generators(tol)`` are stacked."""
-    cl = build_clifford(14)
-    lifts = [spin_lift(cl, R, tol) for R in space.generators(tol)]
-    basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
-    return SpinorSubspace(basis=basis)
+    ``space.generators(tol)`` are stacked; the subspace depends on the
+    isotropy alone and is shared like it (``isotropy_result``)."""
+    def solve(owner):
+        cl = build_clifford(14)
+        lifts = [spin_lift(cl, R, tol) for R in owner.generators(tol)]
+        basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
+        return SpinorSubspace(basis=read_only(basis))
+
+    return space.isotropy_result("spinors", tol, solve)
 
 
 def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:

@@ -25,6 +25,15 @@ def draws(sid, count, seed, lo=0.55, hi=1.9):
     return [tuple(float(x) for x in rng.uniform(lo, hi, 3)) for _ in range(count)]
 
 
+@pytest.fixture
+def fresh_isotropy_cache():
+    """An empty per-space isotropy cache during the test, and again after
+    it, so what a patched test computes there reaches no other test."""
+    spaces._unit_metric_space.cache_clear()
+    yield
+    spaces._unit_metric_space.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def sp3_data():
     from gstruct import sp3

@@ -214,22 +214,37 @@ def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
     assert sorted(dims) == [14, 70]
 
 
-def test_analyze_draws_generating_set_once(capsys, monkeypatch):
-    # solve_equivariant and invariant_spinors share the space's generators
-    from gstruct import spaces
+def test_analyze_draws_generating_set_once(capsys, monkeypatch, fresh_isotropy_cache):
+    # solve_equivariant and invariant_spinors share the space's generators,
+    # and every metric of a catalog space shares all three
+    from gstruct import connections, spaces, spin
 
-    calls = []
+    calls, systems = [], []
     original = spaces.generating_set
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    def recording(module):
+        nullspace = module.nullspace
+
+        def record(M, *args, **kwargs):
+            systems.append(np.shape(M)[1])
+            return nullspace(M, *args, **kwargs)
+
+        monkeypatch.setattr(module, "nullspace", record)
+
     monkeypatch.setattr(spaces, "generating_set", counting)
-    code, out = run_cli(capsys, "analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
-    assert code == 0
-    assert json.loads(out)["spin"]["dirac_eigenvalues"]
+    recording(connections)
+    recording(spin)
+    for argv in (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]):
+        code, out = run_cli(capsys, "analyze", "M4", *argv)
+        assert code == 0
+        assert json.loads(out)["spin"]["dirac_eigenvalues"]
     assert len(calls) == 1
+    # 294 columns: the equivariance system; 128: the spinor system
+    assert systems.count(294) == 1 and systems.count(128) == 1
 
 
 def test_analyze_does_not_import_numpy_random():
@@ -262,24 +277,45 @@ THREAD_GUARD_COMMANDS = (
 )
 
 
-def test_reports_do_not_depend_on_blas_threads():
-    # one child process per BLAS thread count runs every command in turn
+def _child_reports(commands, **env) -> bytes:
+    """stdout of one child process that runs ``commands`` in turn, each
+    report followed by its exit code."""
     child = (
-        "import sys\n"
         "from gstruct import cli\n"
-        f"for argv in {THREAD_GUARD_COMMANDS!r}:\n"
+        f"for argv in {list(commands)!r}:\n"
         "    print('exit', cli.main(argv), flush=True)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, timeout=300)
-        assert out.returncode == 0, out.stderr.decode()
-        outs.append(out.stdout)
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, timeout=300)
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout
+
+
+def test_reports_do_not_depend_on_blas_threads():
+    # one child process per BLAS thread count runs every command in turn
+    outs = [_child_reports(THREAD_GUARD_COMMANDS, OPENBLAS_NUM_THREADS=t) for t in ("1", "2")]
     assert outs[0].count(b"exit 0") == len(THREAD_GUARD_COMMANDS)
     assert outs[0] == outs[1]
+
+
+HISTORY_COMMANDS = (
+    ["verify"],
+    ["analyze", "M4", "--alpha", "0.9", "--beta", "1.4", "--gamma", "0.8"],
+    ["analyze", "M3", "--alpha", "0.9", "--beta", "1.3", "--gamma", "0.7"],
+    ["analyze", "M2", "--alpha", "1", "--beta", "0.8", "--gamma", "1.3"],
+    ["analyze", "M1", "--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"],
+    ["analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"],
+)
+
+
+def test_reports_do_not_depend_on_earlier_commands():
+    # the isotropy results cached for each catalog space come from its
+    # unit metric, never from whichever metric ran first in the process
+    together = _child_reports(HISTORY_COMMANDS, OPENBLAS_NUM_THREADS="1")
+    alone = b"".join(_child_reports([argv], OPENBLAS_NUM_THREADS="1") for argv in HISTORY_COMMANDS)
+    assert together.count(b"exit 0") == len(HISTORY_COMMANDS)
+    assert together == alone
 
 
 def test_parser_reused_across_calls(capsys):

@@ -17,6 +17,7 @@ STACKS = {
     "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
     "M4.iso": (lambda: pipeline("M4")["space"].iso, (10, 14, 14)),
     "M4.generators": (lambda: pipeline("M4")["space"].generators(), (2, 14, 14)),
+    "M4.family": (lambda: pipeline("M4")["family"].basis, (7, 14, 21)),
     "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
     "clifford14.gammas": (lambda: spin.build_clifford(14).gammas, (14, 128, 128)),
 }
@@ -29,12 +30,19 @@ def test_matrix_sets_are_stacked_arrays(name):
     assert isinstance(stack, np.ndarray) and stack.shape == shape
 
 
-@pytest.mark.parametrize("name", ["sp3.rho", "complement_acts", "clifford14.gammas"])
+# every metric of a catalog space shares its generators, family and spinors
+SHARED = {
+    **{name: STACKS[name][0] for name in ("sp3.rho", "complement_acts", "clifford14.gammas", "M4.generators", "M4.family")},
+    "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
+}
+
+
+@pytest.mark.parametrize("name", SHARED)
 def test_shared_caches_are_read_only(name):
-    stack = STACKS[name][0]()
+    stack = SHARED[name]()
     assert not stack.flags.writeable
     with pytest.raises(ValueError):
-        stack[0, 0, 1] = 1.0
+        stack[(0,) * (stack.ndim - 1) + (1,)] = 1.0
 
 
 INDEX_TABLES = {

@@ -283,7 +283,8 @@ def test_generating_set_sizes():
         assert all(np.array_equal(g, h) for g, h in zip(got, gens))
 
 
-def test_generating_set_degenerate_draw_falls_back(monkeypatch):
+def test_generating_set_degenerate_draw_falls_back(monkeypatch, fresh_isotropy_cache):
+    # the cache is cleared, so the family and the spinors below are solved over the fallback
     space = spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
     # iso[8] and iso[9] commute: both combinations lie in one Cartan subalgebra
     R8, R9 = space.iso[8], space.iso[9]

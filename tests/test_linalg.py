@@ -203,13 +203,27 @@ def test_catalog_kernels_match_single_svd(sid, alpha, beta, gamma):
 def test_m3_extreme_point_merges_blocks():
     from gstruct import connections, linalg, spaces
 
-    def block_count(params):
-        A = np.vstack([connections._equivariance_block(R) for R in spaces.build("M3", params).iso])
-        labels, _, _ = linalg._block_labels(np.abs(A) > 64 * np.finfo(float).eps * np.max(np.abs(A)))
+    def system(iso):
+        return np.vstack([connections._equivariance_block(R) for R in iso])
+
+    def cut(A):
+        return 64 * np.finfo(float).eps * np.max(np.abs(A))
+
+    def block_count(A):
+        labels, _, _ = linalg._block_labels(np.abs(A) > cut(A))
         return np.unique(labels).size
 
-    merged = block_count(spaces.MetricParams(alpha=1e-6, beta=1.0, gamma=1e6))
-    assert merged < block_count(spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+    # the isotropy is exact to round-off at every scale, so the block
+    # structure is too; noise above the 64-eps entry cut is planted: a
+    # fixed draw at twice the cut on every entry joins blocks, and the
+    # kernel of the merged system keeps its dimension
+    iso = spaces.build("M3", spaces.MetricParams(alpha=1e-6, beta=1.0, gamma=1e6)).iso
+    unmerged = block_count(system(iso))
+    assert unmerged == block_count(system(spaces.build("M3", spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)).iso))
+    noise = np.random.default_rng(7).choice([-2.0, 2.0], iso.shape) * cut(system(iso))
+    merged = system(iso + noise)
+    assert block_count(merged) < unmerged
+    assert nullspace(merged).shape[1] == 18
 
 
 def _clusters(w, vecs):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 from conftest import pipeline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstruct import sp3, spaces
-from gstruct.errors import BadParams, NotReductive
+from gstruct.connections import solve_equivariant
+from gstruct.errors import BadParams, NotReductive, StructureViolation
+from gstruct.spin import invariant_spinors
 from gstruct.liealg import MatrixLieAlgebra, ReductiveSplit, bracket, inner, uniform_ip
 from gstruct.linalg import DEFAULT_TOL
 from gstruct.sp3 import E
@@ -187,3 +191,81 @@ def test_assemble_small_defect_beside_large_brackets():
     K[0] = K[0] + 1e-5 * E(5, 1, 5)
     with pytest.raises(NotReductive):
         spaces.assemble("custom", p, K, H, ip)
+
+
+# ---------------------------------------------------------------------------
+# The isotropy of a catalog space does not depend on the metric: every build
+# checks its own against the unit metric's and shares the results computed
+# from that one.
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e14])
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
+def test_bracket_tables_are_scale_free(sid, scale):
+    # K scales by 1/sqrt(s): pm (over K) by 1/sqrt(s), ph (over the fixed h) by 1/s
+    base = spaces.build(sid, spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+    scaled = spaces.build(sid, spaces.MetricParams(alpha=1.1 * scale, beta=0.8 * scale, gamma=1.4 * scale))
+    assert _close(scaled.pm * np.sqrt(scale), base.pm, rel=2e-15)
+    assert _close(scaled.ph * scale, base.ph, rel=2e-15)
+
+
+def _sp3_rotation(seed):
+    """g = exp(rho(X)) in Sp(3) inside SO(14), X with coefficients 0.7 N(0, 1)."""
+    A = np.tensordot(0.7 * np.random.default_rng(seed).standard_normal(21), sp3.load().rho, axes=1)
+    w, V = np.linalg.eigh(1j * A)  # A = -i V diag(w) V^H
+    return ((V * np.exp(-1j * w)) @ V.conj().T).real
+
+
+def _projector(basis):
+    return basis @ basis.conj().T
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    sid=st.sampled_from(["M1", "M2", "M3", "M4"]),
+    coeffs=st.lists(st.floats(0.6, 1.8), min_size=10, max_size=10),
+    log_scale=st.floats(-8, 14),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale, seed):
+    """A build at unequal alphas and a scaled metric gets the family and
+    invariant spinors its own isotropy gives; a frame rotated by g in Sp(3)
+    is another space and shares nothing with the catalog."""
+    sid = spaces.canonical_id(sid)
+    s = 10.0 ** log_scale
+    a, b, g, *extra = (s * c for c in coeffs)
+    p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
+    space = spaces.build(sid, p)
+    K, H, ip = spaces._FRAME_BUILDERS[sid](p)
+    own = spaces.assemble(sid, p, K, H, ip)  # its own memo, from its own isotropy
+    assert own.generators() is not space.generators()
+    fam, fam_own = solve_equivariant(space), solve_equivariant(own)
+    assert fam.dim == fam_own.dim == spaces.fixtures(sid).expected_family_dim
+    assert _close(_projector(fam.basis.reshape(fam.dim, -1).T), _projector(fam_own.basis.reshape(fam.dim, -1).T), rel=1e-12)
+    spin, spin_own = invariant_spinors(space), invariant_spinors(own)
+    assert spin.dim == spin_own.dim == spaces.fixtures(sid).expected_spinor_dim
+    assert np.max(np.abs(_projector(spin.basis) - _projector(spin_own.basis)), initial=0.0) <= 1e-12
+
+    rot = _sp3_rotation(seed)
+    rotated = spaces.assemble(sid, p, np.tensordot(rot.T, K, axes=1), H, ip)
+    assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
+    assert rotated.generators() is not space.generators()
+    assert solve_equivariant(rotated) is not fam and invariant_spinors(rotated) is not spin
+    assert solve_equivariant(rotated).dim == fam.dim
+    assert invariant_spinors(rotated).dim == spin.dim
+
+
+def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):
+    # a frame builder that rotates the frame away from the unit metric
+    unit = spaces.MetricParams()
+    frames = spaces._FRAME_BUILDERS["su4-so2"]
+    rot = _sp3_rotation(3)
+
+    def rotating(p):
+        K, H, ip = frames(p)
+        return (K if p == unit else np.tensordot(rot.T, K, axes=1)), H, ip
+
+    monkeypatch.setitem(spaces._FRAME_BUILDERS, "su4-so2", rotating)
+    spaces.build("M1", unit)
+    with pytest.raises(StructureViolation, match="isotropy depends on the metric"):
+        spaces.build("M1", spaces.MetricParams(alpha=1.1))
