@@ -250,9 +250,9 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale, seed):
     rotated = spaces.assemble(sid, p, np.tensordot(rot.T, K, axes=1), H, ip)
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
     assert rotated.generators() is not space.generators()
-    assert solve_equivariant(rotated) is not fam and invariant_spinors(rotated) is not spin
-    assert solve_equivariant(rotated).dim == fam.dim
-    assert invariant_spinors(rotated).dim == spin.dim
+    fam_rot, spin_rot = solve_equivariant(rotated), invariant_spinors(rotated)
+    assert fam_rot is not fam and fam_rot.dim == fam.dim
+    assert spin_rot is not spin and spin_rot.dim == spin.dim
 
 
 def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):
