@@ -90,17 +90,17 @@ class HomogeneousSpaceInstance:
     iso_coeffs: np.ndarray  # (r, 21) coefficients over rho(A_i)
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
-    # the space whose isotropy results this one shares: a catalog build
-    # shares those of its space at the unit metric (see ``build``)
+    # the space whose isotropy results this one shares: a build of a space
+    # in ``_SHARED_ISOTROPY`` shares those of its unit metric (see ``build``)
     _isotropy_owner: HomogeneousSpaceInstance = field(default=None, init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def isotropy_result(self, stage: str, tol: ToleranceProfile, compute):
         """``compute(owner)``, memoized per (stage, tol) on the owner of this
-        space's isotropy: the space itself, or for a catalog build the
-        space at the unit metric, so every metric of a catalog space gets
-        the same (read-only) result.  Only for results that depend on the
-        isotropy alone."""
+        space's isotropy: the space itself, or for a build of a space in
+        ``_SHARED_ISOTROPY`` the space at the unit metric, so every metric
+        of it gets the same (read-only) result.  Only for results that
+        depend on the isotropy alone."""
         owner = self._isotropy_owner or self
         key = (stage, tol)
         if key not in owner._memo:
@@ -284,6 +284,14 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     )
 
 
+# Catalog spaces whose builds share the isotropy results of their unit
+# metric.  M1-M3 still solve theirs per build: the analyze-tori benchmark
+# warms up with a single M1 op, so results kept from its first M2 and M3
+# ops would make its per-op call counts depend on how many rounds a run
+# completes, and its self-check requires them to repeat exactly.
+_SHARED_ISOTROPY = ("su5-sp2",)
+
+
 @functools.lru_cache(maxsize=None)
 def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInstance:
     """The catalog space at ``MetricParams()``, with read-only isotropy: it
@@ -295,12 +303,15 @@ def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInsta
 
 def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
     """Construct a catalog space at concrete parameters.  The isotropy of
-    a catalog space does not depend on the metric, so the build must
-    reproduce the one at the unit metric (StructureViolation otherwise)
-    and then shares its isotropy results."""
+    a catalog space does not depend on the metric, so for a space in
+    ``_SHARED_ISOTROPY`` the build must reproduce the one at the unit
+    metric (StructureViolation otherwise) and then shares its isotropy
+    results."""
     sid = canonical_id(space_id)
     K, H, ip = _FRAME_BUILDERS[sid](params)
     space = assemble(sid, params, K, H, ip, tol)
+    if sid not in _SHARED_ISOTROPY:
+        return space
     owner = _unit_metric_space(sid, tol)
     dev = np.max(np.abs(space.iso - owner.iso))
     if dev > 1e3 * tol.residual_tol * np.max(np.abs(owner.iso)):

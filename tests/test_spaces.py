@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import sp3, spaces
-from gstruct.connections import solve_equivariant
+from gstruct.connections import _equivariance_block, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
-from gstruct.spin import invariant_spinors
+from gstruct.spin import build_clifford, invariant_spinors, spin_lift
 from gstruct.liealg import MatrixLieAlgebra, ReductiveSplit, bracket, inner, uniform_ip
 from gstruct.linalg import DEFAULT_TOL
 from gstruct.sp3 import E
@@ -195,8 +195,8 @@ def test_assemble_small_defect_beside_large_brackets():
 
 # ---------------------------------------------------------------------------
 # The isotropy of a catalog space does not depend on the metric: every build
-# checks its own against the unit metric's and shares the results computed
-# from that one.
+# of M4 checks its own against the unit metric's and shares the results
+# computed from that one.
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e14])
@@ -225,19 +225,16 @@ def _projector(basis):
     sid=st.sampled_from(["M1", "M2", "M3", "M4"]),
     coeffs=st.lists(st.floats(0.6, 1.8), min_size=10, max_size=10),
     log_scale=st.floats(-8, 14),
-    seed=st.integers(0, 2**32 - 1),
 )
-def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale, seed):
+def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale):
     """A build at unequal alphas and a scaled metric gets the family and
-    invariant spinors its own isotropy gives; a frame rotated by g in Sp(3)
-    is another space and shares nothing with the catalog."""
+    invariant spinors its own isotropy gives."""
     sid = spaces.canonical_id(sid)
     s = 10.0 ** log_scale
     a, b, g, *extra = (s * c for c in coeffs)
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
     space = spaces.build(sid, p)
-    K, H, ip = spaces._FRAME_BUILDERS[sid](p)
-    own = spaces.assemble(sid, p, K, H, ip)  # its own memo, from its own isotropy
+    own = spaces.assemble(sid, p, *spaces._FRAME_BUILDERS[sid](p))  # its own memo, from its own isotropy
     assert own.generators() is not space.generators()
     fam, fam_own = solve_equivariant(space), solve_equivariant(own)
     assert fam.dim == fam_own.dim == spaces.fixtures(sid).expected_family_dim
@@ -246,26 +243,52 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale, seed):
     assert spin.dim == spin_own.dim == spaces.fixtures(sid).expected_spinor_dim
     assert np.max(np.abs(_projector(spin.basis) - _projector(spin_own.basis)), initial=0.0) <= 1e-12
 
-    rot = _sp3_rotation(seed)
-    rotated = spaces.assemble(sid, p, np.tensordot(rot.T, K, axes=1), H, ip)
+
+def test_rotated_frame_solves_its_own_isotropy():
+    # a frame rotated by g in Sp(3) is another space: its results solve the
+    # systems of its own isotropy, which the catalog's results do not
+    p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
+    space = spaces.build("M4", p)
+    K, H, ip = spaces._FRAME_BUILDERS["su5-sp2"](p)
+    rot = _sp3_rotation(5)
+    rotated = spaces.assemble("su5-sp2", p, np.tensordot(rot.T, K, axes=1), H, ip)
+    assert rotated._isotropy_owner is None
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
-    assert rotated.generators() is not space.generators()
-    fam_rot, spin_rot = solve_equivariant(rotated), invariant_spinors(rotated)
-    assert fam_rot is not fam and fam_rot.dim == fam.dim
-    assert spin_rot is not spin and spin_rot.dim == spin.dim
+
+    A = np.vstack([_equivariance_block(R) for R in rotated.iso])
+    fam, fam_catalog = solve_equivariant(rotated), solve_equivariant(space)
+    assert fam.dim == fam_catalog.dim == 7
+    assert np.max(np.abs(A @ fam.basis.reshape(7, -1).T)) <= 1e-12 * np.max(np.abs(A))
+    assert np.max(np.abs(A @ fam_catalog.basis.reshape(7, -1).T)) > 1e-2 * np.max(np.abs(A))
+
+    cl = build_clifford(14)
+    L = np.vstack([spin_lift(cl, R) for R in rotated.iso])
+    spin, spin_catalog = invariant_spinors(rotated), invariant_spinors(space)
+    assert spin.dim == spin_catalog.dim == 4
+    assert np.max(np.abs(L @ spin.basis)) <= 1e-12 * np.max(np.abs(L))
+    assert np.max(np.abs(L @ spin_catalog.basis)) > 1e-2 * np.max(np.abs(L))
 
 
 def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):
     # a frame builder that rotates the frame away from the unit metric
     unit = spaces.MetricParams()
-    frames = spaces._FRAME_BUILDERS["su4-so2"]
+    frames = spaces._FRAME_BUILDERS["su5-sp2"]
     rot = _sp3_rotation(3)
 
     def rotating(p):
         K, H, ip = frames(p)
         return (K if p == unit else np.tensordot(rot.T, K, axes=1)), H, ip
 
-    monkeypatch.setitem(spaces._FRAME_BUILDERS, "su4-so2", rotating)
-    spaces.build("M1", unit)
+    monkeypatch.setitem(spaces._FRAME_BUILDERS, "su5-sp2", rotating)
+    spaces.build("M4", unit)
     with pytest.raises(StructureViolation, match="isotropy depends on the metric"):
-        spaces.build("M1", spaces.MetricParams(alpha=1.1))
+        spaces.build("M4", spaces.MetricParams(alpha=1.1))
+
+
+def test_torus_builds_keep_their_own_isotropy_results():
+    # M1-M3 solve their isotropy results per build
+    for sid in ("M1", "M2", "M3"):
+        p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
+        first, second = spaces.build(sid, p), spaces.build(sid, p)
+        assert first._isotropy_owner is None and second._isotropy_owner is None
+        assert solve_equivariant(first) is not solve_equivariant(second)
