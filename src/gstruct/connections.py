@@ -48,7 +48,7 @@ class InvariantConnection:
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        return read_only(np.einsum("ja,akl->jkl", self.lambda_coeffs, sp3.load().rho))
+        return read_only((self.lambda_coeffs @ sp3.load().rho.reshape(21, -1)).reshape(14, 14, 14))
 
     @cached_property
     def _torsion(self) -> TorsionTensor:
@@ -72,8 +72,8 @@ class TorsionTensor:
     @property
     def norm2_increasing(self) -> float:
         """Sum of squared coefficients over strictly increasing triples."""
-        i, j, k = np.indices(self.t3.shape)
-        return float(np.sum(self.t3[(i < j) & (j < k)] ** 2))
+        slot, row, col, _ = reps.theta_index(len(self.t3))  # row 0: the triples i < j < k in order
+        return float(np.sum(self.t3[slot[0], row[0], col[0]] ** 2))
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def _equivariance_block(R: np.ndarray) -> np.ndarray:
     the matrix of [R, .] on the rho basis."""
     R21 = sp3.load().rho
     # [R, rho_a] expanded over the rho basis
-    br = np.einsum("kl,alm->akm", R, R21) - np.einsum("akl,lm->akm", R21, R)
-    m = np.einsum("akm,cmk->ac", br, R21) / (-4.0)  # <., .> = -tr(..)/4
+    br = R @ R21 - R21 @ R
+    m = br.reshape(21, -1) @ R21.transpose(0, 2, 1).reshape(21, -1).T / (-4.0)  # <., .> = -tr(..)/4
     return np.kron(R.T, np.eye(21)) - np.kron(np.eye(14), m.T)
 
 
@@ -111,8 +111,8 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
 def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionTensor:
     """Torsion of an arbitrary connection map (stack of so(14) matrices):
     T(X, Y) = Lambda(X)Y - Lambda(Y)X - [X, Y]_m, as read-only arrays."""
-    t12 = read_only(np.einsum("ikj->kij", lam) - np.einsum("jki->kij", lam) - np.einsum("ijk->kij", space.pm))
-    return TorsionTensor(t12=t12, t3=np.einsum("kij->ijk", t12))
+    t12 = read_only(lam.transpose(1, 0, 2) - lam.transpose(1, 2, 0) - space.pm.transpose(2, 0, 1))
+    return TorsionTensor(t12=t12, t3=t12.transpose(1, 2, 0))
 
 
 def torsion(conn: InvariantConnection) -> TorsionTensor:
@@ -122,10 +122,10 @@ def torsion(conn: InvariantConnection) -> TorsionTensor:
 def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.ndarray:
     """R4[i, j] = R(K_i, K_j) = [Lambda(K_i), Lambda(K_j)] - Lambda([K_i, K_j]_m)
     - rho([K_i, K_j]_h), an so(14) matrix acting on frame coordinates; read-only."""
-    comm = np.einsum("iab,jbc->ijac", lam, lam)
+    comm = lam[:, None] @ lam[None]
     comm = comm - np.swapaxes(comm, 0, 1)
-    lam_m = np.einsum("ijk,kab->ijab", space.pm, lam)
-    rho_h = np.einsum("ijr,rab->ijab", space.ph, space.iso)
+    lam_m = np.tensordot(space.pm, lam, 1)
+    rho_h = np.tensordot(space.ph, space.iso, 1)
     return read_only(comm - lam_m - rho_h)
 
 
@@ -138,20 +138,20 @@ def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
     Lambda(X)Y = [X,Y]_m/2 + U(X,Y)  with
     2 g(U(X,Y), Z) = g([Z,X]_m, Y) + g(X, [Z,Y]_m)."""
     pm = space.pm
-    lam = 0.5 * np.einsum("ijk->ikj", pm)
-    lam += 0.5 * (np.einsum("kij->ikj", pm) + np.einsum("kji->ikj", pm))
+    lam = 0.5 * pm.transpose(0, 2, 1)
+    lam += 0.5 * (pm.transpose(1, 0, 2) + pm.transpose(2, 0, 1))
     return lam
 
 
 def _rho_coords(stack: np.ndarray) -> np.ndarray:
     """(14, 21) rho coordinates of the rho(sp3) part of each matrix of a
     (14, 14, 14) stack; the rho basis is orthonormal for -tr/4."""
-    return -0.25 * np.einsum("jkl,alk->ja", stack, sp3.load().rho)
+    return -0.25 * stack.reshape(14, -1) @ sp3.load().rho.transpose(0, 2, 1).reshape(21, -1).T
 
 
 def _pr_m(stack: np.ndarray) -> np.ndarray:
     """The m part of each matrix of a (14, 14, 14) stack."""
-    return stack - np.einsum("jb,bkl->jkl", _rho_coords(stack), sp3.load().rho)
+    return stack - (_rho_coords(stack) @ sp3.load().rho.reshape(21, -1)).reshape(14, 14, 14)
 
 
 def _three_form(v: np.ndarray) -> np.ndarray:
@@ -208,9 +208,9 @@ def characteristic_connection(space: HomogeneousSpaceInstance,
 def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
     """(nabla_V T)(X, Y) over all frame directions: nt[v, k, i, j]."""
     return (
-        np.einsum("vkl,lij->vkij", lam, t12)
-        - np.einsum("vli,klj->vkij", lam, t12)
-        - np.einsum("vlj,kil->vkij", lam, t12)
+        (lam.reshape(-1, 14) @ t12.reshape(14, -1)).reshape(14, 14, 14, 14)
+        - np.tensordot(lam, t12, (1, 1)).transpose(0, 2, 1, 3)
+        - np.tensordot(lam, t12, (1, 2)).transpose(0, 2, 3, 1)
     )
 
 
@@ -241,7 +241,8 @@ def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     scale = max(float(np.max(np.abs(t3))), 1.0)
     if skew_defect > 1e3 * tol.residual_tol * scale:
         raise NotSkew(f"tensor is not a 3-form (defect {skew_defect:.3e})")
-    v = t3[tuple(np.array(reps.triples(14)).T)]
+    slot, row, col, _ = reps.theta_index(14)
+    v = t3[slot[0], row[0], col[0]]
     return {
         round(ev): float(np.linalg.norm(basis.T @ v) ** 2)
         for ev, _, basis in reps.lambda3_decomposition(tol).parts
@@ -308,5 +309,5 @@ def parallel_vector_fields(conn: InvariantConnection, holonomy: HolonomyResult,
     mats = np.concatenate([holonomy.basis, conn.space.iso])
     vecs = nullspace(mats.reshape(-1, 14), tol)
     T = torsion(conn)
-    omegas = [np.einsum("i,ijk->jk", v, T.t3) for v in vecs.T]
+    omegas = [np.tensordot(v, T.t3, 1) for v in vecs.T]
     return vecs, omegas

@@ -30,7 +30,7 @@ class CurvatureReport:
 
 def ricci_from_curvature(R4: np.ndarray) -> np.ndarray:
     """Ric(X, Y) = sum_i g(R(K_i, X)Y, K_i) in the orthonormal frame."""
-    return np.einsum("ixiy->xy", R4)
+    return np.trace(R4, axis1=0, axis2=2)
 
 
 def ricci_connection(conn: InvariantConnection) -> np.ndarray:
@@ -41,7 +41,8 @@ def ricci_connection(conn: InvariantConnection) -> np.ndarray:
 def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarray:
     """Ric^g = Ric^conn + (1/4) sum_i g(T(X,K_i), T(Y,K_i))."""
     T = torsion(conn)
-    return ric_conn + 0.25 * np.einsum("kxi,kyi->xy", T.t12, T.t12)
+    t = T.t12.transpose(1, 0, 2).reshape(14, -1)
+    return ric_conn + 0.25 * (t @ t.T)
 
 
 def ricci_riemannian(space: HomogeneousSpaceInstance, conn: InvariantConnection = None):

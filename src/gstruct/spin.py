@@ -24,6 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import sp3
 from .connections import InvariantConnection, torsion, torsion_is_parallel
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, read_only
@@ -110,6 +111,12 @@ def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np
     return _form_action(-0.5 * A, cl.n)
 
 
+@lru_cache(maxsize=1)
+def _lifted_rho() -> np.ndarray:
+    """(21, 128, 128) read-only stack of the spin lifts of the rho(sp3) basis."""
+    return read_only(np.array([spin_lift(build_clifford(14), r) for r in sp3.load().rho]))
+
+
 @dataclass(frozen=True)
 class SpinorSubspace:
     basis: np.ndarray  # (2^(n/2), k), orthonormal columns
@@ -152,22 +159,19 @@ class DiracReport:
     twistor_strict: bool = None
 
 
-def _dirac_terms(lam: np.ndarray, t3: np.ndarray, basis: np.ndarray, tol: ToleranceProfile):
+def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, basis: np.ndarray):
     """(lifts of the Lambda(e_i) applied to the columns of ``basis``,
     torsion operator T_cl, Dirac matrix D) on the full spinor module, for
-    connection matrices lam and torsion t3.  The lifts are taken one at a
-    time, so no per-call temporary is larger than one spinor matrix."""
-    cl = build_clifford(14)
-    _, cols, vals = _product_table(14, 1)
-    apart = np.zeros((cl.dim, cl.dim), dtype=complex)
-    lifts_b = np.empty((14,) + basis.shape, dtype=complex)
-    for i in range(14):
-        lift = spin_lift(cl, lam[i], tol)
-        # c(e_i) lift_i: gamma i has one entry per row, so this permutes rows and applies phases
-        apart += vals[i][:, None] * lift[cols[i]]
-        lifts_b[i] = lift @ basis
+    connection matrices lam = coeffs . rho and torsion t3.  With
+    a[i] = Lambda(e_i), sum_i e_i lift(a[i]) = c(c3) + c(v) for the 3-form
+    c3[i, k, l] = -(a[i, k, l] + a[k, l, i] + a[l, i, k]) / 2 and the vector
+    v[m] = sum_k a[k, k, m] / 2; the lifts are coeffs . lift(rho)."""
+    rho_b = (_lifted_rho().reshape(-1, basis.shape[0]) @ basis).reshape(21, -1)
+    lifts_b = (coeffs @ rho_b).reshape((14,) + basis.shape)
+    c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
+    v = 0.5 * np.trace(lam, axis1=0, axis2=1)
     t_op = torsion_clifford(t3)
-    return lifts_b, t_op, apart + DIRAC_TORSION_FACTOR * t_op
+    return lifts_b, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
 
 
 def dirac_on_invariants(
@@ -186,7 +190,7 @@ def dirac_on_invariants(
         raise NoInvariantSpinors(f"{space.space_id} has no invariant spinors")
     T = torsion(conn)
     B = sub.basis
-    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), T.t3, B, tol)
+    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, B)
 
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))

@@ -177,15 +177,15 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
         "connections.holonomy_algebra", "curvature.curvature_report", "spin.invariant_spinors",
         "spin.dirac_on_invariants", "connections.torsion_of_map", "connections.curvature_of_map",
     ])
+    from functools import cached_property
+
+    from gstruct.connections import InvariantConnection
+
     stacks = []
-    einsum = np.einsum
-
-    def counting_einsum(subscripts, *operands, **kwargs):
-        if subscripts == "ja,akl->jkl":  # InvariantConnection.so_matrices
-            stacks.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
-
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    build_stack = InvariantConnection._stack.func
+    counting_stack = cached_property(lambda conn: stacks.append(conn) or build_stack(conn))
+    counting_stack.__set_name__(InvariantConnection, "_stack")
+    monkeypatch.setattr(InvariantConnection, "_stack", counting_stack)
     code, out = run_cli(capsys, "analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
     assert code == 0 and json.loads(out)["spin"]["dirac_eigenvalues"]
     assert counts == {

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from conftest import draws, pipeline
@@ -339,6 +341,43 @@ def test_equivariance_block_matches_loop_reference():
         for R in space.iso:
             ref = _loop_equivariance_block(R)
             assert np.max(np.abs(con._equivariance_block(R) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+# References: the einsum forms that the matrix products replaced.
+def _einsum_curvature(space, lam):
+    comm = np.einsum("iab,jbc->ijac", lam, lam)
+    comm = comm - np.swapaxes(comm, 0, 1)
+    return comm - np.einsum("ijk,kab->ijab", space.pm, lam) - np.einsum("ijr,rab->ijab", space.ph, space.iso)
+
+
+def _einsum_nabla_torsion(lam, t12):
+    return (np.einsum("vkl,lij->vkij", lam, t12) - np.einsum("vli,klj->vkij", lam, t12)
+            - np.einsum("vlj,kil->vkij", lam, t12))
+
+
+def _einsum_rho_coords(stack):
+    return -0.25 * np.einsum("jkl,alk->ja", stack, sp3.load().rho)
+
+
+def _einsum_pr_m(stack):
+    return stack - np.einsum("jb,bkl->jkl", _einsum_rho_coords(stack), sp3.load().rho)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contractions_match_einsum_reference(seed):
+    rng = np.random.default_rng(seed)
+    lam, stack, t12 = (rng.standard_normal((14, 14, 14)) for _ in range(3))
+    lam = lam - lam.transpose(0, 2, 1)
+    space = SimpleNamespace(pm=rng.standard_normal((14, 14, 14)), ph=rng.standard_normal((14, 14, 10)),
+                            iso=rng.standard_normal((10, 14, 14)))
+    for got, ref in [
+        (con.curvature_of_map(space, lam), _einsum_curvature(space, lam)),
+        (con.nabla_torsion(lam, t12), _einsum_nabla_torsion(lam, t12)),
+        (con._rho_coords(stack), _einsum_rho_coords(stack)),
+        (con._pr_m(stack), _einsum_pr_m(stack)),
+    ]:
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def _loop_holonomy(conn, tol=DEFAULT_TOL):

@@ -20,6 +20,7 @@ STACKS = {
     "M4.family": (lambda: pipeline("M4")["family"].basis, (7, 14, 21)),
     "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
     "clifford14.gammas": (lambda: spin.build_clifford(14).gammas, (14, 128, 128)),
+    "lifted_rho": (spin._lifted_rho, (21, 128, 128)),
 }
 
 
@@ -32,7 +33,8 @@ def test_matrix_sets_are_stacked_arrays(name):
 
 # every metric of a catalog space shares its generators, family and spinors
 SHARED = {
-    **{name: STACKS[name][0] for name in ("sp3.rho", "complement_acts", "clifford14.gammas", "M4.generators", "M4.family")},
+    **{name: STACKS[name][0] for name in ("sp3.rho", "complement_acts", "clifford14.gammas",
+                                          "lifted_rho", "M4.generators", "M4.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
 }
 

@@ -1,11 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from conftest import pipeline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gstruct import spin, spaces
+from gstruct import sp3, spin, spaces
 from gstruct import curvature as curv
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from gstruct.linalg import DEFAULT_TOL, nullspace
+from gstruct.linalg import nullspace
 
 
 def test_clifford_small_and_large():
@@ -203,21 +207,23 @@ def test_parallel_spinors_are_torsion_eigenvectors():
 
 
 # Reference implementations: the dense pair-product loops that the scattered
-# monomial tables replaced.
-def _loop_pair_products(cl):
-    return {(i, j): cl.gammas[i] @ cl.gammas[j] for i in range(cl.n) for j in range(i + 1, cl.n)}
+# monomial tables replaced (the pair products are kept per dimension).
+@lru_cache(maxsize=1)
+def _loop_pair_products(n):
+    g = spin.build_clifford(n).gammas
+    return {(i, j): g[i] @ g[j] for i in range(n) for j in range(i + 1, n)}
 
 
 def _loop_spin_lift(cl, A):
     out = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for (i, j), G in _loop_pair_products(cl).items():
+    for (i, j), G in _loop_pair_products(cl.n).items():
         if A[i, j] != 0.0:
             out -= 0.5 * A[i, j] * G
     return out
 
 
 def _loop_torsion_clifford(cl, t3):
-    pp = _loop_pair_products(cl)
+    pp = _loop_pair_products(cl.n)
     out = np.zeros((cl.dim, cl.dim), dtype=complex)
     for i in range(cl.n):
         for j in range(i + 1, cl.n):
@@ -271,9 +277,31 @@ def test_restricted_dirac_matrix_matches_loop_reference():
         D_ref = sum(cl.gammas[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
         B = spin.invariant_spinors(ctx["space"]).basis
-        _, _, D = spin._dirac_terms(lam, T.t3, B, DEFAULT_TOL)
+        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, B)
         ref = B.conj().T @ D_ref @ B
         assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 4, 48]))
+def test_dirac_terms_match_loop_reference(seed, k):
+    # sum_i e_i lift(a[i]) = c(c3) + c(v) for any antisymmetric stack a, so
+    # the full D is checked on a general one; D reads only a and the lifts
+    # only coeffs, which stand for the stack coeffs . rho
+    cl = spin.build_clifford(14)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((14, 14, 14))
+    a = a - a.transpose(0, 2, 1)
+    coeffs = rng.standard_normal((14, 21))
+    t3 = _random_form(rng, 14, 3, 0.5)
+    basis = np.linalg.qr(rng.standard_normal((cl.dim, k)) + 1j * rng.standard_normal((cl.dim, k)))[0]
+    lifts_b, t_op, D = spin._dirac_terms(a, coeffs, t3, basis)
+
+    D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl.gammas, a))
+    D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, t3)
+    assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
+    lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
+    assert np.max(np.abs(lifts_b - lifts_ref)) <= 1e-13 * np.max(np.abs(lifts_ref))
 
 
 def test_clifford_shape_mismatch_rejected():
