@@ -1,8 +1,8 @@
 """Command-line front end: machine-readable analysis reports per space and
 parameter choice, plus standalone representation-theory commands.
 
-Exit codes: 0 success, 1 usage error, 2 infeasible-but-valid analysis,
-3 internal invariant violation.  Reports are deterministic: identical
+Exit codes: 0 success, 1 usage error or closed stdout, 2 infeasible-but-valid
+analysis, 3 internal invariant violation.  Reports are deterministic: identical
 invocations produce byte-identical JSON (fixed field order, floats
 rendered to 15 significant digits).
 """
@@ -288,8 +288,9 @@ def make_parser() -> _Parser:
     pv.add_argument("--space", default=None, help="restrict to one space id")
     pv.set_defaults(func=cmd_verify)
 
-    for sp_ in (pa, pd, pt, ps, pl, pv):
+    for sp_ in (pa, pd, pt, ps, pl):
         sp_.add_argument("--format", choices=["json", "table"], default="json")
+    for sp_ in (pa, pd, pt, ps, pl, pv):
         sp_.add_argument("--tol", type=float, default=None, help="rank tolerance override")
     return p
 
@@ -298,7 +299,13 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to devnull at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (StructureViolation,) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

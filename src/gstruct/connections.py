@@ -98,11 +98,11 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     """Nullspace of the infinitesimal equivariance system
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
 
-    The system is a representation of the isotropy algebra on the maps, so
-    it is stacked only over ``space.generators(tol)``; the family depends
-    on the isotropy alone and is shared like it (``isotropy_result``)."""
+    The system is stacked over the isotropy generators ``space.iso``; the
+    family depends on the isotropy alone and is shared like it
+    (``isotropy_result``)."""
     def solve(owner):
-        ker = nullspace(np.vstack([_equivariance_block(R) for R in owner.generators(tol)]), tol)
+        ker = nullspace(np.vstack([_equivariance_block(R) for R in owner.iso]), tol)
         return EquivariantFamily(basis=read_only(ker.T.reshape(-1, 14, 21)))
 
     return space.isotropy_result("family", tol, solve)

@@ -126,54 +126,6 @@ def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_T
     return c
 
 
-# frequency of the two fixed combinations formed by generating_set
-_PAIR_SEED = 20121011
-
-
-def _pair_coefficients(count: int) -> np.ndarray:
-    """(2, count) coefficients of the two combinations; fixed per count.
-    A closed form rather than a seeded draw: it keeps ``numpy.random`` (a
-    lazy import of ~15 ms) off the ``analyze`` path."""
-    return np.sin(np.sqrt(np.arange(1, 2 * count + 1)) * _PAIR_SEED).reshape(2, count)
-
-
-def generating_set(gens, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Two fixed combinations of ``gens`` when they provably generate
-    span(gens) as a Lie algebra, else ``gens`` unchanged.
-
-    Only valid for a joint kernel whose operator is a Lie algebra
-    representation X -> rho(X): then ker rho(X1) & ker rho(X2) is killed by
-    every bracket of X1, X2, so it is the joint kernel over the generated
-    algebra.  Two generic elements generate a compact semisimple algebra,
-    but a given pair can fail (both in one Cartan subalgebra, say); the
-    certificate closes {X1, X2} under brackets until the rank stops
-    growing and accepts the pair only if the closure has the rank of
-    span(gens) and contains every generator.  A failed pair costs speed,
-    never the answer.
-    """
-    gens = np.asarray(gens)
-    if len(gens) <= 2:
-        return gens
-    pair = np.tensordot(_pair_coefficients(len(gens)), gens, axes=1)
-    G = _stack(gens)
-    target = orthonormal_columns(G, tol).shape[1]
-    # brackets of unit-norm elements keep every column on one scale
-    unit = pair / np.linalg.norm(pair, axis=(1, 2), keepdims=True)
-    span = orthonormal_columns(_stack(unit), tol)
-    n = gens.shape[1]
-    while span.shape[1] <= target:
-        mats = (span[: n * n] + 1j * span[n * n:]).T.reshape(-1, 1, n, n)
-        brackets = (mats @ unit - unit @ mats).reshape(-1, n, n)
-        grown = orthonormal_columns(np.hstack([span, _stack(brackets)]), tol)
-        if grown.shape[1] == span.shape[1]:
-            break
-        span = grown
-    outside = np.linalg.norm(G - span @ (span.T @ G), axis=0)
-    if span.shape[1] == target and np.all(outside <= tol.rank_tol * np.linalg.norm(G, axis=0)):
-        return pair
-    return gens
-
-
 @dataclass(frozen=True)
 class InnerProductSpec:
     """Blockwise positive rescaling of the base form on a fixed basis.

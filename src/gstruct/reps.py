@@ -15,7 +15,7 @@ import numpy as np
 
 from . import sp3
 from .errors import NotClosed
-from .liealg import CoordinateFrame, generating_set, pair_brackets, stack_scales
+from .liealg import CoordinateFrame, pair_brackets, stack_scales
 from .linalg import DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, nullspace, read_only
 
 
@@ -171,8 +171,8 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     """Invariant-block dimensions of the 14-dim module under a subalgebra.
 
     Finds the symmetric commutant of the generator images, eigen-splits a
-    seeded random commutant element S*, and merges the eigenblocks that
-    some commutant element links (same isotypic type): the parts are the
+    generic commutant element S*, and merges the eigenblocks that some
+    commutant element links (same isotypic type): the parts are the
     connected components of the linked block pairs.
     """
     gens = sp3.load().rho_of(row.generators)
@@ -182,12 +182,13 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     if np.any(res > 1e3 * tol.residual_tol * stack_scales(br)):
         raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
-    # S |-> [S, R] is linear in R and kills brackets once it kills R1, R2
-    ker = nullspace(np.vstack([_commutant_block(R) for R in generating_set(gens, tol)]), tol)
+    # the symmetric S with [S, R] = 0 for every generator R
+    ker = nullspace(np.vstack([_commutant_block(R) for R in gens]), tol)
     commutant = (_symmetric_embedding(14) @ ker).T.reshape(-1, 14, 14)
 
-    rng = np.random.default_rng(20140314)
-    Sstar = np.tensordot(rng.standard_normal(len(commutant)), commutant, axes=1)
+    # fixed closed-form weights, not a seeded draw: no ``numpy.random`` import
+    weights = np.sin(np.sqrt(np.arange(1, len(commutant) + 1)) * 20140314)
+    Sstar = np.tensordot(weights, commutant, axes=1)
     bases = [basis for _, basis in eig_selfadjoint(0.5 * (Sstar + Sstar.T), tol)]
     dims = np.array([b.shape[1] for b in bases])
     starts = np.cumsum(dims) - dims

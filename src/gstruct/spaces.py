@@ -29,7 +29,6 @@ from .liealg import (
     InnerProductSpec,
     MatrixLieAlgebra,
     ReductiveSplit,
-    generating_set,
     isotropy_matrices,
     pair_brackets,
     stack_scales,
@@ -106,11 +105,6 @@ class HomogeneousSpaceInstance:
         if key not in owner._memo:
             owner._memo[key] = compute(owner)
         return owner._memo[key]
-
-    def generators(self, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-        """``liealg.generating_set`` of the isotropy, read-only; the
-        equivariance and spinor systems both stack over it."""
-        return self.isotropy_result("generators", tol, lambda s: read_only(generating_set(s.iso, tol)))
 
 
 def _su4_frames(p: MetricParams):

@@ -129,12 +129,12 @@ class SpinorSubspace:
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
     """Joint kernel of the lifted isotropy generators inside the spinor module.
 
-    The spin lift is a Lie algebra representation, so only the lifts of
-    ``space.generators(tol)`` are stacked; the subspace depends on the
-    isotropy alone and is shared like it (``isotropy_result``)."""
+    The lifts of the isotropy generators ``space.iso`` are stacked; the
+    subspace depends on the isotropy alone and is shared like it
+    (``isotropy_result``)."""
     def solve(owner):
         cl = build_clifford(14)
-        lifts = [spin_lift(cl, R, tol) for R in owner.generators(tol)]
+        lifts = [spin_lift(cl, R, tol) for R in owner.iso]
         basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
         return SpinorSubspace(basis=read_only(basis))
 

@@ -12,13 +12,12 @@ from .analysis import analyze
 from .linalg import DEFAULT_TOL, rank
 
 
-def _sample_params():
-    rng = np.random.default_rng(2)  # the same two points for every space
-    out = []
-    for _ in range(2):
-        a, b, g = rng.uniform(0.6, 1.8, 3)
-        out.append(spaces.MetricParams(alpha=float(a), beta=float(b), gamma=float(g)))
-    return out
+# the two sample points (alpha, beta, gamma), the same for every space;
+# literals rather than a seeded draw keep ``numpy.random`` out of the process
+_SAMPLE_POINTS = (
+    (0.9139345610991797, 0.958189372096948, 1.5770708887131364),
+    (0.7102991305621162, 1.320120631158785, 1.4742726321741535),
+)
 
 
 def _record(results, name, a, check):
@@ -67,7 +66,8 @@ def _check_space(sid: str, tol, results):
     fx = spaces.fixtures(sid)
     alias = {v: k for k, v in spaces.ALIASES.items()}[sid]
 
-    for p in _sample_params():
+    for alpha, beta, gamma in _SAMPLE_POINTS:
+        p = spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma)
         tag = f"{alias}(a={p.alpha:.3f},b={p.beta:.3f},g={p.gamma:.3f})"
         a = analyze(sid, p, tol)
         fam, hol, want_hol, want_par = a.family.dim, a.holonomy, fx.holonomy(p), fx.parallel(p)

@@ -63,6 +63,27 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_verify_takes_no_format(capsys):
+    # verify prints PASS/FAIL lines in one fixed layout
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "json"])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", "M4"], ["theta", "sp3"], ["verify"]], ids=" ".join)
+def test_closed_stdout_exits_one_without_traceback(argv):
+    # the reader is gone before the child writes: the report's own write
+    # or the flush after it meets a broken pipe
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "gstruct.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 @pytest.mark.parametrize("tol, env", [("0", None), ("2", None), ("nan", None), (None, "abc")])
 def test_invalid_tolerance_is_usage_error(capsys, monkeypatch, tol, env):
     if env is not None:
@@ -214,17 +235,12 @@ def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
     assert sorted(dims) == [14, 70]
 
 
-def test_analyze_draws_generating_set_once(capsys, monkeypatch, fresh_isotropy_cache):
-    # solve_equivariant and invariant_spinors share the space's generators,
-    # and every metric of a catalog space shares all three
-    from gstruct import connections, spaces, spin
+def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_isotropy_cache):
+    # every metric of a catalog space shares the equivariant family and the
+    # invariant spinors, so each joint-kernel system is solved once per process
+    from gstruct import connections, spin
 
-    calls, systems = [], []
-    original = spaces.generating_set
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    systems = []
 
     def recording(module):
         nullspace = module.nullspace
@@ -235,27 +251,27 @@ def test_analyze_draws_generating_set_once(capsys, monkeypatch, fresh_isotropy_c
 
         monkeypatch.setattr(module, "nullspace", record)
 
-    monkeypatch.setattr(spaces, "generating_set", counting)
     recording(connections)
     recording(spin)
     for argv in (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]):
         code, out = run_cli(capsys, "analyze", "M4", *argv)
         assert code == 0
         assert json.loads(out)["spin"]["dirac_eigenvalues"]
-    assert len(calls) == 1
     # 294 columns: the equivariance system; 128: the spinor system
     assert systems.count(294) == 1 and systems.count(128) == 1
 
 
 def test_analyze_does_not_import_numpy_random():
-    # numpy imports numpy.random and numpy.ma lazily, on first use; analyze
-    # never uses them (a plain np.unique(x) imports numpy.ma)
+    # numpy imports numpy.random and numpy.ma lazily, on first use; analyze,
+    # subgroups and verify never use them (a plain np.unique(x) imports numpy.ma)
     child = (
         "import contextlib, io, sys\n"
         "from gstruct import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['analyze', 'M3']) == 0\n"
         "    assert cli.main(['analyze', 'M4']) == 0\n"
+        "    assert cli.main(['subgroups']) == 0\n"
+        "    assert cli.main(['verify']) == 0\n"
         "print('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -16,7 +16,6 @@ STACKS = {
     "complement_acts": (lambda: reps.complement_action()[1], (21, 70, 70)),
     "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
     "M4.iso": (lambda: pipeline("M4")["space"].iso, (10, 14, 14)),
-    "M4.generators": (lambda: pipeline("M4")["space"].generators(), (2, 14, 14)),
     "M4.family": (lambda: pipeline("M4")["family"].basis, (7, 14, 21)),
     "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
     "clifford14.gammas": (lambda: spin.build_clifford(14).gammas, (14, 128, 128)),
@@ -31,10 +30,10 @@ def test_matrix_sets_are_stacked_arrays(name):
     assert isinstance(stack, np.ndarray) and stack.shape == shape
 
 
-# every metric of a catalog space shares its generators, family and spinors
+# every metric of a catalog space shares its family and spinors
 SHARED = {
     **{name: STACKS[name][0] for name in ("sp3.rho", "complement_acts", "clifford14.gammas",
-                                          "lifted_rho", "M4.generators", "M4.family")},
+                                          "lifted_rho", "M4.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
 }
 

@@ -4,13 +4,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gstruct import connections, liealg, reps, sp3, spaces, spin
+from gstruct import liealg, reps, sp3
 from gstruct.errors import DimensionMismatch, NotClosed
 from gstruct.groups import su_algebra
 from gstruct.liealg import (
     MatrixLieAlgebra,
     bracket,
-    generating_set,
     inner,
     is_naturally_reductive,
     isotropy_matrices,
@@ -18,7 +17,6 @@ from gstruct.liealg import (
     structure_constants,
     uniform_ip,
 )
-from gstruct.linalg import nullspace
 
 
 def test_bracket_antisymmetry_and_shapes():
@@ -168,8 +166,7 @@ def test_gram_matrices_orthonormal():
 
 
 # ---------------------------------------------------------------------------
-# generating_set: the joint kernel of a representation over the returned
-# pair must be the joint kernel over every generator.
+# Reference builders; test_reps imports the Sym^3 ones.
 
 
 @lru_cache(maxsize=1)
@@ -206,26 +203,6 @@ def _sym3_action(A, batch):
     return W1 + W2 + W3
 
 
-@lru_cache(maxsize=1)
-def _sym3_batch():
-    return _sym3_tensors(14)
-
-
-def _cubic_system(A):
-    multis, weights = _sym3_basis(14)
-    I, J, K = np.array(multis).T
-    W = _sym3_action(A, _sym3_batch())
-    return (W[:, I, J, K] * weights[None, :]).T
-
-
-_SYSTEMS = {
-    "equivariance": connections._equivariance_block,
-    "spinor": lambda R: spin.spin_lift(spin.build_clifford(14), R),
-    "cubics": _cubic_system,
-    "commutant": reps._commutant_block,
-}
-
-
 def _symmetric_basis(n: int):
     """Reference: the symmetric n x n matrices E_pq + E_qp, p <= q."""
     mats = []
@@ -242,62 +219,6 @@ def test_commutant_block_matches_loop_reference():
     for R in [*sp3.load().rho, rng.standard_normal((14, 14))]:
         ref = np.array([(S @ R - R @ S).ravel() for S in _symmetric_basis(14)]).T
         assert np.array_equal(reps._commutant_block(R), ref)
-
-
-def _generators(source):
-    from conftest import pipeline
-
-    if source in spaces.ALIASES:
-        return pipeline(source, alpha=1.1, beta=0.8, gamma=1.4)["space"].iso
-    if source == "sp3":
-        return list(sp3.load().rho)
-    row = next(r for r in sp3.subgroup_rows() if r.name == source)
-    return [sp3.load().rho_of(v) for v in row.generators]
-
-
-def _projector(system, gens):
-    K = nullspace(np.vstack([_SYSTEMS[system](R) for R in gens]))
-    return K @ K.conj().T
-
-
-@pytest.mark.parametrize(
-    "system,source",
-    [(s, sid) for s in ("equivariance", "spinor") for sid in ("M2", "M3", "M4")]
-    + [("cubics", "sp3")]
-    + [("commutant", row.name) for row in sp3.subgroup_rows()],
-)
-def test_generating_set_kernel_equals_full_stack(system, source):
-    gens = _generators(source)
-    full = _projector(system, gens)
-    pair = _projector(system, generating_set(gens))
-    assert np.max(np.abs(pair - full)) <= 1e-12
-
-
-def test_generating_set_sizes():
-    assert len(generating_set(_generators("M4"))) == 2
-    assert len(generating_set(_generators("sp3"))) == 2
-    for sid in ("M1", "M2", "M3"):
-        gens = _generators(sid)
-        got = generating_set(gens)
-        assert len(got) == len(gens)
-        assert all(np.array_equal(g, h) for g, h in zip(got, gens))
-
-
-def test_generating_set_degenerate_draw_falls_back(monkeypatch, fresh_isotropy_cache):
-    # the cache is cleared, so the family and the spinors below are solved over the fallback
-    space = spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
-    # iso[8] and iso[9] commute: both combinations lie in one Cartan subalgebra
-    R8, R9 = space.iso[8], space.iso[9]
-    assert np.max(np.abs(R8 @ R9 - R9 @ R8)) < 1e-14
-    coeffs = np.zeros((2, 10))
-    coeffs[0, 8:] = (1.0, 0.7)
-    coeffs[1, 8:] = (0.4, -1.3)
-    monkeypatch.setattr(liealg, "_pair_coefficients", lambda count: coeffs)
-    got = generating_set(space.iso)
-    assert len(got) == 10
-    assert all(np.array_equal(g, h) for g, h in zip(got, space.iso))
-    assert connections.solve_equivariant(space).dim == 7
-    assert spin.invariant_spinors(space).dim == 4
 
 
 def test_stack_coords_matches_least_squares_per_element():

@@ -190,14 +190,31 @@ def test_catalog_kernels_match_single_svd(sid, alpha, beta, gamma):
     space = spaces.build(sid, spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma))
     cl = spin.build_clifford(14)
     systems = (
-        np.vstack([connections._equivariance_block(R) for R in space.generators()]),
-        np.vstack([spin.spin_lift(cl, R) for R in space.generators()]),
+        np.vstack([connections._equivariance_block(R) for R in space.iso]),
+        np.vstack([spin.spin_lift(cl, R) for R in space.iso]),
     )
     for A, dim in zip(systems, _CATALOG_DIMS[sid]):
-        ker = nullspace(A)
-        _, ref = _full_svd_kernel(A)
-        assert ker.shape[1] == ref.shape[1] == dim
-        assert np.max(np.abs(ker @ ker.conj().T - ref @ ref.conj().T)) <= 1e-12
+        _assert_kernel_matches_single_svd(A, dim)
+
+
+# dimension of the symmetric commutant of each row of ``sp3.subgroup_rows()``
+_COMMUTANT_DIMS = {"u3": 2, "so3": 2, "sp2xsp1": 3, "so3xsp1": 2, "sp2": 3}
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTANT_DIMS))
+def test_commutant_kernels_match_single_svd(name):
+    from gstruct import reps, sp3
+
+    row = next(r for r in sp3.subgroup_rows() if r.name == name)
+    A = np.vstack([reps._commutant_block(R) for R in sp3.load().rho_of(row.generators)])
+    _assert_kernel_matches_single_svd(A, _COMMUTANT_DIMS[name])
+
+
+def _assert_kernel_matches_single_svd(A, dim):
+    ker = nullspace(A)
+    _, ref = _full_svd_kernel(A)
+    assert ker.shape[1] == ref.shape[1] == dim
+    assert np.max(np.abs(ker @ ker.conj().T - ref @ ref.conj().T)) <= 1e-12
 
 
 def test_m3_extreme_point_merges_blocks():

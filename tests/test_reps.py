@@ -364,14 +364,6 @@ def test_invariant_cubic_is_the_trace_cubic():
     assert min(np.max(np.abs(U - t)), np.max(np.abs(U + t))) <= 1e-12
 
 
-def test_invariant_cubics_need_no_generating_set(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("generating_set called")
-
-    monkeypatch.setattr(reps, "generating_set", fail)
-    assert len(reps.invariant_cubics()) == 1
-
-
 def test_metric_reconstruction():
     U, scale = reps.metric_reconstructor()
     rng = np.random.default_rng(100)
