@@ -9,6 +9,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import connections as con
 from . import curvature as curv
 from . import spaces
@@ -36,7 +38,8 @@ class Analysis:
 
     @functools.cached_property
     def type_components(self) -> dict:
-        return None if self.torsion is None else con.classify_type(self.torsion.t3, self.tol)
+        return None if self.torsion is None else con.classify_type(
+            self.torsion.t3, np.linalg.norm(self.space.pm), self.tol)
 
     @functools.cached_property
     def dirac(self) -> spin_mod.DiracReport:
@@ -64,7 +67,7 @@ def analyze(space_id: str, params: spaces.MetricParams, tol: ToleranceProfile = 
         conn = None
     out = {"space": space, "family": family, "tol": tol, "conn": conn}
     if conn is not None:
-        out.update(torsion=con.torsion(conn), parallel=con.torsion_is_parallel(conn))
+        out.update(torsion=con.torsion(conn), parallel=con.torsion_is_parallel(conn, tol))
         if holonomy:
             out["holonomy"] = con.holonomy_algebra(conn, tol)
     if curvature:

@@ -151,10 +151,8 @@ def cmd_decompose(args) -> int:
     tol = _tolerance(args)
     if args.selector == "lambda3":
         dec = reps.lambda3_decomposition(tol)
-    elif args.selector == "v14xv70":
-        dec = reps.decompose_casimir(reps.v14_v70_casimir(), tol)
     else:
-        raise GstructError(f"unknown selector {args.selector!r}")
+        dec = reps.decompose_casimir(reps.v14_v70_casimir(), tol)
     _emit(
         {
             "selector": args.selector,
@@ -170,10 +168,8 @@ def cmd_theta(args) -> int:
     tol = _tolerance(args)
     if args.selector == "sp3":
         theta = reps.sp3_theta(tol)
-    elif args.selector == "su3-adjoint":
-        _, _, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
     else:
-        raise GstructError(f"unknown selector {args.selector!r}")
+        _, _, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
     kdim, _ = reps.theta_kernel(theta, tol)
     _emit(
         {
@@ -216,8 +212,6 @@ _LIEGROUP_ALGEBRAS = {
 
 def cmd_liegroup(args) -> int:
     tol = _tolerance(args)
-    if args.selector not in _LIEGROUP_ALGEBRAS:
-        raise GstructError(f"unknown selector {args.selector!r}")
     build, partition = _LIEGROUP_ALGEBRAS[args.selector]
     alg = build()
     kdim, _, theta = groups.theta_kernel_adjoint(alg, tol)

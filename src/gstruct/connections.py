@@ -17,9 +17,6 @@ from .errors import Infeasible, NotSkew
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns, read_only
 from .spaces import HomogeneousSpaceInstance
 
-# nabla T (or T itself) counts as zero up to this multiple of its scale
-_PARALLEL_REL = 1e-7
-
 
 @dataclass(frozen=True)
 class EquivariantFamily:
@@ -198,7 +195,7 @@ def characteristic_connection(space: HomogeneousSpaceInstance,
     half_t3 = _three_form(half_t)
     resid = float(np.linalg.norm(_pr_m(half_t3) - gamma))
     pnorm = float(np.linalg.norm(space.pm))
-    if resid > 1e3 * tol.residual_tol * pnorm:
+    if tol.exceeds(resid, pnorm):
         raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
     L = _rho_coords(lc - half_t3)
     L[np.abs(L) < 1e-12 * pnorm] = 0.0
@@ -214,32 +211,33 @@ def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
     )
 
 
-def torsion_is_parallel(conn: InvariantConnection):
+def torsion_is_parallel(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL):
     """(flag, max |nabla T| / (||pm|| ||T||)).
 
     Under a uniform metric scaling by s the bracket table pm and T scale
     like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
-    T vanishes (and is parallel) when ||T|| <= _PARALLEL_REL ||pm||, and is
-    parallel when the ratio is <= _PARALLEL_REL."""
+    T vanishes (and is parallel) unless it exceeds ||pm||, and nabla T
+    unless the ratio exceeds 1, both at factor 100."""
     T = torsion(conn)
     tnorm = float(np.sqrt(T.norm2_increasing))
     pnorm = float(np.linalg.norm(conn.space.pm))
-    if tnorm <= _PARALLEL_REL * pnorm:
+    if not tol.exceeds(tnorm, pnorm, 100):
         return True, 0.0
     nt = nabla_torsion(conn.so_matrices(), T.t12)
     ratio = float(np.max(np.abs(nt)) / (pnorm * tnorm))
-    return ratio <= _PARALLEL_REL, ratio
+    return not tol.exceeds(ratio, 1.0, 100), ratio
 
 
-def classify_type(t3: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
+def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
     """Squared norms of the 3-form over the Casimir eigenspaces of the
-    3-form module; the keys are the (integer) Casimir eigenvalues."""
+    3-form module; the keys are the (integer) Casimir eigenvalues.  The skew
+    defect is measured against ``scale``, the size of the operands t3 came
+    from: ||pm|| for a torsion, which may vanish up to round-off of it."""
     skew_defect = max(
         float(np.max(np.abs(t3 + np.swapaxes(t3, 1, 2)))),
         float(np.max(np.abs(t3 + np.swapaxes(t3, 0, 1)))),
     )
-    scale = max(float(np.max(np.abs(t3))), 1.0)
-    if skew_defect > 1e3 * tol.residual_tol * scale:
+    if tol.exceeds(skew_defect, scale):
         raise NotSkew(f"tensor is not a 3-form (defect {skew_defect:.3e})")
     slot, row, col, _ = reps.theta_index(14)
     v = t3[slot[0], row[0], col[0]]
@@ -284,8 +282,8 @@ def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
     def inside(target_idx):
         Ton = orthonormal_columns(rho[list(target_idx)].T, tol)
         resid = np.linalg.norm(on - Ton @ (Ton.T @ on), axis=0)
-        scale = np.maximum(np.linalg.norm(on, axis=0), 1.0)
-        return bool(np.all(resid <= 1e3 * tol.residual_tol * scale))
+        # the columns of on are orthonormal: each residual's scale is 1
+        return not np.any(tol.exceeds(resid, 1.0))
 
     if dim <= 3 and inside([8, 9, 20]):
         return "torus"

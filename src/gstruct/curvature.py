@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import InvariantConnection, curvature, curvature_of_map, levi_civita, torsion
-from .errors import Infeasible
+from .errors import StructureViolation
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
 
@@ -66,8 +66,8 @@ def curvature_report(
         ric_c = ricci_connection(conn)
         scal_c = float(np.trace(ric_c))
         dev = np.max(np.abs(_identity_route(conn, ric_c) - ric_g))
-        if dev > 1e4 * tol.residual_tol * max(np.max(np.abs(ric_g)), 1.0):
-            raise Infeasible(f"Riemannian Ricci routes disagree by {dev:.3e}")
+        if tol.exceeds(dev, np.max(np.abs(ric_g)), 1e4):
+            raise StructureViolation(f"Riemannian Ricci routes disagree by {dev:.3e}")
     else:
         ric_c, scal_c = None, float("nan")
     defect = float(np.linalg.norm(ric_g - (scal_g / 14.0) * np.eye(14)))

@@ -42,7 +42,7 @@ class NotAntisymmetric(GstructError, ValueError):
 
 
 class StructureViolation(GstructError, RuntimeError):
-    """Catalog self-consistency failure (isotropy left its target algebra)."""
+    """An internal invariant of the computation failed (CLI exit code 3)."""
 
 
 class ConventionMismatch(GstructError, RuntimeError):

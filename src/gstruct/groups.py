@@ -78,12 +78,13 @@ def commutator_map(alg: MatrixLieAlgebra, scale: float = 0.5) -> BilinearConnect
 
 
 def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
-    """Each block of the partition must be an ideal: [g, block] in block."""
+    """Each block of the partition must be an ideal: [g, block] in block,
+    up to round-off of the largest structure constant."""
     c = structure_constants(alg, tol)
     for block in map(sorted, map(set, ideal_partition)):
         # leak[i, j] = |pr_outside [b_i, b_j]| for every j in the block
         leak = np.linalg.norm(np.delete(c[:, block], block, axis=2), axis=2)
-        bad = leak > 1e3 * tol.residual_tol * np.maximum(np.linalg.norm(c[:, block], axis=2), 1.0)
+        bad = tol.exceeds(leak, np.max(np.abs(c)))
         if bad.any():
             raise NotAnIdeal(f"block {block} is not an ideal (leak {leak[bad][0]:.3e})")
     return c
@@ -91,11 +92,12 @@ def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile 
 
 def canonical_torsion_family(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
     """One torsion 3-form per (non-abelian) ideal: the commutator rescaled
-    on that ideal, as vectors over increasing basis triples."""
+    on that ideal, as vectors over increasing basis triples (zero ones,
+    up to round-off of the largest structure constant, dropped)."""
     c = verify_ideals(alg, ideal_partition, tol)
     i, j, k = np.array(reps.triples(alg.dim), dtype=np.intp).reshape(-1, 3).T
     family = [np.where(np.isin(k, block), c[i, j, k], 0.0) for block in ideal_partition]
-    return [v for v in family if np.linalg.norm(v) > tol.residual_tol]
+    return [v for v in family if tol.exceeds(np.linalg.norm(v), np.max(np.abs(c)), 1)]
 
 
 def adjoint_generators(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):

@@ -46,17 +46,13 @@ def _stack(mats) -> np.ndarray:
 
 
 def pair_brackets(mats):
-    """(i, j, [mats_i, mats_j]) over the pairs i < j of np.triu_indices,
-    the brackets as one (pairs, n, n) stack."""
+    """(i, j, [mats_i, mats_j], ||mats_i|| ||mats_j||) over the pairs i < j
+    of np.triu_indices, the brackets as one (pairs, n, n) stack; the last is
+    their residual scale (a bracket may be zero up to round-off)."""
     B = np.asarray(mats)
     i, j = np.triu_indices(len(B), 1)
-    return i, j, B[i] @ B[j] - B[j] @ B[i]
-
-
-def stack_scales(X) -> np.ndarray:
-    """max(||X_k||, 1) for each matrix of a stack: every residual test is
-    relative to its own element, never to a whole batch."""
-    return np.maximum(np.linalg.norm(X, axis=(-2, -1)), 1.0)
+    norms = np.linalg.norm(B, axis=(1, 2))
+    return i, j, B[i] @ B[j] - B[j] @ B[i], norms[i] * norms[j]
 
 
 class CoordinateFrame:
@@ -113,9 +109,9 @@ class MatrixLieAlgebra:
 def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k."""
     d = alg.dim
-    i, j, br = pair_brackets(alg.basis)
+    i, j, br, scale = pair_brackets(alg.basis)
     coef, res = CoordinateFrame(alg.basis).stack_coords(br)
-    bad = np.flatnonzero(res > tol.residual_tol * stack_scales(br))
+    bad = np.flatnonzero(tol.exceeds(res, scale, 1))
     if bad.size:
         k = bad[0]
         raise NotClosed(
@@ -181,20 +177,15 @@ class ReductiveSplit:
     def dim_m(self) -> int:
         return len(self.m_basis)
 
-    def split_stack(self, X, tol: ToleranceProfile = DEFAULT_TOL):
+    def split_stack(self, X, scale, tol: ToleranceProfile = DEFAULT_TOL):
         """(h-coordinates, m-coordinates) of a stack of N matrices, as
-        (N, dim_h) and (N, dim_m) arrays; raises if an element leaves h + m."""
-        X = np.asarray(X)
-        c, res = self._frame.stack_coords(X)
-        bad = np.flatnonzero(res > 1e3 * tol.residual_tol * stack_scales(X))
+        (N, dim_h) and (N, dim_m) arrays; raises if an element leaves h + m
+        by more than round-off of ``scale``, the size of its operands."""
+        c, res = self._frame.stack_coords(np.asarray(X))
+        bad = np.flatnonzero(tol.exceeds(res, scale))
         if bad.size:
             raise NotReductive(f"element leaves h+m (residual {res[bad[0]]:.3e})")
         return c[:, : self.dim_h], c[:, self.dim_h:]
-
-    def split_coords(self, X, tol: ToleranceProfile = DEFAULT_TOL):
-        """(h-coordinates, m-coordinates) of X; raises if X leaves h + m."""
-        ch, cm = self.split_stack(np.asarray(X)[None], tol)
-        return ch[0], cm[0]
 
     def gram_m(self) -> np.ndarray:
         """Gram matrix of m_basis under the ip metric (identity if orthonormal).
@@ -250,14 +241,15 @@ def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL
     stack.
 
     Raises NotReductive if some [H, K_j] has an h-part (each bracket is
-    measured against its own norm)."""
+    measured against ||H|| ||K_j||)."""
     r, d, n = split.dim_h, split.dim_m, split.algebra.ambient_dim
     H = split.h_basis.reshape(r, 1, n, n)
     K = split.m_basis.reshape(1, d, n, n)
     br = (H @ K - K @ H).reshape(r * d, n, n)
-    ch, cm = split.split_stack(br, tol)
+    scale = np.outer(np.linalg.norm(H, axis=(2, 3)), np.linalg.norm(K, axis=(2, 3))).ravel()
+    ch, cm = split.split_stack(br, scale, tol)
     hpart = np.linalg.norm(ch, axis=1)
-    bad = np.flatnonzero(hpart > 1e3 * tol.residual_tol * stack_scales(br))
+    bad = np.flatnonzero(tol.exceeds(hpart, scale))
     if bad.size:
         raise NotReductive(f"[h, m] leaves m (h-part {hpart[bad[0]]:.3e})")
     # R[:, j] holds the m-coordinates of [H, K_j]
@@ -265,13 +257,14 @@ def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL
 
 
 def is_naturally_reductive(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL):
-    """(flag, max defect) for g([X,Y]_m, Z) + g(Y, [X,Z]_m) over basis triples."""
+    """(flag, max defect) for g([X,Y]_m, Z) + g(Y, [X,Z]_m) over basis triples,
+    measured against the largest m basis element, the size of n3."""
     n = split.dim_m
     # n3[i, j, k] = g([K_i, K_j]_m, K_k); with orthonormal m the metric
     # coefficients are already absorbed into the basis.
-    i, j, br = pair_brackets(split.m_basis)
-    _, cm = split.split_stack(br, tol)
+    i, j, br, scale = pair_brackets(split.m_basis)
+    _, cm = split.split_stack(br, scale, tol)
     n3 = np.zeros((n, n, n))
     n3[i, j], n3[j, i] = cm, -cm
     defect = float(np.max(np.abs(n3 + np.swapaxes(n3, 1, 2))))
-    return defect <= 1e3 * tol.residual_tol, defect
+    return not tol.exceeds(defect, np.linalg.norm(split.m_basis, axis=(1, 2)).max()), defect

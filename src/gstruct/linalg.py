@@ -3,7 +3,9 @@
 Every floating-point decision elsewhere in the package (ranks, kernels,
 eigenvalue clustering, residual assertions) is routed through a single
 :class:`ToleranceProfile`, so identical inputs always produce identical
-outputs.  Backed by numpy's LAPACK bindings; matrices are plain
+outputs.  Every residual, defect and nonzero test is one call of
+:meth:`ToleranceProfile.exceeds`; only this module reads ``residual_tol``.
+Backed by numpy's LAPACK bindings; matrices are plain
 ``numpy.ndarray`` objects (row-major, complex or real dtype).
 """
 
@@ -30,6 +32,11 @@ class ToleranceProfile:
             raise ValueError("tolerances must be strictly positive")
         if self.rank_tol >= 1:
             raise ValueError("rank_tol must be < 1")
+
+    def exceeds(self, value, scale, factor: float = 1e3):
+        """Elementwise ``value > factor * residual_tol * scale``, with scale
+        the size of the operands the residual came from, never floored."""
+        return value > factor * self.residual_tol * scale
 
 
 DEFAULT_TOL = ToleranceProfile()
@@ -209,7 +216,7 @@ def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
     if n != A.shape[1]:
         raise NotSelfAdjoint(f"matrix is {n}x{A.shape[1]}, not square")
     defect = np.linalg.norm(A - A.conj().T)
-    if defect > tol.residual_tol * np.linalg.norm(A):
+    if tol.exceeds(defect, np.linalg.norm(A), 1):
         raise NotSelfAdjoint(f"hermiticity defect {defect:.3e} exceeds tolerance")
     H = 0.5 * (A + A.conj().T)
     split = _split_blocks(H, tol, hermitian=True)

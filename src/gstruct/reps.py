@@ -14,8 +14,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from . import sp3
-from .errors import NotClosed
-from .liealg import CoordinateFrame, pair_brackets, stack_scales
+from .errors import NotClosed, StructureViolation
+from .liealg import CoordinateFrame, pair_brackets
 from .linalg import DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, nullspace, read_only
 
 
@@ -177,9 +177,9 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     """
     gens = sp3.load().rho_of(row.generators)
     # closure check of the generator span
-    _, _, br = pair_brackets(gens)
+    _, _, br, scale = pair_brackets(gens)
     _, res = CoordinateFrame(gens).stack_coords(br)
-    if np.any(res > 1e3 * tol.residual_tol * stack_scales(br)):
+    if np.any(tol.exceeds(res, scale)):
         raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
     # the symmetric S with [S, R] = 0 for every generator R
@@ -193,9 +193,10 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     dims = np.array([b.shape[1] for b in bases])
     starts = np.cumsum(dims) - dims
     Q = np.hstack(bases)
-    # squared Frobenius norm of every eigenblock pair of Q^T C Q, per C
+    # squared Frobenius norm of every eigenblock pair of Q^T C Q, per C;
+    # Q and ker are orthonormal, so the scale is 1
     sq = np.add.reduceat(np.add.reduceat((Q.T @ commutant @ Q) ** 2, starts, axis=1), starts, axis=2)
-    linked = np.any(np.sqrt(sq) > 1e3 * tol.residual_tol, axis=0)
+    linked = np.any(tol.exceeds(np.sqrt(sq), 1.0), axis=0)
     labels, _, _ = _block_labels(linked | np.eye(len(dims), dtype=bool))
     sizes = np.bincount(labels, weights=dims)
     return tuple(sorted(int(d) for d in sizes[sizes > 0]))
@@ -242,16 +243,16 @@ def invariant_cubics_cached():
 def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
     """Orthonormal basis of invariant symmetric 3-tensors on the 14-dim
     module, as (14,14,14) arrays: the kernel of the Sym^3 Casimir of all
-    the sp(3) generators (``sym3_casimir``)."""
+    the sp(3) generators (``sym3_casimir``), of unit norm: S is an isometry."""
     n = 14
     C, S = sym3_casimir(sp3.load().rho)
     out = []
     for U in (S @ nullspace(C, tol)).T.reshape(-1, n, n, n):
         for perm in ((0, 2, 1), (1, 0, 2)):
-            if np.max(np.abs(U - np.transpose(U, perm))) > tol.residual_tol:
-                raise RuntimeError("invariant cubic is not totally symmetric")
-        if np.linalg.norm(np.einsum("iik->k", U)) > tol.residual_tol:
-            raise RuntimeError("invariant cubic is not trace-free")
+            if tol.exceeds(np.max(np.abs(U - np.transpose(U, perm))), 1.0, 1):
+                raise StructureViolation("invariant cubic is not totally symmetric")
+        if tol.exceeds(np.linalg.norm(np.einsum("iik->k", U)), 1.0, 1):
+            raise StructureViolation("invariant cubic is not trace-free")
         out.append(U)
     return out
 

@@ -252,8 +252,8 @@ def subgroup_rows():
 def homomorphism_defect() -> float:
     """max over pairs of || rho([A_i, A_j]) - [rho(A_i), rho(A_j)] ||."""
     data = load()
-    _, _, br = pair_brackets(data.A)
+    _, _, br, _ = pair_brackets(data.A)
     c, res = CoordinateFrame(data.A).stack_coords(br)
     lhs = np.tensordot(c, data.rho, axes=1)
-    _, _, rhs = pair_brackets(data.rho)
+    _, _, rhs, _ = pair_brackets(data.rho)
     return max(float(np.max(np.abs(lhs - rhs))), float(np.max(res)))

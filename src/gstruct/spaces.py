@@ -31,7 +31,6 @@ from .liealg import (
     ReductiveSplit,
     isotropy_matrices,
     pair_brackets,
-    stack_scales,
 )
 from .linalg import DEFAULT_TOL, ToleranceProfile, read_only
 from .sp3 import E, S
@@ -255,14 +254,14 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     split = ReductiveSplit(algebra=k_alg, h_basis=H, m_basis=K, ip=ip)
     iso = isotropy_matrices(split, tol)
     coeffs, resid = sp3.load().project_rho(iso)
-    bad = np.flatnonzero(resid > 1e3 * tol.residual_tol * stack_scales(iso))
+    bad = np.flatnonzero(tol.exceeds(resid, np.linalg.norm(iso, axis=(1, 2))))
     if bad.size:
         raise StructureViolation(
             f"{label}: isotropy leaves rho(sp3) (residual {resid[bad[0]]:.3e})"
         )
     n = len(K)
-    i, j, br = pair_brackets(K)
-    ch, cm = split.split_stack(br, tol)
+    i, j, br, scale = pair_brackets(K)
+    ch, cm = split.split_stack(br, scale, tol)
     pm = np.zeros((n, n, n))
     ph = np.zeros((n, n, len(H)))
     pm[i, j], pm[j, i] = cm, -cm
@@ -308,7 +307,7 @@ def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_T
         return space
     owner = _unit_metric_space(sid, tol)
     dev = np.max(np.abs(space.iso - owner.iso))
-    if dev > 1e3 * tol.residual_tol * np.max(np.abs(owner.iso)):
+    if tol.exceeds(dev, np.max(np.abs(owner.iso))):
         raise StructureViolation(f"{sid}: isotropy depends on the metric (deviation {dev:.3e})")
     space._isotropy_owner = owner
     return space

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import sp3
 from .connections import InvariantConnection, torsion, torsion_is_parallel
-from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
+from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation, TorsionNotParallel
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, read_only
 from .spaces import HomogeneousSpaceInstance
 
@@ -106,7 +106,7 @@ def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np
     (1/4) sum_ij A_ij e_j e_i, with the entry order fixed so that both
     [lift(A), c(v)] = c(Av) and lift([A, B]) = [lift(A), lift(B)] hold."""
     A = np.asarray(A)
-    if np.max(np.abs(A + A.T)) > tol.residual_tol * max(np.max(np.abs(A)), 1.0):
+    if tol.exceeds(np.max(np.abs(A + A.T)), np.max(np.abs(A)), 1):
         raise NotAntisymmetric("spin_lift needs an antisymmetric matrix")
     return _form_action(-0.5 * A, cl.n)
 
@@ -194,8 +194,8 @@ def dirac_on_invariants(
 
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))
-    if herm > 1e3 * tol.residual_tol * max(np.max(np.abs(Dr)), 1.0):
-        raise RuntimeError(f"restricted Dirac matrix not self-adjoint ({herm:.3e})")
+    if tol.exceeds(herm, np.max(np.abs(Dr))):
+        raise StructureViolation(f"restricted Dirac matrix not self-adjoint ({herm:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (Dr + Dr.conj().T))
 
     Tr = B.conj().T @ t_op @ B
@@ -228,7 +228,7 @@ def eigenvalue_estimates(
     if not parallel_checked:
         if conn is None:
             raise TorsionNotParallel("pass the connection or assert parallelism")
-        flag, ratio = torsion_is_parallel(conn)
+        flag, ratio = torsion_is_parallel(conn, tol)
         if not flag:
             raise TorsionNotParallel(f"nabla T / (||pm|| ||T||) = {ratio:.3e}")
     t2 = report.torsion_norm2
@@ -243,6 +243,6 @@ def eigenvalue_estimates(
     lam2 = float(np.min(report.eigenvalues**2))
     # every term has the units of lam2, so both flags are scale-free
     scale = max(lam2, abs(scal_riem) / 4, t2 / 8, mu2 / 4)
-    report.friedrich_equality = bool(abs(lam2 - report.friedrich_rhs) <= 1e-9 * scale)
-    report.twistor_strict = bool(lam2 - report.twistor_rhs > 1e-9 * scale)
+    report.friedrich_equality = not tol.exceeds(abs(lam2 - report.friedrich_rhs), scale, 1)
+    report.twistor_strict = bool(tol.exceeds(lam2 - report.twistor_rhs, scale, 1))
     return report

@@ -137,13 +137,14 @@ def test_criterion_07_parallel_torsion():
 def test_criterion_08_type_classification():
     for sid in ["M1", "M2", "M3"]:
         for a, b, g in draws(sid, 3, seed=88):
-            comps = con.classify_type(con.torsion(pipeline(sid, alpha=a, beta=b, gamma=g)["conn"]).t3)
+            conn = pipeline(sid, alpha=a, beta=b, gamma=g)["conn"]
+            comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
             assert sum(1 for v in comps.values() if v > 1e-9) >= 2, sid
     worst = 0.0
     for b, g in ((1.0, 1.0), (2.0, 0.5)):
         for afun, ev in ((spaces.m4_pure_sp3_alpha, -8), (spaces.m4_pure_189_alpha, -16)):
             ctx = pipeline("M4", alpha=float(afun(b, g)), beta=b, gamma=g)
-            comps = con.classify_type(con.torsion(ctx["conn"]).t3)
+            comps = con.classify_type(con.torsion(ctx["conn"]).t3, np.linalg.norm(ctx["space"].pm))
             off = float(np.sqrt(sum(v for k, v in comps.items() if k != ev)))
             worst = max(worst, off)
             assert off <= 1e-8

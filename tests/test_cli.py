@@ -63,6 +63,30 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def _non_hermitian_dirac(original):
+    def patched(*args):
+        lifts_b, t_op, D = original(*args)
+        return lifts_b, t_op, D + 1j * np.eye(len(D))
+
+    return patched
+
+
+def _shifted_ricci(original):
+    return lambda *args: original(*args) + 1.0  # the two Ricci routes disagree
+
+
+@pytest.mark.parametrize("module, name, patch", [
+    ("spin", "_dirac_terms", _non_hermitian_dirac),
+    ("curvature", "_identity_route", _shifted_ricci),
+], ids=["dirac", "ricci"])
+def test_internal_violation_exits_three(capsys, monkeypatch, module, name, patch):
+    mod = importlib.import_module(f"gstruct.{module}")
+    monkeypatch.setattr(mod, name, patch(getattr(mod, name)))
+    assert main(["analyze", "M2"]) == 3
+    err = capsys.readouterr().err
+    assert "internal invariant violation" in err and "Traceback" not in err
+
+
 def test_verify_takes_no_format(capsys):
     # verify prints PASS/FAIL lines in one fixed layout
     with pytest.raises(SystemExit) as exc:

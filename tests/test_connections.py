@@ -228,7 +228,7 @@ def test_derived_tensors_are_read_only():
 def test_classify_type_parseval_and_mixed():
     ctx = pipeline("M1", alpha=1.0, beta=1.0, gamma=1.0)
     T = con.torsion(ctx["conn"])
-    comps = con.classify_type(T.t3)
+    comps = con.classify_type(T.t3, np.linalg.norm(ctx["space"].pm))
     assert set(comps) == {-8, -12, -18, -16}
     assert abs(sum(comps.values()) - T.norm2_increasing) < 1e-10
     assert sum(1 for v in comps.values() if v > 1e-9) >= 2
@@ -238,18 +238,18 @@ def test_classify_type_rejects_non_forms():
     bad = np.zeros((14, 14, 14))
     bad[0, 1, 2] = 1.0  # not antisymmetrized
     with pytest.raises(NotSkew):
-        con.classify_type(bad)
+        con.classify_type(bad, 1.0)
 
 
 def test_m4_pure_types():
     for b, g in [(1.0, 1.0), (2.0, 0.5)]:
         a = spaces.m4_pure_sp3_alpha(b, g)
-        T = con.torsion(pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"])
-        comps = con.classify_type(T.t3)
+        conn = pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"]
+        comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
         assert np.sqrt(sum(v for k, v in comps.items() if k != -8)) <= 1e-8
         a = spaces.m4_pure_189_alpha(b, g)
-        T = con.torsion(pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"])
-        comps = con.classify_type(T.t3)
+        conn = pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"]
+        comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
         assert np.sqrt(sum(v for k, v in comps.items() if k != -16)) <= 1e-8
 
 

@@ -4,11 +4,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from gstruct import liealg, reps, sp3
-from gstruct.errors import DimensionMismatch, NotClosed
+from gstruct import liealg, reps, sp3, spaces
+from gstruct.errors import DimensionMismatch, NotClosed, NotReductive
 from gstruct.groups import su_algebra
 from gstruct.liealg import (
     MatrixLieAlgebra,
+    ReductiveSplit,
     bracket,
     inner,
     is_naturally_reductive,
@@ -97,6 +98,28 @@ def test_reductive_split_h_equals_k():
     assert split.dim_m == 0
 
 
+@pytest.mark.parametrize("s", [1.0, 1e-4, 1e-7])
+def test_isotropy_rejects_small_non_reductive_m(s):
+    # [X, sY] leaves h + m = span(X, Y) however small s is
+    su2 = su_algebra(2)
+    X, Y = su2.basis[:2]
+    split = ReductiveSplit(algebra=su2, h_basis=[X], m_basis=[s * Y], ip=uniform_ip(1))
+    with pytest.raises(NotReductive):
+        isotropy_matrices(split)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e14])
+def test_isotropy_rejects_tilted_generator_at_any_scale(s):
+    # H_0 + 0.3 sqrt(2s) K_0 = H_0 + 0.3 E_13 does not map m into itself;
+    # its h-parts shrink with the frame as s grows
+    K, H, ip = spaces._su4_frames(spaces.MetricParams(alpha=s, beta=s, gamma=s))
+    tilted = H[0] + 0.3 * np.sqrt(2 * s) * K[0]
+    k = MatrixLieAlgebra("su4", np.concatenate([[tilted], K]))
+    split = ReductiveSplit(algebra=k, h_basis=[tilted], m_basis=K, ip=ip)
+    with pytest.raises(NotReductive):
+        isotropy_matrices(split)
+
+
 def test_isotropy_matrices_m1_identification(sp3_data, request):
     from conftest import pipeline
 
@@ -126,7 +149,8 @@ def test_isotropy_representation_property():
     # rho([H_i, H_j]) = [rho(H_i), rho(H_j)] via h coordinates of the bracket
     for i in range(3):
         for j in range(i + 1, 4):
-            ch, cm = space.split.split_coords(bracket(H[i], H[j]))
+            scale = np.linalg.norm(H[i]) * np.linalg.norm(H[j])
+            (ch,), (cm,) = space.split.split_stack(bracket(H[i], H[j])[None], scale)
             lhs = sum(c * frame_iso[r] for r, c in enumerate(ch))
             rhs = iso[i] @ iso[j] - iso[j] @ iso[i]
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -140,20 +164,23 @@ def test_naturally_reductive_biinvariant_su2():
     assert flag and defect < 1e-12
 
 
-def test_naturally_reductive_m3_equal_alphas():
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e14])
+def test_naturally_reductive_m3_equal_alphas(s):
     from conftest import pipeline
 
-    space = pipeline("M3", alpha=1.2, beta=0.9, gamma=1.5)["space"]
+    space = pipeline("M3", alpha=1.2 * s, beta=0.9 * s, gamma=1.5 * s)["space"]
     flag, _ = is_naturally_reductive(space.split)
     assert flag
 
 
-def test_not_naturally_reductive_m1_unequal():
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e14])
+def test_not_naturally_reductive_m1_unequal(s):
     from conftest import pipeline
 
-    space = pipeline("M1", alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1))["space"]
+    space = pipeline("M1", alpha=s, alphas=(2.0 * s,) + (s,) * 6, beta=s, gamma=s)["space"]
     flag, defect = is_naturally_reductive(space.split)
-    assert not flag and defect > 1e-4
+    # the defect scales like s^(-1/2)
+    assert not flag and defect > 1e-4 / np.sqrt(s)
 
 
 def test_gram_matrices_orthonormal():
@@ -236,16 +263,3 @@ def test_stack_coords_matches_least_squares_per_element():
         ck, rk = frame.coords(X[k])
         assert np.max(np.abs(ck - c[k])) <= 1e-14 * np.max(np.abs(want))
     assert frame.stack_coords(X[:0])[0].shape == (0, 6)
-
-
-def test_split_stack_rows_are_split_coords():
-    from conftest import pipeline
-
-    split = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["space"].split
-    _, _, br = liealg.pair_brackets(split.m_basis)
-    ch, cm = split.split_stack(br)
-    scale = np.max(np.abs(cm))
-    for k in (0, 17, 90):
-        h, m = split.split_coords(br[k])
-        assert np.max(np.abs(h - ch[k])) <= 1e-14 * scale
-        assert np.max(np.abs(m - cm[k])) <= 1e-14 * scale

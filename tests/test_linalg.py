@@ -22,6 +22,18 @@ def test_tolerance_profile_validation():
         ToleranceProfile(residual_tol=-1e-9)
 
 
+def test_exceeds_is_elementwise_and_relative():
+    tol = ToleranceProfile(residual_tol=1e-9)
+    for factor in (1, 100, 1e3, 1e4):
+        for scale in (1e-12, 1.0, 1e12):
+            value = np.array([0.9, 1.1]) * factor * 1e-9 * scale
+            assert tol.exceeds(value, scale, factor).tolist() == [False, True]
+    # the default factor is 1e3; scales pair up elementwise and are not floored
+    assert tol.exceeds(np.array([2e-13, 2e-13]), np.array([1e-7, 1e-3])).tolist() == [True, False]
+    assert tol.exceeds(np.array([[2e-13], [2e-9]]), np.array([1e-7, 1e-3])).tolist() == [
+        [True, False], [True, True]]
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         rank(np.array([[1.0, np.nan]]))

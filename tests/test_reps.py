@@ -135,7 +135,8 @@ def test_lambda3_built_once_for_verify_and_classify(monkeypatch):
     results = []
     verify._check_reps(DEFAULT_TOL, results)
     assert all(ok for _, ok, _ in results)
-    comps = con.classify_type(con.torsion(pipeline("M1")["conn"]).t3)
+    conn = pipeline("M1")["conn"]
+    comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
     assert set(comps) == {-8, -12, -18, -16}
     assert len(calls) == 1
     assert not reps.sp3_theta().flags.writeable

@@ -135,9 +135,9 @@ def _loop_assemble(K, H, tol=DEFAULT_TOL):
     for Hm in split.h_basis:
         R = np.zeros((14, 14))
         for j, Kj in enumerate(split.m_basis):
-            br = bracket(Hm, Kj)
-            ch, cm = split.split_coords(br, tol)
-            assert np.linalg.norm(ch) <= 1e3 * tol.residual_tol * max(np.linalg.norm(br), 1.0)
+            scale = np.linalg.norm(Hm) * np.linalg.norm(Kj)
+            (ch,), (cm,) = split.split_stack(bracket(Hm, Kj)[None], scale, tol)
+            assert not tol.exceeds(np.linalg.norm(ch), scale)
             R[:, j] = cm
         iso.append(R)
     coeffs = np.array([sp3.load().project_rho(R)[0] for R in iso])
@@ -145,7 +145,9 @@ def _loop_assemble(K, H, tol=DEFAULT_TOL):
     ph = np.zeros((14, 14, len(H)))
     for i in range(14):
         for j in range(i + 1, 14):
-            ch, cm = split.split_coords(bracket(split.m_basis[i], split.m_basis[j]), tol)
+            Ki, Kj = split.m_basis[i], split.m_basis[j]
+            scale = np.linalg.norm(Ki) * np.linalg.norm(Kj)
+            (ch,), (cm,) = split.split_stack(bracket(Ki, Kj)[None], scale, tol)
             pm[i, j], pm[j, i] = cm, -cm
             ph[i, j], ph[j, i] = ch, -ch
     return np.array(iso), coeffs, pm, ph
