@@ -164,8 +164,16 @@ def test_naturally_reductive_biinvariant_su2():
     assert flag and defect < 1e-12
 
 
+def test_naturally_reductive_m3_equal_alphas():
+    from conftest import pipeline
+
+    space = pipeline("M3", alpha=1.2, beta=0.9, gamma=1.5)["space"]
+    flag, _ = is_naturally_reductive(space.split)
+    assert flag
+
+
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e14])
-def test_naturally_reductive_m3_equal_alphas(s):
+def test_naturally_reductive_m3_equal_alphas_at_scale(s):
     from conftest import pipeline
 
     space = pipeline("M3", alpha=1.2 * s, beta=0.9 * s, gamma=1.5 * s)["space"]
@@ -173,8 +181,16 @@ def test_naturally_reductive_m3_equal_alphas(s):
     assert flag
 
 
+def test_not_naturally_reductive_m1_unequal():
+    from conftest import pipeline
+
+    space = pipeline("M1", alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1))["space"]
+    flag, defect = is_naturally_reductive(space.split)
+    assert not flag and defect > 1e-4
+
+
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e14])
-def test_not_naturally_reductive_m1_unequal(s):
+def test_not_naturally_reductive_m1_unequal_at_scale(s):
     from conftest import pipeline
 
     space = pipeline("M1", alpha=s, alphas=(2.0 * s,) + (s,) * 6, beta=s, gamma=s)["space"]
