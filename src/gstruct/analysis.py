@@ -47,11 +47,9 @@ class Analysis:
         with curvature on."""
         if self.conn is None or self.spinors is None or self.spinors.dim == 0:
             return None
-        drep = spin_mod.dirac_on_invariants(self.space, self.conn, self.tol, sub=self.spinors)
+        drep = spin_mod.dirac_on_invariants(self.conn, self.tol, sub=self.spinors)
         if self.parallel[0] and self.curvature is not None:
-            drep = spin_mod.eigenvalue_estimates(
-                drep, self.curvature.scal_riem, parallel_checked=True, tol=self.tol
-            )
+            drep = spin_mod.eigenvalue_estimates(drep, self.curvature.scal_riem, self.parallel, self.tol)
         return drep
 
 

@@ -168,9 +168,20 @@ def _theta_t(stack: np.ndarray) -> np.ndarray:
     return np.sum(sign * stack[slot, row, col], axis=0)
 
 
-# (Theta^T Theta)^-1 as the cubic in Theta^T Theta that inverts its four
-# eigenvalues 1/2, 3/2, 5/2, 3 (Lagrange interpolation of 1/x), highest first
-_INVERSE_CUBIC = (-8 / 45, 4 / 3, -154 / 45, 17 / 5)
+# row k: the coefficients, constant term first, of the cubic that is 1 at the
+# eigenvalue lambda_k of Theta^T Theta and 0 at the other three
+_LAMBDAS = np.array([lam for lam, _, _ in reps.LAMBDA3_SPECTRUM])
+_LAGRANGE = np.linalg.inv(np.vander(_LAMBDAS, increasing=True)).T
+
+
+def _spectral_parts(v: np.ndarray) -> np.ndarray:
+    """(4, 364) parts P_k v of a 3-form v over the increasing triples, one per
+    row of ``reps.LAMBDA3_SPECTRUM``: those cubics in G = Theta^T Theta
+    applied to the Krylov powers v, Gv, G^2 v, G^3 v."""
+    krylov = [v]
+    for _ in range(3):
+        krylov.append(_theta_t(_pr_m(_three_form(krylov[-1]))))
+    return _LAGRANGE @ np.array(krylov)
 
 
 def characteristic_connection(space: HomogeneousSpaceInstance,
@@ -180,19 +191,16 @@ def characteristic_connection(space: HomogeneousSpaceInstance,
 
     Its map is Lambda = Lambda_LC - T/2, so T/2 solves Theta(T/2) = Gamma,
     the intrinsic torsion Gamma = pr_m(Lambda_LC).  Theta is injective, so
-    T/2 = (Theta^T Theta)^-1 Theta^T Gamma, the inverse applied as a cubic
-    in Theta^T Theta by Horner's rule.  Raises Infeasible when the residual
-    ||Theta(T/2) - Gamma|| shows Gamma outside the image of Theta.  The
-    residual and the round-off clamp of the coefficients are measured
-    against ||pm||, which scales with both under a uniform metric scaling.
+    T/2 = (Theta^T Theta)^-1 Theta^T Gamma = sum_k P_k Theta^T Gamma / lambda_k
+    over the spectral parts (``_spectral_parts``).  Raises Infeasible when
+    the residual ||Theta(T/2) - Gamma|| shows Gamma outside the image of
+    Theta.  The residual and the round-off clamp of the coefficients are
+    measured against ||pm||, which scales with both under a uniform metric
+    scaling.
     """
     lc = levi_civita(space)
     gamma = _pr_m(lc)
-    rhs = _theta_t(gamma)
-    half_t = _INVERSE_CUBIC[0] * rhs
-    for c in _INVERSE_CUBIC[1:]:
-        half_t = _theta_t(_pr_m(_three_form(half_t))) + c * rhs
-    half_t3 = _three_form(half_t)
+    half_t3 = _three_form((1 / _LAMBDAS) @ _spectral_parts(_theta_t(gamma)))
     resid = float(np.linalg.norm(_pr_m(half_t3) - gamma))
     pnorm = float(np.linalg.norm(space.pm))
     if tol.exceeds(resid, pnorm):
@@ -229,8 +237,8 @@ def torsion_is_parallel(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
 
 
 def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_TOL) -> dict:
-    """Squared norms of the 3-form over the Casimir eigenspaces of the
-    3-form module; the keys are the (integer) Casimir eigenvalues.  The skew
+    """Squared norms ||P_k v||^2 of the spectral parts (``_spectral_parts``)
+    of the 3-form, keyed by their (integer) Casimir eigenvalues.  The skew
     defect is measured against ``scale``, the size of the operands t3 came
     from: ||pm|| for a torsion, which may vanish up to round-off of it."""
     skew_defect = max(
@@ -240,11 +248,8 @@ def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_
     if tol.exceeds(skew_defect, scale):
         raise NotSkew(f"tensor is not a 3-form (defect {skew_defect:.3e})")
     slot, row, col, _ = reps.theta_index(14)
-    v = t3[slot[0], row[0], col[0]]
-    return {
-        round(ev): float(np.linalg.norm(basis.T @ v) ** 2)
-        for ev, _, basis in reps.lambda3_decomposition(tol).parts
-    }
+    parts = _spectral_parts(t3[slot[0], row[0], col[0]])
+    return {cas: float(np.linalg.norm(p) ** 2) for (_, cas, _), p in zip(reps.LAMBDA3_SPECTRUM, parts)}
 
 
 def holonomy_algebra(

@@ -50,6 +50,12 @@ def isotypic_decompose(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) ->
     return decompose_casimir(casimir(gens), tol)
 
 
+# Theta^T Theta on the 3-forms, Theta = ``sp3_theta``: one row (eigenvalue
+# lambda, Casimir eigenvalue -6 - 4 lambda, dimension) per irreducible part
+LAMBDA3_SPECTRUM = tuple((lam, round(-6 - 4 * lam), dim)
+                         for lam, dim in ((0.5, 21), (1.5, 70), (2.5, 189), (3.0, 84)))
+
+
 @lru_cache(maxsize=4)
 def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
     """Casimir splitting 21 + 70 + 84 + 189 of the 3-forms on the 14-dim
@@ -57,8 +63,8 @@ def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomp
     caller shares it, so the bases are read-only.
 
     The Casimir of the derivative action is C = -6 I - 4 Theta^T Theta,
-    with Theta = ``sp3_theta``, so no 364 x 364 generator is built; Theta^T
-    Theta is 1/2, 3/2, 5/2 and 3 on the 21, 70, 189 and 84 parts."""
+    with Theta = ``sp3_theta``, so no 364 x 364 generator is built; its
+    eigenspaces are those of ``LAMBDA3_SPECTRUM``."""
     theta = sp3_theta(tol)
     dec = decompose_casimir(-6.0 * np.eye(theta.shape[1]) - 4.0 * (theta.T @ theta), tol)
     for _, _, basis in dec.parts:

@@ -85,7 +85,6 @@ class HomogeneousSpaceInstance:
     params: MetricParams
     split: ReductiveSplit
     iso: np.ndarray  # (r, 14, 14) real isotropy matrices, one per h generator
-    iso_coeffs: np.ndarray  # (r, 21) coefficients over rho(A_i)
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
     # the space whose isotropy results this one shares: a build of a space
@@ -247,13 +246,15 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     quotients beyond the catalog, as long as the 14-dim frame carries the
     same structure).
 
-    Verifies orthonormality of the frame, reductivity, and that the isotropy
-    lands inside rho(sp3) (StructureViolation otherwise).
+    Checks that [h, m] lies in m and each [K_i, K_j] in h + m (NotReductive
+    otherwise) and the isotropy in rho(sp3) (StructureViolation otherwise),
+    up to round-off of the operands; the orthonormality of the frame under
+    ``ip`` is not checked (``split.gram_m()`` measures it).
     """
     k_alg = MatrixLieAlgebra(label, np.concatenate([H, K]))
     split = ReductiveSplit(algebra=k_alg, h_basis=H, m_basis=K, ip=ip)
     iso = isotropy_matrices(split, tol)
-    coeffs, resid = sp3.load().project_rho(iso)
+    _, resid = sp3.load().project_rho(iso)
     bad = np.flatnonzero(tol.exceeds(resid, np.linalg.norm(iso, axis=(1, 2))))
     if bad.size:
         raise StructureViolation(
@@ -271,7 +272,6 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
         params=params,
         split=split,
         iso=iso,
-        iso_coeffs=coeffs,
         pm=pm,
         ph=ph,
     )

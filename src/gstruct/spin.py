@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import sp3
-from .connections import InvariantConnection, torsion, torsion_is_parallel
+from .connections import InvariantConnection, torsion
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation, TorsionNotParallel
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, read_only
 from .spaces import HomogeneousSpaceInstance
@@ -174,20 +174,16 @@ def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, basis: np.
     return lifts_b, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
 
 
-def dirac_on_invariants(
-    space: HomogeneousSpaceInstance,
-    conn: InvariantConnection,
-    tol: ToleranceProfile = DEFAULT_TOL,
-    sub: SpinorSubspace = None,
-) -> DiracReport:
+def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL,
+                        sub: SpinorSubspace = None) -> DiracReport:
     """Dirac matrix of the connection with torsion T/3 on invariant spinors,
     plus the torsion-operator spectrum and norm used by the estimates, from
-    the connection's cached so(14) stack and torsion; ``sub`` is the space's
-    invariant-spinor subspace if already computed."""
+    the connection's cached so(14) stack and torsion; ``sub`` is the
+    invariant-spinor subspace of ``conn.space`` if already computed."""
     if sub is None:
-        sub = invariant_spinors(space, tol)
+        sub = invariant_spinors(conn.space, tol)
     if sub.dim == 0:
-        raise NoInvariantSpinors(f"{space.space_id} has no invariant spinors")
+        raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
     T = torsion(conn)
     B = sub.basis
     lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, B)
@@ -212,25 +208,18 @@ def dirac_on_invariants(
     )
 
 
-def eigenvalue_estimates(
-    report: DiracReport,
-    scal_riem: float,
-    conn: InvariantConnection = None,
-    parallel_checked: bool = False,
-    tol: ToleranceProfile = DEFAULT_TOL,
-) -> DiracReport:
+def eigenvalue_estimates(report: DiracReport, scal_riem: float, parallel: tuple,
+                         tol: ToleranceProfile = DEFAULT_TOL) -> DiracReport:
     """Fill in the two lower bounds for the squared first Dirac eigenvalue.
 
-    Valid for parallel characteristic torsion only (TorsionNotParallel
-    otherwise); mu is the extreme torsion-operator eigenvalue on the
-    invariant subspace.
+    Valid for parallel characteristic torsion only: ``parallel`` is the
+    (flag, ratio) of ``connections.torsion_is_parallel``, and a false flag
+    raises TorsionNotParallel.  mu is the extreme torsion-operator
+    eigenvalue on the invariant subspace.
     """
-    if not parallel_checked:
-        if conn is None:
-            raise TorsionNotParallel("pass the connection or assert parallelism")
-        flag, ratio = torsion_is_parallel(conn, tol)
-        if not flag:
-            raise TorsionNotParallel(f"nabla T / (||pm|| ||T||) = {ratio:.3e}")
+    flag, ratio = parallel
+    if not flag:
+        raise TorsionNotParallel(f"nabla T / (||pm|| ||T||) = {ratio:.3e}")
     t2 = report.torsion_norm2
     mu2 = float(np.max(np.abs(report.torsion_op_eigenvalues)) ** 2) if report.torsion_op_eigenvalues.size else 0.0
     n = 14.0

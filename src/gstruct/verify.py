@@ -121,9 +121,9 @@ def _check_reps(tol, results):
     dev = float(np.max(np.abs(sp3.derive_isotropy() - sp3.load().rho)))
     results.append(("isotropy transcription", dev <= 1e-12, f"max dev {dev:.2e}"))
 
-    dec = reps.lambda3_decomposition(tol)
-    want = {-8: 21, -12: 70, -18: 84, -16: 189}
-    got = {int(round(ev)): d for ev, d, _ in dec.parts}
+    # the eigensolve against the table that type classification relies on
+    want = {cas: dim for _, cas, dim in reps.LAMBDA3_SPECTRUM}
+    got = {int(round(ev)): d for ev, d, _ in reps.lambda3_decomposition(tol).parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))
 
     r = rank(reps.sp3_theta(tol), tol)

@@ -36,7 +36,7 @@ def test_criterion_02_casimir_tables(sp3_data):
     got3 = {int(round(ev)): d for ev, d, _ in dec3.parts}
     for ev, d, _ in dec3.parts:
         assert abs(ev - round(ev)) <= 1e-6
-    assert got3 == {-8: 21, -12: 70, -18: 84, -16: 189}
+    assert got3 == {cas: dim for _, cas, dim in reps.LAMBDA3_SPECTRUM}
     dec7 = reps.isotypic_decompose(reps.v14_v70_rep())
     assert dec7.dimension_multiset() == (14, 21, 70, 84, 90, 189, 512)
     _report(2, f"3-form table {got3}; product module multiset {dec7.dimension_multiset()}")
@@ -208,25 +208,25 @@ def test_criterion_11_spin_spectra():
         assert dims[sid] == want
     for a, b in ((1.0, 1.0), (1.37, 2.3), (0.7, 0.41)):
         ctx = pipeline("M2", alpha=a, beta=b, gamma=1.7)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         assert np.max(np.abs(np.abs(rep.eigenvalues) - np.sqrt((a + 4 * b) / (a * b)))) <= 1e-9
     for b in (1.0, 2.3, 0.41):  # the mu / norm slices are stated at alpha = 1
         ctx = pipeline("M2", alpha=1.0, beta=b, gamma=1.7)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - 2 * np.sqrt(4 + b)) <= 1e-9
         assert abs(rep.torsion_norm2 - (8 + 4 * b)) <= 1e-9
     fx4 = spaces.fixtures("M4")
     for a, b, g in ((1.0, 1.0, 1.0), (1.3, 0.9, 1.1), (0.8, 1.7, 2.2)):
         ctx = pipeline("M4", alpha=a, beta=b, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         expect = fx4.extras["dirac"](ctx["params"])
         assert np.max(np.abs(np.abs(rep.eigenvalues) - expect)) <= 1e-9
     ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     assert np.max(np.abs(np.abs(rep.eigenvalues) - 0.5 * np.sqrt(30))) <= 1e-9
     for g in (1.0, 0.5, 2.0):
         ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - np.sqrt(25 + 5 * g)) <= 1e-9
         assert abs(rep.torsion_norm2 - (5 + 5 * g)) <= 1e-9
     _report(11, f"invariant spinor dims {dims}; both Dirac closed forms and mu/T^2 at stated slices")
@@ -234,9 +234,9 @@ def test_criterion_11_spin_spectra():
 
 def _estimated(sid, a, b, g):
     ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     crep = curv.curvature_report(ctx["space"], ctx["conn"])
-    return spin.eigenvalue_estimates(rep, crep.scal_riem, conn=ctx["conn"])
+    return spin.eigenvalue_estimates(rep, crep.scal_riem, con.torsion_is_parallel(ctx["conn"]))
 
 
 def test_criterion_12_estimates():

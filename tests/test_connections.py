@@ -241,6 +241,23 @@ def test_classify_type_rejects_non_forms():
         con.classify_type(bad, 1.0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), exponent=st.floats(-8, 8),
+       part=st.sampled_from([None, -8, -12, -16, -18]))
+def test_classify_type_matches_eigenbasis_route(seed, exponent, part):
+    # the spectral parts against the eigenbases of the independent Casimir
+    # eigensolve, for a random 3-form or one inside a single part
+    bases = {round(ev): basis for ev, _, basis in reps.lambda3_decomposition().parts}
+    v = np.random.default_rng(seed).standard_normal(364)
+    if part is not None:
+        v = bases[part] @ (bases[part].T @ v)
+    v *= 10.0 ** exponent
+    comps = con.classify_type(con._three_form(v), np.linalg.norm(v))
+    assert comps.keys() == bases.keys()
+    for cas, basis in bases.items():
+        assert abs(comps[cas] - np.linalg.norm(basis.T @ v) ** 2) <= 1e-12 * (v @ v)
+
+
 def test_m4_pure_types():
     for b, g in [(1.0, 1.0), (2.0, 0.5)]:
         a = spaces.m4_pure_sp3_alpha(b, g)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
-from gstruct import reps, sp3
+from gstruct import reps, sp3, spaces
 from gstruct.errors import NotClosed
 from gstruct.linalg import eig_selfadjoint, nullspace, rank
 
@@ -115,30 +115,36 @@ def test_theta_map_matches_loop_reference(sp3_data):
     assert np.array_equal(reps.theta_map(sp3_data.rho), _theta_map_loop(sp3_data.rho))
 
 
-def test_lambda3_built_once_for_verify_and_classify(monkeypatch):
-    from conftest import pipeline
-
-    from gstruct import connections as con
-    from gstruct import verify
+def test_type_components_skip_theta_and_verify_builds_it_once(monkeypatch):
+    from gstruct import linalg, verify
+    from gstruct.analysis import analyze
     from gstruct.linalg import DEFAULT_TOL
 
     calls = []
-    original = reps.theta_map
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(reps, "theta_map", counting)
+    monkeypatch.setattr(reps, "theta_map", counting("theta_map", reps.theta_map))
+    for mod in (reps, linalg):
+        monkeypatch.setattr(mod, "eig_selfadjoint", counting("eig_selfadjoint", linalg.eig_selfadjoint))
+    for sid in ("M1", "M2", "M3", "M4"):
+        # a fresh process: no Lambda^3 splitting or Theta built yet
+        reps.lambda3_decomposition.cache_clear()
+        reps.sp3_theta.cache_clear()
+        comps = analyze(sid, spaces.MetricParams()).type_components
+        assert set(comps) == {-8, -12, -18, -16}
+        assert calls == [], sid
+
     reps.lambda3_decomposition.cache_clear()
     reps.sp3_theta.cache_clear()
     results = []
     verify._check_reps(DEFAULT_TOL, results)
     assert all(ok for _, ok, _ in results)
-    conn = pipeline("M1")["conn"]
-    comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
-    assert set(comps) == {-8, -12, -18, -16}
-    assert len(calls) == 1
+    assert calls.count("theta_map") == 1
     assert not reps.sp3_theta().flags.writeable
 
 

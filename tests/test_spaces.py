@@ -127,7 +127,7 @@ def _loop_su5_frames(p):
 
 
 def _loop_assemble(K, H, tol=DEFAULT_TOL):
-    """(iso, iso_coeffs, pm, ph) with one bracket and one coordinate solve
+    """(iso, pm, ph) with one bracket and one coordinate solve
     at a time."""
     k_alg = MatrixLieAlgebra("ref", tuple(H) + tuple(K))
     split = ReductiveSplit(algebra=k_alg, h_basis=list(H), m_basis=list(K), ip=uniform_ip(14))
@@ -140,7 +140,6 @@ def _loop_assemble(K, H, tol=DEFAULT_TOL):
             assert not tol.exceeds(np.linalg.norm(ch), scale)
             R[:, j] = cm
         iso.append(R)
-    coeffs = np.array([sp3.load().project_rho(R)[0] for R in iso])
     pm = np.zeros((14, 14, 14))
     ph = np.zeros((14, 14, len(H)))
     for i in range(14):
@@ -150,7 +149,7 @@ def _loop_assemble(K, H, tol=DEFAULT_TOL):
             (ch,), (cm,) = split.split_stack(bracket(Ki, Kj)[None], scale, tol)
             pm[i, j], pm[j, i] = cm, -cm
             ph[i, j], ph[j, i] = ch, -ch
-    return np.array(iso), coeffs, pm, ph
+    return np.array(iso), pm, ph
 
 
 def _close(got, want, rel=1e-13):
@@ -167,9 +166,8 @@ def test_assemble_matches_loop_reference(sid, scale):
         assert _close(space.split.m_basis, np.array(K))
     else:
         K, H, _ = spaces._FRAME_BUILDERS[spaces.canonical_id(sid)](p)
-    iso, coeffs, pm, ph = _loop_assemble(K, H)
+    iso, pm, ph = _loop_assemble(K, H)
     assert _close(space.iso, iso)
-    assert _close(space.iso_coeffs, coeffs)
     assert _close(space.pm, pm)
     assert _close(space.ph, ph)
 

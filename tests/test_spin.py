@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import sp3, spin, spaces
+from gstruct import connections as con
 from gstruct import curvature as curv
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
 from gstruct.linalg import nullspace
@@ -79,13 +80,13 @@ def test_invariant_spinor_dimensions():
 def test_no_invariant_spinors_error():
     ctx = pipeline("M3", alpha=1.0, beta=1.0, gamma=1.0)
     with pytest.raises(NoInvariantSpinors):
-        spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        spin.dirac_on_invariants(ctx["conn"])
 
 
 def test_m2_dirac_closed_form_three_draws():
     for a, b in [(1.0, 1.0), (1.0, 2.3), (1.0, 0.41)]:
         ctx = pipeline("M2", alpha=a, beta=b, gamma=1.7)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         expect = np.sqrt((a + 4 * b) / (a * b))
         assert np.max(np.abs(np.abs(rep.eigenvalues) - expect)) <= 1e-9
         assert int(np.sum(rep.eigenvalues > 0)) == 8
@@ -95,14 +96,12 @@ def test_m2_dirac_closed_form_three_draws():
 def test_m2_mu_and_torsion_norm():
     for b in (1.0, 0.6, 2.4):
         ctx = pipeline("M2", alpha=1.0, beta=b, gamma=1.1)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - 2 * np.sqrt(4 + b)) <= 1e-9
         assert abs(rep.torsion_norm2 - (8 + 4 * b)) <= 1e-9
 
 
 def test_torsion_norm_convention():
-    from gstruct import connections as con
-
     ctx = pipeline("M2", alpha=1.0, beta=1.7, gamma=1.0)
     T = con.torsion(ctx["conn"])
     full_sum = float(np.sum(T.t3**2))
@@ -113,27 +112,27 @@ def test_m4_dirac_formula_three_draws():
     fx = spaces.fixtures("M4")
     for a, b, g in [(1.0, 1.0, 1.0), (1.3, 0.9, 1.1), (0.8, 1.7, 2.2)]:
         ctx = pipeline("M4", alpha=a, beta=b, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         expect = fx.extras["dirac"](ctx["params"])
         assert np.max(np.abs(np.abs(rep.eigenvalues) - expect)) <= 1e-9
     ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     assert np.max(np.abs(np.abs(rep.eigenvalues) - 0.5 * np.sqrt(30))) <= 1e-12
 
 
 def test_m4_mu_and_norm_alpha_beta_one():
     for g in (1.0, 0.5, 2.0):
         ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"])
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - np.sqrt(25 + 5 * g)) <= 1e-9
         assert abs(rep.torsion_norm2 - (5 + 5 * g)) <= 1e-9
 
 
 def _estimates(sid, a, b, g):
     ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     crep = curv.curvature_report(ctx["space"], ctx["conn"])
-    return spin.eigenvalue_estimates(rep, crep.scal_riem, conn=ctx["conn"])
+    return spin.eigenvalue_estimates(rep, crep.scal_riem, con.torsion_is_parallel(ctx["conn"]))
 
 
 def test_friedrich_equality_and_parallel_spinors():
@@ -183,15 +182,15 @@ def test_estimate_crossovers_bracketing():
 
 def test_estimates_require_parallel_torsion():
     ctx = pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     with pytest.raises(TorsionNotParallel):
-        spin.eigenvalue_estimates(rep, 10.0, conn=ctx["conn"])
+        spin.eigenvalue_estimates(rep, 10.0, con.torsion_is_parallel(ctx["conn"]))
 
 
 def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
     # no closed form exists for the 48-dimensional case; assert structure only
     ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.7)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     assert rep.invariant_dim == 48
     ev = np.sort(rep.eigenvalues)
     assert np.max(np.abs(ev + ev[::-1])) < 1e-9
@@ -199,7 +198,7 @@ def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
 
 def test_parallel_spinors_are_torsion_eigenvectors():
     ctx = pipeline("M2", alpha=1.0, beta=1.0, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["space"], ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"])
     assert rep.parallel_spinor_dim == 16
     # with a vanishing connection map the Dirac matrix is the torsion term
     assert set(np.round(np.abs(rep.eigenvalues), 9)) == {round(np.sqrt(5.0), 9)}
@@ -268,8 +267,6 @@ def test_torsion_clifford_matches_loop_reference():
 
 
 def test_restricted_dirac_matrix_matches_loop_reference():
-    from gstruct import connections as con
-
     cl = spin.build_clifford(14)
     for sid in ("M2", "M4"):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
