@@ -101,10 +101,6 @@ class MatrixLieAlgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
-
 
 def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k."""
@@ -152,21 +148,21 @@ class ReductiveSplit:
     """A decomposition k = h + m with [h, m] contained in m.
 
     ``h_basis`` and ``m_basis`` are complex (dim, n, n) arrays, either of
-    them possibly empty; ``m_basis`` is orthonormal for the metric described
+    them possibly empty (n is read from ``m_basis``, so an empty one is
+    (0, n, n)); ``m_basis`` is orthonormal for the metric described
     by ``ip``; all coordinate extraction goes through a least-squares frame
     over the combined (h, m) basis.
     """
 
-    algebra: MatrixLieAlgebra
     h_basis: np.ndarray
     m_basis: np.ndarray
     ip: InnerProductSpec
     _frame: CoordinateFrame = field(default=None, repr=False)
 
     def __post_init__(self):
-        shape = (-1,) + self.algebra.basis.shape[1:]
+        self.m_basis = np.asarray(self.m_basis, dtype=complex)
+        shape = (-1,) + self.m_basis.shape[1:]
         self.h_basis = np.reshape(np.asarray(self.h_basis, dtype=complex), shape)
-        self.m_basis = np.reshape(np.asarray(self.m_basis, dtype=complex), shape)
         self._frame = CoordinateFrame(np.concatenate([self.h_basis, self.m_basis]))
 
     @property
@@ -225,13 +221,13 @@ def reductive_split(
             vecs = Kon @ comp
         else:
             vecs = Kon
-        n = k.ambient_dim
+        n = k.basis.shape[1]
         mats = (vecs[: n * n] + 1j * vecs[n * n:]).T.reshape(vecs.shape[1], n, n)
         norms = -np.einsum("kab,kba->k", mats, mats).real
         m_basis = mats / np.sqrt(np.maximum(norms, 1e-300))[:, None, None]
     if ip is None:
         ip = uniform_ip(len(m_basis))
-    split = ReductiveSplit(algebra=k, h_basis=h_basis, m_basis=m_basis, ip=ip)
+    split = ReductiveSplit(h_basis=h_basis, m_basis=m_basis, ip=ip)
     isotropy_matrices(split, tol)  # raises NotReductive
     return split
 
@@ -242,7 +238,7 @@ def isotropy_matrices(split: ReductiveSplit, tol: ToleranceProfile = DEFAULT_TOL
 
     Raises NotReductive if some [H, K_j] has an h-part (each bracket is
     measured against ||H|| ||K_j||)."""
-    r, d, n = split.dim_h, split.dim_m, split.algebra.ambient_dim
+    r, d, n = split.dim_h, split.dim_m, split.m_basis.shape[1]
     H = split.h_basis.reshape(r, 1, n, n)
     K = split.m_basis.reshape(1, d, n, n)
     br = (H @ K - K @ H).reshape(r * d, n, n)

@@ -14,6 +14,12 @@ Conventions: the metric normalizations
 (1/sqrt(2*alpha), ...) are baked into the tangent frames so every frame is
 orthonormal for its metric, and each frame is identified with the fixed
 basis B of the 14-dimensional module (isotropy then lands inside rho(sp3)).
+
+M1-M3 share one su(4) root frame, stated once in ``_ROOT_TABLE``: the six
+root planes in frame order, and for each space the metric slot of each of
+the 12 root vectors and the beta, gamma and isotropy directions as signs on
+e1..e4.  The metric blocks are read off the same slots.  M3 is the M2 frame
+inside u(5) with its beta direction moved to the u(1) factor.
 """
 
 from __future__ import annotations
@@ -25,13 +31,7 @@ import numpy as np
 
 from . import sp3
 from .errors import BadParams, StructureViolation
-from .liealg import (
-    InnerProductSpec,
-    MatrixLieAlgebra,
-    ReductiveSplit,
-    isotropy_matrices,
-    pair_brackets,
-)
+from .liealg import InnerProductSpec, ReductiveSplit, isotropy_matrices, pair_brackets
 from .linalg import DEFAULT_TOL, ToleranceProfile, read_only
 from .sp3 import E, S
 
@@ -71,8 +71,12 @@ class MetricParams:
             raise BadParams(f"expected {count} extra alpha coefficients, got {len(self.alphas)}")
         return tuple(float(a) for a in self.alphas)
 
+    def equals_alpha(self, x: float, c: float = 1.0) -> bool:
+        """Whether x = c * alpha, up to ``_EQUAL_REL * alpha``."""
+        return abs(x - c * self.alpha) <= _EQUAL_REL * self.alpha
+
     def equal_alphas(self, count: int) -> bool:
-        return all(abs(a - self.alpha) <= _EQUAL_REL * self.alpha for a in self.filled_alphas(count))
+        return all(self.equals_alpha(a) for a in self.filled_alphas(count))
 
 
 @dataclass
@@ -82,7 +86,6 @@ class HomogeneousSpaceInstance:
     every connection computation consumes."""
 
     space_id: str
-    params: MetricParams
     split: ReductiveSplit
     iso: np.ndarray  # (r, 14, 14) real isotropy matrices, one per h generator
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
@@ -105,86 +108,51 @@ class HomogeneousSpaceInstance:
         return owner._memo[key]
 
 
-def _su4_frames(p: MetricParams):
-    a = p.alpha
-    a2, a3, a4, a5, a6, a7, a8 = p.filled_alphas(7)
-    b, g = p.beta, p.gamma
-    E4 = lambda i, j: E(4, i, j)
-    S4 = lambda i, j: S(4, i, j)
-    K = [
-        E4(1, 3) / np.sqrt(2 * a),
-        1j * S4(1, 3) / np.sqrt(2 * a),
-        E4(2, 4) / np.sqrt(2 * a2),
-        1j * S4(2, 4) / np.sqrt(2 * a2),
-        E4(2, 3) / np.sqrt(2 * a3),
-        1j * S4(2, 3) / np.sqrt(2 * a3),
-        E4(1, 4) / np.sqrt(2 * a4),
-        1j * S4(1, 4) / np.sqrt(2 * a4),
-        E4(1, 2) / np.sqrt(2 * a5),
-        1j * S4(1, 2) / np.sqrt(2 * a6),
-        E4(3, 4) / np.sqrt(2 * a7),
-        1j * S4(3, 4) / np.sqrt(2 * a8),
-        (1j / (2 * np.sqrt(b))) * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4)),
-        (1j / (2 * np.sqrt(g))) * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
-    ]
-    H = [0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4))]
-    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8,), (9,), (10,), (11,), (12,), (13,))
-    coeffs = (a, a2, a3, a4, a5, a6, a7, a8, b, g)
-    return K, H, InnerProductSpec(blocks, coeffs)
+# The su(4) root frame of M1-M3.  Root plane (i, j) gives the root vectors
+# E_ij and i S_ij; K_1..K_12 are these over sqrt(2 c), c the coefficient of
+# their slot (slot 0 is alpha, slot s is alpha_(s+1)).  K_13 and K_14 are
+# i diag(signs) / (2 sqrt(c)) for the beta and gamma signs, and each
+# isotropy row gives (i/2) diag(signs).
+_ROOT_PLANES = ((1, 3), (2, 4), (2, 3), (1, 4), (1, 2), (3, 4))
+_ROOTS = read_only(np.array([m for i, j in _ROOT_PLANES for m in (E(4, i, j), 1j * S(4, i, j))]))
+_ROOT_TABLE = {
+    # space: (slot of each root vector, beta signs, gamma signs, isotropy rows)
+    "su4-so2": ((0, 0, 1, 1, 2, 2, 3, 3, 4, 5, 6, 7),
+                (1, -1, 1, -1), (-1, 1, 1, -1), ((1, 1, -1, -1),)),
+    "u4-so2so2": ((0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5),
+                  (1, -1, 1, -1), (1, 1, 1, 1), ((1, 1, -1, -1), (-1, 1, 1, -1))),
+}
 
 
-def _u4_frames(p: MetricParams):
-    a = p.alpha
-    a2, a3, a4, a5, a6 = p.filled_alphas(5)
-    b, g = p.beta, p.gamma
-    E4 = lambda i, j: E(4, i, j)
-    S4 = lambda i, j: S(4, i, j)
-    K = [
-        E4(1, 3) / np.sqrt(2 * a),
-        1j * S4(1, 3) / np.sqrt(2 * a),
-        E4(2, 4) / np.sqrt(2 * a2),
-        1j * S4(2, 4) / np.sqrt(2 * a2),
-        E4(2, 3) / np.sqrt(2 * a3),
-        1j * S4(2, 3) / np.sqrt(2 * a3),
-        E4(1, 4) / np.sqrt(2 * a4),
-        1j * S4(1, 4) / np.sqrt(2 * a4),
-        E4(1, 2) / np.sqrt(2 * a5),
-        1j * S4(1, 2) / np.sqrt(2 * a5),
-        E4(3, 4) / np.sqrt(2 * a6),
-        1j * S4(3, 4) / np.sqrt(2 * a6),
-        (1j / (2 * np.sqrt(b))) * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4)),
-        (1j / (2 * np.sqrt(g))) * (S4(1, 1) + S4(2, 2) + S4(3, 3) + S4(4, 4)),
-    ]
-    H = [
-        0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4)),
-        0.5j * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
-    ]
-    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12,), (13,))
-    coeffs = (a, a2, a3, a4, a5, a6, b, g)
-    return K, H, InnerProductSpec(blocks, coeffs)
+def _root_frames(sid: str, p: MetricParams):
+    """K, H and the metric of ``sid`` in the su(4) root frame."""
+    slots, beta, gamma, iso = _ROOT_TABLE[sid]
+    coeffs = (p.alpha, *p.filled_alphas(max(slots)))
+    K = np.concatenate([
+        _ROOTS / np.sqrt(2 * np.take(coeffs, slots))[:, None, None],
+        [(1j / (2 * np.sqrt(p.beta))) * np.diag(beta), (1j / (2 * np.sqrt(p.gamma))) * np.diag(gamma)],
+    ])
+    H = np.array([0.5j * np.diag(row) for row in iso])
+    blocks = tuple(tuple(k for k, t in enumerate(slots) if t == s) for s in range(len(coeffs)))
+    return K, H, InnerProductSpec(blocks + ((12,), (13,)), coeffs + (p.beta, p.gamma))
 
 
-def _embed5(m44) -> np.ndarray:
-    out = np.zeros((5, 5), dtype=complex)
-    out[:4, :4] = m44
+def _embed5(X) -> np.ndarray:
+    """A stack of 4x4 matrices in the upper-left block of 5x5 ones."""
+    out = np.zeros((len(X), 5, 5), dtype=complex)
+    out[:, :4, :4] = X
     return out
 
 
 def _u4u1_frames(p: MetricParams):
-    b = p.beta
-    # same frame as u(4), but the beta direction moves to the u(1) factor
-    # and the corresponding su(4) diagonal joins the isotropy
-    q = MetricParams(alpha=p.alpha, alphas=p.alphas, beta=1.0, gamma=p.gamma)
-    K2, H2, ip2 = _u4_frames(q)
-    S4 = lambda i, j: S(4, i, j)
-    K = [_embed5(k) for k in K2]
-    u1 = np.zeros((5, 5), dtype=complex)
-    u1[4, 4] = 1j / np.sqrt(b)
-    K[12] = u1
-    H = [_embed5(h) for h in H2]
-    H.append(_embed5(0.5j * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4))))
-    coeffs = ip2.coefficients[:-2] + (b, p.gamma)
-    return K, H, InnerProductSpec(ip2.blocks, coeffs)
+    # the u(4) frame inside u(5), but the beta direction moves to the u(1)
+    # factor and the su(4) diagonal it held joins the isotropy
+    K, H, ip = _root_frames("u4-so2so2", p)
+    K = _embed5(K)
+    K[12] = 0
+    K[12, 4, 4] = 1j / np.sqrt(p.beta)
+    beta = _ROOT_TABLE["u4-so2so2"][1]
+    return K, _embed5(np.concatenate([H, [0.5j * np.diag(beta)]])), ip
 
 
 def _su5_basis():
@@ -233,26 +201,27 @@ def _su5_frames(p: MetricParams):
 
 
 _FRAME_BUILDERS = {
-    "su4-so2": _su4_frames,
-    "u4-so2so2": _u4_frames,
+    "su4-so2": functools.partial(_root_frames, "su4-so2"),
+    "u4-so2so2": functools.partial(_root_frames, "u4-so2so2"),
     "u4u1-so2so2so2": _u4u1_frames,
     "su5-sp2": _su5_frames,
 }
 
 
-def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
+def assemble(label: str, K, H, ip: InnerProductSpec,
              tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
-    """Assemble an instance from explicit frames (also usable for custom
-    quotients beyond the catalog, as long as the 14-dim frame carries the
-    same structure).
+    """Assemble an instance labelled ``label`` from explicit frames: the
+    (14, n, n) tangent frame K, the (r, n, n) isotropy basis H and the
+    metric ``ip`` that makes K orthonormal (also usable for custom quotients
+    beyond the catalog, as long as the 14-dim frame carries the same
+    structure).
 
     Checks that [h, m] lies in m and each [K_i, K_j] in h + m (NotReductive
     otherwise) and the isotropy in rho(sp3) (StructureViolation otherwise),
     up to round-off of the operands; the orthonormality of the frame under
     ``ip`` is not checked (``split.gram_m()`` measures it).
     """
-    k_alg = MatrixLieAlgebra(label, np.concatenate([H, K]))
-    split = ReductiveSplit(algebra=k_alg, h_basis=H, m_basis=K, ip=ip)
+    split = ReductiveSplit(h_basis=H, m_basis=K, ip=ip)
     iso = isotropy_matrices(split, tol)
     _, resid = sp3.load().project_rho(iso)
     bad = np.flatnonzero(tol.exceeds(resid, np.linalg.norm(iso, axis=(1, 2))))
@@ -267,14 +236,7 @@ def assemble(label: str, params: MetricParams, K, H, ip: InnerProductSpec,
     ph = np.zeros((n, n, len(H)))
     pm[i, j], pm[j, i] = cm, -cm
     ph[i, j], ph[j, i] = ch, -ch
-    return HomogeneousSpaceInstance(
-        space_id=label,
-        params=params,
-        split=split,
-        iso=iso,
-        pm=pm,
-        ph=ph,
-    )
+    return HomogeneousSpaceInstance(space_id=label, split=split, iso=iso, pm=pm, ph=ph)
 
 
 # Catalog spaces whose builds share the isotropy results of their unit
@@ -289,7 +251,7 @@ _SHARED_ISOTROPY = ("su5-sp2",)
 def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInstance:
     """The catalog space at ``MetricParams()``, with read-only isotropy: it
     owns the isotropy results of every build of ``sid`` at ``tol``."""
-    space = assemble(sid, MetricParams(), *_FRAME_BUILDERS[sid](MetricParams()), tol)
+    space = assemble(sid, *_FRAME_BUILDERS[sid](MetricParams()), tol)
     read_only(space.iso)
     return space
 
@@ -302,7 +264,7 @@ def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_T
     results."""
     sid = canonical_id(space_id)
     K, H, ip = _FRAME_BUILDERS[sid](params)
-    space = assemble(sid, params, K, H, ip, tol)
+    space = assemble(sid, K, H, ip, tol)
     if sid not in _SHARED_ISOTROPY:
         return space
     owner = _unit_metric_space(sid, tol)
@@ -364,7 +326,6 @@ def m4_pure_189_alpha(beta: float, gamma: float) -> float:
 
 @dataclass(frozen=True)
 class SpaceFixtures:
-    space_id: str
     expected_family_dim: int
     expected_spinor_dim: int
     torsion: callable  # params -> {(i,j,k) 0-indexed: coefficient}
@@ -406,12 +367,10 @@ def _fixtures_m1():
         return np.array([6 * a - g] * 4 + [6 * a - b] * 4 + [6 * a - b - g] * 4 + [4 * b, 4 * g]) / (2 * a**2)
 
     def holonomy(p):
-        eb = abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha
-        eg = abs(p.gamma - p.alpha) <= _EQUAL_REL * p.alpha
+        eb, eg = p.equals_alpha(p.beta), p.equals_alpha(p.gamma)
         return (1 if (eb and eg) else 2 if (eb or eg) else 3, "torus")
 
     return SpaceFixtures(
-        space_id="su4-so2",
         expected_family_dim=98,
         expected_spinor_dim=48,
         torsion=torsion,
@@ -450,10 +409,9 @@ def _fixtures_m2():
 
     def holonomy(p):
         # computed case split: 2 iff beta = alpha, independent of gamma
-        return (2 if abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha else 3, "torus")
+        return (2 if p.equals_alpha(p.beta) else 3, "torus")
 
     return SpaceFixtures(
-        space_id="u4-so2so2",
         expected_family_dim=30,
         expected_spinor_dim=16,
         torsion=torsion,
@@ -477,7 +435,6 @@ def _fixtures_m3():
         return (2 / p.alpha) * np.array([1.0] * 12 + [0, 0])
 
     return SpaceFixtures(
-        space_id="u4u1-so2so2so2",
         expected_family_dim=18,
         expected_spinor_dim=0,
         torsion=torsion,
@@ -534,19 +491,13 @@ def _fixtures_m4():
         return np.array([ra] * 8 + [rb] * 5 + [5 * g]) / (2 * a**2)
 
     def holonomy(p):
-        eb = abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha
-        eg = abs(p.gamma - p.alpha) <= _EQUAL_REL * p.alpha
+        eb, eg = p.equals_alpha(p.beta), p.equals_alpha(p.gamma)
         if not eb:
             return 21, "sp3"
         return (10, "sp2") if eg else (11, "sp2+w1")
 
     def parallel(p):
-        if abs(p.beta - p.alpha) <= _EQUAL_REL * p.alpha:
-            return True
-        return (
-            abs(p.beta - 2 * p.alpha) <= _EQUAL_REL * p.alpha
-            and abs(p.gamma - 1.2 * p.alpha) <= _EQUAL_REL * p.alpha
-        )
+        return p.equals_alpha(p.beta) or (p.equals_alpha(p.beta, 2) and p.equals_alpha(p.gamma, 1.2))
 
     def dirac(p):
         a, b, g = p.alpha, p.beta, p.gamma
@@ -560,7 +511,6 @@ def _fixtures_m4():
         return 0.5 * np.sqrt(num / (a**2 * b * g))
 
     return SpaceFixtures(
-        space_id="su5-sp2",
         expected_family_dim=7,
         expected_spinor_dim=4,
         torsion=torsion,

@@ -39,7 +39,12 @@ def _lambda_dev(L, expected):
 
 
 def _torsion_dev(t3, table):
-    tdev = max(abs(t3[t] - c) for t, c in table.items()) if table else 0.0
+    """Deviation over all triples i < j < k; an unlisted one is expected 0."""
+    want = np.zeros_like(t3)
+    for t, c in table.items():
+        want[t] = c
+    slot, row, col, _ = reps.theta_index(len(t3))  # row 0: the triples i < j < k
+    tdev = float(np.max(np.abs(t3 - want)[slot[0], row[0], col[0]]))
     return tdev <= 1e-9, f"max dev {tdev:.2e}"
 
 

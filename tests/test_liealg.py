@@ -103,7 +103,7 @@ def test_isotropy_rejects_small_non_reductive_m(s):
     # [X, sY] leaves h + m = span(X, Y) however small s is
     su2 = su_algebra(2)
     X, Y = su2.basis[:2]
-    split = ReductiveSplit(algebra=su2, h_basis=[X], m_basis=[s * Y], ip=uniform_ip(1))
+    split = ReductiveSplit(h_basis=[X], m_basis=[s * Y], ip=uniform_ip(1))
     with pytest.raises(NotReductive):
         isotropy_matrices(split)
 
@@ -112,10 +112,9 @@ def test_isotropy_rejects_small_non_reductive_m(s):
 def test_isotropy_rejects_tilted_generator_at_any_scale(s):
     # H_0 + 0.3 sqrt(2s) K_0 = H_0 + 0.3 E_13 does not map m into itself;
     # its h-parts shrink with the frame as s grows
-    K, H, ip = spaces._su4_frames(spaces.MetricParams(alpha=s, beta=s, gamma=s))
+    K, H, ip = spaces._FRAME_BUILDERS["su4-so2"](spaces.MetricParams(alpha=s, beta=s, gamma=s))
     tilted = H[0] + 0.3 * np.sqrt(2 * s) * K[0]
-    k = MatrixLieAlgebra("su4", np.concatenate([[tilted], K]))
-    split = ReductiveSplit(algebra=k, h_basis=[tilted], m_basis=K, ip=ip)
+    split = ReductiveSplit(h_basis=[tilted], m_basis=K, ip=ip)
     with pytest.raises(NotReductive):
         isotropy_matrices(split)
 

@@ -8,9 +8,9 @@ from gstruct import sp3, spaces
 from gstruct.connections import _equivariance_block, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
 from gstruct.spin import build_clifford, invariant_spinors, spin_lift
-from gstruct.liealg import MatrixLieAlgebra, ReductiveSplit, bracket, inner, uniform_ip
+from gstruct.liealg import InnerProductSpec, ReductiveSplit, bracket, inner, uniform_ip
 from gstruct.linalg import DEFAULT_TOL
-from gstruct.sp3 import E
+from gstruct.sp3 import E, S
 
 
 def test_canonical_ids_and_aliases():
@@ -103,8 +103,107 @@ def test_torsion_fixture_values():
 
 
 # ---------------------------------------------------------------------------
-# assemble and the M4 frames are batched array expressions; the per-matrix
-# loops they replaced are kept here as references.
+# assemble and the M4 frames are batched array expressions, and the M1-M3
+# frames are read off one root table; the per-matrix loops and hand-written
+# frames they replaced are kept here as references.
+
+
+def _loop_su4_frames(p):
+    a = p.alpha
+    a2, a3, a4, a5, a6, a7, a8 = p.filled_alphas(7)
+    b, g = p.beta, p.gamma
+    E4 = lambda i, j: E(4, i, j)
+    S4 = lambda i, j: S(4, i, j)
+    K = [
+        E4(1, 3) / np.sqrt(2 * a),
+        1j * S4(1, 3) / np.sqrt(2 * a),
+        E4(2, 4) / np.sqrt(2 * a2),
+        1j * S4(2, 4) / np.sqrt(2 * a2),
+        E4(2, 3) / np.sqrt(2 * a3),
+        1j * S4(2, 3) / np.sqrt(2 * a3),
+        E4(1, 4) / np.sqrt(2 * a4),
+        1j * S4(1, 4) / np.sqrt(2 * a4),
+        E4(1, 2) / np.sqrt(2 * a5),
+        1j * S4(1, 2) / np.sqrt(2 * a6),
+        E4(3, 4) / np.sqrt(2 * a7),
+        1j * S4(3, 4) / np.sqrt(2 * a8),
+        (1j / (2 * np.sqrt(b))) * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4)),
+        (1j / (2 * np.sqrt(g))) * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
+    ]
+    H = [0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4))]
+    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8,), (9,), (10,), (11,), (12,), (13,))
+    coeffs = (a, a2, a3, a4, a5, a6, a7, a8, b, g)
+    return K, H, InnerProductSpec(blocks, coeffs)
+
+
+def _loop_u4_frames(p):
+    a = p.alpha
+    a2, a3, a4, a5, a6 = p.filled_alphas(5)
+    b, g = p.beta, p.gamma
+    E4 = lambda i, j: E(4, i, j)
+    S4 = lambda i, j: S(4, i, j)
+    K = [
+        E4(1, 3) / np.sqrt(2 * a),
+        1j * S4(1, 3) / np.sqrt(2 * a),
+        E4(2, 4) / np.sqrt(2 * a2),
+        1j * S4(2, 4) / np.sqrt(2 * a2),
+        E4(2, 3) / np.sqrt(2 * a3),
+        1j * S4(2, 3) / np.sqrt(2 * a3),
+        E4(1, 4) / np.sqrt(2 * a4),
+        1j * S4(1, 4) / np.sqrt(2 * a4),
+        E4(1, 2) / np.sqrt(2 * a5),
+        1j * S4(1, 2) / np.sqrt(2 * a5),
+        E4(3, 4) / np.sqrt(2 * a6),
+        1j * S4(3, 4) / np.sqrt(2 * a6),
+        (1j / (2 * np.sqrt(b))) * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4)),
+        (1j / (2 * np.sqrt(g))) * (S4(1, 1) + S4(2, 2) + S4(3, 3) + S4(4, 4)),
+    ]
+    H = [
+        0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4)),
+        0.5j * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
+    ]
+    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12,), (13,))
+    coeffs = (a, a2, a3, a4, a5, a6, b, g)
+    return K, H, InnerProductSpec(blocks, coeffs)
+
+
+def _embed5(m44):
+    out = np.zeros((5, 5), dtype=complex)
+    out[:4, :4] = m44
+    return out
+
+
+def _loop_u4u1_frames(p):
+    b = p.beta
+    q = spaces.MetricParams(alpha=p.alpha, alphas=p.alphas, beta=1.0, gamma=p.gamma)
+    K2, H2, ip2 = _loop_u4_frames(q)
+    S4 = lambda i, j: S(4, i, j)
+    K = [_embed5(k) for k in K2]
+    u1 = np.zeros((5, 5), dtype=complex)
+    u1[4, 4] = 1j / np.sqrt(b)
+    K[12] = u1
+    H = [_embed5(h) for h in H2]
+    H.append(_embed5(0.5j * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4))))
+    coeffs = ip2.coefficients[:-2] + (b, p.gamma)
+    return K, H, InnerProductSpec(ip2.blocks, coeffs)
+
+
+_LOOP_TORUS_FRAMES = {"M1": _loop_su4_frames, "M2": _loop_u4_frames, "M3": _loop_u4u1_frames}
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, 1e-8, 1e14])
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3"])
+def test_root_table_matches_loop_reference(sid, scale):
+    # the unit metric, then unequal alphas at three scales
+    p = spaces.MetricParams()
+    if scale is not None:
+        alphas = tuple(scale * (0.6 + 0.15 * k) for k in range(spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]))
+        p = spaces.MetricParams(alpha=1.1 * scale, alphas=alphas, beta=0.8 * scale, gamma=1.4 * scale)
+    K, H, ip = spaces._FRAME_BUILDERS[spaces.canonical_id(sid)](p)
+    K_ref, H_ref, ip_ref = _LOOP_TORUS_FRAMES[sid](p)
+    assert np.array_equal(K, np.array(K_ref, dtype=complex))
+    assert np.array_equal(H, np.array(H_ref, dtype=complex))
+    assert ip.blocks == ip_ref.blocks and ip.coefficients == ip_ref.coefficients
 
 
 def _loop_su5_frames(p):
@@ -129,8 +228,7 @@ def _loop_su5_frames(p):
 def _loop_assemble(K, H, tol=DEFAULT_TOL):
     """(iso, pm, ph) with one bracket and one coordinate solve
     at a time."""
-    k_alg = MatrixLieAlgebra("ref", tuple(H) + tuple(K))
-    split = ReductiveSplit(algebra=k_alg, h_basis=list(H), m_basis=list(K), ip=uniform_ip(14))
+    split = ReductiveSplit(h_basis=list(H), m_basis=list(K), ip=uniform_ip(14))
     iso = []
     for Hm in split.h_basis:
         R = np.zeros((14, 14))
@@ -165,7 +263,7 @@ def test_assemble_matches_loop_reference(sid, scale):
         K, H = _loop_su5_frames(p)
         assert _close(space.split.m_basis, np.array(K))
     else:
-        K, H, _ = spaces._FRAME_BUILDERS[spaces.canonical_id(sid)](p)
+        K, H, _ = _LOOP_TORUS_FRAMES[sid](p)
     iso, pm, ph = _loop_assemble(K, H)
     assert _close(space.iso, iso)
     assert _close(space.pm, pm)
@@ -180,17 +278,15 @@ def test_assemble_small_defect_beside_large_brackets():
     # about 1e-5 of their own norm, and no large bracket leaves it.  One
     # residual scale for a whole batch (set by the large brackets) would
     # let this pass.
-    from gstruct.spaces import _embed5
-
     p = spaces.MetricParams(alpha=1.0, alphas=(1e-4, 1, 1, 1, 1, 1, 1))
-    K, H, ip = spaces._su4_frames(p)
-    K, H = [_embed5(k) for k in K], [_embed5(h) for h in H]
+    K, H, ip = spaces._FRAME_BUILDERS["su4-so2"](p)
+    K, H = spaces._embed5(K), spaces._embed5(H)
     assert np.linalg.norm(bracket(K[2], K[3])) > 1e4
-    good = spaces.assemble("custom", p, K, H, ip)
+    good = spaces.assemble("custom", K, H, ip)
     assert np.max(np.abs(good.pm - spaces.build("M1", p).pm)) < 1e-10
     K[0] = K[0] + 1e-5 * E(5, 1, 5)
     with pytest.raises(NotReductive):
-        spaces.assemble("custom", p, K, H, ip)
+        spaces.assemble("custom", K, H, ip)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +330,7 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale):
     a, b, g, *extra = (s * c for c in coeffs)
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
     space = spaces.build(sid, p)
-    own = spaces.assemble(sid, p, *spaces._FRAME_BUILDERS[sid](p))  # its own memo, from its own isotropy
+    own = spaces.assemble(sid, *spaces._FRAME_BUILDERS[sid](p))  # its own memo, from its own isotropy
     assert own._isotropy_owner is None and (space._isotropy_owner or space) is not own
     fam, fam_own = solve_equivariant(space), solve_equivariant(own)
     assert fam.dim == fam_own.dim == spaces.fixtures(sid).expected_family_dim
@@ -251,7 +347,7 @@ def test_rotated_frame_solves_its_own_isotropy():
     space = spaces.build("M4", p)
     K, H, ip = spaces._FRAME_BUILDERS["su5-sp2"](p)
     rot = _sp3_rotation(5)
-    rotated = spaces.assemble("su5-sp2", p, np.tensordot(rot.T, K, axes=1), H, ip)
+    rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H, ip)
     assert rotated._isotropy_owner is None
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
 

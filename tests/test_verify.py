@@ -1,5 +1,7 @@
+import dataclasses
+
 from gstruct import connections as con
-from gstruct import spin, verify
+from gstruct import spaces, spin, verify
 from gstruct.errors import Infeasible
 
 
@@ -18,6 +20,26 @@ def test_missing_connection_is_reported_not_raised(monkeypatch):
     failed = [name for name, ok, _ in results if not ok]
     assert failed and all("no characteristic connection" == detail for _, ok, detail in results if not ok)
     assert any(name.endswith("family dim") for name, ok, _ in results if ok)
+
+
+def test_torsion_table_check_covers_unlisted_entries(monkeypatch):
+    # a fixture table missing one nonzero entry expects 0 there, so the
+    # check fails at both sample points
+    fixtures = spaces.fixtures
+
+    def dropping(sid):
+        fx = fixtures(sid)
+
+        def torsion(p):
+            table = fx.torsion(p)
+            del table[next(iter(table))]
+            return table
+
+        return dataclasses.replace(fx, torsion=torsion)
+
+    monkeypatch.setattr(spaces, "fixtures", dropping)
+    failed = [name for name, ok, _ in verify.run_all(space="M3") if not ok]
+    assert len(failed) == 2 and all(name.endswith(" torsion table") for name in failed)
 
 
 def test_space_checks_skip_unchecked_stages(monkeypatch):
