@@ -14,7 +14,8 @@ Conventions fixed here and used everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,13 @@ class InnerProductSpec:
         if seen != list(range(len(seen))):
             raise ValueError("blocks must partition the index range")
 
+    def element_coefficients(self) -> np.ndarray:
+        """The coefficient of each basis index's block, as one array."""
+        c = np.empty(sum(map(len, self.blocks)))
+        for blk, coeff in zip(self.blocks, self.coefficients):
+            c[list(blk)] = coeff
+        return c
+
 
 def uniform_ip(dim: int, coefficient: float = 1.0) -> InnerProductSpec:
     return InnerProductSpec((tuple(range(dim)),), (coefficient,))
@@ -151,19 +159,21 @@ class ReductiveSplit:
     them possibly empty (n is read from ``m_basis``, so an empty one is
     (0, n, n)); ``m_basis`` is orthonormal for the metric described
     by ``ip``; all coordinate extraction goes through a least-squares frame
-    over the combined (h, m) basis.
+    over the combined (h, m) basis, built on the first ``split_stack``.
     """
 
     h_basis: np.ndarray
     m_basis: np.ndarray
     ip: InnerProductSpec
-    _frame: CoordinateFrame = field(default=None, repr=False)
 
     def __post_init__(self):
         self.m_basis = np.asarray(self.m_basis, dtype=complex)
         shape = (-1,) + self.m_basis.shape[1:]
         self.h_basis = np.reshape(np.asarray(self.h_basis, dtype=complex), shape)
-        self._frame = CoordinateFrame(np.concatenate([self.h_basis, self.m_basis]))
+
+    @cached_property
+    def _frame(self) -> CoordinateFrame:
+        return CoordinateFrame(np.concatenate([self.h_basis, self.m_basis]))
 
     @property
     def dim_h(self) -> int:

@@ -215,10 +215,11 @@ def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
     n = A.shape[0]
     if n != A.shape[1]:
         raise NotSelfAdjoint(f"matrix is {n}x{A.shape[1]}, not square")
-    defect = np.linalg.norm(A - A.conj().T)
+    Ah = np.ascontiguousarray(A.conj().T)  # the transposed read, made once
+    defect = np.linalg.norm(A - Ah)
     if tol.exceeds(defect, np.linalg.norm(A), 1):
         raise NotSelfAdjoint(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    H = 0.5 * (A + A.conj().T)
+    H = 0.5 * (A + Ah)
     split = _split_blocks(H, tol, hermitian=True)
     if split is None:
         return [(0.0, np.eye(n, dtype=H.dtype))] if n else []

@@ -10,10 +10,16 @@ Space identifiers (with the short aliases M1..M4):
   u4u1-so2so2so2  M3   u(4)+u(1)      / so(2)^3
   su5-sp2         M4   su(5)          / sp(2)
 
-Conventions: the metric normalizations
-(1/sqrt(2*alpha), ...) are baked into the tangent frames so every frame is
-orthonormal for its metric, and each frame is identified with the fixed
-basis B of the 14-dimensional module (isotropy then lands inside rho(sp3)).
+Conventions: each space is one fixed reductive split k = h + m with a
+metric-free frame (``_Frame``): the tangent frame with the base norms of
+its vectors, its metric blocks and the isotropy basis.  A metric only
+rescales the frame block by block (K_i = Khat_i / sigma_i, sigma_i the
+square root of the coefficient of K_i's block, e.g. 1/sqrt(2*alpha) for a
+root vector), so every frame is orthonormal for its metric; each frame is
+identified with the fixed basis B of the 14-dimensional module (isotropy
+then lands inside rho(sp3)).  The isotropy does not depend on the metric
+and the bracket tables only rescale, so ``build`` assembles each space
+once per process, at the unit metric, and rescales it.
 
 M1-M3 share one su(4) root frame, stated once in ``_ROOT_TABLE``: the six
 root planes in frame order, and for each space the metric slot of each of
@@ -108,11 +114,25 @@ class HomogeneousSpaceInstance:
         return owner._memo[key]
 
 
+@dataclass(frozen=True)
+class _Frame:
+    """The metric-free frame of a catalog space.  At metric coefficients c
+    (one per block) its tangent frame is K_i = K[i] / sqrt(nu2[i] c_i),
+    orthonormal for that metric; at the unit metric it is the
+    base-orthonormal frame, and the metric only rescales it block by block.
+    Read-only arrays, built once per process (``_frame``)."""
+
+    K: np.ndarray  # (14, n, n) tangent frame, unnormalized
+    nu2: np.ndarray  # (14,) base norm^2 of each K[i]
+    H: np.ndarray  # (r, n, n) isotropy basis
+    blocks: tuple  # the metric blocks, one coefficient each
+
+
 # The su(4) root frame of M1-M3.  Root plane (i, j) gives the root vectors
-# E_ij and i S_ij; K_1..K_12 are these over sqrt(2 c), c the coefficient of
-# their slot (slot 0 is alpha, slot s is alpha_(s+1)).  K_13 and K_14 are
-# i diag(signs) / (2 sqrt(c)) for the beta and gamma signs, and each
-# isotropy row gives (i/2) diag(signs).
+# E_ij and i S_ij (base norm^2 2); K_13 and K_14 are i diag(signs) (base
+# norm^2 4) for the beta and gamma signs, and each isotropy row gives
+# (i/2) diag(signs).  Root vector k lies in block slot[k] (coefficient
+# alpha for slot 0, alpha_(s+1) for slot s); beta and gamma come last.
 _ROOT_PLANES = ((1, 3), (2, 4), (2, 3), (1, 4), (1, 2), (3, 4))
 _ROOTS = read_only(np.array([m for i, j in _ROOT_PLANES for m in (E(4, i, j), 1j * S(4, i, j))]))
 _ROOT_TABLE = {
@@ -124,17 +144,15 @@ _ROOT_TABLE = {
 }
 
 
-def _root_frames(sid: str, p: MetricParams):
-    """K, H and the metric of ``sid`` in the su(4) root frame."""
+def _root_frame(sid: str) -> _Frame:
     slots, beta, gamma, iso = _ROOT_TABLE[sid]
-    coeffs = (p.alpha, *p.filled_alphas(max(slots)))
-    K = np.concatenate([
-        _ROOTS / np.sqrt(2 * np.take(coeffs, slots))[:, None, None],
-        [(1j / (2 * np.sqrt(p.beta))) * np.diag(beta), (1j / (2 * np.sqrt(p.gamma))) * np.diag(gamma)],
-    ])
-    H = np.array([0.5j * np.diag(row) for row in iso])
-    blocks = tuple(tuple(k for k, t in enumerate(slots) if t == s) for s in range(len(coeffs)))
-    return K, H, InnerProductSpec(blocks + ((12,), (13,)), coeffs + (p.beta, p.gamma))
+    blocks = tuple(tuple(k for k, t in enumerate(slots) if t == s) for s in range(max(slots) + 1))
+    return _Frame(
+        K=np.concatenate([_ROOTS, [1j * np.diag(beta), 1j * np.diag(gamma)]]),
+        nu2=np.array([2.0] * 12 + [4.0, 4.0]),
+        H=np.array([0.5j * np.diag(row) for row in iso]),
+        blocks=blocks + ((12,), (13,)),
+    )
 
 
 def _embed5(X) -> np.ndarray:
@@ -144,15 +162,17 @@ def _embed5(X) -> np.ndarray:
     return out
 
 
-def _u4u1_frames(p: MetricParams):
+def _u4u1_frame() -> _Frame:
     # the u(4) frame inside u(5), but the beta direction moves to the u(1)
     # factor and the su(4) diagonal it held joins the isotropy
-    K, H, ip = _root_frames("u4-so2so2", p)
-    K = _embed5(K)
+    f = _root_frame("u4-so2so2")
+    K = _embed5(f.K)
     K[12] = 0
-    K[12, 4, 4] = 1j / np.sqrt(p.beta)
+    K[12, 4, 4] = 1j
+    nu2 = f.nu2.copy()
+    nu2[12] = 1.0
     beta = _ROOT_TABLE["u4-so2so2"][1]
-    return K, _embed5(np.concatenate([H, [0.5j * np.diag(beta)]])), ip
+    return _Frame(K, nu2, _embed5(np.concatenate([f.H, [0.5j * np.diag(beta)]])), f.blocks)
 
 
 def _su5_basis():
@@ -167,10 +187,9 @@ def _su5_basis():
     return out
 
 
-def _su5_frames(p: MetricParams):
+def _su5_frame() -> _Frame:
     """Tangent frame of the quotient by sp(2), pulled back from the fixed
     complement basis B through the sp(3)-complement projection."""
-    p.filled_alphas(0)
     data = sp3.load()
     basis = np.array(_su5_basis())
     sp2 = data.A[:10]
@@ -182,30 +201,41 @@ def _su5_frames(p: MetricParams):
     khat = np.tensordot(X.T, basis, axes=1)
     # blockwise norms must agree inside each isotypic block
     norms = -np.einsum("kab,kba->k", khat, khat).real
-    for blk in ((0, 8), (8, 13), (13, 14)):
-        seg = norms[blk[0]:blk[1]]
+    blocks = (tuple(range(8)), tuple(range(8, 13)), (13,))
+    for blk in blocks:
+        seg = norms[list(blk)]
         if np.max(np.abs(seg - seg[0])) > 1e-10:
             raise StructureViolation("unequal norms inside an isotypic block")
-    scales = np.concatenate(
-        [
-            np.full(8, np.sqrt(p.alpha * norms[0])),
-            np.full(5, np.sqrt(p.beta * norms[8])),
-            np.full(1, np.sqrt(p.gamma * norms[13])),
-        ]
-    )
-    K = khat / scales[:, None, None]
-    H = sp2
-    blocks = (tuple(range(8)), tuple(range(8, 13)), (13,))
-    coeffs = (p.alpha, p.beta, p.gamma)
-    return K, H, InnerProductSpec(blocks, coeffs)
+    nu2 = np.concatenate([np.full(len(blk), norms[blk[0]]) for blk in blocks])
+    return _Frame(khat, nu2, np.array(sp2), blocks)
 
 
 _FRAME_BUILDERS = {
-    "su4-so2": functools.partial(_root_frames, "su4-so2"),
-    "u4-so2so2": functools.partial(_root_frames, "u4-so2so2"),
-    "u4u1-so2so2so2": _u4u1_frames,
-    "su5-sp2": _su5_frames,
+    "su4-so2": functools.partial(_root_frame, "su4-so2"),
+    "u4-so2so2": functools.partial(_root_frame, "u4-so2so2"),
+    "u4u1-so2so2so2": _u4u1_frame,
+    "su5-sp2": _su5_frame,
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _frame(sid: str) -> _Frame:
+    f = _FRAME_BUILDERS[sid]()
+    for a in (f.K, f.nu2, f.H):
+        read_only(a)
+    return f
+
+
+def frames(space_id: str, params: MetricParams):
+    """(K, H, ip) of a catalog space at ``params``: the tangent frame,
+    orthonormal for the metric ``ip``, and the isotropy basis (read-only),
+    as ``assemble`` takes them.  The coefficients of ``ip`` are alpha,
+    the extra alphas, beta and gamma, in block order."""
+    sid = canonical_id(space_id)
+    f = _frame(sid)
+    coeffs = (params.alpha, *params.filled_alphas(_EXTRA_ALPHAS[sid]), params.beta, params.gamma)
+    ip = InnerProductSpec(f.blocks, coeffs)
+    return f.K / np.sqrt(f.nu2 * ip.element_coefficients())[:, None, None], f.H, ip
 
 
 def assemble(label: str, K, H, ip: InnerProductSpec,
@@ -214,7 +244,8 @@ def assemble(label: str, K, H, ip: InnerProductSpec,
     (14, n, n) tangent frame K, the (r, n, n) isotropy basis H and the
     metric ``ip`` that makes K orthonormal (also usable for custom quotients
     beyond the catalog, as long as the 14-dim frame carries the same
-    structure).
+    structure).  ``build`` rescales the assembled unit-metric space instead;
+    this is the route for custom frames and the reference for ``build``.
 
     Checks that [h, m] lies in m and each [K_i, K_j] in h + m (NotReductive
     otherwise) and the isotropy in rho(sp3) (StructureViolation otherwise),
@@ -239,39 +270,51 @@ def assemble(label: str, K, H, ip: InnerProductSpec,
     return HomogeneousSpaceInstance(space_id=label, split=split, iso=iso, pm=pm, ph=ph)
 
 
-# Catalog spaces whose builds share the isotropy results of their unit
-# metric.  M1-M3 still solve theirs per build: the analyze-tori benchmark
-# warms up with a single M1 op, so results kept from its first M2 and M3
-# ops would make its per-op call counts depend on how many rounds a run
-# completes, and its self-check requires them to repeat exactly.
+# Every build of a catalog space takes its isotropy and bracket tables from
+# the unit metric (``_unit_metric_space``); builds of the spaces listed here
+# also share its isotropy results.  M1-M3 still solve theirs per build: the
+# analyze-tori benchmark warms up with a single M1 op, so results kept from
+# its first M2 and M3 ops would make its per-op call counts depend on how
+# many rounds a run completes, and its self-check requires them to repeat
+# exactly.
 _SHARED_ISOTROPY = ("su5-sp2",)
 
 
 @functools.lru_cache(maxsize=None)
 def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInstance:
-    """The catalog space at ``MetricParams()``, with read-only isotropy: it
-    owns the isotropy results of every build of ``sid`` at ``tol``."""
-    space = assemble(sid, *_FRAME_BUILDERS[sid](MetricParams()), tol)
+    """The catalog space at ``MetricParams()``, assembled from its frames,
+    with read-only isotropy: every build of ``sid`` at ``tol`` rescales its
+    tables, and the builds of a space in ``_SHARED_ISOTROPY`` share its
+    isotropy results."""
+    space = assemble(sid, *frames(sid, MetricParams()), tol)
     read_only(space.iso)
     return space
 
 
 def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
-    """Construct a catalog space at concrete parameters.  The isotropy of
-    a catalog space does not depend on the metric, so for a space in
-    ``_SHARED_ISOTROPY`` the build must reproduce the one at the unit
-    metric (StructureViolation otherwise) and then shares its isotropy
-    results."""
+    """Construct a catalog space at concrete parameters by rescaling the
+    space at the unit metric.  With sigma_i the square root of the
+    coefficient of K_i's block, K_i = Khat_i / sigma_i for the unit-metric
+    frame Khat, so the bracket tables are pm_ijk = pmhat_ijk sigma_k /
+    (sigma_i sigma_j) and ph_ijr = phhat_ijr / (sigma_i sigma_j), and the
+    isotropy is iso_rkj sigma_k / sigma_j.  That is the unit metric's
+    isotropy (whose read-only array the build takes) unless H rotates
+    frame vectors of blocks with unequal coefficients: the build checks
+    max |iso sigma_k / sigma_j - iso| against max |iso| (StructureViolation
+    "isotropy depends on the metric" otherwise).  A build of a space in
+    ``_SHARED_ISOTROPY`` then shares the unit metric's isotropy results."""
     sid = canonical_id(space_id)
-    K, H, ip = _FRAME_BUILDERS[sid](params)
-    space = assemble(sid, K, H, ip, tol)
-    if sid not in _SHARED_ISOTROPY:
-        return space
+    K, H, ip = frames(sid, params)
     owner = _unit_metric_space(sid, tol)
-    dev = np.max(np.abs(space.iso - owner.iso))
+    sigma = np.sqrt(ip.element_coefficients())
+    dev = np.max(np.abs(owner.iso * (sigma[:, None] / sigma) - owner.iso))
     if tol.exceeds(dev, np.max(np.abs(owner.iso))):
         raise StructureViolation(f"{sid}: isotropy depends on the metric (deviation {dev:.3e})")
-    space._isotropy_owner = owner
+    inv = 1.0 / np.outer(sigma, sigma)[:, :, None]
+    space = HomogeneousSpaceInstance(space_id=sid, split=ReductiveSplit(h_basis=H, m_basis=K, ip=ip),
+                                     iso=owner.iso, pm=owner.pm * (inv * sigma), ph=owner.ph * inv)
+    if sid in _SHARED_ISOTROPY:
+        space._isotropy_owner = owner
     return space
 
 

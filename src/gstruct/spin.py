@@ -19,7 +19,7 @@ suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -125,6 +125,12 @@ class SpinorSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def lifted_rho(self) -> np.ndarray:
+        """(21, 2^(n/2), k) read-only: the spin lifts of the rho(sp3) basis
+        applied to the basis columns, computed once per subspace."""
+        return read_only((_lifted_rho().reshape(-1, self.basis.shape[0]) @ self.basis).reshape(21, -1, self.dim))
+
 
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
     """Joint kernel of the lifted isotropy generators inside the spinor module.
@@ -159,15 +165,15 @@ class DiracReport:
     twistor_strict: bool = None
 
 
-def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, basis: np.ndarray):
-    """(lifts of the Lambda(e_i) applied to the columns of ``basis``,
-    torsion operator T_cl, Dirac matrix D) on the full spinor module, for
-    connection matrices lam = coeffs . rho and torsion t3.  With
+def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.ndarray):
+    """(lifts of the Lambda(e_i) applied to a spinor basis, torsion operator
+    T_cl, Dirac matrix D) on the full spinor module, for connection matrices
+    lam = coeffs . rho and torsion t3, with rho_b the lifts of the rho basis
+    applied to that basis (``SpinorSubspace.lifted_rho``).  With
     a[i] = Lambda(e_i), sum_i e_i lift(a[i]) = c(c3) + c(v) for the 3-form
     c3[i, k, l] = -(a[i, k, l] + a[k, l, i] + a[l, i, k]) / 2 and the vector
     v[m] = sum_k a[k, k, m] / 2; the lifts are coeffs . lift(rho)."""
-    rho_b = (_lifted_rho().reshape(-1, basis.shape[0]) @ basis).reshape(21, -1)
-    lifts_b = (coeffs @ rho_b).reshape((14,) + basis.shape)
+    lifts_b = (coeffs @ rho_b.reshape(21, -1)).reshape((14,) + rho_b.shape[1:])
     c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
     v = 0.5 * np.trace(lam, axis1=0, axis2=1)
     t_op = torsion_clifford(t3)
@@ -186,7 +192,7 @@ def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
         raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
     T = torsion(conn)
     B = sub.basis
-    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, B)
+    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, sub.lifted_rho)
 
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))

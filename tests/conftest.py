@@ -27,10 +27,12 @@ def draws(sid, count, seed, lo=0.55, hi=1.9):
 
 @pytest.fixture
 def fresh_isotropy_cache():
-    """An empty per-space isotropy cache during the test, and again after
-    it, so what a patched test computes there reaches no other test."""
+    """Empty per-space frame and isotropy caches during the test, and again
+    after it, so what a patched test computes there reaches no other test."""
+    spaces._frame.cache_clear()
     spaces._unit_metric_space.cache_clear()
     yield
+    spaces._frame.cache_clear()
     spaces._unit_metric_space.cache_clear()
 
 

@@ -112,7 +112,7 @@ def test_isotropy_rejects_small_non_reductive_m(s):
 def test_isotropy_rejects_tilted_generator_at_any_scale(s):
     # H_0 + 0.3 sqrt(2s) K_0 = H_0 + 0.3 E_13 does not map m into itself;
     # its h-parts shrink with the frame as s grows
-    K, H, ip = spaces._FRAME_BUILDERS["su4-so2"](spaces.MetricParams(alpha=s, beta=s, gamma=s))
+    K, H, ip = spaces.frames("su4-so2", spaces.MetricParams(alpha=s, beta=s, gamma=s))
     tilted = H[0] + 0.3 * np.sqrt(2 * s) * K[0]
     split = ReductiveSplit(h_basis=[tilted], m_basis=K, ip=ip)
     with pytest.raises(NotReductive):

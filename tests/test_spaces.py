@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstruct import sp3, spaces
+from gstruct import liealg, sp3, spaces
+from gstruct.analysis import analyze
 from gstruct.connections import _equivariance_block, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
 from gstruct.spin import build_clifford, invariant_spinors, spin_lift
@@ -199,7 +202,7 @@ def test_root_table_matches_loop_reference(sid, scale):
     if scale is not None:
         alphas = tuple(scale * (0.6 + 0.15 * k) for k in range(spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]))
         p = spaces.MetricParams(alpha=1.1 * scale, alphas=alphas, beta=0.8 * scale, gamma=1.4 * scale)
-    K, H, ip = spaces._FRAME_BUILDERS[spaces.canonical_id(sid)](p)
+    K, H, ip = spaces.frames(sid, p)
     K_ref, H_ref, ip_ref = _LOOP_TORUS_FRAMES[sid](p)
     assert np.array_equal(K, np.array(K_ref, dtype=complex))
     assert np.array_equal(H, np.array(H_ref, dtype=complex))
@@ -279,7 +282,7 @@ def test_assemble_small_defect_beside_large_brackets():
     # residual scale for a whole batch (set by the large brackets) would
     # let this pass.
     p = spaces.MetricParams(alpha=1.0, alphas=(1e-4, 1, 1, 1, 1, 1, 1))
-    K, H, ip = spaces._FRAME_BUILDERS["su4-so2"](p)
+    K, H, ip = spaces.frames("su4-so2", p)
     K, H = spaces._embed5(K), spaces._embed5(H)
     assert np.linalg.norm(bracket(K[2], K[3])) > 1e4
     good = spaces.assemble("custom", K, H, ip)
@@ -289,10 +292,52 @@ def test_assemble_small_defect_beside_large_brackets():
         spaces.assemble("custom", K, H, ip)
 
 
+@settings(max_examples=24, deadline=None)
+@given(
+    sid=st.sampled_from(["M1", "M2", "M3", "M4"]),
+    coeffs=st.lists(st.floats(0.5, 2.0), min_size=10, max_size=10),
+    log_scale=st.floats(-8, 14),
+)
+def test_build_matches_assembled_frames(sid, coeffs, log_scale):
+    """``build`` rescales the unit-metric space; assembling the frames at
+    the same metric agrees entry by entry within round-off of the operands:
+    ||K_i|| ||K_j|| / ||K_k|| for pm, ||K_i|| ||K_j|| / ||H_r|| for ph,
+    ||H_r|| ||K_j|| / ||K_k|| for the isotropy and ||K_i|| for the frame."""
+    sid = spaces.canonical_id(sid)
+    s = 10.0 ** log_scale
+    a, b, g, *extra = (s * c for c in coeffs)
+    p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
+    space, ref = spaces.build(sid, p), spaces.assemble(sid, *spaces.frames(sid, p))
+    k = np.linalg.norm(ref.split.m_basis, axis=(1, 2))
+    h = np.linalg.norm(ref.split.h_basis, axis=(1, 2))
+    kk = k[:, None, None] * k[None, :, None]
+    rel = 1e-14
+    assert np.all(np.abs(space.pm - ref.pm) <= rel * kk / k)
+    assert np.all(np.abs(space.ph - ref.ph) <= rel * kk / h)
+    assert np.all(np.abs(space.iso - ref.iso) <= rel * h[:, None, None] * k / k[:, None])
+    assert np.all(np.abs(space.split.m_basis - ref.split.m_basis) <= rel * k[:, None, None])
+
+
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
+def test_warm_analyze_builds_no_coordinate_frame(monkeypatch, sid):
+    # the tables are rescaled, so no pseudo-inverse is taken once the unit
+    # metric is assembled; the first analyze of the space warms it up
+    def run(alpha):
+        a = analyze(sid, spaces.MetricParams(alpha=alpha, beta=0.8, gamma=1.4))
+        return a.type_components, a.dirac
+
+    run(1.3)
+    built = []
+    init = liealg.CoordinateFrame.__init__
+    monkeypatch.setattr(liealg.CoordinateFrame, "__init__", lambda self, mats: built.append(init(self, mats)))
+    run(1.1)
+    assert not built
+
+
 # ---------------------------------------------------------------------------
 # The isotropy of a catalog space does not depend on the metric: every build
-# of M4 checks its own against the unit metric's and shares the results
-# computed from that one.
+# checks that rescaling leaves the unit metric's isotropy unchanged, and the
+# builds of M4 share the results computed from that one.
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1e14])
@@ -330,7 +375,7 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale):
     a, b, g, *extra = (s * c for c in coeffs)
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
     space = spaces.build(sid, p)
-    own = spaces.assemble(sid, *spaces._FRAME_BUILDERS[sid](p))  # its own memo, from its own isotropy
+    own = spaces.assemble(sid, *spaces.frames(sid, p))  # its own memo, from its own isotropy
     assert own._isotropy_owner is None and (space._isotropy_owner or space) is not own
     fam, fam_own = solve_equivariant(space), solve_equivariant(own)
     assert fam.dim == fam_own.dim == spaces.fixtures(sid).expected_family_dim
@@ -345,7 +390,7 @@ def test_rotated_frame_solves_its_own_isotropy():
     # systems of its own isotropy, which the catalog's results do not
     p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
     space = spaces.build("M4", p)
-    K, H, ip = spaces._FRAME_BUILDERS["su5-sp2"](p)
+    K, H, ip = spaces.frames("su5-sp2", p)
     rot = _sp3_rotation(5)
     rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H, ip)
     assert rotated._isotropy_owner is None
@@ -366,17 +411,15 @@ def test_rotated_frame_solves_its_own_isotropy():
 
 
 def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):
-    # a frame builder that rotates the frame away from the unit metric
-    unit = spaces.MetricParams()
-    frames = spaces._FRAME_BUILDERS["su5-sp2"]
-    rot = _sp3_rotation(3)
+    # metric blocks that split the 8-dim sp(2) module K_1..K_8, which the
+    # isotropy rotates: alpha != beta then scales one half against the other
+    catalog = spaces._FRAME_BUILDERS["su5-sp2"]
 
-    def rotating(p):
-        K, H, ip = frames(p)
-        return (K if p == unit else np.tensordot(rot.T, K, axes=1)), H, ip
+    def split_blocks():
+        return dataclasses.replace(catalog(), blocks=(tuple(range(4)), tuple(range(4, 13)), (13,)))
 
-    monkeypatch.setitem(spaces._FRAME_BUILDERS, "su5-sp2", rotating)
-    spaces.build("M4", unit)
+    monkeypatch.setitem(spaces._FRAME_BUILDERS, "su5-sp2", split_blocks)
+    spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=1.1))  # one coefficient across the split
     with pytest.raises(StructureViolation, match="isotropy depends on the metric"):
         spaces.build("M4", spaces.MetricParams(alpha=1.1))
 

@@ -273,8 +273,9 @@ def test_restricted_dirac_matrix_matches_loop_reference():
         lam, T = ctx["conn"].so_matrices(), con.torsion(ctx["conn"])
         D_ref = sum(cl.gammas[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
-        B = spin.invariant_spinors(ctx["space"]).basis
-        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, B)
+        sub = spin.invariant_spinors(ctx["space"])
+        B = sub.basis
+        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub.lifted_rho)
         ref = B.conj().T @ D_ref @ B
         assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
@@ -292,13 +293,25 @@ def test_dirac_terms_match_loop_reference(seed, k):
     coeffs = rng.standard_normal((14, 21))
     t3 = _random_form(rng, 14, 3, 0.5)
     basis = np.linalg.qr(rng.standard_normal((cl.dim, k)) + 1j * rng.standard_normal((cl.dim, k)))[0]
-    lifts_b, t_op, D = spin._dirac_terms(a, coeffs, t3, basis)
+    lifts_b, t_op, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis).lifted_rho)
 
     D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl.gammas, a))
     D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, t3)
     assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
     lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
     assert np.max(np.abs(lifts_b - lifts_ref)) <= 1e-13 * np.max(np.abs(lifts_ref))
+
+
+def test_lifted_rho_is_shared_with_the_spinor_subspace():
+    # M4 builds share their invariant spinors, so lift(rho) B is formed once
+    # per process; each M1 build solves its own subspace and forms its own
+    m4 = [spin.invariant_spinors(spaces.build("M4", spaces.MetricParams(alpha=a, beta=1.3))) for a in (0.9, 1.4)]
+    assert m4[0].lifted_rho is m4[1].lifted_rho
+    assert m4[0].lifted_rho.shape == (21, 128, 4) and not m4[0].lifted_rho.flags.writeable
+    p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
+    m1 = [spin.invariant_spinors(spaces.build("M1", p)) for _ in range(2)]
+    assert m1[0].lifted_rho is not m1[1].lifted_rho
+    assert np.array_equal(m1[0].lifted_rho, m1[1].lifted_rho) and not m1[0].lifted_rho.flags.writeable
 
 
 def test_clifford_shape_mismatch_rejected():
