@@ -2,7 +2,7 @@
 the equivariant-family solver, torsion and curvature and the covariant
 derivative of torsion, the Levi-Civita connection and the unique
 skew-torsion (characteristic) connection, intrinsic-type classification,
-holonomy, and parallel vector fields.
+and holonomy.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ class EquivariantFamily:
 
 @dataclass(frozen=True)
 class InvariantConnection:
-    """The map Lambda of an invariant connection.  Its so(14) stack, torsion
-    and curvature depend on these two fields alone, so each is computed
-    once, on first use, and handed out read-only."""
+    """The map Lambda of an invariant connection.  Its so(14) stack, torsion,
+    ad(Lambda(K_i)) and curvature depend on these two fields alone, so each
+    is computed once, on first use, and handed out read-only."""
 
     space: HomogeneousSpaceInstance
     lambda_coeffs: np.ndarray  # (14, 21) over the A basis
@@ -52,8 +52,16 @@ class InvariantConnection:
         return torsion_of_map(self.space, self._stack)
 
     @cached_property
+    def _ad(self) -> np.ndarray:
+        """(14, 21, 21): [Lambda(K_i), rho_b] = sum_c ad[i, b, c] rho_c."""
+        return read_only((self.lambda_coeffs @ sp3.structure_constants().reshape(21, -1)).reshape(14, 21, 21))
+
+    @cached_property
     def _curvature(self) -> np.ndarray:
-        return curvature_of_map(self.space, self._stack)
+        """(14, 14, 21): ``curvature_of_map`` of this map, in rho coordinates."""
+        space, L = self.space, self.lambda_coeffs
+        rest = space.pm.reshape(-1, 14) @ L + space.ph.reshape(196, -1) @ _rho_coords(space.iso)
+        return read_only(L @ self._ad - rest.reshape(14, 14, 21))
 
     def nonzero_entries(self):
         """[(K index, A index, coefficient)] with 1-based indices."""
@@ -75,7 +83,7 @@ class TorsionTensor:
 
 @dataclass(frozen=True)
 class HolonomyResult:
-    basis: np.ndarray  # (dim, 14, 14) antisymmetric
+    basis: np.ndarray  # (dim, 14, 14) antisymmetric, orthonormal in pair coordinates
     dim: int
     label: str
 
@@ -127,6 +135,7 @@ def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.nda
 
 
 def curvature(conn: InvariantConnection) -> np.ndarray:
+    """The connection's curvature in rho coordinates, (14, 14, 21), read-only."""
     return conn._curvature
 
 
@@ -141,9 +150,9 @@ def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
 
 
 def _rho_coords(stack: np.ndarray) -> np.ndarray:
-    """(14, 21) rho coordinates of the rho(sp3) part of each matrix of a
-    (14, 14, 14) stack; the rho basis is orthonormal for -tr/4."""
-    return -0.25 * stack.reshape(14, -1) @ sp3.load().rho.transpose(0, 2, 1).reshape(21, -1).T
+    """(k, 21) rho coordinates of the rho(sp3) part of each matrix of a
+    (k, 14, 14) stack; the rho basis is orthonormal for -tr/4."""
+    return 0.25 * stack.reshape(len(stack), -1) @ sp3.load().rho.reshape(21, -1).T
 
 
 def _pr_m(stack: np.ndarray) -> np.ndarray:
@@ -255,18 +264,17 @@ def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_
 def holonomy_algebra(
     conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL
 ) -> HolonomyResult:
-    """Nested-bracket closure of the curvature span: seed with the
-    R(K_i, K_j), i < j, then close under bracketing with the image of
-    Lambda until the rank stabilizes.  The basis is kept as orthonormal
-    pair coordinates (``reps.pack_so``).  A round skips the SVD of
-    S = [on, new] when r = new - on on^T new has ||r||_F <= rank_tol and
-    rank_tol ||S||_F < 1 - rank_tol: as on is orthonormal, the SVD would
-    then keep sigma_k(S) >= 1 - ||r|| and drop sigma_(k+1)(S) <= ||r||."""
-    lam = conn.so_matrices()
-    on = orthonormal_columns(reps.pack_so(curvature(conn)[np.triu_indices(14, 1)], 14).T, tol)
-    basis = reps.unpack_so(on.T, 14)
-    for _ in range(91):
-        new = reps.pack_so((lam[:, None] @ basis - basis @ lam[:, None]).reshape(-1, 14, 14), 14).T
+    """Nested-bracket closure of the curvature span in rho coordinates: seed
+    with the R(K_i, K_j), i < j, then close under ad(Lambda(K_i)) until the
+    rank stabilizes.  On rho(sp3) the so(14) pair coordinates are sqrt(2)
+    times an isometry of these, so the rank decisions are theirs.  A round
+    skips the SVD of S = [on, new] when r = new - on on^T new has
+    ||r||_F <= rank_tol and rank_tol ||S||_F < 1 - rank_tol: as on is
+    orthonormal, the SVD would then keep sigma_k(S) >= 1 - ||r|| and drop
+    sigma_(k+1)(S) <= ||r||.  The basis is pair-orthonormal so(14) matrices."""
+    on = orthonormal_columns(curvature(conn)[np.triu_indices(14, 1)].T, tol)
+    for _ in range(21):
+        new = (on.T @ conn._ad).reshape(-1, 21).T  # column (i, p): [Lambda(K_i), x_p]
         norm_s = np.sqrt(on.shape[1] + np.linalg.norm(new) ** 2)
         if (np.linalg.norm(new - on @ (on.T @ new)) <= tol.rank_tol
                 and tol.rank_tol * norm_s < 1 - tol.rank_tol):
@@ -274,43 +282,24 @@ def holonomy_algebra(
         grown = orthonormal_columns(np.hstack([on, new]), tol)
         if grown.shape[1] == on.shape[1]:
             break
-        on, basis = grown, reps.unpack_so(grown.T, 14)
+        on = grown
+    basis = (on.T @ sp3.load().rho.reshape(21, -1)).reshape(-1, 14, 14) / np.sqrt(2.0)
     return HolonomyResult(basis=basis, dim=len(basis), label=_holonomy_label(on, tol))
 
 
 def _holonomy_label(on: np.ndarray, tol: ToleranceProfile) -> str:
-    """Name of the smallest listed subalgebra of rho(sp3) that holds the
-    basis, given as (pairs, dim) pair coordinates."""
-    rho = reps.pack_so(sp3.load().rho, 14)
+    """Name of the algebra h with orthonormal rho-coordinate basis ``on``:
+    sp3 at dim 21, else by (dim h, dim [h, h], dim of its centre), which no
+    conjugation in Sp(3) changes: torus (k, 0, k), sp2 (10, 10, 0), sp2+w1
+    (11, 10, 1), sp3-subalgebra(dim) otherwise.  The ranks cut at rank_tol
+    itself, as the basis has unit norm; a cut relative to the brackets
+    would count round-off as rank on an abelian h."""
     dim = on.shape[1]
-
-    def inside(target_idx):
-        Ton = orthonormal_columns(rho[list(target_idx)].T, tol)
-        resid = np.linalg.norm(on - Ton @ (Ton.T @ on), axis=0)
-        # the columns of on are orthonormal: each residual's scale is 1
-        return not np.any(tol.exceeds(resid, 1.0))
-
-    if dim <= 3 and inside([8, 9, 20]):
-        return "torus"
-    if dim == 10 and inside(range(10)):
-        return "sp2"
-    if dim == 11 and inside(list(range(10)) + [18, 19, 20]):
-        return "sp2+w1"
-    if dim == 21 and inside(range(21)):
+    if dim == 21:
         return "sp3"
-    return f"other({dim})" if not inside(range(21)) else f"sp3-subalgebra({dim})"
-
-
-def parallel_vector_fields(conn: InvariantConnection, holonomy: HolonomyResult,
-                           tol: ToleranceProfile = DEFAULT_TOL):
-    """Frame vectors killed by both the holonomy algebra of ``conn`` (as
-    ``holonomy_algebra`` returns it) and the isotropy, together with the
-    2-forms obtained by contracting them into the torsion.
-
-    Returns (vectors as columns, list of 14x14 antisymmetric 2-forms).
-    """
-    mats = np.concatenate([holonomy.basis, conn.space.iso])
-    vecs = nullspace(mats.reshape(-1, 14), tol)
-    T = torsion(conn)
-    omegas = [np.tensordot(v, T.t3, 1) for v in vecs.T]
-    return vecs, omegas
+    # br[p, q] = [x_p, x_q] in rho coordinates
+    br = on.T @ (on.T @ sp3.structure_constants().reshape(21, -1)).reshape(dim, 21, 21)
+    derived, ad_rank = (int(np.count_nonzero(np.linalg.svd(M, compute_uv=False) > tol.rank_tol))
+                   for M in (br.reshape(dim * dim, 21), br.reshape(dim, dim * 21)))
+    names = {(dim, 0, dim): "torus", (10, 10, 0): "sp2", (11, 10, 1): "sp2+w1"}
+    return names.get((dim, derived, dim - ad_rank), f"sp3-subalgebra({dim})")

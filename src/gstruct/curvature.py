@@ -2,9 +2,11 @@
 Levi-Civita connection, scalar curvatures, and the Einstein defect.
 
 The curvature of an invariant connection given by a map Lambda is
-R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h)
-(``connections.curvature_of_map``); its correctness is certified end to
-end by reproducing the four closed-form Ricci tables of the catalog spaces.
+R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h): in rho
+coordinates, (14, 14, 21), for a connection with image in rho(sp3)
+(``connections.curvature``), and as so(14) matrices for the Levi-Civita map
+(``connections.curvature_of_map``); both are certified end to end by
+reproducing the four closed-form Ricci tables of the catalog spaces.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sp3
 from .connections import InvariantConnection, curvature, curvature_of_map, levi_civita, torsion
 from .errors import StructureViolation
 from .linalg import DEFAULT_TOL, ToleranceProfile
@@ -34,8 +37,9 @@ def ricci_from_curvature(R4: np.ndarray) -> np.ndarray:
 
 
 def ricci_connection(conn: InvariantConnection) -> np.ndarray:
-    """Ricci tensor of the connection's cached curvature."""
-    return ricci_from_curvature(curvature(conn))
+    """Ric[j, k] = sum_(i, c) R[i, j, c] rho_c[i, k] of the cached curvature R."""
+    rho = sp3.load().rho
+    return curvature(conn).transpose(1, 0, 2).reshape(14, -1) @ rho.transpose(1, 0, 2).reshape(-1, 14)
 
 
 def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarray:

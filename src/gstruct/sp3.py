@@ -23,10 +23,8 @@ import numpy as np
 
 from .errors import ConventionMismatch
 from .liealg import (
-    CoordinateFrame,
     MatrixLieAlgebra,
     isotropy_matrices,
-    pair_brackets,
     reductive_split,
 )
 from .linalg import read_only
@@ -224,6 +222,16 @@ def load() -> Sp3Data:
     )
 
 
+@lru_cache(maxsize=1)
+def structure_constants() -> np.ndarray:
+    """F (21, 21, 21), read-only: [rho_a, rho_b] = sum_c F[a, b, c] rho_c, so
+    F[a, b, c] = sum [rho_a, rho_b] * rho_c / 4 (rho is orthonormal for
+    -tr(XY)/4): one batched product of the pairs, then one matrix product."""
+    rho = load().rho
+    c = ((rho[:, None] @ rho[None]).reshape(441, -1) @ rho.reshape(21, -1).T / 4.0).reshape(21, 21, 21)
+    return read_only(c - c.transpose(1, 0, 2))
+
+
 def derive_isotropy():
     """Recompute ad(A_i)|_m in the B basis and compare with the transcription.
 
@@ -250,10 +258,8 @@ def subgroup_rows():
 
 
 def homomorphism_defect() -> float:
-    """max over pairs of || rho([A_i, A_j]) - [rho(A_i), rho(A_j)] ||."""
-    data = load()
-    _, _, br, _ = pair_brackets(data.A)
-    c, res = CoordinateFrame(data.A).stack_coords(br)
-    lhs = np.tensordot(c, data.rho, axes=1)
-    _, _, rhs, _ = pair_brackets(data.rho)
-    return max(float(np.max(np.abs(lhs - rhs))), float(np.max(res)))
+    """max |[A_a, A_b] - sum_c F[a, b, c] A_c|: rho is a homomorphism iff the
+    A basis has the structure constants F of the rho basis."""
+    A = load().A
+    brackets = A[:, None] @ A[None] - A[None] @ A[:, None]
+    return float(np.max(np.abs(brackets - np.tensordot(structure_constants(), A, 1))))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from gstruct import connections as con
 from gstruct import spaces
 from gstruct.analysis import analyze
+from gstruct.linalg import nullspace
 
 _cache = {}
 
@@ -17,6 +19,17 @@ def pipeline(sid, alpha=1.0, beta=1.0, gamma=1.0, alphas=()):
         a = analyze(sid, p, holonomy=False, curvature=False, spin=False)
         _cache[key] = {"params": p, "space": a.space, "family": a.family, "conn": a.conn}
     return _cache[key]
+
+
+def parallel_vector_fields(conn, holonomy):
+    """Frame vectors killed by both the holonomy algebra of ``conn`` (as
+    ``holonomy_algebra`` returns it) and the isotropy, together with the
+    2-forms obtained by contracting them into the torsion.
+
+    Returns (vectors as columns, list of 14x14 antisymmetric 2-forms).
+    """
+    vecs = nullspace(np.concatenate([holonomy.basis, conn.space.iso]).reshape(-1, 14))
+    return vecs, [np.tensordot(v, con.torsion(conn).t3, 1) for v in vecs.T]
 
 
 def draws(sid, count, seed, lo=0.55, hi=1.9):

@@ -238,8 +238,8 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
         "spin.invariant_spinors": 1, "spin.dirac_on_invariants": 1,
         # the connection
         "connections.torsion_of_map": 1,
-        # Levi-Civita and the connection
-        "connections.curvature_of_map": 2,
+        # Levi-Civita only: the connection's curvature is in rho coordinates
+        "connections.curvature_of_map": 1,
     }
     assert len(stacks) == 1
 
@@ -303,6 +303,31 @@ def test_analyze_does_not_import_numpy_random():
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False False"
+
+
+def test_analyze_uses_no_pair_coordinates():
+    # the connection's curvature and holonomy stay in rho coordinates: a
+    # fresh process analyzes M1-M4 without reps.pack_so or reps.unpack_so,
+    # which `theta sp3` then shows the counting sees
+    child = (
+        "import contextlib, io, sys\n"
+        "from gstruct import cli, reps\n"
+        "calls = []\n"
+        "for fn in (reps.pack_so, reps.unpack_so):\n"
+        "    counted = lambda *a, _fn=fn, **k: calls.append(_fn.__name__) or _fn(*a, **k)\n"
+        "    for mod in [m for key, m in sys.modules.items() if key.startswith('gstruct')]:\n"
+        "        for attr in [attr for attr, obj in vars(mod).items() if obj is fn]:\n"
+        "            setattr(mod, attr, counted)\n"
+        "for argvs in ([['analyze', sid] for sid in ('M1', 'M2', 'M3', 'M4')], [['theta', 'sp3']]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert all(cli.main(argv) == 0 for argv in argvs)\n"
+        "    print(sorted(set(calls)))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "['pack_so', 'unpack_so']"]
 
 
 THREAD_GUARD_COMMANDS = (

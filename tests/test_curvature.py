@@ -1,23 +1,34 @@
 import numpy as np
-from conftest import draws, pipeline
+from conftest import draws, parallel_vector_fields, pipeline
 
 from gstruct import curvature as curv
-from gstruct import spaces
+from gstruct import sp3, spaces
 from gstruct import connections as con
+
+
+def _so14(R):
+    """The (14, 14, 14, 14) array of so(14) matrices of a rho-coordinate curvature."""
+    return np.tensordot(R, sp3.load().rho, 1)
 
 
 def test_curvature_antisymmetric_and_metric():
     ctx = pipeline("M2", alpha=1.1, beta=0.9, gamma=1.3)
-    R4 = curv.curvature(ctx["conn"])
+    R4 = _so14(curv.curvature(ctx["conn"]))
     assert np.max(np.abs(R4 + np.swapaxes(R4, 0, 1))) < 1e-12
     # each R(X, Y) is so(14)
     assert np.max(np.abs(R4 + np.swapaxes(R4, 2, 3))) < 1e-12
+    # and is the curvature of the connection's so(14) stack
+    ref = con.curvature_of_map(ctx["space"], ctx["conn"].so_matrices())
+    assert np.max(np.abs(R4 - ref)) < 1e-12
 
 
 def test_ricci_is_curvature_trace():
+    # the contraction of R with rho is the trace of R as so(14) matrices,
+    # up to the round-off of the other order of summation
     ctx = pipeline("M1", alpha=1.0, beta=1.5, gamma=0.8)
-    R4 = curv.curvature(ctx["conn"])
-    assert np.max(np.abs(curv.ricci_from_curvature(R4) - curv.ricci_connection(ctx["conn"]))) == 0.0
+    ric = curv.ricci_connection(ctx["conn"])
+    trace = curv.ricci_from_curvature(_so14(curv.curvature(ctx["conn"])))
+    assert np.max(np.abs(trace - ric)) <= 1e-15 * np.max(np.abs(ric))
 
 
 def test_levi_civita_torsion_free_and_metric():
@@ -93,7 +104,7 @@ def test_m4_symmetric_point_is_einstein():
 def test_first_bianchi_at_integrable_point():
     # with vanishing torsion the curvature satisfies the cyclic identity
     ctx = pipeline("M4", alpha=1.0, beta=2.0, gamma=1.2)
-    R4 = curv.curvature(ctx["conn"])
+    R4 = _so14(curv.curvature(ctx["conn"]))
     # B[i, j, k, l] = (R(K_i, K_j) K_k)_l; cyclic sum over (i, j, k) vanishes
     B = np.einsum("ijlk->ijkl", R4)
     cyclic = B + np.transpose(B, (1, 2, 0, 3)) + np.transpose(B, (2, 0, 1, 3))
@@ -115,7 +126,7 @@ def test_m2_gamma_independence_derived_observation():
 
 def test_ricci_conn_vanishes_on_parallel_directions():
     ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.9)
-    vecs, _ = con.parallel_vector_fields(ctx["conn"], con.holonomy_algebra(ctx["conn"]))
+    vecs, _ = parallel_vector_fields(ctx["conn"], con.holonomy_algebra(ctx["conn"]))
     ric = curv.ricci_connection(ctx["conn"])
     for v in vecs.T:
         assert np.linalg.norm(ric @ v) < 1e-9

@@ -12,6 +12,7 @@ STACKS = {
     "sp3.A": (lambda: sp3.load().A, (21, 6, 6)),
     "sp3.B": (lambda: sp3.load().B, (14, 6, 6)),
     "sp3.rho": (lambda: sp3.load().rho, (21, 14, 14)),
+    "sp3.structure_constants": (sp3.structure_constants, (21, 21, 21)),
     "complement_basis": (lambda: reps.complement_action()[0], (70, 14, 14)),
     "complement_acts": (lambda: reps.complement_action()[1], (21, 70, 70)),
     "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
@@ -32,8 +33,8 @@ def test_matrix_sets_are_stacked_arrays(name):
 
 # every metric of a catalog space shares its family and spinors
 SHARED = {
-    **{name: STACKS[name][0] for name in ("sp3.rho", "complement_acts", "clifford14.gammas",
-                                          "lifted_rho", "M4.family")},
+    **{name: STACKS[name][0] for name in ("sp3.rho", "sp3.structure_constants", "complement_acts",
+                                          "clifford14.gammas", "lifted_rho", "M4.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
 }
 

@@ -84,3 +84,12 @@ def test_subgroup_expected_blocks():
     assert rows["sp2xsp1"] == (8, 5, 1)
     assert rows["so3xsp1"] == (9, 5)
     assert rows["sp2"] == (8, 5, 1)
+
+
+def test_structure_constants_reproduce_brackets(sp3_data):
+    F, rho = sp3.structure_constants(), sp3_data.rho
+    brackets = rho[:, None] @ rho[None] - rho[None] @ rho[:, None]
+    assert np.max(np.abs(np.tensordot(F, rho, axes=1) - brackets)) <= 1e-14
+    # totally antisymmetric: the rho basis is orthonormal for an invariant form
+    for axes in ((1, 0, 2), (0, 2, 1), (2, 1, 0)):
+        assert np.max(np.abs(F + F.transpose(axes))) <= 1e-14

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gstruct import liealg, sp3, spaces
 from gstruct.analysis import analyze
-from gstruct.connections import _equivariance_block, solve_equivariant
+from gstruct.connections import _equivariance_block, characteristic_connection, holonomy_algebra, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
 from gstruct.spin import build_clifford, invariant_spinors, spin_lift
 from gstruct.liealg import InnerProductSpec, ReductiveSplit, bracket, inner, uniform_ip
@@ -408,6 +408,24 @@ def test_rotated_frame_solves_its_own_isotropy():
     assert spin.dim == spin_catalog.dim == 4
     assert np.max(np.abs(L @ spin.basis)) <= 1e-12 * np.max(np.abs(L))
     assert np.max(np.abs(L @ spin_catalog.basis)) > 1e-2 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e14])
+@pytest.mark.parametrize("sid, abg", [
+    ("M1", (1.1, 0.8, 1.4)), ("M2", (1.0, 0.8, 1.3)), ("M2", (1.0, 1.0, 1.0)), ("M3", (0.9, 1.3, 0.7)),
+    ("M4", (1.0, 1.0, 1.0)), ("M4", (1.0, 1.0, 1.3)), ("M4", (1.0, 1.5, 0.7)), ("M4", (1.0, 2.0, 1.2)),
+])
+def test_rotated_frame_keeps_the_holonomy_label(sid, abg, scale):
+    # g in Sp(3) conjugates the holonomy algebra, and the label names it by
+    # invariants of its brackets, not by the rho elements it contains
+    sid = spaces.canonical_id(sid)
+    a, b, g = (scale * c for c in abg)
+    p = spaces.MetricParams(alpha=a, beta=b, gamma=g)
+    K, H, ip = spaces.frames(sid, p)
+    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)
+    hol = holonomy_algebra(characteristic_connection(rotated))
+    catalog = holonomy_algebra(characteristic_connection(spaces.build(sid, p)))
+    assert (hol.dim, hol.label) == (catalog.dim, catalog.label) == spaces.fixtures(sid).holonomy(p)
 
 
 def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):
