@@ -1,4 +1,4 @@
-"""The analysis of one catalog space at one metric, as in the paper: the
+"""The analysis of one homogeneous space at one metric, as in the paper: the
 equivariant family, the characteristic connection, its torsion type and
 holonomy, the Ricci curvatures, and the Dirac operator on invariant
 spinors.  The CLI, the verification suite and the tests all run it.
@@ -6,70 +6,77 @@ spinors.  The CLI, the verification suite and the tests all run it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import connections as con
 from . import curvature as curv
-from . import spaces
 from . import spin as spin_mod
 from .errors import Infeasible
 from .linalg import DEFAULT_TOL, ToleranceProfile
+from .spaces import HomogeneousSpaceInstance
 
 
 @dataclass(frozen=True)
 class Analysis:
-    """Every stage's result.  ``conn`` and the stages that need it are None
-    when no family member has skew torsion; a stage switched off is None.
-    The torsion type and the Dirac operator are computed on first access,
-    so a caller that reads neither does not pay for them."""
+    """Every stage's result for a built space (``spaces.build`` or
+    ``spaces.assemble``), computed on first read and then kept: a stage
+    nobody reads is never computed.  ``conn`` and the stages that need it
+    are None when no family member has skew torsion; the curvature report
+    and the invariant spinors exist without it."""
 
-    space: spaces.HomogeneousSpaceInstance
-    family: con.EquivariantFamily
+    space: HomogeneousSpaceInstance
     tol: ToleranceProfile = DEFAULT_TOL
-    conn: con.InvariantConnection = None
-    torsion: con.TorsionTensor = None
-    parallel: tuple = None  # (flag, ratio) of con.torsion_is_parallel
-    holonomy: con.HolonomyResult = None
-    curvature: curv.CurvatureReport = None
-    spinors: spin_mod.SpinorSubspace = None
 
-    @functools.cached_property
+    @cached_property
+    def family(self) -> con.EquivariantFamily:
+        return con.solve_equivariant(self.space, self.tol)
+
+    @cached_property
+    def conn(self) -> con.InvariantConnection:
+        try:
+            return con.characteristic_connection(self.space, self.tol)
+        except Infeasible:
+            return None
+
+    @cached_property
+    def torsion(self) -> con.TorsionTensor:
+        return None if self.conn is None else con.torsion(self.conn)
+
+    @cached_property
+    def parallel(self) -> tuple:
+        """(flag, ratio) of ``connections.torsion_is_parallel``."""
+        return None if self.conn is None else con.torsion_is_parallel(self.conn, self.tol)
+
+    @cached_property
+    def holonomy(self) -> con.HolonomyResult:
+        return None if self.conn is None else con.holonomy_algebra(self.conn, self.tol)
+
+    @cached_property
+    def curvature(self) -> curv.CurvatureReport:
+        return curv.curvature_report(self.space, self.conn, self.tol)
+
+    @cached_property
+    def spinors(self) -> spin_mod.SpinorSubspace:
+        return spin_mod.invariant_spinors(self.space, self.tol)
+
+    @cached_property
     def type_components(self) -> dict:
-        return None if self.torsion is None else con.classify_type(
+        return None if self.conn is None else con.classify_type(
             self.torsion.t3, np.linalg.norm(self.space.pm), self.tol)
 
-    @functools.cached_property
+    @cached_property
     def dirac(self) -> spin_mod.DiracReport:
-        """The eigenvalue estimates are filled in only for parallel torsion
-        with curvature on."""
-        if self.conn is None or self.spinors is None or self.spinors.dim == 0:
+        """None without a characteristic connection or invariant spinors."""
+        if self.conn is None or self.spinors.dim == 0:
             return None
-        drep = spin_mod.dirac_on_invariants(self.conn, self.tol, sub=self.spinors)
-        if self.parallel[0] and self.curvature is not None:
-            drep = spin_mod.eigenvalue_estimates(drep, self.curvature.scal_riem, self.parallel, self.tol)
-        return drep
+        return spin_mod.dirac_on_invariants(self.conn, self.tol, sub=self.spinors)
 
-
-def analyze(space_id: str, params: spaces.MetricParams, tol: ToleranceProfile = DEFAULT_TOL, *,
-            holonomy: bool = True, curvature: bool = True, spin: bool = True) -> Analysis:
-    """Run each stage once.  The curvature report and the invariant spinors
-    exist with or without a characteristic connection."""
-    space = spaces.build(space_id, params, tol)
-    family = con.solve_equivariant(space, tol)
-    try:
-        conn = con.characteristic_connection(space, tol)
-    except Infeasible:
-        conn = None
-    out = {"space": space, "family": family, "tol": tol, "conn": conn}
-    if conn is not None:
-        out.update(torsion=con.torsion(conn), parallel=con.torsion_is_parallel(conn, tol))
-        if holonomy:
-            out["holonomy"] = con.holonomy_algebra(conn, tol)
-    if curvature:
-        out["curvature"] = curv.curvature_report(space, conn, tol)
-    if spin:
-        out["spinors"] = spin_mod.invariant_spinors(space, tol)
-    return Analysis(**out)
+    @cached_property
+    def estimates(self) -> spin_mod.Estimates:
+        """None unless there is a Dirac report and the torsion is parallel."""
+        if self.dirac is None or not self.parallel[0]:
+            return None
+        return spin_mod.eigenvalue_estimates(self.dirac, self.curvature.scal_riem, self.parallel, self.tol)

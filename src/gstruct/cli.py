@@ -10,6 +10,7 @@ rendered to 15 significant digits).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -93,11 +94,16 @@ def cmd_analyze(args) -> int:
     tol = _tolerance(args)
     sid = spaces.canonical_id(args.space)
     params = _params_from_args(sid, args)
-    res = analysis.analyze(
-        sid, params, tol,
-        holonomy=not args.no_holonomy, curvature=not args.no_curvature, spin=not args.no_spin,
-    )
-    conn, T, hol, crep, drep = res.conn, res.torsion, res.holonomy, res.curvature, res.dirac
+    res = analysis.Analysis(spaces.build(sid, params, tol), tol)
+    # each stage is computed on first read: a switched-off section is never read
+    family, conn, T, parallel = res.family, res.conn, res.torsion, res.parallel
+    hol = None if args.no_holonomy else res.holonomy
+    crep = None if args.no_curvature else res.curvature
+    sub = None if args.no_spin else res.spinors
+    drep = None if sub is None else res.dirac
+    # the estimates use the scalar curvature: without that section they stay null
+    est = res.estimates if drep is not None and crep is not None else None
+    est = {} if est is None else dataclasses.asdict(est)
     report = {
         "space_id": sid,
         "params": {
@@ -106,7 +112,7 @@ def cmd_analyze(args) -> int:
             "beta": params.beta,
             "gamma": params.gamma,
         },
-        "family_dim": res.family.dim,
+        "family_dim": family.dim,
         "characteristic": {
             "exists": conn is not None,
             "lambda_nonzero_entries": (
@@ -116,7 +122,7 @@ def cmd_analyze(args) -> int:
         "torsion": None if T is None else {
             "norm2": T.norm2_increasing,
             "type_components": {str(k): v for k, v in sorted(res.type_components.items())},
-            "parallel": res.parallel[0],
+            "parallel": parallel[0],
         },
         "holonomy": None if hol is None else {"dim": hol.dim, "label": hol.label},
         "curvature": None if crep is None else {
@@ -126,7 +132,7 @@ def cmd_analyze(args) -> int:
             "scal_riem": crep.scal_riem,
             "einstein_defect": crep.einstein_defect,
         },
-        "spin": None if res.spinors is None else {"invariant_dim": res.spinors.dim},
+        "spin": None if sub is None else {"invariant_dim": sub.dim},
     }
     if drep is not None:
         report["spin"].update(
@@ -134,11 +140,11 @@ def cmd_analyze(args) -> int:
                 "dirac_eigenvalues": drep.eigenvalues,
                 "mu": float(np.max(np.abs(drep.torsion_op_eigenvalues))),
                 "torsion_norm2": drep.torsion_norm2,
-                "friedrich_rhs": drep.friedrich_rhs,
-                "twistor_rhs": drep.twistor_rhs,
+                "friedrich_rhs": est.get("friedrich_rhs"),
+                "twistor_rhs": est.get("twistor_rhs"),
                 "equality_flags": {
-                    "friedrich_equality": drep.friedrich_equality,
-                    "twistor_strict": drep.twistor_strict,
+                    "friedrich_equality": est.get("friedrich_equality"),
+                    "twistor_strict": est.get("twistor_strict"),
                 },
                 "parallel_spinor_dim": drep.parallel_spinor_dim,
             }

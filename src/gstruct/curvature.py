@@ -49,14 +49,9 @@ def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarr
     return ric_conn + 0.25 * (t @ t.T)
 
 
-def ricci_riemannian(space: HomogeneousSpaceInstance, conn: InvariantConnection = None):
-    """(direct Levi-Civita Ricci, identity-route Ricci or None).
-
-    The identity route needs a characteristic connection; the direct route
-    always exists.
-    """
-    direct = ricci_from_curvature(curvature_of_map(space, levi_civita(space)))
-    return direct, None if conn is None else _identity_route(conn, ricci_connection(conn))
+def ricci_riemannian(space: HomogeneousSpaceInstance) -> np.ndarray:
+    """The Ricci tensor of the Levi-Civita connection, from its curvature."""
+    return ricci_from_curvature(curvature_of_map(space, levi_civita(space)))
 
 
 def curvature_report(
@@ -64,7 +59,7 @@ def curvature_report(
     conn: InvariantConnection = None,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> CurvatureReport:
-    ric_g, _ = ricci_riemannian(space)
+    ric_g = ricci_riemannian(space)
     scal_g = float(np.trace(ric_g))
     if conn is not None:
         ric_c = ricci_connection(conn)

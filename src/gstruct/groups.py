@@ -6,13 +6,11 @@ exceptional equivariant bilinear maps with their metricity defects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import reps
 from .errors import DimensionMismatch, NotAnIdeal
-from .liealg import CoordinateFrame, MatrixLieAlgebra, inner, structure_constants
+from .liealg import MatrixLieAlgebra, inner, structure_constants
 from .linalg import DEFAULT_TOL, ToleranceProfile
 
 # random triples drawn by metricity_defect, from a fixed seed
@@ -54,27 +52,6 @@ def su2_plus_su2() -> MatrixLieAlgebra:
     basis[:3, :2, :2] = a
     basis[3:, 2:, 2:] = a
     return MatrixLieAlgebra("su2+su2", basis)
-
-
-@dataclass(frozen=True)
-class BilinearConnectionMap:
-    """A bilinear map on the algebra, tabulated over the basis:
-    table[i, j] = coefficients of lambda(b_i, b_j)."""
-
-    algebra: MatrixLieAlgebra
-    table: np.ndarray
-
-    def apply(self, X, Y):
-        frame = CoordinateFrame(self.algebra.basis)
-        cx, _ = frame.coords(X)
-        cy, _ = frame.coords(Y)
-        coeffs = np.einsum("i,j,ijk->k", cx, cy, self.table)
-        return np.tensordot(coeffs, self.algebra.basis, axes=1)
-
-
-def commutator_map(alg: MatrixLieAlgebra, scale: float = 0.5) -> BilinearConnectionMap:
-    c = structure_constants(alg)
-    return BilinearConnectionMap(algebra=alg, table=scale * c)
 
 
 def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):

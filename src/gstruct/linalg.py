@@ -55,7 +55,7 @@ def as_matrix(M) -> np.ndarray:
         A = A.reshape(1, -1)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={A.ndim}")
-    if A.size and not np.all(np.isfinite(A.view(float) if np.iscomplexobj(A) else A)):
+    if A.size and not np.all(np.isfinite(A)):
         raise ValueError("matrix contains NaN/Inf")
     return A
 

@@ -152,17 +152,24 @@ def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
     return _form_action(np.asarray(t3), n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiracReport:
     invariant_dim: int
     eigenvalues: np.ndarray  # Dirac spectrum on the invariant subspace
     torsion_op_eigenvalues: np.ndarray  # mu spectrum on the subspace
     torsion_norm2: float  # sum over increasing triples of T(K_i,K_j,K_k)^2
     parallel_spinor_dim: int
-    friedrich_rhs: float = None
-    twistor_rhs: float = None
-    friedrich_equality: bool = None
-    twistor_strict: bool = None
+
+
+@dataclass(frozen=True)
+class Estimates:
+    """Both lower bounds for the squared first Dirac eigenvalue; whether it
+    attains the first and strictly exceeds the second."""
+
+    friedrich_rhs: float
+    twistor_rhs: float
+    friedrich_equality: bool
+    twistor_strict: bool
 
 
 def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.ndarray):
@@ -215,8 +222,8 @@ def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
 
 
 def eigenvalue_estimates(report: DiracReport, scal_riem: float, parallel: tuple,
-                         tol: ToleranceProfile = DEFAULT_TOL) -> DiracReport:
-    """Fill in the two lower bounds for the squared first Dirac eigenvalue.
+                         tol: ToleranceProfile = DEFAULT_TOL) -> Estimates:
+    """The two lower bounds for the squared first Dirac eigenvalue of ``report``.
 
     Valid for parallel characteristic torsion only: ``parallel`` is the
     (flag, ratio) of ``connections.torsion_is_parallel``, and a false flag
@@ -229,8 +236,8 @@ def eigenvalue_estimates(report: DiracReport, scal_riem: float, parallel: tuple,
     t2 = report.torsion_norm2
     mu2 = float(np.max(np.abs(report.torsion_op_eigenvalues)) ** 2) if report.torsion_op_eigenvalues.size else 0.0
     n = 14.0
-    report.friedrich_rhs = 0.25 * scal_riem + t2 / 8.0 - 0.25 * mu2
-    report.twistor_rhs = (
+    friedrich = 0.25 * scal_riem + t2 / 8.0 - 0.25 * mu2
+    twistor = (
         n / (4 * (n - 1)) * scal_riem
         + n * (n - 5) / (8 * (n - 3) ** 2) * t2
         + n * (4 - n) / (4 * (n - 3) ** 2) * mu2
@@ -238,6 +245,5 @@ def eigenvalue_estimates(report: DiracReport, scal_riem: float, parallel: tuple,
     lam2 = float(np.min(report.eigenvalues**2))
     # every term has the units of lam2, so both flags are scale-free
     scale = max(lam2, abs(scal_riem) / 4, t2 / 8, mu2 / 4)
-    report.friedrich_equality = not tol.exceeds(abs(lam2 - report.friedrich_rhs), scale, 1)
-    report.twistor_strict = bool(tol.exceeds(lam2 - report.twistor_rhs, scale, 1))
-    return report
+    return Estimates(friedrich, twistor, not tol.exceeds(abs(lam2 - friedrich), scale, 1),
+                     bool(tol.exceeds(lam2 - twistor, scale, 1)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import reps, sp3, spaces
-from .analysis import analyze
+from .analysis import Analysis
 from .linalg import DEFAULT_TOL, rank
 
 
@@ -74,8 +74,8 @@ def _check_space(sid: str, tol, results):
     for alpha, beta, gamma in _SAMPLE_POINTS:
         p = spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma)
         tag = f"{alias}(a={p.alpha:.3f},b={p.beta:.3f},g={p.gamma:.3f})"
-        a = analyze(sid, p, tol)
-        fam, hol, want_hol, want_par = a.family.dim, a.holonomy, fx.holonomy(p), fx.parallel(p)
+        a = Analysis(spaces.build(sid, p, tol), tol)
+        fam, want_hol, want_par = a.family.dim, fx.holonomy(p), fx.parallel(p)
         results.append((f"{tag} family dim", fam == fx.expected_family_dim, f"{fam} vs {fx.expected_family_dim}"))
         checks = {
             "characteristic map": lambda: _lambda_dev(a.conn.lambda_coeffs, fx.char_lambda(p)),
@@ -84,7 +84,8 @@ def _check_space(sid: str, tol, results):
                 a.parallel[0] == want_par, f"{a.parallel[0]} vs {want_par} ({a.parallel[1]:.2e})"),
             "Ricci/scalar tables": lambda: _ricci_devs(a.curvature, fx, p),
             "holonomy": lambda: (
-                (hol.dim, hol.label) == want_hol, f"{hol.dim} {hol.label} vs {want_hol[0]} {want_hol[1]}"),
+                (a.holonomy.dim, a.holonomy.label) == want_hol,
+                f"{a.holonomy.dim} {a.holonomy.label} vs {want_hol[0]} {want_hol[1]}"),
         }
         for name, check in checks.items():
             _record(results, f"{tag} {name}", a, check)
@@ -97,13 +98,13 @@ def _check_space(sid: str, tol, results):
 
 def _check_m1_infeasible(tol, results):
     p = spaces.MetricParams(alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1), beta=1.0, gamma=1.0)
-    ok = analyze("su4-so2", p, tol, holonomy=False, curvature=False, spin=False).conn is None
+    ok = Analysis(spaces.build("su4-so2", p, tol), tol).conn is None
     results.append(("M1 unequal coefficients infeasible", ok, "skew system has no solution"))
 
 
 def _check_m4_special(tol, results):
-    def m4(p, curvature=False):
-        return analyze("su5-sp2", p, tol, holonomy=False, curvature=curvature, spin=False)
+    def m4(p):
+        return Analysis(spaces.build("su5-sp2", p, tol), tol)
 
     # integrable point
     a = m4(spaces.MetricParams(alpha=1.0, beta=2.0, gamma=1.2))
@@ -118,7 +119,7 @@ def _check_m4_special(tol, results):
     # the Ricci proportionality identity at the distinguished locus
     p = spaces.MetricParams(alpha=1.0, beta=float(np.sqrt(2.0)), gamma=float(4 - np.sqrt(2.0)))
     coeffs = np.array([p.alpha] * 8 + [p.beta] * 5 + [p.gamma])
-    dev = float(np.max(np.abs(m4(p, curvature=True).curvature.ricci_riem - 2.5 * np.diag(coeffs))))
+    dev = float(np.max(np.abs(m4(p).curvature.ricci_riem - 2.5 * np.diag(coeffs))))
     results.append(("M4 Ricci = 2.5 diag(metric coefficients)", dev <= 1e-8, f"dev {dev:.2e}"))
 
 

@@ -3,21 +3,22 @@ import pytest
 
 from gstruct import connections as con
 from gstruct import spaces
-from gstruct.analysis import analyze
+from gstruct.analysis import Analysis
 from gstruct.linalg import nullspace
 
 _cache = {}
 
 
 def pipeline(sid, alpha=1.0, beta=1.0, gamma=1.0, alphas=()):
-    """Build-and-solve cache shared across test modules: `analyze` with the
-    later stages off (conn is None off the feasibility locus)."""
+    """Build-and-solve cache shared across test modules: the space, its
+    family and characteristic connection (None off the feasibility locus),
+    and the `Analysis` whose later stages are computed on first read."""
     sid = spaces.ALIASES.get(sid, sid)
     key = (sid, alpha, beta, gamma, tuple(alphas))
     if key not in _cache:
         p = spaces.MetricParams(alpha=alpha, alphas=tuple(alphas), beta=beta, gamma=gamma)
-        a = analyze(sid, p, holonomy=False, curvature=False, spin=False)
-        _cache[key] = {"params": p, "space": a.space, "family": a.family, "conn": a.conn}
+        a = Analysis(spaces.build(sid, p))
+        _cache[key] = {"params": p, "analysis": a, "space": a.space, "family": a.family, "conn": a.conn}
     return _cache[key]
 
 

@@ -187,7 +187,8 @@ def test_criterion_10_curvature():
                 abs(rep.scal_conn - fx.scal_conn(ctx["params"])) / max(1.0, abs(rep.scal_conn)),
                 abs(rep.scal_riem - fx.scal_riem(ctx["params"])) / max(1.0, abs(rep.scal_riem)),
             )
-            direct, via = curv.ricci_riemannian(ctx["space"], ctx["conn"])
+            direct = curv.ricci_riemannian(ctx["space"])
+            via = curv._identity_route(ctx["conn"], curv.ricci_connection(ctx["conn"]))
             assert np.max(np.abs(direct - via)) <= 1e-9 * scale
     assert worst <= 1e-8
     p = (1.0, float(np.sqrt(2.0)), float(4.0 - np.sqrt(2.0)))
@@ -233,30 +234,27 @@ def test_criterion_11_spin_spectra():
 
 
 def _estimated(sid, a, b, g):
-    ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-    rep = spin.dirac_on_invariants(ctx["conn"])
-    crep = curv.curvature_report(ctx["space"], ctx["conn"])
-    return spin.eigenvalue_estimates(rep, crep.scal_riem, con.torsion_is_parallel(ctx["conn"]))
+    return pipeline(sid, alpha=a, beta=b, gamma=g)["analysis"]
 
 
 def test_criterion_12_estimates():
-    rep = _estimated("M2", 1.0, 1.0, 1.2)
-    assert abs(min(rep.eigenvalues**2) - rep.friedrich_rhs) <= 1e-9
-    assert rep.parallel_spinor_dim == 16
-    rep4 = _estimated("M4", 1.0, 1.0, 1.0)
-    assert abs(min(rep4.eigenvalues**2) - rep4.friedrich_rhs) <= 1e-9
-    assert rep4.parallel_spinor_dim == 4
+    an = _estimated("M2", 1.0, 1.0, 1.2)
+    assert abs(min(an.dirac.eigenvalues**2) - an.estimates.friedrich_rhs) <= 1e-9
+    assert an.dirac.parallel_spinor_dim == 16
+    an4 = _estimated("M4", 1.0, 1.0, 1.0)
+    assert abs(min(an4.dirac.eigenvalues**2) - an4.estimates.friedrich_rhs) <= 1e-9
+    assert an4.dirac.parallel_spinor_dim == 4
     for b in (0.4, 1.0, 1.9):
-        assert _estimated("M2", 1.0, b, 1.2).twistor_strict
+        assert _estimated("M2", 1.0, b, 1.2).estimates.twistor_strict
     for g in (0.5, 1.0, 2.1):
-        assert _estimated("M4", 1.0, 1.0, g).twistor_strict
+        assert _estimated("M4", 1.0, 1.0, g).estimates.twistor_strict
     b0, g0 = 166.0 / 275.0, 189.0 / 275.0
     dm2 = [
-        _estimated("M2", 1.0, b0 + s, 1.2) for s in (-1e-6, 1e-6)
+        _estimated("M2", 1.0, b0 + s, 1.2).estimates for s in (-1e-6, 1e-6)
     ]
     assert dm2[0].twistor_rhs - dm2[0].friedrich_rhs > 0 > dm2[1].twistor_rhs - dm2[1].friedrich_rhs
     dm4 = [
-        _estimated("M4", 1.0, 1.0, g0 + s) for s in (-1e-6, 1e-6)
+        _estimated("M4", 1.0, 1.0, g0 + s).estimates for s in (-1e-6, 1e-6)
     ]
     assert dm4[0].twistor_rhs - dm4[0].friedrich_rhs > 0 > dm4[1].twistor_rhs - dm4[1].friedrich_rhs
     _report(12, "equality cases with all invariant spinors parallel (16/4); "

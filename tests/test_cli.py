@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import os
@@ -242,6 +243,47 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
         "connections.curvature_of_map": 1,
     }
     assert len(stacks) == 1
+
+
+def test_reading_conn_computes_no_other_stage(monkeypatch):
+    # every stage of an Analysis is computed on first read
+    from gstruct import spaces
+    from gstruct.analysis import Analysis
+
+    later = ["connections.solve_equivariant", "connections.holonomy_algebra",
+             "curvature.curvature_report", "spin.invariant_spinors"]
+    counts = _count_calls(monkeypatch, later + ["connections.characteristic_connection"])
+    a = Analysis(spaces.build("M1", spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)))
+    assert a.conn is not None and a.conn is a.conn
+    assert counts == dict.fromkeys(later, 0) | {"connections.characteristic_connection": 1}
+
+
+def _differing(full, other, prefix=""):
+    """The dotted keys whose values differ between two reports."""
+    out = set()
+    for k, v in full.items():
+        if isinstance(v, dict) and isinstance(other[k], dict):
+            out |= _differing(v, other[k], f"{prefix}{k}.")
+        elif v != other[k]:
+            out.add(prefix + k)
+    return out
+
+
+@pytest.mark.parametrize("flag, blanked", [
+    ("--no-holonomy", {"holonomy"}),
+    ("--no-spin", {"spin"}),
+    ("--no-curvature", {"curvature", "spin.friedrich_rhs", "spin.twistor_rhs",
+                        "spin.equality_flags.friedrich_equality", "spin.equality_flags.twistor_strict"}),
+])
+def test_each_flag_blanks_its_own_section(capsys, flag, blanked):
+    code, out = run_cli(capsys, "analyze", "M4", "--gamma", "1.8")
+    full = json.loads(out)
+    assert code == 0 and full["spin"]["friedrich_rhs"] is not None
+    flagged_code, out = run_cli(capsys, "analyze", "M4", "--gamma", "1.8", flag)
+    flagged = json.loads(out)
+    assert flagged_code == code
+    assert flagged.keys() == full.keys() and _differing(full, flagged) == blanked
+    assert all(functools.reduce(dict.get, key.split("."), flagged) is None for key in blanked)
 
 
 def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):

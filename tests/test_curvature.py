@@ -64,8 +64,8 @@ def test_ricci_tables_all_spaces_five_draws():
 def test_riemannian_routes_agree():
     for sid in ["M1", "M2", "M3", "M4"]:
         ctx = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.6)
-        direct, via = curv.ricci_riemannian(ctx["space"], ctx["conn"])
-        assert via is not None
+        direct = curv.ricci_riemannian(ctx["space"])
+        via = curv._identity_route(ctx["conn"], curv.ricci_connection(ctx["conn"]))
         assert np.max(np.abs(direct - via)) <= 1e-9 * max(1.0, float(np.max(np.abs(direct))))
 
 

@@ -132,17 +132,6 @@ def test_metricity_defects():
         assert groups.metricity_defect(half_comm, gu, list(u2.basis)) <= 1e-9
 
 
-def test_commutator_map_biinvariance():
-    su3 = groups.su_algebra(3)
-    lam = groups.commutator_map(su3)
-    rng = np.random.default_rng(10)
-    for _ in range(5):
-        H, X, Y = (sum(c * b for c, b in zip(rng.standard_normal(8), su3.basis)) for _ in range(3))
-        lhs = lam.apply(bracket(H, X), Y) + lam.apply(X, bracket(H, Y))
-        rhs = bracket(H, lam.apply(X, Y))
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
 def test_adjoint_generators_antisymmetric():
     for alg in (groups.su_algebra(3), groups.su2_plus_su2()):
         for ad in groups.adjoint_generators(alg):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct.errors import NotSelfAdjoint
-from gstruct.linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, rank
+from gstruct.linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, orthonormal_columns, rank
 
 
 def test_rank_identity_and_zero():
@@ -37,6 +37,25 @@ def test_exceeds_is_elementwise_and_relative():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         rank(np.array([[1.0, np.nan]]))
+
+
+def test_strided_complex_input():
+    # the finiteness check reads complex entries in place, whatever the strides
+    rng = np.random.default_rng(2)
+    u, v = (np.array([1, 1j]) @ rng.standard_normal((2, n)) for n in (3, 4))
+    M = np.outer(u, v)  # rank 1: M.T has a 2-dim kernel, M[:, ::2] a 1-dim one
+    for view, dim in ((M.T, 2), (M[:, ::2], 1)):
+        ker, ref = nullspace(view), nullspace(np.ascontiguousarray(view))
+        assert ker.shape[1] == ref.shape[1] == dim and rank(view) == view.shape[1] - dim
+        assert np.linalg.norm(ker @ ker.conj().T - ref @ ref.conj().T) <= 1e-12
+        span, ref = orthonormal_columns(view), orthonormal_columns(np.ascontiguousarray(view))
+        assert span.shape[1] == 1 and np.linalg.norm(span @ span.conj().T - ref @ ref.conj().T) <= 1e-12
+    for bad in (np.nan, np.inf):
+        N = M.copy()
+        N[0, 0] = bad
+        for view in (N.T, N[:, ::2]):
+            with pytest.raises(ValueError, match="matrix contains NaN/Inf"):
+                nullspace(view)
 
 
 def test_nullspace_simple():

@@ -117,7 +117,7 @@ def test_theta_map_matches_loop_reference(sp3_data):
 
 def test_type_components_skip_theta_and_verify_builds_it_once(monkeypatch):
     from gstruct import linalg, verify
-    from gstruct.analysis import analyze
+    from gstruct.analysis import Analysis
     from gstruct.linalg import DEFAULT_TOL
 
     calls = []
@@ -135,7 +135,7 @@ def test_type_components_skip_theta_and_verify_builds_it_once(monkeypatch):
         # a fresh process: no Lambda^3 splitting or Theta built yet
         reps.lambda3_decomposition.cache_clear()
         reps.sp3_theta.cache_clear()
-        comps = analyze(sid, spaces.MetricParams()).type_components
+        comps = Analysis(spaces.build(sid, spaces.MetricParams())).type_components
         assert set(comps) == {-8, -12, -18, -16}
         assert calls == [], sid
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import liealg, sp3, spaces
-from gstruct.analysis import analyze
-from gstruct.connections import _equivariance_block, characteristic_connection, holonomy_algebra, solve_equivariant
+from gstruct.analysis import Analysis
+from gstruct.connections import _equivariance_block, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
 from gstruct.spin import build_clifford, invariant_spinors, spin_lift
 from gstruct.liealg import InnerProductSpec, ReductiveSplit, bracket, inner, uniform_ip
@@ -323,7 +323,7 @@ def test_warm_analyze_builds_no_coordinate_frame(monkeypatch, sid):
     # the tables are rescaled, so no pseudo-inverse is taken once the unit
     # metric is assembled; the first analyze of the space warms it up
     def run(alpha):
-        a = analyze(sid, spaces.MetricParams(alpha=alpha, beta=0.8, gamma=1.4))
+        a = Analysis(spaces.build(sid, spaces.MetricParams(alpha=alpha, beta=0.8, gamma=1.4)))
         return a.type_components, a.dirac
 
     run(1.3)
@@ -410,22 +410,46 @@ def test_rotated_frame_solves_its_own_isotropy():
     assert np.max(np.abs(L @ spin_catalog.basis)) > 1e-2 * np.max(np.abs(L))
 
 
+def _decisions(a):
+    """Every yes/no and dimension decision of an analysis."""
+    conn, est = a.conn is not None, a.estimates
+    cut = 1e-12 * np.linalg.norm(a.space.pm) ** 2
+    return {
+        "family dim": a.family.dim,
+        "feasible": conn,
+        "parallel": conn and a.parallel[0],
+        "holonomy": conn and (a.holonomy.dim, a.holonomy.label),
+        "type support": conn and sorted(k for k, v in a.type_components.items() if v > cut),
+        "spinor dim": a.spinors.dim,
+        "parallel spinor dim": a.dirac and a.dirac.parallel_spinor_dim,
+        "equality flags": est and (est.friedrich_equality, est.twistor_strict),
+    }
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e14])
 @pytest.mark.parametrize("sid, abg", [
     ("M1", (1.1, 0.8, 1.4)), ("M2", (1.0, 0.8, 1.3)), ("M2", (1.0, 1.0, 1.0)), ("M3", (0.9, 1.3, 0.7)),
     ("M4", (1.0, 1.0, 1.0)), ("M4", (1.0, 1.0, 1.3)), ("M4", (1.0, 1.5, 0.7)), ("M4", (1.0, 2.0, 1.2)),
+    # a fourth entry is alpha2, the other extra alphas equal alpha: off the feasibility locus
+    ("M1", (1.0, 0.8, 1.2, 1.3)), ("M2", (1.0, 0.8, 1.2, 1.3)), ("M3", (1.0, 0.8, 1.2, 1.3)),
 ])
 def test_rotated_frame_keeps_the_holonomy_label(sid, abg, scale):
-    # g in Sp(3) conjugates the holonomy algebra, and the label names it by
-    # invariants of its brackets, not by the rho elements it contains
+    # g in Sp(3) conjugates every invariant of the structure: each decision
+    # of the whole pipeline on the rotated frame is the catalog frame's, and
+    # the holonomy label names the algebra by invariants of its brackets
     sid = spaces.canonical_id(sid)
-    a, b, g = (scale * c for c in abg)
-    p = spaces.MetricParams(alpha=a, beta=b, gamma=g)
+    a, b, g, *alpha2 = (scale * c for c in abg)
+    alphas = (*alpha2, *[a] * (spaces._EXTRA_ALPHAS[sid] - 1)) if alpha2 else ()
+    p = spaces.MetricParams(alpha=a, alphas=alphas, beta=b, gamma=g)
     K, H, ip = spaces.frames(sid, p)
-    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)
-    hol = holonomy_algebra(characteristic_connection(rotated))
-    catalog = holonomy_algebra(characteristic_connection(spaces.build(sid, p)))
-    assert (hol.dim, hol.label) == (catalog.dim, catalog.label) == spaces.fixtures(sid).holonomy(p)
+    rotated = _decisions(Analysis(spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)))
+    catalog = _decisions(Analysis(spaces.build(sid, p)))
+    assert rotated == catalog
+    fx = spaces.fixtures(sid)
+    assert catalog["feasible"] == fx.char_feasible(p) == (not alpha2)
+    assert catalog["family dim"] == fx.expected_family_dim and catalog["spinor dim"] == fx.expected_spinor_dim
+    if catalog["feasible"]:
+        assert catalog["holonomy"] == fx.holonomy(p) and catalog["parallel"] == fx.parallel(p)
 
 
 def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cache):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gstruct import sp3, spin, spaces
 from gstruct import connections as con
-from gstruct import curvature as curv
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
 from gstruct.linalg import nullspace
 
@@ -129,42 +128,34 @@ def test_m4_mu_and_norm_alpha_beta_one():
 
 
 def _estimates(sid, a, b, g):
-    ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-    rep = spin.dirac_on_invariants(ctx["conn"])
-    crep = curv.curvature_report(ctx["space"], ctx["conn"])
-    return spin.eigenvalue_estimates(rep, crep.scal_riem, con.torsion_is_parallel(ctx["conn"]))
+    return pipeline(sid, alpha=a, beta=b, gamma=g)["analysis"].estimates
 
 
 def test_friedrich_equality_and_parallel_spinors():
-    rep = _estimates("M2", 1.0, 1.0, 1.4)
-    assert rep.friedrich_equality
-    assert abs(min(rep.eigenvalues**2) - rep.friedrich_rhs) <= 1e-9
-    assert rep.parallel_spinor_dim == 16
-    rep4 = _estimates("M4", 1.0, 1.0, 1.0)
-    assert rep4.friedrich_equality
-    assert rep4.parallel_spinor_dim == 4
-    assert abs(rep4.friedrich_rhs - 7.5) < 1e-12
+    an = pipeline("M2", alpha=1.0, beta=1.0, gamma=1.4)["analysis"]
+    assert an.estimates.friedrich_equality
+    assert abs(min(an.dirac.eigenvalues**2) - an.estimates.friedrich_rhs) <= 1e-9
+    assert an.dirac.parallel_spinor_dim == 16
+    an4 = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)["analysis"]
+    assert an4.estimates.friedrich_equality
+    assert an4.dirac.parallel_spinor_dim == 4
+    assert abs(an4.estimates.friedrich_rhs - 7.5) < 1e-12
 
 
 def test_twistor_strict_everywhere_sampled():
     for b in (0.5, 1.0, 1.8):
-        rep = _estimates("M2", 1.0, b, 1.2)
-        assert rep.twistor_strict
+        assert _estimates("M2", 1.0, b, 1.2).twistor_strict
     for g in (0.6, 1.0, 1.9):
-        rep = _estimates("M4", 1.0, 1.0, g)
-        assert rep.twistor_strict
+        assert _estimates("M4", 1.0, 1.0, g).twistor_strict
 
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e12])
 def test_estimate_flags_are_scale_free(scale):
     # lambda^2 and both right-hand sides scale like 1/s under a uniform scaling
-    from gstruct.analysis import analyze
-
     want = {0.5: (False, True), 1.0: (True, True), 2.0: (False, True)}
     for b, flags in want.items():
-        p = spaces.MetricParams(alpha=scale, beta=b * scale, gamma=scale)
-        rep = analyze("M2", p, holonomy=False).dirac
-        assert (rep.friedrich_equality, rep.twistor_strict) == flags, b
+        est = _estimates("M2", scale, b * scale, scale)
+        assert (est.friedrich_equality, est.twistor_strict) == flags, b
 
 
 def test_estimate_crossovers_bracketing():
