@@ -14,7 +14,7 @@ import numpy as np
 
 from . import reps, sp3
 from .errors import Infeasible, NotSkew
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, orthonormal_columns, read_only
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace_entries, orthonormal_columns, read_only
 from .spaces import HomogeneousSpaceInstance
 
 
@@ -88,26 +88,31 @@ class HolonomyResult:
     label: str
 
 
-def _equivariance_block(R: np.ndarray) -> np.ndarray:
-    """Rows of the equivariance system for one isotropy generator R; row
-    (j, c), column (k, a) holds R[k, j] delta_ac - delta_jk m[a, c], with m
-    the matrix of [R, .] on the rho basis."""
+def _equivariance_entries(iso: np.ndarray):
+    """(rows, cols, vals, shape) of the equivariance system R^T (x) I_21 -
+    I_14 (x) m^T over the generators R = iso[g]: row g*294 + (j, c) and
+    column (k, a) hold R[k, j] delta_ac - delta_jk m[a, c], with m the
+    matrix of [R, .] on the rho basis."""
     R21 = sp3.load().rho
-    # [R, rho_a] expanded over the rho basis
-    br = R @ R21 - R21 @ R
-    m = br.reshape(21, -1) @ R21.transpose(0, 2, 1).reshape(21, -1).T / (-4.0)  # <., .> = -tr(..)/4
-    return np.kron(R.T, np.eye(21)) - np.kron(np.eye(14), m.T)
+    br = iso[:, None] @ R21 - R21 @ iso[:, None]  # [R, rho_a]
+    m = br.reshape(len(iso), 21, -1) @ R21.transpose(0, 2, 1).reshape(21, -1).T / (-4.0)  # <., .> = -tr(..)/4
+    g, k, j = np.nonzero(iso)  # R[k, j] at rows (g, j, e), columns (k, e)
+    h, a, c = np.nonzero(m)  # -m[a, c] at rows (h, l, c), columns (l, a)
+    e, l = np.arange(21)[:, None], np.arange(14)[:, None]
+    rows = np.r_[(294 * g + 21 * j + e).ravel(), (294 * h + 21 * l + c).ravel()]
+    cols = np.r_[(21 * k + e).ravel(), (21 * l + a).ravel()]
+    return rows, cols, np.r_[np.tile(iso[g, k, j], 21), np.tile(-m[h, a, c], 14)], (294 * len(iso), 294)
 
 
 def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> EquivariantFamily:
     """Nullspace of the infinitesimal equivariance system
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
 
-    The system is stacked over the isotropy generators ``space.iso``; the
-    family depends on the isotropy alone and is shared like it
+    The system of the isotropy generators ``space.iso`` is solved from its
+    entries; the family depends on the isotropy alone and is shared like it
     (``isotropy_result``)."""
     def solve(owner):
-        ker = nullspace(np.vstack([_equivariance_block(R) for R in owner.iso]), tol)
+        ker = nullspace_entries(*_equivariance_entries(owner.iso), tol)
         return EquivariantFamily(basis=read_only(ker.T.reshape(-1, 14, 21)))
 
     return space.isotropy_result("family", tol, solve)

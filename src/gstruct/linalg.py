@@ -38,6 +38,10 @@ class ToleranceProfile:
         the size of the operands the residual came from, never floored."""
         return value > factor * self.residual_tol * scale
 
+    def round_off(self, amax, m: int, n: int):
+        """tau: an entry of an m x n matrix of largest entry amax is round-off up to tau."""
+        return amax * min(64 * np.finfo(float).eps, 1e-3 * self.rank_tol / np.sqrt(m * n))
+
 
 DEFAULT_TOL = ToleranceProfile()
 
@@ -67,8 +71,9 @@ def rank(M, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     return ker.shape[0] - ker.shape[1]
 
 
-def _block_labels(mask: np.ndarray):
-    """Connected components of the bipartite row/column graph of ``mask``.
+def _block_labels(r: np.ndarray, c: np.ndarray, n: int):
+    """Connected components of the bipartite row/column graph of the
+    entries (r, c) of a matrix with n columns, r ascending.
 
     Returns (the label of every column, the rows with an entry, their
     labels); a label is the smallest column index of its component, and a
@@ -77,13 +82,12 @@ def _block_labels(mask: np.ndarray):
     changes: each round only lowers labels and every label stays a column
     of its own component, so the fixed point is one label per component.
     """
-    r, c = np.nonzero(mask)  # row-major, so r is sorted
     by_col = np.argsort(c, kind="stable")
     row_start = np.flatnonzero(np.diff(r, prepend=-1))
     col_start = np.flatnonzero(np.diff(c[by_col], prepend=-1))
     row_slot = np.cumsum(np.diff(r, prepend=-1) != 0) - 1  # entry -> row_start index
     cols = c[by_col][col_start]
-    label = np.arange(mask.shape[1])
+    label = np.arange(n)
     while True:
         row_label = np.minimum.reduceat(label[c], row_start)
         new = label.copy()
@@ -123,26 +127,31 @@ def _split_blocks(A: np.ndarray, tol: ToleranceProfile, hermitian: bool = False)
     """The independent blocks of A once its round-off entries are dropped.
 
     Entries of at most tau = max|A| * min(64 eps, 1e-3 rank_tol / sqrt(m n))
-    are round-off.  The dropped part E has ||E||_2 <= sqrt(m n) tau <=
-    1e-3 rank_tol ||A||_2, which bounds the move of every singular value
-    (and, A Hermitian, every eigenvalue), and no entry above 64 ulp of the
-    largest is dropped.  The blocks are the connected components of the
-    row/column pattern of the rest; ``hermitian`` adds the diagonal, so
-    every block is a principal submatrix.  Returns None for a zero matrix,
-    else (labels, groups): each block's label (smallest column), and per
-    block shape (ids, ri, ci), the block ids and their ascending row and
-    column indices as (blocks, rows) and (blocks, cols) arrays.  A column
-    with no entry above tau is a block without rows.
+    (``ToleranceProfile.round_off``) are round-off.  The dropped part E has
+    ||E||_2 <= sqrt(m n) tau <= 1e-3 rank_tol ||A||_2, which bounds the move
+    of every singular value (and, A Hermitian, every eigenvalue), and no
+    entry above 64 ulp of the largest is dropped.  The blocks are the
+    connected components of the row/column pattern of the rest
+    (``_group_blocks``); ``hermitian`` adds the diagonal, so every block is
+    a principal submatrix.  Returns None for a zero matrix.
     """
-    m, n = A.shape
-    amax = np.abs(A).max() if A.size else 0.0
+    absA = np.abs(A)
+    amax = absA.max() if A.size else 0.0
     if amax == 0.0:
         return None
-    tau = amax * min(64 * np.finfo(float).eps, 1e-3 * tol.rank_tol / np.sqrt(m * n))
-    mask = np.abs(A) > tau
+    mask = absA > tol.round_off(amax, *A.shape)
     if hermitian:
         np.fill_diagonal(mask, True)
-    col_label, rows, row_label = _block_labels(mask)
+    return _group_blocks(*np.nonzero(mask), A.shape[1])
+
+
+def _group_blocks(r: np.ndarray, c: np.ndarray, n: int):
+    """The blocks of the entries (r, c), r ascending, of a matrix with n
+    columns, grouped by shape: (labels, groups), each block's label
+    (smallest column), and per block shape (ids, ri, ci), the block ids and
+    their ascending row and column indices as (blocks, rows) and (blocks,
+    cols) arrays.  A column with no entry is a block without rows."""
+    col_label, rows, row_label = _block_labels(r, c, n)
     labels, col_block = np.unique(col_label, return_inverse=True)
     row_block = np.searchsorted(labels, row_label)
     col_order = np.argsort(col_block, kind="stable")
@@ -174,16 +183,47 @@ def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     ``rank_tol`` times the largest singular value over all blocks, i.e. of
     M up to 0.1% of the cut.  A block without rows is a kernel vector as it
     stands.  The basis is ordered by block (smallest column index first),
-    and its transpose is C-contiguous.
+    and its transpose is C-contiguous.  ``nullspace_entries`` solves a
+    matrix given by its entries the same way.
     """
     A = as_matrix(M)
-    n = A.shape[1]
-    dtype = np.result_type(A.dtype, float)
-    split = _split_blocks(A, tol)
+    return _kernel(_split_blocks(A, tol), lambda ri, ci: A[ri[:, :, None], ci[:, None, :]],
+                   A.shape[1], np.result_type(A.dtype, float), tol)
+
+
+def nullspace_entries(rows, cols, vals, shape, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """``nullspace`` of the matrix of the given shape with entry vals[i] at
+    (rows[i], cols[i]), never formed.  A repeated position holds the sum of
+    its values in input order, as ``np.add.at`` would, and a block every
+    entry in its rows and columns, round-off ones too: the basis is bitwise
+    that of the dense float64 or complex128 matrix."""
+    m, n = shape
+    rows, cols, vals = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(vals)
+    if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n):
+        raise ValueError(f"an entry lies outside the {m}x{n} matrix")
+    pos, slot = np.unique(rows * n + cols, return_inverse=True)  # unlike a plain np.unique, imports no numpy.ma
+    v = np.bincount(slot, vals.real, pos.size)
+    v = v + 1j * np.bincount(slot, vals.imag, pos.size) if np.iscomplexobj(vals) else v
+    if not np.all(np.isfinite(v)):
+        raise ValueError("matrix contains NaN/Inf")
+    amax = np.abs(v).max(initial=0.0)
+    split = _group_blocks(*np.divmod(pos[np.abs(v) > tol.round_off(amax, m, n)], n), n) if amax > 0.0 else None
+
+    def gather(ri, ci):  # A[ri, ci]: the summed value at a cell with entries, else 0
+        cell = ri[:, :, None] * n + ci[:, None, :]
+        at = np.minimum(np.searchsorted(pos, cell), pos.size - 1)
+        return np.where(pos[at] == cell, v[at], 0.0)
+
+    return _kernel(split, gather, n, np.result_type(vals.dtype, float), tol)
+
+
+def _kernel(split, gather, n: int, dtype, tol: ToleranceProfile) -> np.ndarray:
+    """The kernel of n columns from ``_split_blocks``' blocks (None: a zero
+    matrix), ``gather(ri, ci)`` giving the stack of the blocks of one shape."""
     if split is None:
         return np.eye(n, dtype=dtype)
     labels, groups = split
-    solved = [(ids, ci, *_block_svd(A[ri[:, :, None], ci[:, None, :]])) for ids, ri, ci in groups]
+    solved = [(ids, ci, *_block_svd(gather(ri, ci))) for ids, ri, ci in groups]
     cut = tol.rank_tol * max(s.max(initial=0.0) for _, _, s, _ in solved)
     # kernel vectors as (sort key, columns, values); the key orders by
     # block label, then by position in the block's right factor

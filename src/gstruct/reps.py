@@ -203,7 +203,7 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     # Q and ker are orthonormal, so the scale is 1
     sq = np.add.reduceat(np.add.reduceat((Q.T @ commutant @ Q) ** 2, starts, axis=1), starts, axis=2)
     linked = np.any(tol.exceeds(np.sqrt(sq), 1.0), axis=0)
-    labels, _, _ = _block_labels(linked | np.eye(len(dims), dtype=bool))
+    labels, _, _ = _block_labels(*np.nonzero(linked | np.eye(len(dims), dtype=bool)), len(dims))
     sizes = np.bincount(labels, weights=dims)
     return tuple(sorted(int(d) for d in sizes[sizes > 0]))
 

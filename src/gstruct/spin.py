@@ -27,7 +27,7 @@ import numpy as np
 from . import sp3
 from .connections import InvariantConnection, torsion
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation, TorsionNotParallel
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, read_only
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, nullspace_entries, read_only
 from .spaces import HomogeneousSpaceInstance
 
 # coefficient of the torsion term inside the Dirac operator; the value was
@@ -106,9 +106,26 @@ def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np
     (1/4) sum_ij A_ij e_j e_i, with the entry order fixed so that both
     [lift(A), c(v)] = c(Av) and lift([A, B]) = [lift(A), lift(B)] hold."""
     A = np.asarray(A)
-    if tol.exceeds(np.max(np.abs(A + A.T)), np.max(np.abs(A)), 1):
-        raise NotAntisymmetric("spin_lift needs an antisymmetric matrix")
+    _check_antisymmetric(A, tol)
     return _form_action(-0.5 * A, cl.n)
+
+
+def _check_antisymmetric(A: np.ndarray, tol: ToleranceProfile):
+    """Raise NotAntisymmetric unless A, a matrix or a stack of them, is."""
+    if np.any(tol.exceeds(np.abs(A + np.swapaxes(A, -1, -2)).max(axis=(-2, -1)), np.abs(A).max(axis=(-2, -1)), 1)):
+        raise NotAntisymmetric("spin_lift needs an antisymmetric matrix")
+
+
+def _lift_entries(iso: np.ndarray, tol: ToleranceProfile):
+    """(rows, cols, vals, shape) of the spin lifts of the generators iso[g]
+    in rows g*128 + r, read off the one entry per row of each e_i e_j
+    (``_product_table(14, 2)``) in the order ``_form_action`` sums them."""
+    _check_antisymmetric(iso, tol)
+    combos, cols, vals = _product_table(14, 2)
+    coeffs = -0.5 * iso[:, combos[:, 0], combos[:, 1]]
+    g, p = np.nonzero(coeffs)
+    rows = (128 * g[:, None] + np.arange(128)).ravel()
+    return rows, cols[p].ravel(), (coeffs[g, p, None] * vals[p]).ravel(), (128 * len(iso), 128)
 
 
 @lru_cache(maxsize=1)
@@ -135,14 +152,11 @@ class SpinorSubspace:
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
     """Joint kernel of the lifted isotropy generators inside the spinor module.
 
-    The lifts of the isotropy generators ``space.iso`` are stacked; the
-    subspace depends on the isotropy alone and is shared like it
-    (``isotropy_result``)."""
+    The lifts of the isotropy generators ``space.iso`` are solved from their
+    entries; the subspace depends on the isotropy alone and is shared like
+    it (``isotropy_result``)."""
     def solve(owner):
-        cl = build_clifford(14)
-        lifts = [spin_lift(cl, R, tol) for R in owner.iso]
-        basis = nullspace(np.vstack(lifts), tol) if lifts else np.eye(cl.dim)
-        return SpinorSubspace(basis=read_only(basis))
+        return SpinorSubspace(basis=read_only(nullspace_entries(*_lift_entries(owner.iso, tol), tol)))
 
     return space.isotropy_result("spinors", tol, solve)
 

@@ -33,6 +33,14 @@ def parallel_vector_fields(conn, holonomy):
     return vecs, [np.tensordot(v, con.torsion(conn).t3, 1) for v in vecs.T]
 
 
+def densify(rows, cols, vals, shape):
+    """The matrix of an entry list, values at a repeated position summed in
+    input order."""
+    A = np.zeros(shape, dtype=np.result_type(np.asarray(vals).dtype, float))
+    np.add.at(A, (rows, cols), vals)
+    return A
+
+
 def draws(sid, count, seed, lo=0.55, hi=1.9):
     """Deterministic positive (alpha, beta, gamma) samples per space."""
     rng = np.random.default_rng(seed)

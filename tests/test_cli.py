@@ -303,22 +303,24 @@ def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
 
 def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_isotropy_cache):
     # every metric of a catalog space shares the equivariant family and the
-    # invariant spinors, so each joint-kernel system is solved once per process
+    # invariant spinors, so each joint-kernel system is solved once per process;
+    # both are solved from their entries, the parallel spinors densely
     from gstruct import connections, spin
 
     systems = []
 
-    def recording(module):
-        nullspace = module.nullspace
+    def recording(module, name, columns):
+        solve = getattr(module, name)
 
-        def record(M, *args, **kwargs):
-            systems.append(np.shape(M)[1])
-            return nullspace(M, *args, **kwargs)
+        def record(*args, **kwargs):
+            systems.append(columns(*args))
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(module, "nullspace", record)
+        monkeypatch.setattr(module, name, record)
 
-    recording(connections)
-    recording(spin)
+    for module in (connections, spin):
+        recording(module, "nullspace_entries", lambda rows, cols, vals, shape, *_: shape[1])
+    recording(spin, "nullspace", lambda M, *_: np.shape(M)[1])
     for argv in (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]):
         code, out = run_cli(capsys, "analyze", "M4", *argv)
         assert code == 0

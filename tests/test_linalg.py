@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import densify
 from gstruct.errors import NotSelfAdjoint
-from gstruct.linalg import DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, orthonormal_columns, rank
+from gstruct.linalg import (DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, nullspace_entries,
+                            orthonormal_columns, rank)
 
 
 def test_rank_identity_and_zero():
@@ -37,6 +39,15 @@ def test_exceeds_is_elementwise_and_relative():
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         rank(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError):
+        nullspace_entries([0, 0], [1, 1], [np.inf, 1.0], (1, 2))
+
+
+@pytest.mark.parametrize("rows,cols", [([0, 2], [0, 1]), ([0, 1], [3, 0]), ([0, -1], [0, 0]), ([0, 0], [-1, 1])])
+def test_nullspace_entries_rejects_entries_outside_the_matrix(rows, cols):
+    # row-major positions would alias them onto cells inside it
+    with pytest.raises(ValueError, match="outside the 2x3 matrix"):
+        nullspace_entries(rows, cols, [1.0, 2.0], (2, 3))
 
 
 def test_strided_complex_input():
@@ -207,6 +218,60 @@ def test_nullspace_transpose_is_c_contiguous():
     assert ker.shape == (9, 3) and ker.T.flags.c_contiguous
 
 
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# values in [-4, 4], exact zeros, and values under the round-off cut of
+# any matrix whose largest entry exceeds 0.1
+_VALUE = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e-15, -7e-16, 1.0, -1.0]))
+
+
+@st.composite
+def _entry_lists(draw):
+    """(rows, cols, vals, shape): at most 8 x 8, often with repeated
+    positions and with rows and columns that have no entry."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)) if m and n else st.nothing()
+    entries = draw(st.lists(st.tuples(cells, _VALUE, _VALUE), max_size=2 * m * n))
+    rows, cols = (np.array([e[0][i] for e in entries], dtype=int) for i in (0, 1))
+    vals = np.array([re for _, re, _ in entries])
+    if draw(st.booleans()):
+        vals = vals + 1j * np.array([im for _, _, im in entries])
+    return rows, cols, vals, (m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_lists())
+def test_nullspace_entries_match_dense_nullspace(entries):
+    # the round-off entries between blocks are dropped, those inside a block
+    # are kept: the basis is the dense nullspace's bit for bit
+    ker, ref = nullspace_entries(*entries), nullspace(densify(*entries))
+    assert _bitwise_equal(ker, ref) and ker.strides == ref.strides
+
+
+@pytest.mark.parametrize("rows,cols,vals,shape", [
+    ([], [], np.zeros(0), (0, 4)),  # no rows
+    ([], [], np.zeros(0), (3, 0)),  # no columns
+    ([], [], np.zeros(0, complex), (2, 3)),  # no entries
+    ([0, 1, 1], [2, 0, 0], [0.0, 1.5, -1.5], (2, 3)),  # entries that sum to zero
+])
+def test_nullspace_entries_of_zero_and_empty_matrices(rows, cols, vals, shape):
+    ker = nullspace_entries(rows, cols, vals, shape)
+    assert _bitwise_equal(ker, nullspace(densify(rows, cols, vals, shape)))
+    assert _bitwise_equal(ker, np.eye(shape[1], dtype=np.result_type(np.asarray(vals).dtype, float)))
+
+
+def test_nullspace_entries_sum_in_input_order():
+    # (3 + 2e-16) + 2e-16 rounds to 3, 3 + (2e-16 + 2e-16) to the next float,
+    # and the kernel of [[x, 1]] tells the two apart
+    rows, cols, vals = [0, 0, 0, 0], [0, 0, 0, 1], [3.0, 2e-16, 2e-16, 1.0]
+    ker = nullspace_entries(rows, cols, vals, (1, 2))
+    assert _bitwise_equal(ker, nullspace(densify(rows, cols, vals, (1, 2))))
+    assert _bitwise_equal(ker, nullspace(np.array([[3.0, 1.0]])))
+    assert not _bitwise_equal(ker, nullspace(np.array([[np.nextafter(3.0, 4.0), 1.0]])))
+
+
 # The joint kernels of the catalog, solved block by block, against one SVD
 # of the same stacked system.  At M3 (1e-6, 1, 1e6) the isotropy round-off
 # reaches ~5.6e-11 of the largest entry, above the floor, so blocks merge.
@@ -219,13 +284,11 @@ def test_catalog_kernels_match_single_svd(sid, alpha, beta, gamma):
     from gstruct import connections, spaces, spin
 
     space = spaces.build(sid, spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma))
-    cl = spin.build_clifford(14)
-    systems = (
-        np.vstack([connections._equivariance_block(R) for R in space.iso]),
-        np.vstack([spin.spin_lift(cl, R) for R in space.iso]),
-    )
-    for A, dim in zip(systems, _CATALOG_DIMS[sid]):
+    systems = (connections._equivariance_entries(space.iso), spin._lift_entries(space.iso, DEFAULT_TOL))
+    for entries, dim in zip(systems, _CATALOG_DIMS[sid]):
+        A = densify(*entries)
         _assert_kernel_matches_single_svd(A, dim)
+        assert _bitwise_equal(nullspace_entries(*entries), nullspace(A))
 
 
 # dimension of the symmetric commutant of each row of ``sp3.subgroup_rows()``
@@ -252,13 +315,13 @@ def test_m3_extreme_point_merges_blocks():
     from gstruct import connections, linalg, spaces
 
     def system(iso):
-        return np.vstack([connections._equivariance_block(R) for R in iso])
+        return densify(*connections._equivariance_entries(iso))
 
     def cut(A):
         return 64 * np.finfo(float).eps * np.max(np.abs(A))
 
     def block_count(A):
-        labels, _, _ = linalg._block_labels(np.abs(A) > cut(A))
+        labels, _, _ = linalg._block_labels(*np.nonzero(np.abs(A) > cut(A)), A.shape[1])
         return np.unique(labels).size
 
     # the isotropy is exact to round-off at every scale, so the block
@@ -272,6 +335,7 @@ def test_m3_extreme_point_merges_blocks():
     merged = system(iso + noise)
     assert block_count(merged) < unmerged
     assert nullspace(merged).shape[1] == 18
+    assert _bitwise_equal(nullspace_entries(*connections._equivariance_entries(iso + noise)), nullspace(merged))
 
 
 def _clusters(w, vecs):

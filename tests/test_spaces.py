@@ -2,15 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import pipeline
+from conftest import densify, pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gstruct import liealg, sp3, spaces
+from gstruct import liealg, linalg, sp3, spaces
 from gstruct.analysis import Analysis
-from gstruct.connections import _equivariance_block, solve_equivariant
+from gstruct.connections import _equivariance_entries, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
-from gstruct.spin import build_clifford, invariant_spinors, spin_lift
+from gstruct.spin import _lift_entries, invariant_spinors
 from gstruct.liealg import InnerProductSpec, ReductiveSplit, bracket, inner, uniform_ip
 from gstruct.linalg import DEFAULT_TOL
 from gstruct.sp3 import E, S
@@ -396,18 +396,38 @@ def test_rotated_frame_solves_its_own_isotropy():
     assert rotated._isotropy_owner is None
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
 
-    A = np.vstack([_equivariance_block(R) for R in rotated.iso])
+    A = densify(*_equivariance_entries(rotated.iso))
     fam, fam_catalog = solve_equivariant(rotated), solve_equivariant(space)
     assert fam.dim == fam_catalog.dim == 7
     assert np.max(np.abs(A @ fam.basis.reshape(7, -1).T)) <= 1e-12 * np.max(np.abs(A))
     assert np.max(np.abs(A @ fam_catalog.basis.reshape(7, -1).T)) > 1e-2 * np.max(np.abs(A))
 
-    cl = build_clifford(14)
-    L = np.vstack([spin_lift(cl, R) for R in rotated.iso])
+    L = densify(*_lift_entries(rotated.iso, DEFAULT_TOL))
     spin, spin_catalog = invariant_spinors(rotated), invariant_spinors(space)
     assert spin.dim == spin_catalog.dim == 4
     assert np.max(np.abs(L @ spin.basis)) <= 1e-12 * np.max(np.abs(L))
     assert np.max(np.abs(L @ spin_catalog.basis)) > 1e-2 * np.max(np.abs(L))
+
+
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
+def test_rotated_frame_systems_are_one_block(sid):
+    # on a frame rotated by g in Sp(3) the isotropy systems lose their small
+    # blocks: the equivariance system is one block and the spinor system the
+    # two half-spin blocks, and from their entries they are solved as the
+    # dense nullspace solves them, to the catalog frame's dimensions
+    sid = spaces.canonical_id(sid)
+    p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
+    K, H, ip = spaces.frames(sid, p)
+    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)
+    for entries, widths in ((_equivariance_entries(rotated.iso), [294]), (_lift_entries(rotated.iso, DEFAULT_TOL), [64, 64])):
+        A = densify(*entries)
+        _, groups = linalg._split_blocks(A, DEFAULT_TOL)
+        assert [ci.size for _, _, cis in groups for ci in cis] == widths
+        ker, ref = linalg.nullspace_entries(*entries), linalg.nullspace(A)
+        assert ker.shape == ref.shape and ker.tobytes() == ref.tobytes()
+    catalog, fx = spaces.build(sid, p), spaces.fixtures(sid)
+    assert solve_equivariant(rotated).dim == solve_equivariant(catalog).dim == fx.expected_family_dim
+    assert invariant_spinors(rotated).dim == invariant_spinors(catalog).dim == fx.expected_spinor_dim
 
 
 def _decisions(a):

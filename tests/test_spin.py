@@ -2,14 +2,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import pipeline
+from conftest import densify, pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import sp3, spin, spaces
 from gstruct import connections as con
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from gstruct.linalg import nullspace
+from gstruct.linalg import DEFAULT_TOL, nullspace
 
 
 def test_clifford_small_and_large():
@@ -246,6 +246,21 @@ def test_spin_lift_matches_loop_reference():
         A = _random_form(rng, 14, 2, density)
         ref = _loop_spin_lift(cl, A)
         assert np.max(np.abs(spin.spin_lift(cl, A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def test_lift_entries_match_loop_reference():
+    # rows 128 g .. 128 g + 127 of the entry-built stack are spin_lift(iso[g]), bit for bit
+    cl = spin.build_clifford(14)
+    for sid in ("M2", "M4"):
+        iso = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5)["space"].iso
+        L = densify(*spin._lift_entries(iso, DEFAULT_TOL))
+        assert L.shape == (128 * len(iso), 128)
+        assert L.tobytes() == np.vstack([spin.spin_lift(cl, R) for R in iso]).tobytes()
+        for R, block in zip(iso, L.reshape(-1, 128, 128)):
+            ref = _loop_spin_lift(cl, R)
+            assert np.max(np.abs(block - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+    with pytest.raises(NotAntisymmetric):
+        spin._lift_entries(np.stack([iso[0], np.eye(14)]), DEFAULT_TOL)
 
 
 def test_torsion_clifford_matches_loop_reference():
