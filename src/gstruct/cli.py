@@ -78,15 +78,15 @@ def _tolerance(args) -> ToleranceProfile:
 
 
 def _params_from_args(sid: str, args) -> spaces.MetricParams:
+    # the n extra coefficients are --alpha2..--alpha(1+n), all of them or none
     extra_count = spaces._EXTRA_ALPHAS[sid]
-    supplied = [getattr(args, f"alpha{i}") for i in range(2, 9)]
-    supplied = [s for s in supplied if s is not None]
-    if supplied and len(supplied) != extra_count:
-        raise GstructError(
-            f"{sid} takes {extra_count} extra alpha coefficients, got {len(supplied)}"
-        )
+    given = [i for i in range(2, 9) if getattr(args, f"alpha{i}") is not None]
+    if given and given != list(range(2, 2 + extra_count)):
+        takes = f"--alpha2..--alpha{1 + extra_count}, all or none" if extra_count else "no --alphaN flag"
+        got = ", ".join(f"--alpha{i}" for i in given)
+        raise GstructError(f"{sid} takes {takes}; got {got}")
     return spaces.MetricParams(
-        alpha=args.alpha, alphas=tuple(supplied), beta=args.beta, gamma=args.gamma
+        alpha=args.alpha, alphas=tuple(getattr(args, f"alpha{i}") for i in given), beta=args.beta, gamma=args.gamma
     )
 
 

@@ -109,10 +109,11 @@ def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
 
     The system of the isotropy generators ``space.iso`` is solved from its
-    entries; the family depends on the isotropy alone and is shared like it
-    (``isotropy_result``)."""
-    def solve(owner):
-        ker = nullspace_entries(*_equivariance_entries(owner.iso), tol)
+    entries; the family depends on the isotropy alone, so every build of a
+    catalog space shares it (``isotropy_result``) and a process solves it
+    once per space."""
+    def solve():
+        ker = nullspace_entries(*_equivariance_entries(space.iso), tol)
         return EquivariantFamily(basis=read_only(ker.T.reshape(-1, 14, 21)))
 
     return space.isotropy_result("family", tol, solve)

@@ -96,22 +96,19 @@ class HomogeneousSpaceInstance:
     iso: np.ndarray  # (r, 14, 14) real isotropy matrices, one per h generator
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
-    # the space whose isotropy results this one shares: a build of a space
-    # in ``_SHARED_ISOTROPY`` shares those of its unit metric (see ``build``)
-    _isotropy_owner: HomogeneousSpaceInstance = field(default=None, init=False, repr=False, compare=False)
+    # isotropy results per (stage, tol); every build of a catalog space
+    # holds its unit metric's dict (see ``build``)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def isotropy_result(self, stage: str, tol: ToleranceProfile, compute):
-        """``compute(owner)``, memoized per (stage, tol) on the owner of this
-        space's isotropy: the space itself, or for a build of a space in
-        ``_SHARED_ISOTROPY`` the space at the unit metric, so every metric
-        of it gets the same (read-only) result.  Only for results that
-        depend on the isotropy alone."""
-        owner = self._isotropy_owner or self
+        """``compute()``, memoized per (stage, tol) in ``_memo``, which the
+        builds of a catalog space share, so every metric of it gets the
+        same (read-only) result.  Only for results that depend on the
+        isotropy alone."""
         key = (stage, tol)
-        if key not in owner._memo:
-            owner._memo[key] = compute(owner)
-        return owner._memo[key]
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 @dataclass(frozen=True)
@@ -270,23 +267,11 @@ def assemble(label: str, K, H, ip: InnerProductSpec,
     return HomogeneousSpaceInstance(space_id=label, split=split, iso=iso, pm=pm, ph=ph)
 
 
-# Every build of a catalog space takes its isotropy and bracket tables from
-# the unit metric (``_unit_metric_space``); builds of the spaces listed here
-# also share its isotropy results.  M1-M3 still solve theirs per build, from
-# the entries of the two systems: 1-2 ms for the family and 0.5-0.7 ms for
-# the spinors per build (one Xeon core, 1 BLAS thread).  The analyze-tori
-# benchmark warms up with a single M1 op, so results kept from its first M2
-# and M3 ops would make its per-op call counts depend on how many rounds a
-# run completes, and its self-check requires them to repeat exactly.
-_SHARED_ISOTROPY = ("su5-sp2",)
-
-
 @functools.lru_cache(maxsize=None)
 def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInstance:
     """The catalog space at ``MetricParams()``, assembled from its frames,
     with read-only isotropy: every build of ``sid`` at ``tol`` rescales its
-    tables, and the builds of a space in ``_SHARED_ISOTROPY`` share its
-    isotropy results."""
+    tables and shares its isotropy results, once per process."""
     space = assemble(sid, *frames(sid, MetricParams()), tol)
     read_only(space.iso)
     return space
@@ -302,20 +287,21 @@ def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_T
     isotropy (whose read-only array the build takes) unless H rotates
     frame vectors of blocks with unequal coefficients: the build checks
     max |iso sigma_k / sigma_j - iso| against max |iso| (StructureViolation
-    "isotropy depends on the metric" otherwise).  A build of a space in
-    ``_SHARED_ISOTROPY`` then shares the unit metric's isotropy results."""
+    "isotropy depends on the metric" otherwise).  The build then shares
+    the unit metric's isotropy results (its ``_memo``), so the family and
+    the invariant spinors are solved once per space and tolerance profile
+    in a process."""
     sid = canonical_id(space_id)
     K, H, ip = frames(sid, params)
-    owner = _unit_metric_space(sid, tol)
+    unit = _unit_metric_space(sid, tol)
     sigma = np.sqrt(ip.element_coefficients())
-    dev = np.max(np.abs(owner.iso * (sigma[:, None] / sigma) - owner.iso))
-    if tol.exceeds(dev, np.max(np.abs(owner.iso))):
+    dev = np.max(np.abs(unit.iso * (sigma[:, None] / sigma) - unit.iso))
+    if tol.exceeds(dev, np.max(np.abs(unit.iso))):
         raise StructureViolation(f"{sid}: isotropy depends on the metric (deviation {dev:.3e})")
     inv = 1.0 / np.outer(sigma, sigma)[:, :, None]
     space = HomogeneousSpaceInstance(space_id=sid, split=ReductiveSplit(h_basis=H, m_basis=K, ip=ip),
-                                     iso=owner.iso, pm=owner.pm * (inv * sigma), ph=owner.ph * inv)
-    if sid in _SHARED_ISOTROPY:
-        space._isotropy_owner = owner
+                                     iso=unit.iso, pm=unit.pm * (inv * sigma), ph=unit.ph * inv)
+    space._memo = unit._memo
     return space
 
 

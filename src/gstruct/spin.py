@@ -145,7 +145,8 @@ class SpinorSubspace:
     @cached_property
     def lifted_rho(self) -> np.ndarray:
         """(21, 2^(n/2), k) read-only: the spin lifts of the rho(sp3) basis
-        applied to the basis columns, computed once per subspace."""
+        applied to the basis columns, computed once per subspace, so once
+        per catalog space in a process (``invariant_spinors``)."""
         return read_only((_lifted_rho().reshape(-1, self.basis.shape[0]) @ self.basis).reshape(21, -1, self.dim))
 
 
@@ -153,10 +154,11 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     """Joint kernel of the lifted isotropy generators inside the spinor module.
 
     The lifts of the isotropy generators ``space.iso`` are solved from their
-    entries; the subspace depends on the isotropy alone and is shared like
-    it (``isotropy_result``)."""
-    def solve(owner):
-        return SpinorSubspace(basis=read_only(nullspace_entries(*_lift_entries(owner.iso, tol), tol)))
+    entries; the subspace depends on the isotropy alone, so every build of
+    a catalog space shares it (``isotropy_result``) and a process solves it
+    once per space."""
+    def solve():
+        return SpinorSubspace(basis=read_only(nullspace_entries(*_lift_entries(space.iso, tol), tol)))
 
     return space.isotropy_result("spinors", tol, solve)
 

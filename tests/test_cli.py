@@ -64,6 +64,24 @@ def test_usage_errors_exit_one(capsys):
     assert code == 1
 
 
+def _flags(*indices):
+    return [arg for i in indices for arg in (f"--alpha{i}", str(1 + i / 10))]
+
+
+@pytest.mark.parametrize("sid, flags", [
+    ("M2", _flags(2, 3, 4, 5, 8)),  # five flags, but M2's are --alpha2..--alpha6
+    ("M3", _flags(2, 3, 4, 5, 7)),
+    ("M1", _flags(2, 3, 4, 6, 7, 8)),  # a gap at --alpha5
+    ("M4", _flags(2)),  # M4 has no extra alpha coefficients
+], ids=["M2", "M3", "M1", "M4"])
+def test_alpha_flags_are_all_or_none(capsys, sid, flags):
+    # a space with n extra coefficients takes exactly --alpha2..--alpha(1+n)
+    code = main(["analyze", sid, *flags])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+
 def _non_hermitian_dirac(original):
     def patched(*args):
         lifts_b, t_op, D = original(*args)
@@ -301,11 +319,22 @@ def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
     assert sorted(dims) == [14, 70]
 
 
-def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_isotropy_cache):
+_M1_INFEASIBLE = ["--alpha2", "2", "--alpha3", "1", "--alpha4", "1", "--alpha5", "1", "--alpha6", "1", "--alpha7", "1",
+                  "--alpha8", "1"]
+
+
+@pytest.mark.parametrize("sid, metrics, codes", [
+    ("M1", (["--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"], _M1_INFEASIBLE), (0, 2)),
+    ("M2", (["--alpha", "1", "--beta", "2"], ["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"]), (0, 0)),
+    ("M3", (["--alpha", "0.9", "--beta", "1.3", "--gamma", "0.7"], ["--gamma", "1.6"]), (0, 0)),
+    ("M4", (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]), (0, 0)),
+], ids=["M1", "M2", "M3", "M4"])
+def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_isotropy_cache, sid, metrics, codes):
     # every metric of a catalog space shares the equivariant family and the
-    # invariant spinors, so each joint-kernel system is solved once per process;
-    # both are solved from their entries, the parallel spinors densely
-    from gstruct import connections, spin
+    # invariant spinors, so each joint-kernel system is solved once per
+    # space and process, off the feasibility locus too; both are solved
+    # from their entries, the parallel spinors densely
+    from gstruct import connections, spaces, spin
 
     systems = []
 
@@ -321,10 +350,14 @@ def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_iso
     for module in (connections, spin):
         recording(module, "nullspace_entries", lambda rows, cols, vals, shape, *_: shape[1])
     recording(spin, "nullspace", lambda M, *_: np.shape(M)[1])
-    for argv in (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]):
-        code, out = run_cli(capsys, "analyze", "M4", *argv)
-        assert code == 0
-        assert json.loads(out)["spin"]["dirac_eigenvalues"]
+    fx = spaces.fixtures(spaces.canonical_id(sid))
+    for argv, expected in zip(metrics, codes):
+        code, out = run_cli(capsys, "analyze", sid, *argv)
+        assert code == expected
+        rep = json.loads(out)
+        assert rep["family_dim"] == fx.expected_family_dim
+        assert rep["spin"]["invariant_dim"] == fx.expected_spinor_dim
+        assert bool(rep["spin"].get("dirac_eigenvalues")) == (code == 0 and fx.expected_spinor_dim > 0)
     # 294 columns: the equivariance system; 128: the spinor system
     assert systems.count(294) == 1 and systems.count(128) == 1
 
@@ -415,6 +448,9 @@ HISTORY_COMMANDS = (
     ["analyze", "M2", "--alpha", "1", "--beta", "0.8", "--gamma", "1.3"],
     ["analyze", "M1", "--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"],
     ["analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"],
+    ["analyze", "M1", *_M1_INFEASIBLE],
+    ["analyze", "M2", "--alpha", "1.2", "--alpha2", "0.9", "--alpha3", "1.1", "--alpha4", "1.3", "--alpha5", "1.2",
+     "--alpha6", "0.8", "--beta", "0.8", "--gamma", "1.5"],
 )
 
 
@@ -423,7 +459,8 @@ def test_reports_do_not_depend_on_earlier_commands():
     # unit metric, never from whichever metric ran first in the process
     together = _child_reports(HISTORY_COMMANDS, OPENBLAS_NUM_THREADS="1")
     alone = b"".join(_child_reports([argv], OPENBLAS_NUM_THREADS="1") for argv in HISTORY_COMMANDS)
-    assert together.count(b"exit 0") == len(HISTORY_COMMANDS)
+    # the infeasible M1 and the unequal-alpha M2 exit 2
+    assert together.count(b"exit 0") == len(HISTORY_COMMANDS) - 2 and together.count(b"exit 2") == 2
     assert together == alone
 
 

@@ -36,6 +36,9 @@ SHARED = {
     **{name: STACKS[name][0] for name in ("sp3.rho", "sp3.structure_constants", "complement_acts",
                                           "clifford14.gammas", "lifted_rho", "M4.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
+    "M1.family": lambda: pipeline("M1")["family"].basis,
+    "M1.spinors": lambda: spin.invariant_spinors(pipeline("M1")["space"]).basis,
+    "M1.lifted_rho": lambda: spin.invariant_spinors(pipeline("M1")["space"]).lifted_rho,
 }
 
 

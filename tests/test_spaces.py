@@ -376,7 +376,7 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale):
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
     space = spaces.build(sid, p)
     own = spaces.assemble(sid, *spaces.frames(sid, p))  # its own memo, from its own isotropy
-    assert own._isotropy_owner is None and (space._isotropy_owner or space) is not own
+    assert space._memo is spaces._unit_metric_space(sid, DEFAULT_TOL)._memo and own._memo is not space._memo
     fam, fam_own = solve_equivariant(space), solve_equivariant(own)
     assert fam.dim == fam_own.dim == spaces.fixtures(sid).expected_family_dim
     assert _close(_projector(fam.basis.reshape(fam.dim, -1).T), _projector(fam_own.basis.reshape(fam.dim, -1).T), rel=1e-12)
@@ -393,7 +393,7 @@ def test_rotated_frame_solves_its_own_isotropy():
     K, H, ip = spaces.frames("su5-sp2", p)
     rot = _sp3_rotation(5)
     rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H, ip)
-    assert rotated._isotropy_owner is None
+    assert rotated._memo is not space._memo
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
 
     A = densify(*_equivariance_entries(rotated.iso))
@@ -486,10 +486,13 @@ def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cac
         spaces.build("M4", spaces.MetricParams(alpha=1.1))
 
 
-def test_torus_builds_keep_their_own_isotropy_results():
-    # M1-M3 solve their isotropy results per build
+def test_torus_builds_share_their_isotropy_results():
+    # every build of M1-M3, at unequal alphas too, gets the unit metric's
+    # family and invariant spinors: the same objects, solved once
     for sid in ("M1", "M2", "M3"):
-        p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
-        first, second = spaces.build(sid, p), spaces.build(sid, p)
-        assert first._isotropy_owner is None and second._isotropy_owner is None
-        assert solve_equivariant(first) is not solve_equivariant(second)
+        extra = spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]
+        first = spaces.build(sid, spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+        unequal = spaces.MetricParams(alpha=0.9, alphas=tuple(0.7 + 0.1 * k for k in range(extra)), beta=1.3, gamma=0.6)
+        second = spaces.build(sid, unequal)
+        assert solve_equivariant(first) is solve_equivariant(second)
+        assert invariant_spinors(first) is invariant_spinors(second)

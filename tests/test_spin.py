@@ -309,15 +309,16 @@ def test_dirac_terms_match_loop_reference(seed, k):
 
 
 def test_lifted_rho_is_shared_with_the_spinor_subspace():
-    # M4 builds share their invariant spinors, so lift(rho) B is formed once
-    # per process; each M1 build solves its own subspace and forms its own
+    # the builds of a catalog space share their invariant spinors, so
+    # lift(rho) B is formed once per space and process
     m4 = [spin.invariant_spinors(spaces.build("M4", spaces.MetricParams(alpha=a, beta=1.3))) for a in (0.9, 1.4)]
     assert m4[0].lifted_rho is m4[1].lifted_rho
     assert m4[0].lifted_rho.shape == (21, 128, 4) and not m4[0].lifted_rho.flags.writeable
-    p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
-    m1 = [spin.invariant_spinors(spaces.build("M1", p)) for _ in range(2)]
-    assert m1[0].lifted_rho is not m1[1].lifted_rho
-    assert np.array_equal(m1[0].lifted_rho, m1[1].lifted_rho) and not m1[0].lifted_rho.flags.writeable
+    m1 = [spin.invariant_spinors(spaces.build("M1", p)) for p in (
+        spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4),
+        spaces.MetricParams(alpha=1.1, alphas=(0.9, 1.1, 1.1, 1.3, 1.1, 1.1, 1.1), beta=0.8, gamma=1.4))]
+    assert m1[0].lifted_rho is m1[1].lifted_rho
+    assert m1[0].lifted_rho.shape == (21, 128, 48) and not m1[0].lifted_rho.flags.writeable
 
 
 def test_clifford_shape_mismatch_rejected():
