@@ -31,7 +31,7 @@ class Analysis:
     tol: ToleranceProfile = DEFAULT_TOL
 
     @cached_property
-    def family(self) -> con.EquivariantFamily:
+    def family(self) -> np.ndarray:
         return con.solve_equivariant(self.space, self.tol)
 
     @cached_property

@@ -1,8 +1,9 @@
 """Command-line front end: machine-readable analysis reports per space and
 parameter choice, plus standalone representation-theory commands.
 
-Exit codes: 0 success, 1 usage error or closed stdout, 2 infeasible-but-valid
-analysis, 3 internal invariant violation.  Reports are deterministic: identical
+Exit codes: 0 success, 1 usage error, closed stdout or a report value that
+overflows to inf or nan, 2 infeasible-but-valid analysis, 3 internal
+invariant violation.  Reports are deterministic: identical
 invocations produce byte-identical JSON (fixed field order, floats
 rendered to 15 significant digits).
 """
@@ -29,12 +30,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round15(obj):
-    """Normalize floats to 15 significant digits for stable rendering."""
+    """Normalize floats to 15 significant digits for stable rendering; a
+    non-finite one has no JSON form and raises."""
     if isinstance(obj, dict):
         return {k: _round15(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round15(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
+        if not np.isfinite(obj):
+            raise GstructError(f"the report holds a non-finite value ({float(obj)}): the parameters overflow")
         return float(f"{float(obj):.15g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -112,7 +116,7 @@ def cmd_analyze(args) -> int:
             "beta": params.beta,
             "gamma": params.gamma,
         },
-        "family_dim": family.dim,
+        "family_dim": len(family),
         "characteristic": {
             "exists": conn is not None,
             "lambda_nonzero_entries": (
@@ -226,7 +230,7 @@ def cmd_liegroup(args) -> int:
     _emit(
         {
             "selector": args.selector,
-            "dim": alg.dim,
+            "dim": len(alg),
             "theta_kernel_dim": kdim,
             "torsion_family_size": len(family),
             "family_in_kernel_residuals": in_kernel,

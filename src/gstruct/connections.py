@@ -19,18 +19,6 @@ from .spaces import HomogeneousSpaceInstance
 
 
 @dataclass(frozen=True)
-class EquivariantFamily:
-    """All isotropy-equivariant maps of the tangent space into rho(sp3),
-    encoded as (dim, 14, 21) coefficient stacks over the tangent/A bases."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-@dataclass(frozen=True)
 class InvariantConnection:
     """The map Lambda of an invariant connection.  Its so(14) stack, torsion,
     ad(Lambda(K_i)) and curvature depend on these two fields alone, so each
@@ -104,17 +92,18 @@ def _equivariance_entries(iso: np.ndarray):
     return rows, cols, np.r_[np.tile(iso[g, k, j], 21), np.tile(-m[h, a, c], 14)], (294 * len(iso), 294)
 
 
-def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> EquivariantFamily:
-    """Nullspace of the infinitesimal equivariance system
-    Lambda(rho(h) X) = [rho(h), Lambda(X)] over coefficient stacks.
+def solve_equivariant(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """All isotropy-equivariant maps of the tangent space into rho(sp3), as
+    a read-only (dim, 14, 21) stack of coefficients over the tangent/A
+    bases: the nullspace of the infinitesimal equivariance system
+    Lambda(rho(h) X) = [rho(h), Lambda(X)].
 
     The system of the isotropy generators ``space.iso`` is solved from its
     entries; the family depends on the isotropy alone, so every build of a
     catalog space shares it (``isotropy_result``) and a process solves it
     once per space."""
     def solve():
-        ker = nullspace_entries(*_equivariance_entries(space.iso), tol)
-        return EquivariantFamily(basis=read_only(ker.T.reshape(-1, 14, 21)))
+        return read_only(nullspace_entries(*_equivariance_entries(space.iso), tol).T.reshape(-1, 14, 21))
 
     return space.isotropy_result("family", tol, solve)
 

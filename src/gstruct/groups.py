@@ -10,7 +10,7 @@ import numpy as np
 
 from . import reps
 from .errors import DimensionMismatch, NotAnIdeal
-from .liealg import MatrixLieAlgebra, inner, structure_constants
+from .liealg import inner, structure_constants
 from .linalg import DEFAULT_TOL, ToleranceProfile
 
 # random triples drawn by metricity_defect, from a fixed seed
@@ -18,8 +18,9 @@ _METRICITY_SAMPLES = 100
 _METRICITY_SEED = 11
 
 
-def su_algebra(n: int) -> MatrixLieAlgebra:
-    """su(n) with an orthonormal basis under -Re tr(XY)."""
+def su_algebra(n: int) -> np.ndarray:
+    """su(n) with an orthonormal basis under -Re tr(XY), as one complex
+    (n^2 - 1, n, n) array."""
     from .sp3 import E, S
 
     basis = []
@@ -37,24 +38,24 @@ def su_algebra(n: int) -> MatrixLieAlgebra:
         for u in ortho:
             v = v - inner(v, u) * u
         ortho.append(v / np.sqrt(inner(v, v)))
-    return MatrixLieAlgebra(f"su{n}", basis + ortho)
+    return np.array(basis + ortho, dtype=complex)
 
 
-def u_algebra(n: int) -> MatrixLieAlgebra:
-    base = su_algebra(n)
-    center = 1j * np.eye(n) / np.sqrt(n)
-    return MatrixLieAlgebra(f"u{n}", np.concatenate([base.basis, center[None]]))
+def u_algebra(n: int) -> np.ndarray:
+    """u(n): the su(n) basis and the unit centre, a (n^2, n, n) array."""
+    return np.concatenate([su_algebra(n), 1j * np.eye(n)[None] / np.sqrt(n)])
 
 
-def su2_plus_su2() -> MatrixLieAlgebra:
-    a = su_algebra(2).basis
+def su2_plus_su2() -> np.ndarray:
+    """su(2) + su(2) block-diagonally in su(4), a (6, 4, 4) array."""
+    a = su_algebra(2)
     basis = np.zeros((6, 4, 4), dtype=complex)
     basis[:3, :2, :2] = a
     basis[3:, 2:, 2:] = a
-    return MatrixLieAlgebra("su2+su2", basis)
+    return basis
 
 
-def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
+def verify_ideals(alg: np.ndarray, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
     """Each block of the partition must be an ideal: [g, block] in block,
     up to round-off of the largest structure constant."""
     c = structure_constants(alg, tol)
@@ -67,24 +68,24 @@ def verify_ideals(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile 
     return c
 
 
-def canonical_torsion_family(alg: MatrixLieAlgebra, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
+def canonical_torsion_family(alg: np.ndarray, ideal_partition, tol: ToleranceProfile = DEFAULT_TOL):
     """One torsion 3-form per (non-abelian) ideal: the commutator rescaled
     on that ideal, as vectors over increasing basis triples (zero ones,
     up to round-off of the largest structure constant, dropped)."""
     c = verify_ideals(alg, ideal_partition, tol)
-    i, j, k = np.array(reps.triples(alg.dim), dtype=np.intp).reshape(-1, 3).T
+    i, j, k = np.array(reps.triples(len(alg)), dtype=np.intp).reshape(-1, 3).T
     family = [np.where(np.isin(k, block), c[i, j, k], 0.0) for block in ideal_partition]
     return [v for v in family if tol.exceeds(np.linalg.norm(v), np.max(np.abs(c)), 1)]
 
 
-def adjoint_generators(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):
+def adjoint_generators(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """ad matrices in the orthonormal basis (antisymmetric for compact
     type), as a (dim, dim, dim) stack."""
     c = structure_constants(alg, tol)
     return c.transpose(0, 2, 1)  # ad(b_i)[k, j] = c[i, j, k]
 
 
-def theta_kernel_adjoint(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL):
+def theta_kernel_adjoint(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
     """(kernel dimension, kernel basis, theta matrix) for the adjoint embedding."""
     theta = reps.theta_map(adjoint_generators(alg, tol), tol)
     dim, basis = reps.theta_kernel(theta, tol)

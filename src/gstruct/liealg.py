@@ -87,33 +87,16 @@ class CoordinateFrame:
         return c[0], float(res[0])
 
 
-@dataclass(frozen=True)
-class MatrixLieAlgebra:
-    """A finite basis of anti-hermitian matrices, closed under the bracket,
-    as one complex (dim, n, n) array."""
-
-    name: str
-    basis: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "basis", np.asarray(self.basis, dtype=complex))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def structure_constants(alg: MatrixLieAlgebra, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k."""
-    d = alg.dim
-    i, j, br, scale = pair_brackets(alg.basis)
-    coef, res = CoordinateFrame(alg.basis).stack_coords(br)
+def structure_constants(basis, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k, for a (d, n, n)
+    basis closed under the bracket."""
+    d = len(basis)
+    i, j, br, scale = pair_brackets(basis)
+    coef, res = CoordinateFrame(basis).stack_coords(br)
     bad = np.flatnonzero(tol.exceeds(res, scale, 1))
     if bad.size:
         k = bad[0]
-        raise NotClosed(
-            f"{alg.name}: [b_{i[k]}, b_{j[k]}] leaves the span (residual {res[k]:.3e})"
-        )
+        raise NotClosed(f"[b_{i[k]}, b_{j[k]}] leaves the span (residual {res[k]:.3e})")
     c = np.zeros((d, d, d))
     c[i, j], c[j, i] = coef, -coef
     return c
@@ -208,21 +191,22 @@ class ReductiveSplit:
 
 
 def reductive_split(
-    k: MatrixLieAlgebra,
+    k,
     h_basis,
     ip: InnerProductSpec = None,
     m_basis=None,
     tol: ToleranceProfile = DEFAULT_TOL,
 ) -> ReductiveSplit:
-    """Split k = h + m, with m the base-form orthogonal complement of h
-    unless an explicit (already orthonormal) ``m_basis`` is supplied.
+    """Split k = h + m, for a (d, n, n) basis k, with m the base-form
+    orthogonal complement of h unless an explicit (already orthonormal)
+    ``m_basis`` is supplied.
 
     Raises NotReductive if [h, m] does not stay inside m.
     """
     if m_basis is None:
-        # complement of span(h) inside span(k.basis) under -Re tr(XY):
+        # complement of span(h) inside span(k) under -Re tr(XY):
         # the base form is the Euclidean form on the real stacking.
-        K = _stack(k.basis)
+        K = _stack(k)
         Kon = orthonormal_columns(K)
         if len(h_basis):
             H = _stack(h_basis)
@@ -231,7 +215,7 @@ def reductive_split(
             vecs = Kon @ comp
         else:
             vecs = Kon
-        n = k.basis.shape[1]
+        n = np.shape(k)[1]
         mats = (vecs[: n * n] + 1j * vecs[n * n:]).T.reshape(vecs.shape[1], n, n)
         norms = -np.einsum("kab,kba->k", mats, mats).real
         m_basis = mats / np.sqrt(np.maximum(norms, 1e-300))[:, None, None]

@@ -241,26 +241,20 @@ def sym3_casimir(gens: np.ndarray):
     return Y[flat].sum(axis=0) * (w / 6)[:, None], S
 
 
-@lru_cache(maxsize=1)
-def invariant_cubics_cached():
-    return tuple(invariant_cubics())
-
-
-def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL):
+def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of invariant symmetric 3-tensors on the 14-dim
-    module, as (14,14,14) arrays: the kernel of the Sym^3 Casimir of all
-    the sp(3) generators (``sym3_casimir``), of unit norm: S is an isometry."""
+    module, as one (k, 14, 14, 14) array: the kernel of the Sym^3 Casimir
+    of all the sp(3) generators (``sym3_casimir``), of unit norm: S is an
+    isometry."""
     n = 14
     C, S = sym3_casimir(sp3.load().rho)
-    out = []
-    for U in (S @ nullspace(C, tol)).T.reshape(-1, n, n, n):
-        for perm in ((0, 2, 1), (1, 0, 2)):
-            if tol.exceeds(np.max(np.abs(U - np.transpose(U, perm))), 1.0, 1):
-                raise StructureViolation("invariant cubic is not totally symmetric")
-        if tol.exceeds(np.linalg.norm(np.einsum("iik->k", U)), 1.0, 1):
-            raise StructureViolation("invariant cubic is not trace-free")
-        out.append(U)
-    return out
+    U = (S @ nullspace(C, tol)).T.reshape(-1, n, n, n)
+    for perm in ((0, 1, 3, 2), (0, 2, 1, 3)):
+        if np.any(tol.exceeds(np.abs(U - U.transpose(perm)).max(axis=(1, 2, 3)), 1.0, 1)):
+            raise StructureViolation("invariant cubic is not totally symmetric")
+    if np.any(tol.exceeds(np.linalg.norm(np.einsum("uiik->uk", U), axis=1), 1.0, 1)):
+        raise StructureViolation("invariant cubic is not trace-free")
+    return U
 
 
 def trace_cubic() -> np.ndarray:

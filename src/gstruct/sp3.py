@@ -22,11 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConventionMismatch
-from .liealg import (
-    MatrixLieAlgebra,
-    isotropy_matrices,
-    reductive_split,
-)
+from .liealg import isotropy_matrices, reductive_split
 from .linalg import read_only
 
 SQ2 = np.sqrt(2.0)
@@ -191,10 +187,6 @@ class Sp3Data:
     rho: np.ndarray  # (21, 14, 14) real antisymmetric
     subgroup_table: tuple
 
-    @property
-    def algebra(self) -> MatrixLieAlgebra:
-        return MatrixLieAlgebra("sp3", self.A)
-
     def rho_of(self, coeffs) -> np.ndarray:
         """rho applied to an A-coefficient vector, or to each row of an
         (N, 21) stack of them."""
@@ -239,8 +231,7 @@ def derive_isotropy():
     derived matrix agrees with neither the stored one nor its transpose.
     """
     data = load()
-    su6 = MatrixLieAlgebra("su6", np.concatenate([data.A, data.B]))
-    split = reductive_split(su6, data.A, m_basis=data.B)
+    split = reductive_split(np.concatenate([data.A, data.B]), data.A, m_basis=data.B)
     derived = isotropy_matrices(split)
     for i, (d, t) in enumerate(zip(derived, data.rho)):
         if np.max(np.abs(d - t)) > _TRANSCRIPTION_TOL:

@@ -39,19 +39,10 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class CliffordAlgebra:
-    n: int
-    gammas: np.ndarray  # (n, 2^(n/2), 2^(n/2)), read-only: build_clifford shares it
-
-    @property
-    def dim(self) -> int:
-        return self.gammas.shape[1]
-
-
 @lru_cache(maxsize=8)
-def build_clifford(n: int) -> CliffordAlgebra:
-    """Iterated tensor construction; dimension 2^(n/2), e_i^2 = -Id."""
+def build_clifford(n: int) -> np.ndarray:
+    """The gammas e_1 .. e_n, a read-only (n, 2^(n/2), 2^(n/2)) array shared
+    by every caller; iterated tensor construction, e_i^2 = -Id."""
     if n % 2 or not (2 <= n <= 14):
         raise BadDimension(f"need an even dimension between 2 and 14, got {n}")
     m = n // 2
@@ -63,7 +54,7 @@ def build_clifford(n: int) -> CliffordAlgebra:
             for f in factors[1:]:
                 g = np.kron(g, f)
             gammas.append(g)
-    return CliffordAlgebra(n=n, gammas=read_only(np.array(gammas)))
+    return read_only(np.array(gammas))
 
 
 @lru_cache(maxsize=16)
@@ -73,7 +64,7 @@ def _product_table(n: int, k: int):
     with one nonzero entry per row, so each product is too: returns the
     tuples and the column and value of that entry in every row, the last
     two of shape (C(n, k), 2^(n/2))."""
-    g = build_clifford(n).gammas
+    g = build_clifford(n)
     gcols = np.argmax(g != 0, axis=2)
     gvals = np.take_along_axis(g, gcols[..., None], axis=2)[..., 0]
     combos = np.array(list(combinations(range(n), k)))
@@ -101,13 +92,13 @@ def _form_action(t: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def spin_lift(cl: CliffordAlgebra, A, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Lift of an antisymmetric matrix to the spinor module,
+def spin_lift(A, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Lift of an antisymmetric n x n matrix to the spinor module of Cl(n),
     (1/4) sum_ij A_ij e_j e_i, with the entry order fixed so that both
     [lift(A), c(v)] = c(Av) and lift([A, B]) = [lift(A), lift(B)] hold."""
     A = np.asarray(A)
     _check_antisymmetric(A, tol)
-    return _form_action(-0.5 * A, cl.n)
+    return _form_action(-0.5 * A, len(A))
 
 
 def _check_antisymmetric(A: np.ndarray, tol: ToleranceProfile):
@@ -131,7 +122,7 @@ def _lift_entries(iso: np.ndarray, tol: ToleranceProfile):
 @lru_cache(maxsize=1)
 def _lifted_rho() -> np.ndarray:
     """(21, 128, 128) read-only stack of the spin lifts of the rho(sp3) basis."""
-    return read_only(np.array([spin_lift(build_clifford(14), r) for r in sp3.load().rho]))
+    return read_only(np.array([spin_lift(r) for r in sp3.load().rho]))
 
 
 @dataclass(frozen=True)

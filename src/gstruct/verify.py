@@ -75,7 +75,7 @@ def _check_space(sid: str, tol, results):
         p = spaces.MetricParams(alpha=alpha, beta=beta, gamma=gamma)
         tag = f"{alias}(a={p.alpha:.3f},b={p.beta:.3f},g={p.gamma:.3f})"
         a = Analysis(spaces.build(sid, p, tol), tol)
-        fam, want_hol, want_par = a.family.dim, fx.holonomy(p), fx.parallel(p)
+        fam, want_hol, want_par = len(a.family), fx.holonomy(p), fx.parallel(p)
         results.append((f"{tag} family dim", fam == fx.expected_family_dim, f"{fam} vs {fx.expected_family_dim}"))
         checks = {
             "characteristic map": lambda: _lambda_dev(a.conn.lambda_coeffs, fx.char_lambda(p)),

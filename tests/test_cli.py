@@ -191,6 +191,17 @@ def test_table_format(capsys):
     assert "family_dim" in out and "{" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_overflowing_report_exits_one(capsys, fmt):
+    # at alpha 1e-200 the torsion and Ricci values overflow to inf or nan,
+    # which have no JSON form: no report, one error line, no traceback
+    with np.errstate(all="ignore"):
+        code = main(["analyze", "M1", "--alpha", "1e-200", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_tol_env_override(capsys, monkeypatch):
     monkeypatch.setenv("GSTRUCT_TOL", "1e-10")
     code, out = run_cli(capsys, "theta", "sp3")

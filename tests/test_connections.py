@@ -19,7 +19,7 @@ def test_family_dimensions_random_draws():
         alphas = tuple(rng.uniform(0.5, 2.0, extra))
         got = pipeline(sid, alpha=float(a), beta=float(b), gamma=float(g),
                        alphas=alphas)["family"]
-        assert got.dim == want
+        assert len(got) == want
 
 
 def test_family_equivariance_residual():
@@ -30,7 +30,7 @@ def test_family_equivariance_residual():
     R21 = np.array(sp3.load().rho)
     rng = np.random.default_rng(2)
     for _ in range(3):
-        member = fam.basis[rng.integers(0, fam.dim)]
+        member = fam[rng.integers(0, len(fam))]
         lam = np.einsum("ja,akl->jkl", member, R21)
         for R in space.iso:
             lhs = np.einsum("ij,ikl->jkl", R, lam)  # Lambda(R K_j)
@@ -82,21 +82,21 @@ def _lstsq_characteristic(space, family, tol=DEFAULT_TOL):
     """Reference: the skewness system solved by least squares inside the
     equivariant family; returns (lambda coefficients, t3)."""
     R21 = sp3.load().rho
-    lam_members = np.einsum("dja,akl->djkl", family.basis, R21)
+    lam_members = np.einsum("dja,akl->djkl", family, R21)
     # torsion is affine in the coefficients: T = A(t) + T0
     t0 = con.torsion_of_map(space, np.zeros((14, 14, 14))).t3
     a_parts = np.einsum("dikj->dkij", lam_members) - np.einsum("djki->dkij", lam_members)
     a_t3 = np.einsum("dkij->dijk", a_parts)
     sym = lambda t: t + np.swapaxes(t, -2, -1)
-    A = sym(a_t3).reshape(family.dim, -1).T
+    A = sym(a_t3).reshape(len(family), -1).T
     b = -sym(t0).ravel()
     coeffs, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ coeffs - b))
     pnorm = float(np.linalg.norm(space.pm))
     if resid > 1e3 * tol.residual_tol * pnorm:
         raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
-    assert np.count_nonzero(sv > tol.rank_tol * sv[0]) == family.dim
-    L = np.einsum("d,dja->ja", coeffs, family.basis)
+    assert np.count_nonzero(sv > tol.rank_tol * sv[0]) == len(family)
+    L = np.einsum("d,dja->ja", coeffs, family)
     L[np.abs(L) < 1e-12 * pnorm] = 0.0
     lam = np.einsum("ja,akl->jkl", L, R21)
     return L, con.torsion_of_map(space, lam).t3
@@ -134,7 +134,7 @@ def test_characteristic_lies_in_equivariant_family():
     for sid in ["M1", "M2", "M3", "M4"]:
         for a, b, g in draws(sid, 2, seed=5):
             ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-            B = ctx["family"].basis.reshape(ctx["family"].dim, -1).T  # orthonormal columns
+            B = ctx["family"].reshape(len(ctx["family"]), -1).T  # orthonormal columns
             L = ctx["conn"].lambda_coeffs.ravel()
             assert np.linalg.norm(L - B @ (B.T @ L)) <= 1e-12, (sid, a, b, g)
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import pipeline
 
 from gstruct import connections as con
-from gstruct import reps, sp3, spin
+from gstruct import groups, reps, sp3, spin
 
 STACKS = {
     "sp3.A": (lambda: sp3.load().A, (21, 6, 6)),
@@ -17,10 +17,15 @@ STACKS = {
     "complement_acts": (lambda: reps.complement_action()[1], (21, 70, 70)),
     "M1.iso": (lambda: pipeline("M1")["space"].iso, (1, 14, 14)),
     "M4.iso": (lambda: pipeline("M4")["space"].iso, (10, 14, 14)),
-    "M4.family": (lambda: pipeline("M4")["family"].basis, (7, 14, 21)),
+    "M1.family": (lambda: pipeline("M1")["family"], (98, 14, 21)),
+    "M4.family": (lambda: pipeline("M4")["family"], (7, 14, 21)),
     "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
-    "clifford14.gammas": (lambda: spin.build_clifford(14).gammas, (14, 128, 128)),
+    "clifford14.gammas": (lambda: spin.build_clifford(14), (14, 128, 128)),
     "lifted_rho": (spin._lifted_rho, (21, 128, 128)),
+    "su3": (lambda: groups.su_algebra(3), (8, 3, 3)),
+    "u2": (lambda: groups.u_algebra(2), (4, 2, 2)),
+    "su2+su2": (groups.su2_plus_su2, (6, 4, 4)),
+    "invariant_cubics": (reps.invariant_cubics, (1, 14, 14, 14)),
 }
 
 
@@ -34,9 +39,8 @@ def test_matrix_sets_are_stacked_arrays(name):
 # every metric of a catalog space shares its family and spinors
 SHARED = {
     **{name: STACKS[name][0] for name in ("sp3.rho", "sp3.structure_constants", "complement_acts",
-                                          "clifford14.gammas", "lifted_rho", "M4.family")},
+                                          "clifford14.gammas", "lifted_rho", "M4.family", "M1.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
-    "M1.family": lambda: pipeline("M1")["family"].basis,
     "M1.spinors": lambda: spin.invariant_spinors(pipeline("M1")["space"]).basis,
     "M1.lifted_rho": lambda: spin.invariant_spinors(pipeline("M1")["space"]).lifted_rho,
 }

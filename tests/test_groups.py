@@ -28,7 +28,7 @@ def test_su2su2_two_parameter_family():
 def test_commutator_rescaling_zero_at_half():
     # the (1-2t) rescaling of the commutator vanishes at t = 1/2
     su2 = groups.su_algebra(2)
-    X, Y = su2.basis[0], su2.basis[1]
+    X, Y = su2[0], su2[1]
     t = 0.5
     T = (1 - 2 * t) * bracket(X, Y)
     assert np.max(np.abs(T)) == 0.0
@@ -56,15 +56,13 @@ def test_theta_kernel_su2_plus_u1():
     # one simple ideal plus a center: kernel dimension stays 1
     su2 = groups.su_algebra(2)
     basis = []
-    for b in su2.basis:
+    for b in su2:
         m = np.zeros((3, 3), dtype=complex)
         m[:2, :2] = b
         basis.append(m)
     center = np.zeros((3, 3), dtype=complex)
     center[2, 2] = 1j
-    from gstruct.liealg import MatrixLieAlgebra
-
-    alg = MatrixLieAlgebra("su2+u1", tuple(basis) + (center,))
+    alg = np.array(basis + [center])
     assert groups.theta_kernel_adjoint(alg)[0] == 1
 
 
@@ -95,9 +93,9 @@ def test_laquer_eta_symmetric_nu_antisymmetric():
     su3 = groups.su_algebra(3)
     u2 = groups.u_algebra(2)
     for _ in range(5):
-        X, Y = (sum(c * b for c, b in zip(rng.standard_normal(8), su3.basis)) for _ in range(2))
+        X, Y = (sum(c * b for c, b in zip(rng.standard_normal(8), su3)) for _ in range(2))
         assert np.max(np.abs(groups.laquer_eta(X, Y) - groups.laquer_eta(Y, X))) < 1e-12
-        U, V = (sum(c * b for c, b in zip(rng.standard_normal(4), u2.basis)) for _ in range(2))
+        U, V = (sum(c * b for c, b in zip(rng.standard_normal(4), u2)) for _ in range(2))
         assert np.max(np.abs(groups.laquer_nu(U, V) + groups.laquer_nu(V, U))) < 1e-12
 
 
@@ -106,7 +104,7 @@ def test_laquer_eta_equivariance():
     su3 = groups.su_algebra(3)
     worst = 0.0
     for _ in range(20):
-        A, X, Y = (sum(c * b for c, b in zip(rng.standard_normal(8), su3.basis)) for _ in range(3))
+        A, X, Y = (sum(c * b for c, b in zip(rng.standard_normal(8), su3)) for _ in range(3))
         lhs = groups.laquer_eta(bracket(A, X), Y) + groups.laquer_eta(X, bracket(A, Y))
         rhs = bracket(A, groups.laquer_eta(X, Y))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
@@ -115,21 +113,21 @@ def test_laquer_eta_equivariance():
 
 def test_nu_vanishes_on_tracefree():
     su5 = groups.su_algebra(5)
-    assert np.max(np.abs(groups.laquer_nu(su5.basis[0], su5.basis[3]))) == 0.0
+    assert np.max(np.abs(groups.laquer_nu(su5[0], su5[3]))) == 0.0
 
 
 def test_metricity_defects():
     su3 = groups.su_algebra(3)
     g3 = groups.su_metric(3)
     half_comm = lambda X, Y: 0.5 * bracket(X, Y)
-    assert groups.metricity_defect(half_comm, g3, list(su3.basis)) <= 1e-9
-    assert groups.metricity_defect(groups.laquer_eta, g3, list(su3.basis)) > 1e-3
+    assert groups.metricity_defect(half_comm, g3, list(su3)) <= 1e-9
+    assert groups.metricity_defect(groups.laquer_eta, g3, list(su3)) > 1e-3
 
     u2 = groups.u_algebra(2)
     for c in (0.5, 1.0, 3.0):
         gu = groups.u_metric(2, center_coefficient=c)
-        assert groups.metricity_defect(groups.laquer_nu, gu, list(u2.basis)) > 1e-3
-        assert groups.metricity_defect(half_comm, gu, list(u2.basis)) <= 1e-9
+        assert groups.metricity_defect(groups.laquer_nu, gu, list(u2)) > 1e-3
+        assert groups.metricity_defect(half_comm, gu, list(u2)) <= 1e-9
 
 
 def test_adjoint_generators_antisymmetric():

@@ -8,7 +8,6 @@ from gstruct import liealg, reps, sp3, spaces
 from gstruct.errors import DimensionMismatch, NotClosed, NotReductive
 from gstruct.groups import su_algebra
 from gstruct.liealg import (
-    MatrixLieAlgebra,
     ReductiveSplit,
     bracket,
     inner,
@@ -45,7 +44,7 @@ def test_jacobi_identity_sp3(sp3_data):
 
 
 def test_structure_constants_antisymmetric(sp3_data):
-    c = structure_constants(sp3_data.algebra)
+    c = structure_constants(sp3_data.A)
     assert np.max(np.abs(c + np.swapaxes(c, 0, 1))) == 0.0
 
 
@@ -61,20 +60,18 @@ def test_structure_constants_su2_epsilon():
 
 
 def test_structure_constants_abelian_torus():
-    t2 = MatrixLieAlgebra(
-        "t2", (1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0]))
-    )
+    t2 = np.array([1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0])])
     assert np.max(np.abs(structure_constants(t2))) == 0.0
 
 
 def test_not_closed_detection():
-    bad = MatrixLieAlgebra("bad", (su_algebra(2).basis[0], su_algebra(2).basis[1]))
+    bad = np.array([su_algebra(2)[0], su_algebra(2)[1]])
     with pytest.raises(NotClosed):
         structure_constants(bad)
 
 
 def test_reductive_split_su6_sp3(sp3_data):
-    su6 = MatrixLieAlgebra("su6", tuple(sp3_data.A) + tuple(sp3_data.B))
+    su6 = np.concatenate([sp3_data.A, sp3_data.B])
     split = reductive_split(su6, list(sp3_data.A))
     assert split.dim_m == 14
     # the complement coincides with the span of the listed B basis
@@ -94,7 +91,7 @@ def test_reductive_split_su4_so2():
 
 def test_reductive_split_h_equals_k():
     su2 = su_algebra(2)
-    split = reductive_split(su2, list(su2.basis))
+    split = reductive_split(su2, list(su2))
     assert split.dim_m == 0
 
 
@@ -102,7 +99,7 @@ def test_reductive_split_h_equals_k():
 def test_isotropy_rejects_small_non_reductive_m(s):
     # [X, sY] leaves h + m = span(X, Y) however small s is
     su2 = su_algebra(2)
-    X, Y = su2.basis[:2]
+    X, Y = su2[:2]
     split = ReductiveSplit(h_basis=[X], m_basis=[s * Y], ip=uniform_ip(1))
     with pytest.raises(NotReductive):
         isotropy_matrices(split)
@@ -130,10 +127,8 @@ def test_isotropy_matrices_m1_identification(sp3_data, request):
 
 
 def test_isotropy_abelian_trivial():
-    t2 = MatrixLieAlgebra(
-        "t2", (1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0]))
-    )
-    split = reductive_split(t2, [t2.basis[0]])
+    t2 = np.array([1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0])])
+    split = reductive_split(t2, [t2[0]])
     iso = isotropy_matrices(split)
     assert np.max(np.abs(iso[0])) < 1e-14
 
@@ -266,10 +261,10 @@ def test_commutant_block_matches_loop_reference():
 def test_stack_coords_matches_least_squares_per_element():
     rng = np.random.default_rng(3)
     su3 = su_algebra(3)
-    frame = liealg.CoordinateFrame(su3.basis[:6])
-    X = np.tensordot(rng.standard_normal((5, 8)), np.array(su3.basis), axes=1)
+    frame = liealg.CoordinateFrame(su3[:6])
+    X = np.tensordot(rng.standard_normal((5, 8)), np.array(su3), axes=1)
     c, res = frame.stack_coords(X)
-    S = liealg._stack(su3.basis[:6])
+    S = liealg._stack(su3[:6])
     for k in range(5):
         v = np.concatenate([X[k].real.ravel(), X[k].imag.ravel()])
         want, *_ = np.linalg.lstsq(S, v, rcond=None)

@@ -294,7 +294,7 @@ def test_subgroup_decompose_rejects_unclosed_generators():
 
 
 def test_invariant_cubics_properties():
-    cubics = reps.invariant_cubics_cached()
+    cubics = reps.invariant_cubics()
     assert len(cubics) >= 1
     for U in cubics:
         for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
@@ -304,7 +304,7 @@ def test_invariant_cubics_properties():
 
 
 def test_trace_cubic_lies_in_invariant_space():
-    cubics = reps.invariant_cubics_cached()
+    cubics = reps.invariant_cubics()
     t = reps.trace_cubic()
     G = np.array([U.ravel() for U in cubics])
     resid = t.ravel() - G.T @ (G @ t.ravel())
@@ -365,7 +365,7 @@ def test_sym3_casimir_so3_has_no_invariant_cubic():
 
 
 def test_invariant_cubic_is_the_trace_cubic():
-    (U,) = reps.invariant_cubics_cached()
+    (U,) = reps.invariant_cubics()
     t = reps.trace_cubic()
     t /= np.linalg.norm(t)
     assert min(np.max(np.abs(U - t)), np.max(np.abs(U + t))) <= 1e-12

@@ -14,18 +14,18 @@ from gstruct.linalg import DEFAULT_TOL, nullspace
 
 def test_clifford_small_and_large():
     cl2 = spin.build_clifford(2)
-    assert cl2.dim == 2
-    for g in cl2.gammas:
+    assert cl2.shape[1] == 2
+    for g in cl2:
         assert np.max(np.abs(g @ g + np.eye(2))) < 1e-15
     cl14 = spin.build_clifford(14)
-    assert cl14.dim == 128
+    assert cl14.shape[1] == 128
     rng = np.random.default_rng(0)
     for _ in range(12):
         i, j = rng.integers(0, 14, 2)
-        anti = cl14.gammas[i] @ cl14.gammas[j] + cl14.gammas[j] @ cl14.gammas[i]
+        anti = cl14[i] @ cl14[j] + cl14[j] @ cl14[i]
         target = -2.0 * np.eye(128) if i == j else np.zeros((128, 128))
         assert np.max(np.abs(anti - target)) <= 1e-12
-    for g in cl14.gammas[:3]:
+    for g in cl14[:3]:
         assert np.max(np.abs(g.conj().T @ g - np.eye(128))) < 1e-12
 
 
@@ -38,7 +38,7 @@ def test_clifford_bad_dimension():
 def test_clifford_irreducible_small():
     cl = spin.build_clifford(4)
     rows = []
-    for g in cl.gammas:
+    for g in cl:
         rows.append(np.kron(np.eye(4), g) - np.kron(g.T, np.eye(4)))
     ker = nullspace(np.vstack(rows))
     assert ker.shape[1] == 1  # commutant is scalar
@@ -46,17 +46,17 @@ def test_clifford_irreducible_small():
 
 def test_spin_lift_properties(sp3_data):
     cl = spin.build_clifford(14)
-    assert np.max(np.abs(spin.spin_lift(cl, np.zeros((14, 14))))) == 0.0
+    assert np.max(np.abs(spin.spin_lift(np.zeros((14, 14))))) == 0.0
     with pytest.raises(NotAntisymmetric):
-        spin.spin_lift(cl, np.eye(14))
+        spin.spin_lift(np.eye(14))
     # [lift(A), c(v)] = c(Av)
     A = sp3_data.rho[8]
-    lam = spin.spin_lift(cl, A)
+    lam = spin.spin_lift(A)
     v = np.zeros(14)
     v[4] = 1.0  # e5
-    cv = cl.gammas[4]
+    cv = cl[4]
     Av = A @ v
-    cAv = sum(Av[i] * cl.gammas[i] for i in range(14))
+    cAv = sum(Av[i] * cl[i] for i in range(14))
     assert np.max(np.abs(lam @ cv - cv @ lam - cAv)) < 1e-12
     # homomorphism on random antisymmetric pairs
     rng = np.random.default_rng(4)
@@ -65,8 +65,8 @@ def test_spin_lift_properties(sp3_data):
         X = X - X.T
         Y = rng.standard_normal((14, 14))
         Y = Y - Y.T
-        lhs = spin.spin_lift(cl, X @ Y - Y @ X)
-        lx, ly = spin.spin_lift(cl, X), spin.spin_lift(cl, Y)
+        lhs = spin.spin_lift(X @ Y - Y @ X)
+        lx, ly = spin.spin_lift(X), spin.spin_lift(Y)
         assert np.max(np.abs(lhs - (lx @ ly - ly @ lx))) < 1e-10
 
 
@@ -200,27 +200,27 @@ def test_parallel_spinors_are_torsion_eigenvectors():
 # monomial tables replaced (the pair products are kept per dimension).
 @lru_cache(maxsize=1)
 def _loop_pair_products(n):
-    g = spin.build_clifford(n).gammas
+    g = spin.build_clifford(n)
     return {(i, j): g[i] @ g[j] for i in range(n) for j in range(i + 1, n)}
 
 
 def _loop_spin_lift(cl, A):
-    out = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for (i, j), G in _loop_pair_products(cl.n).items():
+    out = np.zeros((cl.shape[1], cl.shape[1]), dtype=complex)
+    for (i, j), G in _loop_pair_products(len(cl)).items():
         if A[i, j] != 0.0:
             out -= 0.5 * A[i, j] * G
     return out
 
 
 def _loop_torsion_clifford(cl, t3):
-    pp = _loop_pair_products(cl.n)
-    out = np.zeros((cl.dim, cl.dim), dtype=complex)
-    for i in range(cl.n):
-        for j in range(i + 1, cl.n):
-            w = np.zeros((cl.dim, cl.dim), dtype=complex)
-            for k in range(j + 1, cl.n):
+    pp = _loop_pair_products(len(cl))
+    out = np.zeros((cl.shape[1], cl.shape[1]), dtype=complex)
+    for i in range(len(cl)):
+        for j in range(i + 1, len(cl)):
+            w = np.zeros((cl.shape[1], cl.shape[1]), dtype=complex)
+            for k in range(j + 1, len(cl)):
                 if t3[i, j, k] != 0.0:
-                    w += t3[i, j, k] * cl.gammas[k]
+                    w += t3[i, j, k] * cl[k]
             out += pp[(i, j)] @ w
     return out
 
@@ -245,7 +245,7 @@ def test_spin_lift_matches_loop_reference():
     for density in (1.0, 0.3, 0.05):
         A = _random_form(rng, 14, 2, density)
         ref = _loop_spin_lift(cl, A)
-        assert np.max(np.abs(spin.spin_lift(cl, A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(spin.spin_lift(A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_lift_entries_match_loop_reference():
@@ -255,7 +255,7 @@ def test_lift_entries_match_loop_reference():
         iso = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5)["space"].iso
         L = densify(*spin._lift_entries(iso, DEFAULT_TOL))
         assert L.shape == (128 * len(iso), 128)
-        assert L.tobytes() == np.vstack([spin.spin_lift(cl, R) for R in iso]).tobytes()
+        assert L.tobytes() == np.vstack([spin.spin_lift(R) for R in iso]).tobytes()
         for R, block in zip(iso, L.reshape(-1, 128, 128)):
             ref = _loop_spin_lift(cl, R)
             assert np.max(np.abs(block - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
@@ -277,7 +277,7 @@ def test_restricted_dirac_matrix_matches_loop_reference():
     for sid in ("M2", "M4"):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
         lam, T = ctx["conn"].so_matrices(), con.torsion(ctx["conn"])
-        D_ref = sum(cl.gammas[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
+        D_ref = sum(cl[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
         sub = spin.invariant_spinors(ctx["space"])
         B = sub.basis
@@ -298,10 +298,10 @@ def test_dirac_terms_match_loop_reference(seed, k):
     a = a - a.transpose(0, 2, 1)
     coeffs = rng.standard_normal((14, 21))
     t3 = _random_form(rng, 14, 3, 0.5)
-    basis = np.linalg.qr(rng.standard_normal((cl.dim, k)) + 1j * rng.standard_normal((cl.dim, k)))[0]
+    basis = np.linalg.qr(rng.standard_normal((cl.shape[1], k)) + 1j * rng.standard_normal((cl.shape[1], k)))[0]
     lifts_b, t_op, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis).lifted_rho)
 
-    D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl.gammas, a))
+    D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl, a))
     D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, t3)
     assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
     lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
@@ -322,8 +322,11 @@ def test_lifted_rho_is_shared_with_the_spinor_subspace():
 
 
 def test_clifford_shape_mismatch_rejected():
-    cl = spin.build_clifford(14)
-    with pytest.raises(BadDimension):
-        spin.spin_lift(cl, np.zeros((12, 12)))
+    # spin_lift reads n from A: a 12 x 12 matrix lifts to the Cl(12) module,
+    # and a size with no Clifford module here is rejected
+    assert spin.spin_lift(np.zeros((12, 12))).shape == (64, 64)
+    for n in (13, 16):
+        with pytest.raises(BadDimension):
+            spin.spin_lift(np.zeros((n, n)))
     with pytest.raises(BadDimension):
         spin.torsion_clifford(np.zeros((12, 12, 12)))
