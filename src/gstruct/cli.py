@@ -1,8 +1,8 @@
 """Command-line front end: machine-readable analysis reports per space and
 parameter choice, plus standalone representation-theory commands.
 
-Exit codes: 0 success, 1 usage error, closed stdout or a report value that
-overflows to inf or nan, 2 infeasible-but-valid analysis, 3 internal
+Exit codes: 0 success, 1 usage error, closed stdout or parameters whose
+values overflow float64, 2 infeasible-but-valid analysis, 3 internal
 invariant violation.  Reports are deterministic: identical
 invocations produce byte-identical JSON (fixed field order, floats
 rendered to 15 significant digits).
@@ -288,7 +288,7 @@ def make_parser() -> _Parser:
     pl.add_argument("selector", choices=sorted(_LIEGROUP_ALGEBRAS))
     pl.set_defaults(func=cmd_liegroup)
 
-    pv = sub.add_parser("verify", help="re-evaluate every closed-form claim (PASS/FAIL)")
+    pv = sub.add_parser("verify", help="re-evaluate the catalog's closed-form claims (PASS/FAIL)")
     pv.add_argument("--space", default=None, help="restrict to one space id")
     pv.set_defaults(func=cmd_verify)
 
@@ -303,7 +303,9 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        # the first value to leave float64 stops the command, before any stage runs on inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
     except (StructureViolation,) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
+    except FloatingPointError as exc:
+        print(f"error: the parameters overflow float64 ({exc})", file=sys.stderr)
+        return 1
     except GstructError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -64,8 +64,9 @@ def curvature_report(
     if conn is not None:
         ric_c = ricci_connection(conn)
         scal_c = float(np.trace(ric_c))
+        # against ||pm||^2, the size of the products that cancel in Ric_g (far smaller when beta << alpha)
         dev = np.max(np.abs(_identity_route(conn, ric_c) - ric_g))
-        if tol.exceeds(dev, np.max(np.abs(ric_g)), 1e4):
+        if tol.exceeds(dev, np.linalg.norm(space.pm) ** 2, 1e4):
             raise StructureViolation(f"Riemannian Ricci routes disagree by {dev:.3e}")
     else:
         ric_c, scal_c = None, float("nan")

@@ -81,11 +81,6 @@ class CoordinateFrame:
         c = np.concatenate([flat.real, flat.imag], axis=1) @ self._pinv.T
         return c, np.linalg.norm(flat - c @ self.mats.reshape(len(self.mats), -1), axis=1)
 
-    def coords(self, X):
-        """Coefficients c with X ~ sum c_i mats_i, plus the residual norm."""
-        c, res = self.stack_coords(np.asarray(X)[None])
-        return c[0], float(res[0])
-
 
 def structure_constants(basis, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """c[i, j, k] with [b_i, b_j] = sum_k c[i, j, k] b_k, for a (d, n, n)

@@ -27,9 +27,6 @@ class IsotypicDecomposition:
     def dim(self) -> int:
         return sum(dim for _, dim, _ in self.parts)
 
-    def dimension_multiset(self) -> tuple:
-        return tuple(sorted(dim for _, dim, _ in self.parts))
-
 
 def triples(n: int):
     return list(combinations(range(n), 3))

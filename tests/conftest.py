@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gstruct import connections as con
-from gstruct import spaces
+from gstruct import spaces, verify
 from gstruct.analysis import Analysis
 from gstruct.linalg import nullspace
 
@@ -20,6 +20,23 @@ def pipeline(sid, alpha=1.0, beta=1.0, gamma=1.0, alphas=()):
         a = Analysis(spaces.build(sid, p))
         _cache[key] = {"params": p, "analysis": a, "space": a.space, "family": a.family, "conn": a.conn}
     return _cache[key]
+
+
+def assert_point_checks(sid, points, *claims):
+    """Run ``verify.point_checks`` at each point, (alpha, beta, gamma) or
+    (alpha, beta, gamma, alphas), and assert that its record of each claim
+    (the record name after the metric tag, "torsion table" say) is there
+    and passed.  Returns the details of those records in order."""
+    details = []
+    for point in points:
+        ctx = pipeline(sid, *point)
+        records = {name.split(") ", 1)[1]: (ok, detail)
+                   for name, ok, detail in verify.point_checks(ctx["analysis"], ctx["params"])}
+        for claim in claims:
+            ok, detail = records[claim]
+            assert ok, (sid, point, claim, detail)
+            details.append(detail)
+    return details
 
 
 def parallel_vector_fields(conn, holonomy):
@@ -56,6 +73,12 @@ def fresh_isotropy_cache():
     yield
     spaces._frame.cache_clear()
     spaces._unit_metric_space.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def verify_records():
+    """The records of ``verify.run_all()`` by name: {name: (passed, detail)}."""
+    return {name: (ok, detail) for name, ok, detail in verify.run_all()}
 
 
 @pytest.fixture(scope="session")

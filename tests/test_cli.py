@@ -191,12 +191,14 @@ def test_table_format(capsys):
     assert "family_dim" in out and "{" not in out.splitlines()[0]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("alpha", ["1e-80", "1e-200", "1e-300"])
 @pytest.mark.parametrize("fmt", ["json", "table"])
-def test_overflowing_report_exits_one(capsys, fmt):
-    # at alpha 1e-200 the torsion and Ricci values overflow to inf or nan,
-    # which have no JSON form: no report, one error line, no traceback
-    with np.errstate(all="ignore"):
-        code = main(["analyze", "M1", "--alpha", "1e-200", "--format", fmt])
+def test_overflowing_report_exits_one(capsys, fmt, alpha):
+    # from alpha 1e-80 the Ricci values' squares overflow float64, from about
+    # 1e-150 the torsion and Ricci values too: the first overflow stops the
+    # command, with no report, one error line, no warning and no traceback
+    code = main(["analyze", "M1", "--alpha", alpha, "--format", fmt])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -335,10 +337,13 @@ _M1_INFEASIBLE = ["--alpha2", "2", "--alpha3", "1", "--alpha4", "1", "--alpha5",
 
 
 @pytest.mark.parametrize("sid, metrics, codes", [
-    ("M1", (["--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"], _M1_INFEASIBLE), (0, 2)),
+    # the last metrics: far smaller Ricci values than the bracket products that cancel in them
+    ("M1", (["--alpha", "1.1", "--beta", "0.8", "--gamma", "1.4"], _M1_INFEASIBLE, ["--alpha", "1e12"],
+            ["--beta", "1.3e-12", "--gamma", "0.8"]), (0, 2, 0, 0)),
     ("M2", (["--alpha", "1", "--beta", "2"], ["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"]), (0, 0)),
     ("M3", (["--alpha", "0.9", "--beta", "1.3", "--gamma", "0.7"], ["--gamma", "1.6"]), (0, 0)),
-    ("M4", (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"]), (0, 0)),
+    ("M4", (["--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5"], ["--beta", "2", "--gamma", "1.2"],
+            ["--beta", "1.3", "--gamma", "8e-13"]), (0, 0, 0)),
 ], ids=["M1", "M2", "M3", "M4"])
 def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_isotropy_cache, sid, metrics, codes):
     # every metric of a catalog space shares the equivariant family and the

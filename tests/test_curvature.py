@@ -1,8 +1,8 @@
 import numpy as np
-from conftest import draws, parallel_vector_fields, pipeline
+from conftest import assert_point_checks, draws, parallel_vector_fields, pipeline
 
 from gstruct import curvature as curv
-from gstruct import sp3, spaces
+from gstruct import sp3
 from gstruct import connections as con
 
 
@@ -50,15 +50,7 @@ def test_levi_civita_naturally_reductive_m3():
 
 def test_ricci_tables_all_spaces_five_draws():
     for sid in ["M1", "M2", "M3", "M4"]:
-        fx = spaces.fixtures(sid)
-        for a, b, g in draws(sid, 5, seed=23):
-            ctx = pipeline(sid, alpha=a, beta=b, gamma=g)
-            rep = curv.curvature_report(ctx["space"], ctx["conn"])
-            scale = max(1.0, float(np.max(np.abs(rep.ricci_riem))))
-            assert np.max(np.abs(np.diag(rep.ricci_conn) - fx.ricci_conn(ctx["params"]))) <= 1e-8 * scale
-            assert np.max(np.abs(np.diag(rep.ricci_riem) - fx.ricci_riem(ctx["params"]))) <= 1e-8 * scale
-            assert abs(rep.scal_conn - fx.scal_conn(ctx["params"])) <= 1e-8 * max(1.0, abs(rep.scal_conn))
-            assert abs(rep.scal_riem - fx.scal_riem(ctx["params"])) <= 1e-8 * max(1.0, abs(rep.scal_riem))
+        assert_point_checks(sid, draws(sid, 5, seed=23), "Ricci/scalar tables")
 
 
 def test_riemannian_routes_agree():
@@ -76,22 +68,15 @@ def test_ricci_symmetric():
 
 
 def test_m4_scalar_closed_form_draws():
-    fx = spaces.fixtures("M4")
-    for a, b, g in draws("M4", 5, seed=29):
-        ctx = pipeline("M4", alpha=a, beta=b, gamma=g)
-        rep = curv.curvature_report(ctx["space"], ctx["conn"])
-        expect = 5 * (16 * a * b - b * g - b**2 + 8 * a**2) / (2 * a**2 * b)
-        assert abs(rep.scal_riem - expect) <= 1e-8 * max(1.0, abs(expect))
+    assert_point_checks("M4", draws("M4", 5, seed=29), "Ricci/scalar tables")
 
 
 def test_m4_ricci_proportionality_point():
-    # Ric equals 2.5x the metric coefficient matrix at this locus (not an
-    # Einstein metric in the tensor sense; the symmetric point below is)
-    p = (1.0, float(np.sqrt(2.0)), float(4 - np.sqrt(2.0)))
-    ctx = pipeline("M4", alpha=p[0], beta=p[1], gamma=p[2])
-    rep = curv.curvature_report(ctx["space"], ctx["conn"])
-    coeffs = np.array([p[0]] * 8 + [p[1]] * 5 + [p[2]])
-    assert np.max(np.abs(rep.ricci_riem - 2.5 * np.diag(coeffs))) <= 1e-8
+    # the closed-form tables at the locus where Ric is 2.5x the metric
+    # coefficient matrix (not an Einstein metric in the tensor sense; the
+    # symmetric point below is); the identity itself is verify's record
+    # "M4 Ricci = 2.5 diag(metric coefficients)", asserted by criterion 10
+    assert_point_checks("M4", [(1.0, float(np.sqrt(2.0)), float(4 - np.sqrt(2.0)))], "Ricci/scalar tables")
 
 
 def test_m4_symmetric_point_is_einstein():

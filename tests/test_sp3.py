@@ -73,8 +73,8 @@ def test_subgroup_rows_span_subalgebras(sp3_data):
         frame = CoordinateFrame(gens)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                _, res = frame.coords(bracket(gens[i], gens[j]))
-                assert res < 1e-10, row.name
+                _, res = frame.stack_coords(bracket(gens[i], gens[j])[None])
+                assert res[0] < 1e-10, row.name
 
 
 def test_subgroup_expected_blocks():

@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from conftest import densify, pipeline
+from conftest import assert_point_checks, densify, pipeline
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,9 +71,8 @@ def test_spin_lift_properties(sp3_data):
 
 
 def test_invariant_spinor_dimensions():
-    for sid, want in [("M1", 48), ("M2", 16), ("M3", 0), ("M4", 4)]:
-        space = pipeline(sid, alpha=1.1, beta=0.8, gamma=1.4)["space"]
-        assert spin.invariant_spinors(space).dim == want
+    for sid in ["M1", "M2", "M3", "M4"]:
+        assert_point_checks(sid, [(1.1, 0.8, 1.4)], "invariant spinors")
 
 
 def test_no_invariant_spinors_error():
@@ -83,13 +82,11 @@ def test_no_invariant_spinors_error():
 
 
 def test_m2_dirac_closed_form_three_draws():
-    for a, b in [(1.0, 1.0), (1.0, 2.3), (1.0, 0.41)]:
-        ctx = pipeline("M2", alpha=a, beta=b, gamma=1.7)
-        rep = spin.dirac_on_invariants(ctx["conn"])
-        expect = np.sqrt((a + 4 * b) / (a * b))
-        assert np.max(np.abs(np.abs(rep.eigenvalues) - expect)) <= 1e-9
-        assert int(np.sum(rep.eigenvalues > 0)) == 8
-        assert int(np.sum(rep.eigenvalues < 0)) == 8
+    points = [(1.0, b, 1.7) for b in (1.0, 2.3, 0.41)]
+    assert_point_checks("M2", points, "Dirac spectrum")
+    for point in points:
+        ev = pipeline("M2", *point)["analysis"].dirac.eigenvalues
+        assert int(np.sum(ev > 0)) == 8 and int(np.sum(ev < 0)) == 8
 
 
 def test_m2_mu_and_torsion_norm():

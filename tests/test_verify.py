@@ -1,14 +1,16 @@
 import dataclasses
 
+import pytest
+from conftest import pipeline
+
 from gstruct import connections as con
 from gstruct import spaces, spin, verify
 from gstruct.errors import Infeasible
 
 
-def test_run_all_passes_every_check():
-    results = verify.run_all()
-    assert len(results) == 75
-    assert [name for name, ok, _ in results if not ok] == []
+def test_run_all_passes_every_check(verify_records):
+    assert len(verify_records) == 75
+    assert [name for name, (ok, _) in verify_records.items() if not ok] == []
 
 
 def test_missing_connection_is_reported_not_raised(monkeypatch):
@@ -40,6 +42,40 @@ def test_torsion_table_check_covers_unlisted_entries(monkeypatch):
     monkeypatch.setattr(spaces, "fixtures", dropping)
     failed = [name for name, ok, _ in verify.run_all(space="M3") if not ok]
     assert len(failed) == 2 and all(name.endswith(" torsion table") for name in failed)
+
+
+def _shifted(f):
+    return lambda p: f(p) + 1e-6
+
+
+# each field of the fixtures, perturbed, and the one claim whose check it fails
+_PERTURBED = {
+    "char_lambda": (lambda f: lambda p: {k: c + 1e-6 for k, c in f(p).items()}, "characteristic map"),
+    "ricci_riem": (_shifted, "Ricci/scalar tables"),
+    "scal_conn": (_shifted, "Ricci/scalar tables"),
+    "holonomy": (lambda f: lambda p: (f(p)[0] + 1, f(p)[1]), "holonomy"),
+    "parallel": (lambda f: lambda p: not f(p), "parallel torsion"),
+    "expected_family_dim": (lambda n: n + 1, "family dim"),
+    "expected_spinor_dim": (lambda n: n + 1, "invariant spinors"),
+    "extras": (lambda e: {"dirac": _shifted(e["dirac"])}, "Dirac spectrum"),
+}
+
+
+@pytest.mark.parametrize("field", _PERTURBED)
+def test_each_point_check_fails_on_its_perturbed_fixture(monkeypatch, field):
+    # M4 has every claim, the Dirac spectrum included
+    perturb, claim = _PERTURBED[field]
+    fixtures = spaces.fixtures
+
+    def perturbed(sid):
+        fx = fixtures(sid)
+        return dataclasses.replace(fx, **{field: perturb(getattr(fx, field))})
+
+    ctx = pipeline("M4", alpha=1.1, beta=0.9, gamma=1.3)
+    assert all(ok for _, ok, _ in verify.point_checks(ctx["analysis"], ctx["params"]))
+    monkeypatch.setattr(spaces, "fixtures", perturbed)
+    failed = [name for name, ok, _ in verify.point_checks(ctx["analysis"], ctx["params"]) if not ok]
+    assert failed == [f"M4(a=1.100,b=0.900,g=1.300) {claim}"]
 
 
 def test_space_checks_skip_unchecked_stages(monkeypatch):
