@@ -43,6 +43,8 @@ def _round15(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
+            return [float(f"{v:.15g}") for v in obj.tolist()]
         return _round15(obj.tolist())
     return obj
 
@@ -53,17 +55,12 @@ def _emit(report: dict, fmt: str):
         print(json.dumps(report, indent=2))
         return
 
-    def walk(prefix, obj, lines):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                walk(f"{prefix}{k}." if prefix else f"{k}.", v, lines) if isinstance(
-                    v, dict
-                ) else lines.append((f"{prefix}{k}", v))
-        else:
-            lines.append((prefix.rstrip("."), obj))
+    def walk(prefix, obj):  # (dotted key, value) of every leaf
+        if not isinstance(obj, dict):
+            return [(prefix, obj)]
+        return [leaf for k, v in obj.items() for leaf in walk(f"{prefix}.{k}" if prefix else k, v)]
 
-    lines = []
-    walk("", report, lines)
+    lines = walk("", report)
     width = max(len(k) for k, _ in lines)
     for k, v in lines:
         print(f"{k:<{width}}  {v}")
@@ -243,15 +240,12 @@ def cmd_liegroup(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
 
-    tol = _tolerance(args)
-    results = verify_mod.run_all(space=args.space, tol=tol)
-    failed = 0
+    results = verify_mod.run_all(space=args.space, tol=_tolerance(args))
     for name, ok, detail in results:
-        status = "PASS" if ok else "FAIL"
-        print(f"[{status}] {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 3
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    passed = sum(ok for _, ok, _ in results)
+    print(f"{passed}/{len(results)} checks passed")
+    return 0 if passed == len(results) else 3
 
 
 @functools.cache

@@ -27,7 +27,7 @@ import numpy as np
 from . import sp3
 from .connections import InvariantConnection, torsion
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation, TorsionNotParallel
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace, nullspace_entries, read_only
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace_entries, rank, read_only
 from .spaces import HomogeneousSpaceInstance
 
 # coefficient of the torsion term inside the Dirac operator; the value was
@@ -161,7 +161,6 @@ def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiracReport:
-    invariant_dim: int
     eigenvalues: np.ndarray  # Dirac spectrum on the invariant subspace
     torsion_op_eigenvalues: np.ndarray  # mu spectrum on the subspace
     torsion_norm2: float  # sum over increasing triples of T(K_i,K_j,K_k)^2
@@ -179,19 +178,27 @@ class Estimates:
     twistor_strict: bool
 
 
-def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.ndarray):
-    """(lifts of the Lambda(e_i) applied to a spinor basis, torsion operator
-    T_cl, Dirac matrix D) on the full spinor module, for connection matrices
-    lam = coeffs . rho and torsion t3, with rho_b the lifts of the rho basis
-    applied to that basis (``SpinorSubspace.lifted_rho``).  With
+def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.ndarray, tol: ToleranceProfile):
+    """(a stack whose kernel is the parallel spinors, T_cl, the Dirac matrix D)
+    on the full spinor module, for lam = coeffs . rho, torsion t3 and rho_b
+    the rho lifts applied to a spinor basis (``SpinorSubspace.lifted_rho``).
+
+    The lifts of the Lambda(e_i) on the basis stack to (C x I) R, C = coeffs,
+    R = rho_b as (21 m, k).  For C = U S Vh, U^H x I is orthogonal, so only
+    the blocks s_i (Vh_i x I) R with s_i > tau = ``round_off``(s_0, 14, 21)
+    <= 64 eps s_0 are formed, none for C = 0.  That moves a singular value by
+    at most tau ||R||_2, the order of the round-off of forming C R: 64 eps /
+    rank_tol of the rank cut times s_0 ||R||_2 / ||C R||_2.  With
     a[i] = Lambda(e_i), sum_i e_i lift(a[i]) = c(c3) + c(v) for the 3-form
     c3[i, k, l] = -(a[i, k, l] + a[k, l, i] + a[l, i, k]) / 2 and the vector
-    v[m] = sum_k a[k, k, m] / 2; the lifts are coeffs . lift(rho)."""
-    lifts_b = (coeffs @ rho_b.reshape(21, -1)).reshape((14,) + rho_b.shape[1:])
+    v[m] = sum_k a[k, k, m] / 2."""
+    _, s, vh = np.linalg.svd(coeffs, full_matrices=False)
+    rows = (s[:, None] * vh)[s > tol.round_off(s[0], *coeffs.shape)]
+    stack = (rows @ rho_b.reshape(21, -1)).reshape(-1, rho_b.shape[2])
     c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
     v = 0.5 * np.trace(lam, axis1=0, axis2=1)
     t_op = torsion_clifford(t3)
-    return lifts_b, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
+    return stack, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
 
 
 def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL,
@@ -199,14 +206,15 @@ def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
     """Dirac matrix of the connection with torsion T/3 on invariant spinors,
     plus the torsion-operator spectrum and norm used by the estimates, from
     the connection's cached so(14) stack and torsion; ``sub`` is the
-    invariant-spinor subspace of ``conn.space`` if already computed."""
+    invariant-spinor subspace of ``conn.space`` if already computed; the
+    parallel spinors are k minus the rank of ``_dirac_terms``' stack."""
     if sub is None:
         sub = invariant_spinors(conn.space, tol)
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
     T = torsion(conn)
     B = sub.basis
-    lifts_b, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, sub.lifted_rho)
+    stack, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, sub.lifted_rho, tol)
 
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))
@@ -217,14 +225,11 @@ def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
     Tr = B.conj().T @ t_op @ B
     mu = np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T))
 
-    par = nullspace(lifts_b.reshape(-1, sub.dim), tol)
-
     return DiracReport(
-        invariant_dim=sub.dim,
         eigenvalues=eigs,
         torsion_op_eigenvalues=mu,
         torsion_norm2=T.norm2_increasing,
-        parallel_spinor_dim=par.shape[1],
+        parallel_spinor_dim=sub.dim - rank(stack, tol),
     )
 
 

@@ -82,6 +82,15 @@ def verify_records():
 
 
 @pytest.fixture(scope="session")
+def v14_v70_parts():
+    """The parts of ``reps.isotypic_decompose(reps.v14_v70_rep())``, decomposed
+    once per session for the tests that read them."""
+    from gstruct import reps
+
+    return reps.isotypic_decompose(reps.v14_v70_rep()).parts
+
+
+@pytest.fixture(scope="session")
 def sp3_data():
     from gstruct import sp3
 

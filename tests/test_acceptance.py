@@ -38,11 +38,11 @@ def test_criterion_01_catalog_self_consistency(verify_records):
     _report(1, f"isotropy transcription {dev}, homomorphism residual {hom:.2e}")
 
 
-def test_criterion_02_casimir_tables(verify_records):
+def test_criterion_02_casimir_tables(verify_records, v14_v70_parts):
     (table,) = _passed(verify_records, "3-form Casimir table")
     for ev, _, _ in reps.lambda3_decomposition().parts:
         assert abs(ev - round(ev)) <= 1e-6
-    dims = sorted(d for _, d, _ in reps.isotypic_decompose(reps.v14_v70_rep()).parts)
+    dims = sorted(d for _, d, _ in v14_v70_parts)
     assert dims == [14, 21, 70, 84, 90, 189, 512]
     _report(2, f"3-form table {table}; product module multiset {dims}")
 

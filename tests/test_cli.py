@@ -84,8 +84,8 @@ def test_alpha_flags_are_all_or_none(capsys, sid, flags):
 
 def _non_hermitian_dirac(original):
     def patched(*args):
-        lifts_b, t_op, D = original(*args)
-        return lifts_b, t_op, D + 1j * np.eye(len(D))
+        stack, t_op, D = original(*args)
+        return stack, t_op, D + 1j * np.eye(len(D))
 
     return patched
 
@@ -349,7 +349,7 @@ def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_iso
     # every metric of a catalog space shares the equivariant family and the
     # invariant spinors, so each joint-kernel system is solved once per
     # space and process, off the feasibility locus too; both are solved
-    # from their entries, the parallel spinors densely
+    # from their entries, the parallel spinors by a dense rank
     from gstruct import connections, spaces, spin
 
     systems = []
@@ -365,7 +365,7 @@ def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_iso
 
     for module in (connections, spin):
         recording(module, "nullspace_entries", lambda rows, cols, vals, shape, *_: shape[1])
-    recording(spin, "nullspace", lambda M, *_: np.shape(M)[1])
+    recording(spin, "rank", lambda M, *_: np.shape(M)[1])
     fx = spaces.fixtures(spaces.canonical_id(sid))
     for argv, expected in zip(metrics, codes):
         code, out = run_cli(capsys, "analyze", sid, *argv)

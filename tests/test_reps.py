@@ -190,11 +190,10 @@ def test_trivial_rep_single_part():
     assert ev == 0.0 and d == 5
 
 
-def test_v14_v70_multiset():
-    dec = reps.isotypic_decompose(reps.v14_v70_rep())
-    assert sorted(d for _, d, _ in dec.parts) == [14, 21, 70, 84, 90, 189, 512]
+def test_v14_v70_multiset(v14_v70_parts):
+    assert sorted(d for _, d, _ in v14_v70_parts) == [14, 21, 70, 84, 90, 189, 512]
     # the seven Casimir eigenvalues are pairwise distinct (computed)
-    evs = sorted(ev for ev, _, _ in dec.parts)
+    evs = sorted(ev for ev, _, _ in v14_v70_parts)
     assert min(b - a for a, b in zip(evs, evs[1:])) > 1.0
 
 

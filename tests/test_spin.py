@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gstruct import sp3, spin, spaces
 from gstruct import connections as con
 from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
-from gstruct.linalg import DEFAULT_TOL, nullspace
+from gstruct.linalg import DEFAULT_TOL, nullspace, rank
 
 
 def test_clifford_small_and_large():
@@ -179,7 +179,7 @@ def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
     # no closed form exists for the 48-dimensional case; assert structure only
     ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.7)
     rep = spin.dirac_on_invariants(ctx["conn"])
-    assert rep.invariant_dim == 48
+    assert rep.eigenvalues.shape == (48,)
     ev = np.sort(rep.eigenvalues)
     assert np.max(np.abs(ev + ev[::-1])) < 1e-9
 
@@ -278,7 +278,7 @@ def test_restricted_dirac_matrix_matches_loop_reference():
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
         sub = spin.invariant_spinors(ctx["space"])
         B = sub.basis
-        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub.lifted_rho)
+        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub.lifted_rho, DEFAULT_TOL)
         ref = B.conj().T @ D_ref @ B
         assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
@@ -296,13 +296,76 @@ def test_dirac_terms_match_loop_reference(seed, k):
     coeffs = rng.standard_normal((14, 21))
     t3 = _random_form(rng, 14, 3, 0.5)
     basis = np.linalg.qr(rng.standard_normal((cl.shape[1], k)) + 1j * rng.standard_normal((cl.shape[1], k)))[0]
-    lifts_b, t_op, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis).lifted_rho)
+    stack, t_op, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis).lifted_rho, DEFAULT_TOL)
 
     D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl, a))
     D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, t3)
     assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
     lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
-    assert np.max(np.abs(lifts_b - lifts_ref)) <= 1e-13 * np.max(np.abs(lifts_ref))
+    assert k - rank(stack) == nullspace(lifts_ref.reshape(-1, k)).shape[1]
+
+
+# Reference for the parallel-spinor count: all 14 lifts coeffs . lift(rho) B,
+# stacked to (14 m, k), and their joint kernel, as the count was made before
+# it went over the row space of coeffs.
+def _full_stack_count(coeffs, rho_b):
+    lifts = (coeffs @ rho_b.reshape(21, -1)).reshape((14,) + rho_b.shape[1:])
+    return nullspace(lifts.reshape(-1, rho_b.shape[2])).shape[1]
+
+
+def _row_space_count(coeffs, rho_b):
+    zero = np.zeros((14, 14, 14))
+    stack, _, _ = spin._dirac_terms(zero, coeffs, zero, rho_b, DEFAULT_TOL)
+    return rho_b.shape[2] - rank(stack)
+
+
+@lru_cache(maxsize=None)
+def _isotropy_rows(sid):
+    """Orthonormal rows spanning the rho coordinates of the isotropy of sid."""
+    iso = pipeline(sid)["space"].iso
+    x = np.linalg.lstsq(sp3.load().rho.reshape(21, -1).T, iso.reshape(len(iso), -1).T, rcond=None)[0]
+    return np.linalg.qr(x)[0].T
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sid=st.sampled_from(["M1", "M2", "M4"]),
+       r=st.sampled_from([0, 1, 2, 9, 14]), in_isotropy=st.booleans(), round_off=st.booleans())
+def test_row_space_count_matches_full_stack(seed, sid, r, in_isotropy, round_off):
+    # coeffs of rank r (at most the isotropy's dimension when its rows lie
+    # in the isotropy), some rows exactly zero, optionally plus a full-rank
+    # part at round-off size; the basis mixes the first j invariant spinors,
+    # which the isotropy lifts kill, with three random spinors
+    rng = np.random.default_rng(seed)
+    inv = spin.invariant_spinors(pipeline(sid)["space"]).basis
+    j = rng.integers(0, inv.shape[1] + 1)
+    basis = np.linalg.qr(np.hstack([inv[:, :j], rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))]))[0]
+    rows = _isotropy_rows(sid) if in_isotropy else np.eye(21)
+    left = rng.standard_normal((14, r))
+    left[rng.permutation(14)[:rng.integers(0, 15 - r)]] = 0.0
+    coeffs = left @ rng.standard_normal((r, len(rows))) @ rows
+    if round_off:
+        coeffs = coeffs + 1e-17 * np.abs(coeffs).max(initial=0.0) * rng.standard_normal((14, 21))
+    rho_b = spin.SpinorSubspace(basis).lifted_rho
+    count = _row_space_count(coeffs, rho_b)
+    assert count == _full_stack_count(coeffs, rho_b)
+    if r == 0:
+        assert count == basis.shape[1]
+    elif in_isotropy:
+        assert count >= j
+
+
+# ROADMAP item 1's probe points: M1 with alpha, M2 and M4 with gamma far
+# from the other coefficients, at two base points each
+_ANISOTROPIC = [(sid, tuple(c * f if i == axis else c for i, c in enumerate(base)))
+                for sid, axis, e in (("M1", 0, 5), ("M2", 2, 7), ("M4", 2, 7))
+                for base in ((1, 1.3, 0.8), (1, 1, 1.3)) for f in (10.0**e, 10.0**-e)]
+
+
+@pytest.mark.parametrize("sid, point", _ANISOTROPIC)
+def test_row_space_count_at_anisotropic_points(sid, point):
+    ctx = pipeline(sid, *point)
+    sub = spin.invariant_spinors(ctx["space"])
+    assert ctx["analysis"].dirac.parallel_spinor_dim == _full_stack_count(ctx["conn"].lambda_coeffs, sub.lifted_rho)
 
 
 def test_lifted_rho_is_shared_with_the_spinor_subspace():
