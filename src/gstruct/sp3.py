@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConventionMismatch
-from .liealg import isotropy_matrices, reductive_split
+from .liealg import isotropy_matrices
 from .linalg import read_only
 
 SQ2 = np.sqrt(2.0)
@@ -231,8 +231,7 @@ def derive_isotropy():
     derived matrix agrees with neither the stored one nor its transpose.
     """
     data = load()
-    split = reductive_split(np.concatenate([data.A, data.B]), data.A, m_basis=data.B)
-    derived = isotropy_matrices(split)
+    derived = isotropy_matrices(data.A, data.B)
     for i, (d, t) in enumerate(zip(derived, data.rho)):
         if np.max(np.abs(d - t)) > _TRANSCRIPTION_TOL:
             if np.max(np.abs(d - t.T)) <= _TRANSCRIPTION_TOL:

@@ -12,20 +12,21 @@ Space identifiers (with the short aliases M1..M4):
 
 Conventions: each space is one fixed reductive split k = h + m with a
 metric-free frame (``_Frame``): the tangent frame with the base norms of
-its vectors, its metric blocks and the isotropy basis.  A metric only
-rescales the frame block by block (K_i = Khat_i / sigma_i, sigma_i the
-square root of the coefficient of K_i's block, e.g. 1/sqrt(2*alpha) for a
-root vector), so every frame is orthonormal for its metric; each frame is
-identified with the fixed basis B of the 14-dimensional module (isotropy
-then lands inside rho(sp3)).  The isotropy does not depend on the metric
-and the bracket tables only rescale, so ``build`` assembles each space
-once per process, at the unit metric, and rescales it.
+its vectors, the metric slot of each vector and the isotropy basis.  A
+metric only rescales the frame slot by slot (K_i = Khat_i / sigma_i,
+sigma_i the square root of the coefficient of K_i's slot, e.g.
+1/sqrt(2*alpha) for a root vector), so every frame is orthonormal for its
+metric; each frame is identified with the fixed basis B of the
+14-dimensional module (isotropy then lands inside rho(sp3)).  The isotropy
+does not depend on the metric and the bracket tables only rescale, so
+``build`` assembles each space once per process, at the unit metric, and
+rescales it.
 
 M1-M3 share one su(4) root frame, stated once in ``_ROOT_TABLE``: the six
 root planes in frame order, and for each space the metric slot of each of
 the 12 root vectors and the beta, gamma and isotropy directions as signs on
-e1..e4.  The metric blocks are read off the same slots.  M3 is the M2 frame
-inside u(5) with its beta direction moved to the u(1) factor.
+e1..e4.  M3 is the M2 frame inside u(5) with its beta direction moved to
+the u(1) factor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import sp3
 from .errors import BadParams, StructureViolation
-from .liealg import InnerProductSpec, ReductiveSplit, isotropy_matrices, pair_brackets
+from .liealg import CoordinateFrame, isotropy_matrices, pair_brackets, split_coords
 from .linalg import DEFAULT_TOL, ToleranceProfile, read_only
 from .sp3 import E, S
 
@@ -87,12 +88,10 @@ class MetricParams:
 
 @dataclass
 class HomogeneousSpaceInstance:
-    """A concrete reductive split at fixed parameters, with the isotropy
-    expressed in the orthonormal tangent frame and the bracket tables
-    every connection computation consumes."""
+    """A space at fixed parameters, as the tables every later stage reads:
+    the isotropy in its orthonormal tangent frame K and the brackets of K."""
 
     space_id: str
-    split: ReductiveSplit
     iso: np.ndarray  # (r, 14, 14) real isotropy matrices, one per h generator
     pm: np.ndarray  # pm[i, j] = m-coordinates of [K_i, K_j]
     ph: np.ndarray  # ph[i, j] = h-coordinates of [K_i, K_j]
@@ -114,21 +113,22 @@ class HomogeneousSpaceInstance:
 @dataclass(frozen=True)
 class _Frame:
     """The metric-free frame of a catalog space.  At metric coefficients c
-    (one per block) its tangent frame is K_i = K[i] / sqrt(nu2[i] c_i),
-    orthonormal for that metric; at the unit metric it is the
-    base-orthonormal frame, and the metric only rescales it block by block.
-    Read-only arrays, built once per process (``_frame``)."""
+    (alpha, the extra alphas, beta, gamma) its tangent frame is
+    K_i = K[i] / sqrt(nu2[i] c[slot[i]]), orthonormal for that metric; at
+    the unit metric it is the base-orthonormal frame, and the metric only
+    rescales it slot by slot.  Read-only arrays, built once per process
+    (``_frame``)."""
 
     K: np.ndarray  # (14, n, n) tangent frame, unnormalized
     nu2: np.ndarray  # (14,) base norm^2 of each K[i]
     H: np.ndarray  # (r, n, n) isotropy basis
-    blocks: tuple  # the metric blocks, one coefficient each
+    slot: np.ndarray  # (14,) index of each K[i]'s metric coefficient
 
 
 # The su(4) root frame of M1-M3.  Root plane (i, j) gives the root vectors
 # E_ij and i S_ij (base norm^2 2); K_13 and K_14 are i diag(signs) (base
 # norm^2 4) for the beta and gamma signs, and each isotropy row gives
-# (i/2) diag(signs).  Root vector k lies in block slot[k] (coefficient
+# (i/2) diag(signs).  Root vector k has metric slot slot[k] (coefficient
 # alpha for slot 0, alpha_(s+1) for slot s); beta and gamma come last.
 _ROOT_PLANES = ((1, 3), (2, 4), (2, 3), (1, 4), (1, 2), (3, 4))
 _ROOTS = read_only(np.array([m for i, j in _ROOT_PLANES for m in (E(4, i, j), 1j * S(4, i, j))]))
@@ -143,12 +143,11 @@ _ROOT_TABLE = {
 
 def _root_frame(sid: str) -> _Frame:
     slots, beta, gamma, iso = _ROOT_TABLE[sid]
-    blocks = tuple(tuple(k for k, t in enumerate(slots) if t == s) for s in range(max(slots) + 1))
     return _Frame(
         K=np.concatenate([_ROOTS, [1j * np.diag(beta), 1j * np.diag(gamma)]]),
         nu2=np.array([2.0] * 12 + [4.0, 4.0]),
         H=np.array([0.5j * np.diag(row) for row in iso]),
-        blocks=blocks + ((12,), (13,)),
+        slot=np.array(slots + (max(slots) + 1, max(slots) + 2)),
     )
 
 
@@ -169,7 +168,7 @@ def _u4u1_frame() -> _Frame:
     nu2 = f.nu2.copy()
     nu2[12] = 1.0
     beta = _ROOT_TABLE["u4-so2so2"][1]
-    return _Frame(K, nu2, _embed5(np.concatenate([f.H, [0.5j * np.diag(beta)]])), f.blocks)
+    return _Frame(K, nu2, _embed5(np.concatenate([f.H, [0.5j * np.diag(beta)]])), f.slot)
 
 
 def _su5_basis():
@@ -196,15 +195,13 @@ def _su5_frame() -> _Frame:
     rhs[10:, :] = np.eye(14)
     X = np.linalg.solve(G, rhs)  # coefficient columns over the su(5) basis
     khat = np.tensordot(X.T, basis, axes=1)
-    # blockwise norms must agree inside each isotypic block
+    # the norms must agree inside each isotypic block (slot)
     norms = -np.einsum("kab,kba->k", khat, khat).real
-    blocks = (tuple(range(8)), tuple(range(8, 13)), (13,))
-    for blk in blocks:
-        seg = norms[list(blk)]
-        if np.max(np.abs(seg - seg[0])) > 1e-10:
-            raise StructureViolation("unequal norms inside an isotypic block")
-    nu2 = np.concatenate([np.full(len(blk), norms[blk[0]]) for blk in blocks])
-    return _Frame(khat, nu2, np.array(sp2), blocks)
+    slot = np.repeat([0, 1, 2], [8, 5, 1])
+    nu2 = norms[[0, 8, 13]][slot]
+    if np.max(np.abs(norms - nu2)) > 1e-10:
+        raise StructureViolation("unequal norms inside an isotypic block")
+    return _Frame(khat, nu2, np.array(sp2), slot)
 
 
 _FRAME_BUILDERS = {
@@ -218,53 +215,56 @@ _FRAME_BUILDERS = {
 @functools.lru_cache(maxsize=None)
 def _frame(sid: str) -> _Frame:
     f = _FRAME_BUILDERS[sid]()
-    for a in (f.K, f.nu2, f.H):
+    for a in (f.K, f.nu2, f.H, f.slot):
         read_only(a)
     return f
 
 
+def _coefficients(sid: str, params: MetricParams) -> np.ndarray:
+    """The metric coefficient of each frame vector of ``sid``: alpha, the
+    extra alphas, beta and gamma, read through the frame's slots."""
+    c = (params.alpha, *params.filled_alphas(_EXTRA_ALPHAS[sid]), params.beta, params.gamma)
+    return np.array(c, dtype=float)[_frame(sid).slot]
+
+
 def frames(space_id: str, params: MetricParams):
-    """(K, H, ip) of a catalog space at ``params``: the tangent frame,
-    orthonormal for the metric ``ip``, and the isotropy basis (read-only),
-    as ``assemble`` takes them.  The coefficients of ``ip`` are alpha,
-    the extra alphas, beta and gamma, in block order."""
+    """(K, H, c) of a catalog space at ``params``: the tangent frame,
+    orthonormal for the metric, the isotropy basis (read-only) and the
+    (14,) metric coefficient of each frame vector, so that sqrt(c) K is
+    base-orthonormal.  ``assemble`` takes K and H."""
     sid = canonical_id(space_id)
-    f = _frame(sid)
-    coeffs = (params.alpha, *params.filled_alphas(_EXTRA_ALPHAS[sid]), params.beta, params.gamma)
-    ip = InnerProductSpec(f.blocks, coeffs)
-    return f.K / np.sqrt(f.nu2 * ip.element_coefficients())[:, None, None], f.H, ip
+    f, c = _frame(sid), _coefficients(sid, params)
+    return f.K / np.sqrt(f.nu2 * c)[:, None, None], f.H, c
 
 
-def assemble(label: str, K, H, ip: InnerProductSpec,
-             tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
+def assemble(label: str, K, H, tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
     """Assemble an instance labelled ``label`` from explicit frames: the
-    (14, n, n) tangent frame K, the (r, n, n) isotropy basis H and the
-    metric ``ip`` that makes K orthonormal (also usable for custom quotients
-    beyond the catalog, as long as the 14-dim frame carries the same
-    structure).  ``build`` rescales the assembled unit-metric space instead;
-    this is the route for custom frames and the reference for ``build``.
+    (14, n, n) tangent frame K, orthonormal for the metric, and the
+    (r, n, n) isotropy basis H (also usable for custom quotients beyond
+    the catalog, as long as the 14-dim frame carries the same structure).
+    ``build`` rescales the assembled unit-metric space instead; this is the
+    route for custom frames and the reference for ``build``.
 
     Checks that [h, m] lies in m and each [K_i, K_j] in h + m (NotReductive
     otherwise) and the isotropy in rho(sp3) (StructureViolation otherwise),
-    up to round-off of the operands; the orthonormality of the frame under
-    ``ip`` is not checked (``split.gram_m()`` measures it).
+    up to round-off of the operands; the orthonormality of the frame is
+    not checked.
     """
-    split = ReductiveSplit(h_basis=H, m_basis=K, ip=ip)
-    iso = isotropy_matrices(split, tol)
+    iso = isotropy_matrices(H, K, tol)
     _, resid = sp3.load().project_rho(iso)
     bad = np.flatnonzero(tol.exceeds(resid, np.linalg.norm(iso, axis=(1, 2))))
     if bad.size:
         raise StructureViolation(
             f"{label}: isotropy leaves rho(sp3) (residual {resid[bad[0]]:.3e})"
         )
-    n = len(K)
+    n, r = len(K), len(H)
     i, j, br, scale = pair_brackets(K)
-    ch, cm = split.split_stack(br, scale, tol)
+    ch, cm = split_coords(CoordinateFrame(np.concatenate([H, K])), r, br, scale, tol)
     pm = np.zeros((n, n, n))
-    ph = np.zeros((n, n, len(H)))
+    ph = np.zeros((n, n, r))
     pm[i, j], pm[j, i] = cm, -cm
     ph[i, j], ph[j, i] = ch, -ch
-    return HomogeneousSpaceInstance(space_id=label, split=split, iso=iso, pm=pm, ph=ph)
+    return HomogeneousSpaceInstance(space_id=label, iso=iso, pm=pm, ph=ph)
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,35 +272,37 @@ def _unit_metric_space(sid: str, tol: ToleranceProfile) -> HomogeneousSpaceInsta
     """The catalog space at ``MetricParams()``, assembled from its frames,
     with read-only isotropy: every build of ``sid`` at ``tol`` rescales its
     tables and shares its isotropy results, once per process."""
-    space = assemble(sid, *frames(sid, MetricParams()), tol)
+    K, H, _ = frames(sid, MetricParams())
+    space = assemble(sid, K, H, tol)
     read_only(space.iso)
     return space
 
 
 def build(space_id: str, params: MetricParams, tol: ToleranceProfile = DEFAULT_TOL) -> HomogeneousSpaceInstance:
     """Construct a catalog space at concrete parameters by rescaling the
-    space at the unit metric.  With sigma_i the square root of the
-    coefficient of K_i's block, K_i = Khat_i / sigma_i for the unit-metric
-    frame Khat, so the bracket tables are pm_ijk = pmhat_ijk sigma_k /
-    (sigma_i sigma_j) and ph_ijr = phhat_ijr / (sigma_i sigma_j), and the
-    isotropy is iso_rkj sigma_k / sigma_j.  That is the unit metric's
-    isotropy (whose read-only array the build takes) unless H rotates
-    frame vectors of blocks with unequal coefficients: the build checks
-    max |iso sigma_k / sigma_j - iso| against max |iso| (StructureViolation
-    "isotropy depends on the metric" otherwise).  The build then shares
-    the unit metric's isotropy results (its ``_memo``), so the family and
-    the invariant spinors are solved once per space and tolerance profile
-    in a process."""
+    space at the unit metric; no frame is formed.  With sigma_i the square
+    root of the coefficient of K_i's slot, K_i = Khat_i / sigma_i for the
+    unit-metric frame Khat, so the bracket tables are pm_ijk = pmhat_ijk
+    sigma_k / (sigma_i sigma_j) and ph_ijr = phhat_ijr / (sigma_i sigma_j),
+    and the isotropy is iso_rkj sigma_k / sigma_j.  That is the unit
+    metric's isotropy (whose read-only array the build takes) unless H
+    rotates frame vectors of slots with unequal coefficients: the build
+    checks max |iso sigma_k / sigma_j - iso| over the entries of iso above
+    round-off of max |iso| against max |iso| (StructureViolation "isotropy
+    depends on the metric" otherwise).  The build then shares the unit
+    metric's isotropy results (its ``_memo``), so the family and the
+    invariant spinors are solved once per space and tolerance profile in a
+    process."""
     sid = canonical_id(space_id)
-    K, H, ip = frames(sid, params)
     unit = _unit_metric_space(sid, tol)
-    sigma = np.sqrt(ip.element_coefficients())
-    dev = np.max(np.abs(unit.iso * (sigma[:, None] / sigma) - unit.iso))
-    if tol.exceeds(dev, np.max(np.abs(unit.iso))):
+    sigma = np.sqrt(_coefficients(sid, params))
+    amax = np.max(np.abs(unit.iso))
+    held = np.abs(unit.iso) > tol.round_off(amax, 14, 14)
+    dev = np.max(np.abs(unit.iso * (sigma[:, None] / sigma) - unit.iso)[held], initial=0.0)
+    if tol.exceeds(dev, amax):
         raise StructureViolation(f"{sid}: isotropy depends on the metric (deviation {dev:.3e})")
     inv = 1.0 / np.outer(sigma, sigma)[:, :, None]
-    space = HomogeneousSpaceInstance(space_id=sid, split=ReductiveSplit(h_basis=H, m_basis=K, ip=ip),
-                                     iso=unit.iso, pm=unit.pm * (inv * sigma), ph=unit.ph * inv)
+    space = HomogeneousSpaceInstance(space_id=sid, iso=unit.iso, pm=unit.pm * (inv * sigma), ph=unit.ph * inv)
     space._memo = unit._memo
     return space
 

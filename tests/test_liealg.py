@@ -7,15 +7,16 @@ import pytest
 from gstruct import liealg, reps, sp3, spaces
 from gstruct.errors import DimensionMismatch, NotClosed, NotReductive
 from gstruct.groups import su_algebra
+from gstruct.linalg import DEFAULT_TOL
 from gstruct.liealg import (
-    ReductiveSplit,
+    CoordinateFrame,
     bracket,
     inner,
     is_naturally_reductive,
     isotropy_matrices,
-    reductive_split,
+    pair_brackets,
+    split_coords,
     structure_constants,
-    uniform_ip,
 )
 
 
@@ -70,29 +71,12 @@ def test_not_closed_detection():
         structure_constants(bad)
 
 
-def test_reductive_split_su6_sp3(sp3_data):
-    su6 = np.concatenate([sp3_data.A, sp3_data.B])
-    split = reductive_split(su6, list(sp3_data.A))
-    assert split.dim_m == 14
-    # the complement coincides with the span of the listed B basis
-    M = np.array([np.concatenate([b.real.ravel(), b.imag.ravel()]) for b in sp3_data.B]).T
-    Q, _ = np.linalg.qr(M)
-    for m in split.m_basis:
-        v = np.concatenate([m.real.ravel(), m.imag.ravel()])
-        assert np.linalg.norm(v - Q @ (Q.T @ v)) < 1e-12
-
-
-def test_reductive_split_su4_so2():
-    su4 = su_algebra(4)
-    H1 = 0.5j * np.diag([1.0, 1.0, -1.0, -1.0])
-    split = reductive_split(su4, [H1])
-    assert split.dim_m == 14
-
-
-def test_reductive_split_h_equals_k():
-    su2 = su_algebra(2)
-    split = reductive_split(su2, list(su2))
-    assert split.dim_m == 0
+def test_sp3_complement_spans_su6(sp3_data):
+    # B is base-orthonormal and orthogonal to A, and A + B spans su(6)
+    A, B = sp3_data.A, sp3_data.B
+    assert np.max(np.abs(-np.einsum("iab,jba->ij", B, B).real - np.eye(14))) < 1e-14
+    assert np.max(np.abs(np.einsum("iab,jba->ij", A, B).real)) < 1e-14
+    assert np.linalg.matrix_rank(liealg._stack(np.concatenate([A, B]))) == 35
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-4, 1e-7])
@@ -100,27 +84,23 @@ def test_isotropy_rejects_small_non_reductive_m(s):
     # [X, sY] leaves h + m = span(X, Y) however small s is
     su2 = su_algebra(2)
     X, Y = su2[:2]
-    split = ReductiveSplit(h_basis=[X], m_basis=[s * Y], ip=uniform_ip(1))
     with pytest.raises(NotReductive):
-        isotropy_matrices(split)
+        isotropy_matrices([X], [s * Y])
 
 
 @pytest.mark.parametrize("s", [1.0, 1e6, 1e14])
 def test_isotropy_rejects_tilted_generator_at_any_scale(s):
     # H_0 + 0.3 sqrt(2s) K_0 = H_0 + 0.3 E_13 does not map m into itself;
     # its h-parts shrink with the frame as s grows
-    K, H, ip = spaces.frames("su4-so2", spaces.MetricParams(alpha=s, beta=s, gamma=s))
+    K, H, _ = spaces.frames("su4-so2", spaces.MetricParams(alpha=s, beta=s, gamma=s))
     tilted = H[0] + 0.3 * np.sqrt(2 * s) * K[0]
-    split = ReductiveSplit(h_basis=[tilted], m_basis=K, ip=ip)
     with pytest.raises(NotReductive):
-        isotropy_matrices(split)
+        isotropy_matrices([tilted], K)
 
 
-def test_isotropy_matrices_m1_identification(sp3_data, request):
-    from conftest import pipeline
-
-    space = pipeline("M1", alpha=1.4, beta=0.6, gamma=1.1)["space"]
-    iso = isotropy_matrices(space.split)
+def test_isotropy_matrices_m1_identification(sp3_data):
+    K, H, _ = spaces.frames("M1", spaces.MetricParams(alpha=1.4, beta=0.6, gamma=1.1))
+    iso = isotropy_matrices(H, K)
     assert np.max(np.abs(iso[0] - np.sqrt(2.0) * sp3_data.rho[20])) < 1e-12
     for R in iso:
         assert np.max(np.abs(R + R.T)) < 1e-12
@@ -128,23 +108,21 @@ def test_isotropy_matrices_m1_identification(sp3_data, request):
 
 def test_isotropy_abelian_trivial():
     t2 = np.array([1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0])])
-    split = reductive_split(t2, [t2[0]])
-    iso = isotropy_matrices(split)
+    # the base-orthogonal complement of t2[0] in span(t2)
+    iso = isotropy_matrices(t2[:1], [1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
     assert np.max(np.abs(iso[0])) < 1e-14
 
 
 def test_isotropy_representation_property():
-    from conftest import pipeline
-
-    space = pipeline("M4", alpha=1.0, beta=1.3, gamma=0.8)["space"]
-    iso = isotropy_matrices(space.split)
-    H = space.split.h_basis
+    K, H, _ = spaces.frames("M4", spaces.MetricParams(alpha=1.0, beta=1.3, gamma=0.8))
+    iso = isotropy_matrices(H, K)
+    frame = CoordinateFrame(np.concatenate([H, K]))
     frame_iso = {i: iso[i] for i in range(len(H))}
     # rho([H_i, H_j]) = [rho(H_i), rho(H_j)] via h coordinates of the bracket
     for i in range(3):
         for j in range(i + 1, 4):
             scale = np.linalg.norm(H[i]) * np.linalg.norm(H[j])
-            (ch,), (cm,) = space.split.split_stack(bracket(H[i], H[j])[None], scale)
+            (ch,), (cm,) = split_coords(frame, len(H), bracket(H[i], H[j])[None], scale)
             lhs = sum(c * frame_iso[r] for r, c in enumerate(ch))
             rhs = iso[i] @ iso[j] - iso[j] @ iso[i]
             assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -152,9 +130,7 @@ def test_isotropy_representation_property():
 
 
 def test_naturally_reductive_biinvariant_su2():
-    su2 = su_algebra(2)
-    split = reductive_split(su2, [], ip=uniform_ip(3))
-    flag, defect = is_naturally_reductive(split)
+    flag, defect = is_naturally_reductive(structure_constants(su_algebra(2)))
     assert flag and defect < 1e-12
 
 
@@ -162,7 +138,7 @@ def test_naturally_reductive_m3_equal_alphas():
     from conftest import pipeline
 
     space = pipeline("M3", alpha=1.2, beta=0.9, gamma=1.5)["space"]
-    flag, _ = is_naturally_reductive(space.split)
+    flag, _ = is_naturally_reductive(space.pm)
     assert flag
 
 
@@ -171,7 +147,7 @@ def test_naturally_reductive_m3_equal_alphas_at_scale(s):
     from conftest import pipeline
 
     space = pipeline("M3", alpha=1.2 * s, beta=0.9 * s, gamma=1.5 * s)["space"]
-    flag, _ = is_naturally_reductive(space.split)
+    flag, _ = is_naturally_reductive(space.pm)
     assert flag
 
 
@@ -179,7 +155,7 @@ def test_not_naturally_reductive_m1_unequal():
     from conftest import pipeline
 
     space = pipeline("M1", alpha=1.0, alphas=(2.0, 1, 1, 1, 1, 1, 1))["space"]
-    flag, defect = is_naturally_reductive(space.split)
+    flag, defect = is_naturally_reductive(space.pm)
     assert not flag and defect > 1e-4
 
 
@@ -188,18 +164,52 @@ def test_not_naturally_reductive_m1_unequal_at_scale(s):
     from conftest import pipeline
 
     space = pipeline("M1", alpha=s, alphas=(2.0 * s,) + (s,) * 6, beta=s, gamma=s)["space"]
-    flag, defect = is_naturally_reductive(space.split)
+    flag, defect = is_naturally_reductive(space.pm)
     # the defect scales like s^(-1/2)
     assert not flag and defect > 1e-4 / np.sqrt(s)
 
 
 def test_gram_matrices_orthonormal():
-    from conftest import pipeline
-
+    # the frame is orthonormal for the metric: sqrt(c) K is base-orthonormal
     for sid in ["M1", "M2", "M3", "M4"]:
-        space = pipeline(sid, alpha=0.8, beta=1.7, gamma=0.6)["space"]
-        G = space.split.gram_m()
-        assert np.max(np.abs(G - np.eye(14))) < 1e-10
+        K, _, c = spaces.frames(sid, spaces.MetricParams(alpha=0.8, beta=1.7, gamma=0.6))
+        V = np.sqrt(c)[:, None, None] * K
+        assert np.max(np.abs(-np.einsum("iab,jba->ij", V, V).real - np.eye(14))) < 1e-10
+
+
+def _bracket_route_defect(K, H):
+    """Reference: the natural-reductivity defect from n3[i, j, k] =
+    g([K_i, K_j]_m, K_k), the m-coordinates of the brackets of an
+    orthonormal frame, with the flag against the largest ||K_i||."""
+    i, j, br, scale = pair_brackets(K)
+    _, cm = split_coords(CoordinateFrame(np.concatenate([H, K])), len(H), br, scale)
+    n3 = np.zeros((len(K),) * 3)
+    n3[i, j], n3[j, i] = cm, -cm
+    defect = float(np.max(np.abs(n3 + np.swapaxes(n3, 1, 2))))
+    return not DEFAULT_TOL.exceeds(defect, np.linalg.norm(K, axis=(1, 2)).max()), defect
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e14])
+@pytest.mark.parametrize("sid, abg, alpha2", [
+    ("M1", (1.1, 0.8, 1.4), None), ("M1", (1.0, 1.0, 1.0), None), ("M1", (1.0, 1.0, 1.0), 2.0),
+    ("M2", (1.1, 0.8, 1.4), None), ("M2", (1.0, 1.0, 1.0), 1.3),
+    ("M3", (1.2, 0.9, 1.5), None), ("M3", (1.2, 0.9, 1.5), 0.7),
+    ("M4", (1.0, 1.0, 1.0), None), ("M4", (1.0, 1.5, 0.7), None),
+])
+def test_natural_reductivity_table_matches_bracket_route(sid, abg, alpha2, scale):
+    # the bracket table of a build gives the defect that the brackets of
+    # its frame give, to round-off, and the same flag
+    sid = spaces.canonical_id(sid)
+    a, b, g = (scale * x for x in abg)
+    extra = spaces._EXTRA_ALPHAS[sid]
+    alphas = (scale * alpha2,) + (a,) * (extra - 1) if alpha2 else ()
+    p = spaces.MetricParams(alpha=a, alphas=alphas, beta=b, gamma=g)
+    pm = spaces.build(sid, p).pm
+    K, H, _ = spaces.frames(sid, p)
+    flag, defect = is_naturally_reductive(pm)
+    ref_flag, ref_defect = _bracket_route_defect(K, H)
+    assert flag == ref_flag
+    assert abs(defect - ref_defect) <= 1e-14 * np.linalg.norm(pm)
 
 
 # ---------------------------------------------------------------------------

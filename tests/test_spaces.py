@@ -11,7 +11,7 @@ from gstruct.analysis import Analysis
 from gstruct.connections import _equivariance_entries, solve_equivariant
 from gstruct.errors import BadParams, NotReductive, StructureViolation
 from gstruct.spin import _lift_entries, invariant_spinors
-from gstruct.liealg import InnerProductSpec, ReductiveSplit, bracket, inner, uniform_ip
+from gstruct.liealg import CoordinateFrame, bracket, inner, split_coords
 from gstruct.linalg import DEFAULT_TOL
 from gstruct.sp3 import E, S
 
@@ -40,9 +40,10 @@ def test_gram_identity_random_draws():
             a, b, g = rng.uniform(0.5, 2.0, 3)
             alphas = tuple(rng.uniform(0.5, 2.0, extra))
             p = spaces.MetricParams(alpha=float(a), alphas=alphas, beta=float(b), gamma=float(g))
-            space = spaces.build(sid, p)
-            G = space.split.gram_m()
-            assert np.max(np.abs(G - np.eye(14))) < 1e-10, sid
+            # orthonormal for the metric: sqrt(c) K is base-orthonormal
+            K, _, c = spaces.frames(sid, p)
+            V = np.sqrt(c)[:, None, None] * K
+            assert np.max(np.abs(-np.einsum("iab,jba->ij", V, V).real - np.eye(14))) < 1e-10, sid
 
 
 def test_isotropy_identifications(sp3_data):
@@ -74,8 +75,9 @@ def test_isotropy_param_independence_tori():
 def test_bracket_tables_consistency():
     from gstruct.liealg import bracket
 
-    space = pipeline("M4", alpha=1.2, beta=0.9, gamma=1.4)["space"]
-    K, H = space.split.m_basis, space.split.h_basis
+    p = spaces.MetricParams(alpha=1.2, beta=0.9, gamma=1.4)
+    space = spaces.build("M4", p)
+    K, H, _ = spaces.frames("M4", p)
     rng = np.random.default_rng(1)
     for _ in range(6):
         i, j = rng.integers(0, 14, 2)
@@ -132,9 +134,7 @@ def _loop_su4_frames(p):
         (1j / (2 * np.sqrt(g))) * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
     ]
     H = [0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4))]
-    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8,), (9,), (10,), (11,), (12,), (13,))
-    coeffs = (a, a2, a3, a4, a5, a6, a7, a8, b, g)
-    return K, H, InnerProductSpec(blocks, coeffs)
+    return K, H, [a, a, a2, a2, a3, a3, a4, a4, a5, a6, a7, a8, b, g]
 
 
 def _loop_u4_frames(p):
@@ -163,9 +163,7 @@ def _loop_u4_frames(p):
         0.5j * (S4(1, 1) + S4(2, 2) - S4(3, 3) - S4(4, 4)),
         0.5j * (-S4(1, 1) + S4(2, 2) + S4(3, 3) - S4(4, 4)),
     ]
-    blocks = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12,), (13,))
-    coeffs = (a, a2, a3, a4, a5, a6, b, g)
-    return K, H, InnerProductSpec(blocks, coeffs)
+    return K, H, [a, a, a2, a2, a3, a3, a4, a4, a5, a5, a6, a6, b, g]
 
 
 def _embed5(m44):
@@ -177,7 +175,7 @@ def _embed5(m44):
 def _loop_u4u1_frames(p):
     b = p.beta
     q = spaces.MetricParams(alpha=p.alpha, alphas=p.alphas, beta=1.0, gamma=p.gamma)
-    K2, H2, ip2 = _loop_u4_frames(q)
+    K2, H2, c2 = _loop_u4_frames(q)
     S4 = lambda i, j: S(4, i, j)
     K = [_embed5(k) for k in K2]
     u1 = np.zeros((5, 5), dtype=complex)
@@ -185,8 +183,7 @@ def _loop_u4u1_frames(p):
     K[12] = u1
     H = [_embed5(h) for h in H2]
     H.append(_embed5(0.5j * (S4(1, 1) - S4(2, 2) + S4(3, 3) - S4(4, 4))))
-    coeffs = ip2.coefficients[:-2] + (b, p.gamma)
-    return K, H, InnerProductSpec(ip2.blocks, coeffs)
+    return K, H, c2[:-2] + [b, p.gamma]
 
 
 _LOOP_TORUS_FRAMES = {"M1": _loop_su4_frames, "M2": _loop_u4_frames, "M3": _loop_u4u1_frames}
@@ -200,11 +197,11 @@ def test_root_table_matches_loop_reference(sid, scale):
     if scale is not None:
         alphas = tuple(scale * (0.6 + 0.15 * k) for k in range(spaces._EXTRA_ALPHAS[spaces.canonical_id(sid)]))
         p = spaces.MetricParams(alpha=1.1 * scale, alphas=alphas, beta=0.8 * scale, gamma=1.4 * scale)
-    K, H, ip = spaces.frames(sid, p)
-    K_ref, H_ref, ip_ref = _LOOP_TORUS_FRAMES[sid](p)
+    K, H, c = spaces.frames(sid, p)
+    K_ref, H_ref, c_ref = _LOOP_TORUS_FRAMES[sid](p)
     assert np.array_equal(K, np.array(K_ref, dtype=complex))
     assert np.array_equal(H, np.array(H_ref, dtype=complex))
-    assert ip.blocks == ip_ref.blocks and ip.coefficients == ip_ref.coefficients
+    assert np.array_equal(c, c_ref)
 
 
 def _loop_su5_frames(p):
@@ -229,13 +226,13 @@ def _loop_su5_frames(p):
 def _loop_assemble(K, H, tol=DEFAULT_TOL):
     """(iso, pm, ph) with one bracket and one coordinate solve
     at a time."""
-    split = ReductiveSplit(h_basis=list(H), m_basis=list(K), ip=uniform_ip(14))
+    frame, r = CoordinateFrame(list(H) + list(K)), len(H)
     iso = []
-    for Hm in split.h_basis:
+    for Hm in H:
         R = np.zeros((14, 14))
-        for j, Kj in enumerate(split.m_basis):
+        for j, Kj in enumerate(K):
             scale = np.linalg.norm(Hm) * np.linalg.norm(Kj)
-            (ch,), (cm,) = split.split_stack(bracket(Hm, Kj)[None], scale, tol)
+            (ch,), (cm,) = split_coords(frame, r, bracket(Hm, Kj)[None], scale, tol)
             assert not tol.exceeds(np.linalg.norm(ch), scale)
             R[:, j] = cm
         iso.append(R)
@@ -243,9 +240,8 @@ def _loop_assemble(K, H, tol=DEFAULT_TOL):
     ph = np.zeros((14, 14, len(H)))
     for i in range(14):
         for j in range(i + 1, 14):
-            Ki, Kj = split.m_basis[i], split.m_basis[j]
-            scale = np.linalg.norm(Ki) * np.linalg.norm(Kj)
-            (ch,), (cm,) = split.split_stack(bracket(Ki, Kj)[None], scale, tol)
+            scale = np.linalg.norm(K[i]) * np.linalg.norm(K[j])
+            (ch,), (cm,) = split_coords(frame, r, bracket(K[i], K[j])[None], scale, tol)
             pm[i, j], pm[j, i] = cm, -cm
             ph[i, j], ph[j, i] = ch, -ch
     return np.array(iso), pm, ph
@@ -262,7 +258,7 @@ def test_assemble_matches_loop_reference(sid, scale):
     space = spaces.build(sid, p)
     if sid == "M4":
         K, H = _loop_su5_frames(p)
-        assert _close(space.split.m_basis, np.array(K))
+        assert _close(spaces.frames(sid, p)[0], np.array(K))
     else:
         K, H, _ = _LOOP_TORUS_FRAMES[sid](p)
     iso, pm, ph = _loop_assemble(K, H)
@@ -280,14 +276,14 @@ def test_assemble_small_defect_beside_large_brackets():
     # residual scale for a whole batch (set by the large brackets) would
     # let this pass.
     p = spaces.MetricParams(alpha=1.0, alphas=(1e-4, 1, 1, 1, 1, 1, 1))
-    K, H, ip = spaces.frames("su4-so2", p)
+    K, H, _ = spaces.frames("su4-so2", p)
     K, H = spaces._embed5(K), spaces._embed5(H)
     assert np.linalg.norm(bracket(K[2], K[3])) > 1e4
-    good = spaces.assemble("custom", K, H, ip)
+    good = spaces.assemble("custom", K, H)
     assert np.max(np.abs(good.pm - spaces.build("M1", p).pm)) < 1e-10
     K[0] = K[0] + 1e-5 * E(5, 1, 5)
     with pytest.raises(NotReductive):
-        spaces.assemble("custom", K, H, ip)
+        spaces.assemble("custom", K, H)
 
 
 @settings(max_examples=24, deadline=None)
@@ -300,20 +296,33 @@ def test_build_matches_assembled_frames(sid, coeffs, log_scale):
     """``build`` rescales the unit-metric space; assembling the frames at
     the same metric agrees entry by entry within round-off of the operands:
     ||K_i|| ||K_j|| / ||K_k|| for pm, ||K_i|| ||K_j|| / ||H_r|| for ph,
-    ||H_r|| ||K_j|| / ||K_k|| for the isotropy and ||K_i|| for the frame."""
+    ||H_r|| ||K_j|| / ||K_k|| for the isotropy."""
     sid = spaces.canonical_id(sid)
     s = 10.0 ** log_scale
     a, b, g, *extra = (s * c for c in coeffs)
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
-    space, ref = spaces.build(sid, p), spaces.assemble(sid, *spaces.frames(sid, p))
-    k = np.linalg.norm(ref.split.m_basis, axis=(1, 2))
-    h = np.linalg.norm(ref.split.h_basis, axis=(1, 2))
+    K, H, _ = spaces.frames(sid, p)
+    space, ref = spaces.build(sid, p), spaces.assemble(sid, K, H)
+    k, h = np.linalg.norm(K, axis=(1, 2)), np.linalg.norm(H, axis=(1, 2))
     kk = k[:, None, None] * k[None, :, None]
     rel = 1e-14
     assert np.all(np.abs(space.pm - ref.pm) <= rel * kk / k)
     assert np.all(np.abs(space.ph - ref.ph) <= rel * kk / h)
     assert np.all(np.abs(space.iso - ref.iso) <= rel * h[:, None, None] * k / k[:, None])
-    assert np.all(np.abs(space.split.m_basis - ref.split.m_basis) <= rel * k[:, None, None])
+
+
+@pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
+def test_warm_builds_form_no_frame(monkeypatch, sid):
+    # a build rescales the unit metric's tables: once those are assembled,
+    # no tangent frame is formed
+    spaces.build(sid, spaces.MetricParams(alpha=1.3, beta=0.8, gamma=1.4))
+
+    def no_frames(*args):
+        raise AssertionError("spaces.frames called")
+
+    monkeypatch.setattr(spaces, "frames", no_frames)
+    space = spaces.build(sid, spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4))
+    assert space.pm.shape == (14, 14, 14)
 
 
 @pytest.mark.parametrize("sid", ["M1", "M2", "M3", "M4"])
@@ -373,7 +382,7 @@ def test_shared_isotropy_results_match_each_build(sid, coeffs, log_scale):
     a, b, g, *extra = (s * c for c in coeffs)
     p = spaces.MetricParams(alpha=a, alphas=tuple(extra[: spaces._EXTRA_ALPHAS[sid]]), beta=b, gamma=g)
     space = spaces.build(sid, p)
-    own = spaces.assemble(sid, *spaces.frames(sid, p))  # its own memo, from its own isotropy
+    own = spaces.assemble(sid, *spaces.frames(sid, p)[:2])  # its own memo, from its own isotropy
     assert space._memo is spaces._unit_metric_space(sid, DEFAULT_TOL)._memo and own._memo is not space._memo
     fam, fam_own = solve_equivariant(space), solve_equivariant(own)
     assert len(fam) == len(fam_own) == spaces.fixtures(sid).expected_family_dim
@@ -388,9 +397,9 @@ def test_rotated_frame_solves_its_own_isotropy():
     # systems of its own isotropy, which the catalog's results do not
     p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
     space = spaces.build("M4", p)
-    K, H, ip = spaces.frames("su5-sp2", p)
+    K, H, _ = spaces.frames("su5-sp2", p)
     rot = _sp3_rotation(5)
-    rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H, ip)
+    rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H)
     assert rotated._memo is not space._memo
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
 
@@ -415,8 +424,8 @@ def test_rotated_frame_systems_are_one_block(sid):
     # dense nullspace solves them, to the catalog frame's dimensions
     sid = spaces.canonical_id(sid)
     p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
-    K, H, ip = spaces.frames(sid, p)
-    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)
+    K, H, _ = spaces.frames(sid, p)
+    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H)
     for entries, widths in ((_equivariance_entries(rotated.iso), [294]), (_lift_entries(rotated.iso, DEFAULT_TOL), [64, 64])):
         A = densify(*entries)
         _, groups = linalg._split_blocks(A, DEFAULT_TOL)
@@ -459,8 +468,8 @@ def test_rotated_frame_keeps_the_holonomy_label(sid, abg, scale):
     a, b, g, *alpha2 = (scale * c for c in abg)
     alphas = (*alpha2, *[a] * (spaces._EXTRA_ALPHAS[sid] - 1)) if alpha2 else ()
     p = spaces.MetricParams(alpha=a, alphas=alphas, beta=b, gamma=g)
-    K, H, ip = spaces.frames(sid, p)
-    rotated = _decisions(Analysis(spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H, ip)))
+    K, H, _ = spaces.frames(sid, p)
+    rotated = _decisions(Analysis(spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H)))
     catalog = _decisions(Analysis(spaces.build(sid, p)))
     assert rotated == catalog
     fx = spaces.fixtures(sid)
@@ -476,12 +485,27 @@ def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cac
     catalog = spaces._FRAME_BUILDERS["su5-sp2"]
 
     def split_blocks():
-        return dataclasses.replace(catalog(), blocks=(tuple(range(4)), tuple(range(4, 13)), (13,)))
+        return dataclasses.replace(catalog(), slot=np.repeat([0, 1, 2], [4, 9, 1]))
 
     monkeypatch.setitem(spaces._FRAME_BUILDERS, "su5-sp2", split_blocks)
     spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=1.1))  # one coefficient across the split
     with pytest.raises(StructureViolation, match="isotropy depends on the metric"):
         spaces.build("M4", spaces.MetricParams(alpha=1.1))
+
+
+@pytest.mark.parametrize("alpha", ["1e-22", "1e-25", "1e-40"])
+def test_tiny_alpha_isotropy_check_skips_round_off(capsys, alpha):
+    # a sigma ratio of 1e11 or more times a round-off entry of the unit
+    # metric's isotropy must not read as a metric-dependent isotropy
+    from gstruct.cli import main
+
+    p = spaces.MetricParams(alpha=float(alpha))
+    assert main(["analyze", "M4", "--alpha", alpha]) == 0
+    capsys.readouterr()
+    fx, got = spaces.fixtures("M4"), _decisions(Analysis(spaces.build("M4", p)))
+    assert got["family dim"] == fx.expected_family_dim and got["feasible"] == fx.char_feasible(p)
+    assert got["holonomy"] == fx.holonomy(p) == (21, "sp3")
+    assert got["parallel"] == fx.parallel(p) is False
 
 
 def test_torus_builds_share_their_isotropy_results():
