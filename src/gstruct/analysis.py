@@ -43,7 +43,7 @@ class Analysis:
 
     @cached_property
     def torsion(self) -> con.TorsionTensor:
-        return None if self.conn is None else con.torsion(self.conn)
+        return None if self.conn is None else self.conn.torsion
 
     @cached_property
     def parallel(self) -> tuple:
@@ -72,7 +72,7 @@ class Analysis:
         """None without a characteristic connection or invariant spinors."""
         if self.conn is None or self.spinors.dim == 0:
             return None
-        return spin_mod.dirac_on_invariants(self.conn, self.tol, sub=self.spinors)
+        return spin_mod.dirac_on_invariants(self.conn, self.spinors, self.tol)
 
     @cached_property
     def estimates(self) -> spin_mod.Estimates:

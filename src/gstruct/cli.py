@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis, groups, reps, sp3, spaces
 from .errors import BadParams, GstructError, StructureViolation
-from .linalg import ToleranceProfile
+from .linalg import ToleranceProfile, nullspace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,8 +176,8 @@ def cmd_theta(args) -> int:
     if args.selector == "sp3":
         theta = reps.sp3_theta(tol)
     else:
-        _, _, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
-    kdim, _ = reps.theta_kernel(theta, tol)
+        theta = reps.theta_map(groups.adjoint_generators(groups.su_algebra(3), tol), tol)
+    kdim = nullspace(theta, tol).shape[1]
     _emit(
         {
             "selector": args.selector,
@@ -221,14 +221,14 @@ def cmd_liegroup(args) -> int:
     tol = _tolerance(args)
     build, partition = _LIEGROUP_ALGEBRAS[args.selector]
     alg = build()
-    kdim, _, theta = groups.theta_kernel_adjoint(alg, tol)
+    kernel, theta = groups.theta_kernel_adjoint(alg, tol)
     family = groups.canonical_torsion_family(alg, partition, tol)
     in_kernel = [float(np.linalg.norm(theta @ v) / np.linalg.norm(v)) for v in family]
     _emit(
         {
             "selector": args.selector,
             "dim": len(alg),
-            "theta_kernel_dim": kdim,
+            "theta_kernel_dim": kernel.shape[1],
             "torsion_family_size": len(family),
             "family_in_kernel_residuals": in_kernel,
         },

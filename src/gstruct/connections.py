@@ -22,34 +22,31 @@ from .spaces import HomogeneousSpaceInstance
 class InvariantConnection:
     """The map Lambda of an invariant connection.  Its so(14) stack, torsion,
     ad(Lambda(K_i)) and curvature depend on these two fields alone, so each
-    is computed once, on first use, and handed out read-only."""
+    is computed once, on first read, and handed out read-only."""
 
     space: HomogeneousSpaceInstance
     lambda_coeffs: np.ndarray  # (14, 21) over the A basis
 
-    def so_matrices(self) -> np.ndarray:
-        """(14, 14, 14) stack: entry [j] is the so(14) matrix of Lambda(K_j)."""
-        return self._stack
-
     @cached_property
-    def _stack(self) -> np.ndarray:
+    def stack(self) -> np.ndarray:
+        """(14, 14, 14): entry [j] is the so(14) matrix of Lambda(K_j)."""
         return read_only((self.lambda_coeffs @ sp3.load().rho.reshape(21, -1)).reshape(14, 14, 14))
 
     @cached_property
-    def _torsion(self) -> TorsionTensor:
-        return torsion_of_map(self.space, self._stack)
+    def torsion(self) -> TorsionTensor:
+        return torsion_of_map(self.space, self.stack)
 
     @cached_property
-    def _ad(self) -> np.ndarray:
+    def ad(self) -> np.ndarray:
         """(14, 21, 21): [Lambda(K_i), rho_b] = sum_c ad[i, b, c] rho_c."""
         return read_only((self.lambda_coeffs @ sp3.structure_constants().reshape(21, -1)).reshape(14, 21, 21))
 
     @cached_property
-    def _curvature(self) -> np.ndarray:
+    def curvature(self) -> np.ndarray:
         """(14, 14, 21): ``curvature_of_map`` of this map, in rho coordinates."""
         space, L = self.space, self.lambda_coeffs
         rest = space.pm.reshape(-1, 14) @ L + space.ph.reshape(196, -1) @ _rho_coords(space.iso)
-        return read_only(L @ self._ad - rest.reshape(14, 14, 21))
+        return read_only(L @ self.ad - rest.reshape(14, 14, 21))
 
     def nonzero_entries(self):
         """[(K index, A index, coefficient)] with 1-based indices."""
@@ -115,10 +112,6 @@ def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionT
     return TorsionTensor(t12=t12, t3=t12.transpose(1, 2, 0))
 
 
-def torsion(conn: InvariantConnection) -> TorsionTensor:
-    return conn._torsion
-
-
 def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.ndarray:
     """R4[i, j] = R(K_i, K_j) = [Lambda(K_i), Lambda(K_j)] - Lambda([K_i, K_j]_m)
     - rho([K_i, K_j]_h), an so(14) matrix acting on frame coordinates; read-only."""
@@ -127,11 +120,6 @@ def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.nda
     lam_m = np.tensordot(space.pm, lam, 1)
     rho_h = np.tensordot(space.ph, space.iso, 1)
     return read_only(comm - lam_m - rho_h)
-
-
-def curvature(conn: InvariantConnection) -> np.ndarray:
-    """The connection's curvature in rho coordinates, (14, 14, 21), read-only."""
-    return conn._curvature
 
 
 def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
@@ -230,12 +218,12 @@ def torsion_is_parallel(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
     like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
     T vanishes (and is parallel) unless it exceeds ||pm||, and nabla T
     unless the ratio exceeds 1, both at factor 100."""
-    T = torsion(conn)
+    T = conn.torsion
     tnorm = float(np.sqrt(T.norm2_increasing))
     pnorm = float(np.linalg.norm(conn.space.pm))
     if not tol.exceeds(tnorm, pnorm, 100):
         return True, 0.0
-    nt = nabla_torsion(conn.so_matrices(), T.t12)
+    nt = nabla_torsion(conn.stack, T.t12)
     ratio = float(np.max(np.abs(nt)) / (pnorm * tnorm))
     return not tol.exceeds(ratio, 1.0, 100), ratio
 
@@ -267,9 +255,9 @@ def holonomy_algebra(
     ||r||_F <= rank_tol and rank_tol ||S||_F < 1 - rank_tol: as on is
     orthonormal, the SVD would then keep sigma_k(S) >= 1 - ||r|| and drop
     sigma_(k+1)(S) <= ||r||.  The basis is pair-orthonormal so(14) matrices."""
-    on = orthonormal_columns(curvature(conn)[np.triu_indices(14, 1)].T, tol)
+    on = orthonormal_columns(conn.curvature[np.triu_indices(14, 1)].T, tol)
     for _ in range(21):
-        new = (on.T @ conn._ad).reshape(-1, 21).T  # column (i, p): [Lambda(K_i), x_p]
+        new = (on.T @ conn.ad).reshape(-1, 21).T  # column (i, p): [Lambda(K_i), x_p]
         norm_s = np.sqrt(on.shape[1] + np.linalg.norm(new) ** 2)
         if (np.linalg.norm(new - on @ (on.T @ new)) <= tol.rank_tol
                 and tol.rank_tol * norm_s < 1 - tol.rank_tol):

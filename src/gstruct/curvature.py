@@ -4,9 +4,9 @@ Levi-Civita connection, scalar curvatures, and the Einstein defect.
 The curvature of an invariant connection given by a map Lambda is
 R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h): in rho
 coordinates, (14, 14, 21), for a connection with image in rho(sp3)
-(``connections.curvature``), and as so(14) matrices for the Levi-Civita map
-(``connections.curvature_of_map``); both are certified end to end by
-reproducing the four closed-form Ricci tables of the catalog spaces.
+(``InvariantConnection.curvature``), and as so(14) matrices for the
+Levi-Civita map (``connections.curvature_of_map``); both are certified end
+to end by reproducing the four closed-form Ricci tables of the catalog spaces.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sp3
-from .connections import InvariantConnection, curvature, curvature_of_map, levi_civita, torsion
+from .connections import InvariantConnection, curvature_of_map, levi_civita
 from .errors import StructureViolation
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
@@ -31,27 +31,22 @@ class CurvatureReport:
     einstein_defect: float
 
 
-def ricci_from_curvature(R4: np.ndarray) -> np.ndarray:
-    """Ric(X, Y) = sum_i g(R(K_i, X)Y, K_i) in the orthonormal frame."""
-    return np.trace(R4, axis1=0, axis2=2)
-
-
 def ricci_connection(conn: InvariantConnection) -> np.ndarray:
     """Ric[j, k] = sum_(i, c) R[i, j, c] rho_c[i, k] of the cached curvature R."""
     rho = sp3.load().rho
-    return curvature(conn).transpose(1, 0, 2).reshape(14, -1) @ rho.transpose(1, 0, 2).reshape(-1, 14)
+    return conn.curvature.transpose(1, 0, 2).reshape(14, -1) @ rho.transpose(1, 0, 2).reshape(-1, 14)
 
 
 def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarray:
     """Ric^g = Ric^conn + (1/4) sum_i g(T(X,K_i), T(Y,K_i))."""
-    T = torsion(conn)
-    t = T.t12.transpose(1, 0, 2).reshape(14, -1)
+    t = conn.torsion.t12.transpose(1, 0, 2).reshape(14, -1)
     return ric_conn + 0.25 * (t @ t.T)
 
 
 def ricci_riemannian(space: HomogeneousSpaceInstance) -> np.ndarray:
-    """The Ricci tensor of the Levi-Civita connection, from its curvature."""
-    return ricci_from_curvature(curvature_of_map(space, levi_civita(space)))
+    """The Ricci tensor of the Levi-Civita connection from its curvature R4:
+    Ric(X, Y) = sum_i g(R(K_i, X)Y, K_i) in the orthonormal frame."""
+    return np.trace(curvature_of_map(space, levi_civita(space)), axis1=0, axis2=2)
 
 
 def curvature_report(

@@ -11,7 +11,7 @@ import numpy as np
 from . import reps
 from .errors import DimensionMismatch, NotAnIdeal
 from .liealg import inner, structure_constants
-from .linalg import DEFAULT_TOL, ToleranceProfile
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
 
 # random triples drawn by metricity_defect, from a fixed seed
 _METRICITY_SAMPLES = 100
@@ -73,7 +73,7 @@ def canonical_torsion_family(alg: np.ndarray, ideal_partition, tol: TolerancePro
     on that ideal, as vectors over increasing basis triples (zero ones,
     up to round-off of the largest structure constant, dropped)."""
     c = verify_ideals(alg, ideal_partition, tol)
-    i, j, k = np.array(reps.triples(len(alg)), dtype=np.intp).reshape(-1, 3).T
+    i, j, k = reps.theta_index(len(alg))[0]  # row 0: the triples i < j < k in order
     family = [np.where(np.isin(k, block), c[i, j, k], 0.0) for block in ideal_partition]
     return [v for v in family if tol.exceeds(np.linalg.norm(v), np.max(np.abs(c)), 1)]
 
@@ -86,10 +86,10 @@ def adjoint_generators(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
 
 
 def theta_kernel_adjoint(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
-    """(kernel dimension, kernel basis, theta matrix) for the adjoint embedding."""
+    """(orthonormal kernel basis as columns over the triples, theta matrix)
+    for the adjoint embedding."""
     theta = reps.theta_map(adjoint_generators(alg, tol), tol)
-    dim, basis = reps.theta_kernel(theta, tol)
-    return dim, basis, theta
+    return nullspace(theta, tol), theta
 
 
 def laquer_eta(X, Y, alpha: float = 1.0) -> np.ndarray:

@@ -110,17 +110,17 @@ def split_coords(frame: CoordinateFrame, r: int, X, scale, tol: ToleranceProfile
     return c[:, :r], c[:, r:]
 
 
-def isotropy_matrices(H, K, tol: ToleranceProfile = DEFAULT_TOL):
-    """ad(h)|_m in the frame K of m, for the (r, n, n) basis H of h and the
-    (d, n, n) frame K, as a real (r, d, d) stack.
+def isotropy_matrices(frame: CoordinateFrame, r: int, tol: ToleranceProfile = DEFAULT_TOL):
+    """ad(h)|_m in the frame K of m, for a frame whose first r matrices are
+    the basis H of h and the other d the frame K, as a real (r, d, d) stack.
 
     Raises NotReductive if some [H, K_j] leaves h + m or has an h-part
     (each bracket is measured against ||H|| ||K_j||)."""
-    H, K = np.asarray(H, dtype=complex), np.asarray(K, dtype=complex)
-    (r, n), d = H.shape[:2], len(K)
+    H, K = frame.mats[:r], frame.mats[r:]
+    n, d = frame.mats.shape[1], len(K)
     br = (H[:, None] @ K[None] - K[None] @ H[:, None]).reshape(r * d, n, n)
     scale = np.outer(np.linalg.norm(H, axis=(1, 2)), np.linalg.norm(K, axis=(1, 2))).ravel()
-    ch, cm = split_coords(CoordinateFrame(np.concatenate([H, K])), r, br, scale, tol)
+    ch, cm = split_coords(frame, r, br, scale, tol)
     hpart = np.linalg.norm(ch, axis=1)
     bad = np.flatnonzero(tol.exceeds(hpart, scale))
     if bad.size:

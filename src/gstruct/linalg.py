@@ -3,8 +3,10 @@
 Every floating-point decision elsewhere in the package (ranks, kernels,
 eigenvalue clustering, residual assertions) is routed through a single
 :class:`ToleranceProfile`, so identical inputs always produce identical
-outputs.  Every residual, defect and nonzero test is one call of
-:meth:`ToleranceProfile.exceeds`; only this module reads ``residual_tol``.
+outputs.  Its one setting is the rank cut ``rank_tol``; the residual
+tolerance ``RESIDUAL_TOL`` and the clustering width ``CLUSTER_TOL`` are
+constants that only this module reads.  Every residual, defect and nonzero
+test is one call of :meth:`ToleranceProfile.exceeds`.
 Backed by numpy's LAPACK bindings; matrices are plain
 ``numpy.ndarray`` objects (row-major, complex or real dtype).
 """
@@ -18,25 +20,26 @@ import numpy as np
 from .errors import NotSelfAdjoint
 
 
+CLUSTER_TOL = 1e-6  # relative width of an eigenvalue cluster (``eig_selfadjoint``)
+RESIDUAL_TOL = 1e-9  # of residual assertions (``ToleranceProfile.exceeds``)
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Numerical policy: relative rank cutoff, eigenvalue clustering
-    width, and the tolerance used for residual assertions."""
+    """Numerical policy: the relative rank cutoff, in (0, 1)."""
 
     rank_tol: float = 1e-8
-    cluster_tol: float = 1e-6
-    residual_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (self.rank_tol > 0 and self.cluster_tol > 0 and self.residual_tol > 0):
+        if not self.rank_tol > 0:
             raise ValueError("tolerances must be strictly positive")
         if self.rank_tol >= 1:
             raise ValueError("rank_tol must be < 1")
 
     def exceeds(self, value, scale, factor: float = 1e3):
-        """Elementwise ``value > factor * residual_tol * scale``, with scale
+        """Elementwise ``value > factor * RESIDUAL_TOL * scale``, with scale
         the size of the operands the residual came from, never floored."""
-        return value > factor * self.residual_tol * scale
+        return value > factor * RESIDUAL_TOL * scale
 
     def round_off(self, amax, m: int, n: int):
         """tau: an entry of an m x n matrix of largest entry amax is round-off up to tau."""
@@ -242,10 +245,10 @@ def _kernel(split, gather, n: int, dtype, tol: ToleranceProfile) -> np.ndarray:
 def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
     """Spectral decomposition of a (numerically) self-adjoint matrix.
 
-    ||M - M^H||_F may be at most ``residual_tol`` ||M||_F.  The Hermitian
+    ||M - M^H||_F may be at most ``RESIDUAL_TOL`` ||M||_F.  The Hermitian
     part is split by ``_split_blocks``; blocks of equal size share one
     batched ``eigh``.  The eigenvalues of all blocks are sorted together,
-    and neighbours closer than ``cluster_tol`` times the largest |eigenvalue|
+    and neighbours closer than ``CLUSTER_TOL`` times the largest |eigenvalue|
     are merged into one entry whose eigenspace collects their eigenvectors.
     Both tests are relative, so scaling M keeps the partition.  Returns
     ``(eigenvalue, basis)`` pairs sorted by eigenvalue, with ``basis`` an
@@ -274,7 +277,7 @@ def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
         done += ci.size
     order = np.argsort(w, kind="stable")
     w, vt = w[order], vt[order]
-    cuts = np.flatnonzero(np.diff(w) > tol.cluster_tol * np.abs(w).max()) + 1
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * np.abs(w).max()) + 1
     return [(float(np.mean(wc)), vc.T) for wc, vc in zip(np.split(w, cuts), np.split(vt, cuts))]
 
 

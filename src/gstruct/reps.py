@@ -1,8 +1,8 @@
 """Representation machinery on top of the 14-dimensional isotropy module:
 Casimir operators and isotypic splittings (of 3-forms and of tensor
-products), the skew-torsion compatibility map and its kernel,
-joint invariants, and subgroup branching.  An action is the (k, N, N)
-stack of its generators, one per basis element of the source algebra.
+products), the skew-torsion compatibility map, and subgroup branching.
+An action is the (k, N, N) stack of its generators, one per basis element
+of the source algebra.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ class IsotypicDecomposition:
         return sum(dim for _, dim, _ in self.parts)
 
 
-def triples(n: int):
-    return list(combinations(range(n), 3))
-
-
 def casimir(gens: np.ndarray) -> np.ndarray:
     """Sum of squared generators (for an orthonormal source basis)."""
     return np.matmul(gens, gens).sum(axis=0)
@@ -40,11 +36,6 @@ def casimir(gens: np.ndarray) -> np.ndarray:
 def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
     """Eigenspace decomposition of a Casimir; one part per clustered eigenvalue."""
     return IsotypicDecomposition(tuple((ev, b.shape[1], b) for ev, b in eig_selfadjoint(C, tol)))
-
-
-def isotypic_decompose(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
-    """Casimir eigenspace decomposition; one part per clustered eigenvalue."""
-    return decompose_casimir(casimir(gens), tol)
 
 
 # Theta^T Theta on the 3-forms, Theta = ``sp3_theta``: one row (eigenvalue
@@ -67,12 +58,6 @@ def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomp
     for _, _, basis in dec.parts:
         read_only(basis)
     return dec
-
-
-def invariant_vectors(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the joint kernel of a (k, d, d) stack
-    of generators; all of R^d for an empty stack."""
-    return nullspace(gens.reshape(-1, gens.shape[-1]), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +98,7 @@ def theta_index(n: int):
     """(slot, row, col, sign), each (3, C(n, 3)): column c = (i, j, k) of
     Theta contracts e_l into e_i^e_j^e_k for l = slot[:, c] = i, j, k, which
     leaves sign * e_row^e_col with row < col.  Read-only."""
-    i, j, k = np.array(triples(n), dtype=np.intp).reshape(-1, 3).T
+    i, j, k = np.array(list(combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
     sign = np.outer([1.0, -1.0, 1.0], np.ones(i.size))
     return tuple(read_only(x) for x in (np.stack([i, j, k]), np.stack([j, i, i]),
                                        np.stack([k, k, j]), sign))
@@ -138,12 +123,6 @@ def sp3_theta(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """``theta_map`` of rho(sp3) in so(14), the (980, 364) matrix, built once
     per process and tolerance profile; read-only."""
     return read_only(theta_map(sp3.load().rho, tol))
-
-
-def theta_kernel(theta: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
-    """(kernel dimension, orthonormal kernel basis as columns over triples)."""
-    ker = nullspace(theta, tol)
-    return ker.shape[1], ker
 
 
 # ---------------------------------------------------------------------------

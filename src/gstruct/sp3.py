@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConventionMismatch
-from .liealg import isotropy_matrices
+from .liealg import CoordinateFrame, isotropy_matrices
 from .linalg import read_only
 
 SQ2 = np.sqrt(2.0)
@@ -143,7 +143,10 @@ class SubgroupRow:
     expected_blocks: tuple
 
 
-def _subgroup_table():
+@lru_cache(maxsize=1)
+def subgroup_rows() -> tuple:
+    """The maximal-subalgebra rows, built once per process."""
+
     def gen(*pairs):
         v = np.zeros(21)
         for coeff, idx in pairs:
@@ -151,7 +154,7 @@ def _subgroup_table():
         return v
 
     unit = lambda *idxs: [gen((1.0, i)) for i in idxs]
-    rows = [
+    return (
         SubgroupRow("u3", tuple(unit(1, 2, 9, 10, 11, 12, 17, 18, 21)), (8, 6)),
         SubgroupRow(
             "so3",
@@ -176,8 +179,7 @@ def _subgroup_table():
             (9, 5),
         ),
         SubgroupRow("sp2", tuple(unit(*range(1, 11))), (8, 5, 1)),
-    ]
-    return rows
+    )
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,6 @@ class Sp3Data:
     A: np.ndarray  # (21, 6, 6) anti-hermitian
     B: np.ndarray  # (14, 6, 6) anti-hermitian, orthonormal complement of A
     rho: np.ndarray  # (21, 14, 14) real antisymmetric
-    subgroup_table: tuple
 
     def rho_of(self, coeffs) -> np.ndarray:
         """rho applied to an A-coefficient vector, or to each row of an
@@ -210,7 +211,6 @@ def load() -> Sp3Data:
         A=read_only(np.array(_a_basis())),
         B=read_only(np.array(_b_basis())),
         rho=read_only(_rho_matrices()),
-        subgroup_table=tuple(_subgroup_table()),
     )
 
 
@@ -231,7 +231,7 @@ def derive_isotropy():
     derived matrix agrees with neither the stored one nor its transpose.
     """
     data = load()
-    derived = isotropy_matrices(data.A, data.B)
+    derived = isotropy_matrices(CoordinateFrame(np.concatenate([data.A, data.B])), len(data.A))
     for i, (d, t) in enumerate(zip(derived, data.rho)):
         if np.max(np.abs(d - t)) > _TRANSCRIPTION_TOL:
             if np.max(np.abs(d - t.T)) <= _TRANSCRIPTION_TOL:
@@ -241,10 +241,6 @@ def derive_isotropy():
                 f"(max dev {np.max(np.abs(d - t)):.3e})"
             )
     return derived
-
-
-def subgroup_rows():
-    return list(load().subgroup_table)
 
 
 def homomorphism_defect() -> float:

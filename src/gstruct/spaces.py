@@ -250,16 +250,17 @@ def assemble(label: str, K, H, tol: ToleranceProfile = DEFAULT_TOL) -> Homogeneo
     up to round-off of the operands; the orthonormality of the frame is
     not checked.
     """
-    iso = isotropy_matrices(H, K, tol)
+    n, r = len(K), len(H)
+    frame = CoordinateFrame(np.concatenate([H, K]))
+    iso = isotropy_matrices(frame, r, tol)
     _, resid = sp3.load().project_rho(iso)
     bad = np.flatnonzero(tol.exceeds(resid, np.linalg.norm(iso, axis=(1, 2))))
     if bad.size:
         raise StructureViolation(
             f"{label}: isotropy leaves rho(sp3) (residual {resid[bad[0]]:.3e})"
         )
-    n, r = len(K), len(H)
     i, j, br, scale = pair_brackets(K)
-    ch, cm = split_coords(CoordinateFrame(np.concatenate([H, K])), r, br, scale, tol)
+    ch, cm = split_coords(frame, r, br, scale, tol)
     pm = np.zeros((n, n, n))
     ph = np.zeros((n, n, r))
     pm[i, j], pm[j, i] = cm, -cm

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import sp3
-from .connections import InvariantConnection, torsion
+from .connections import InvariantConnection
 from .errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation, TorsionNotParallel
 from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace_entries, rank, read_only
 from .spaces import HomogeneousSpaceInstance
@@ -77,17 +77,25 @@ def _product_table(n: int, k: int):
     return read_only(combos), read_only(cols), read_only(vals)
 
 
+def _form_entries(stack: np.ndarray, n: int):
+    """The entries of sum over increasing tuples p of t[p] e_p for each
+    k-index array t = stack[g] over R^n: for every (g, p) with t[p] != 0, in
+    ascending order, g and the column and value of the one entry in each row
+    of t[p] e_p, as (terms,), (terms, 2^(n/2)) and (terms, 2^(n/2)) arrays."""
+    if stack.shape[1:] != (n,) * (stack.ndim - 1):
+        raise BadDimension(f"need {stack.ndim - 1} indices over R^{n}, got shape {stack.shape[1:]}")
+    combos, cols, vals = _product_table(n, stack.ndim - 1)
+    coeffs = stack[(slice(None), *combos.T)]
+    g, p = np.nonzero(coeffs)
+    return g, cols[p], coeffs[g, p, None] * vals[p]
+
+
 def _form_action(t: np.ndarray, n: int) -> np.ndarray:
     """sum over increasing tuples p of t[p] e_p, for a k-index array t over
-    R^n, scattering the one entry per row of each e_p with t[p] != 0."""
-    if t.shape != (n,) * t.ndim:
-        raise BadDimension(f"need {t.ndim} indices over R^{n}, got shape {t.shape}")
-    combos, cols, vals = _product_table(n, t.ndim)
-    coeffs = t[tuple(combos.T)]
-    nz = np.flatnonzero(coeffs)
+    R^n: the bincount of its ``_form_entries``."""
+    _, cols, w = _form_entries(t[None], n)
     dim = cols.shape[1]
-    idx = (np.arange(dim) * dim + cols[nz]).ravel()
-    w = (coeffs[nz, None] * vals[nz]).ravel()
+    idx, w = (np.arange(dim) * dim + cols).ravel(), w.ravel()
     out = np.bincount(idx, w.real, dim * dim) + 1j * np.bincount(idx, w.imag, dim * dim)
     return out.reshape(dim, dim)
 
@@ -109,14 +117,11 @@ def _check_antisymmetric(A: np.ndarray, tol: ToleranceProfile):
 
 def _lift_entries(iso: np.ndarray, tol: ToleranceProfile):
     """(rows, cols, vals, shape) of the spin lifts of the generators iso[g]
-    in rows g*128 + r, read off the one entry per row of each e_i e_j
-    (``_product_table(14, 2)``) in the order ``_form_action`` sums them."""
+    in rows g*128 + r: the ``_form_entries`` of the 2-forms -iso/2."""
     _check_antisymmetric(iso, tol)
-    combos, cols, vals = _product_table(14, 2)
-    coeffs = -0.5 * iso[:, combos[:, 0], combos[:, 1]]
-    g, p = np.nonzero(coeffs)
+    g, cols, vals = _form_entries(-0.5 * iso, 14)
     rows = (128 * g[:, None] + np.arange(128)).ravel()
-    return rows, cols[p].ravel(), (coeffs[g, p, None] * vals[p]).ravel(), (128 * len(iso), 128)
+    return rows, cols.ravel(), vals.ravel(), (128 * len(iso), 128)
 
 
 @lru_cache(maxsize=1)
@@ -201,20 +206,17 @@ def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.
     return stack, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
 
 
-def dirac_on_invariants(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL,
-                        sub: SpinorSubspace = None) -> DiracReport:
-    """Dirac matrix of the connection with torsion T/3 on invariant spinors,
-    plus the torsion-operator spectrum and norm used by the estimates, from
-    the connection's cached so(14) stack and torsion; ``sub`` is the
-    invariant-spinor subspace of ``conn.space`` if already computed; the
-    parallel spinors are k minus the rank of ``_dirac_terms``' stack."""
-    if sub is None:
-        sub = invariant_spinors(conn.space, tol)
+def dirac_on_invariants(conn: InvariantConnection, sub: SpinorSubspace,
+                        tol: ToleranceProfile = DEFAULT_TOL) -> DiracReport:
+    """Dirac matrix of the connection with torsion T/3 on the invariant
+    spinors ``sub`` of ``conn.space``, plus the torsion-operator spectrum and
+    norm used by the estimates, from the connection's cached stack and torsion;
+    the parallel spinors are k minus the rank of ``_dirac_terms``' stack."""
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
-    T = torsion(conn)
+    T = conn.torsion
     B = sub.basis
-    stack, t_op, D = _dirac_terms(conn.so_matrices(), conn.lambda_coeffs, T.t3, sub.lifted_rho, tol)
+    stack, t_op, D = _dirac_terms(conn.stack, conn.lambda_coeffs, T.t3, sub.lifted_rho, tol)
 
     Dr = B.conj().T @ D @ B
     herm = np.max(np.abs(Dr - Dr.conj().T))

@@ -47,7 +47,7 @@ def parallel_vector_fields(conn, holonomy):
     Returns (vectors as columns, list of 14x14 antisymmetric 2-forms).
     """
     vecs = nullspace(np.concatenate([holonomy.basis, conn.space.iso]).reshape(-1, 14))
-    return vecs, [np.tensordot(v, con.torsion(conn).t3, 1) for v in vecs.T]
+    return vecs, [np.tensordot(v, conn.torsion.t3, 1) for v in vecs.T]
 
 
 def densify(rows, cols, vals, shape):
@@ -83,11 +83,11 @@ def verify_records():
 
 @pytest.fixture(scope="session")
 def v14_v70_parts():
-    """The parts of ``reps.isotypic_decompose(reps.v14_v70_rep())``, decomposed
+    """The Casimir eigenspaces of ``reps.v14_v70_rep()``, decomposed
     once per session for the tests that read them."""
     from gstruct import reps
 
-    return reps.isotypic_decompose(reps.v14_v70_rep()).parts
+    return reps.decompose_casimir(reps.casimir(reps.v14_v70_rep())).parts
 
 
 @pytest.fixture(scope="session")

@@ -49,7 +49,7 @@ def test_criterion_02_casimir_tables(verify_records, v14_v70_parts):
 
 def test_criterion_03_theta_kernels(verify_records):
     (rank,) = _passed(verify_records, "theta rank (14-dim module)")
-    kdim_su3, _, _ = groups.theta_kernel_adjoint(groups.su_algebra(3))
+    kdim_su3 = groups.theta_kernel_adjoint(groups.su_algebra(3))[0].shape[1]
     assert kdim_su3 == 1
     _report(3, f"theta {rank} of 364, kernel 0 (14-dim module); adjoint su3 kernel {kdim_su3}")
 
@@ -90,8 +90,8 @@ def test_criterion_07_parallel_torsion():
     for kw in (dict(alpha=1.0, beta=1.0, gamma=1.6), dict(alpha=1.0, beta=2.0, gamma=1.2)):
         flag, _ = con.torsion_is_parallel(pipeline("M4", **kw)["conn"])
         assert flag, kw
-    T = con.torsion(pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"])
-    nt = con.nabla_torsion(pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].so_matrices(), T.t12)
+    T = pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].torsion
+    nt = con.nabla_torsion(pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].stack, T.t12)
     assert float(np.max(np.abs(nt))) > 1e-4
     _report(7, "parallel on the torus spaces and the two special loci; nonparallel off-locus")
 
@@ -100,7 +100,7 @@ def test_criterion_08_type_classification(verify_records):
     for sid in ["M1", "M2", "M3"]:
         for a, b, g in draws(sid, 3, seed=88):
             conn = pipeline(sid, alpha=a, beta=b, gamma=g)["conn"]
-            comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
+            comps = con.classify_type(conn.torsion.t3, np.linalg.norm(conn.space.pm))
             assert sum(1 for v in comps.values() if v > 1e-9) >= 2, sid
     offs = _passed(verify_records, *(f"M4 pure type {which} (beta={b},gamma={g})"
                                      for which in ("sp3", "V189") for b, g in ((1.0, 1.0), (2.0, 0.5))))
@@ -191,8 +191,8 @@ def test_criterion_14_lie_groups():
         ("su3", groups.su_algebra(3), [tuple(range(8))]),
         ("su2+su2", groups.su2_plus_su2(), [(0, 1, 2), (3, 4, 5)]),
     ):
-        kdim, _, tmap = groups.theta_kernel_adjoint(alg)
-        kdims[name] = kdim
+        kernel, tmap = groups.theta_kernel_adjoint(alg)
+        kdims[name] = kernel.shape[1]
         fam = groups.canonical_torsion_family(alg, parts)
         for v in fam:
             assert np.linalg.norm(tmap @ v) <= 1e-9 * np.linalg.norm(v)

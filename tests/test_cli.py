@@ -259,10 +259,10 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
     from gstruct.connections import InvariantConnection
 
     stacks = []
-    build_stack = InvariantConnection._stack.func
+    build_stack = InvariantConnection.stack.func
     counting_stack = cached_property(lambda conn: stacks.append(conn) or build_stack(conn))
-    counting_stack.__set_name__(InvariantConnection, "_stack")
-    monkeypatch.setattr(InvariantConnection, "_stack", counting_stack)
+    counting_stack.__set_name__(InvariantConnection, "stack")
+    monkeypatch.setattr(InvariantConnection, "stack", counting_stack)
     code, out = run_cli(capsys, "analyze", "M4", "--alpha", "1.2", "--beta", "0.8", "--gamma", "1.5")
     assert code == 0 and json.loads(out)["spin"]["dirac_eigenvalues"]
     assert counts == {

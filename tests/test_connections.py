@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from gstruct import connections as con
 from gstruct import reps, sp3, spaces
 from gstruct.errors import Infeasible, NotSkew
-from gstruct.linalg import DEFAULT_TOL, orthonormal_columns
+from gstruct.linalg import DEFAULT_TOL, RESIDUAL_TOL, orthonormal_columns
 
 
 def test_family_dimensions_random_draws():
@@ -38,7 +39,7 @@ def test_family_equivariance_residual():
 
 def test_torsion_antisymmetry_first_slots():
     ctx = pipeline("M1", alpha=1.0, beta=1.7, gamma=0.7)
-    T = con.torsion(ctx["conn"])
+    T = ctx["conn"].torsion
     assert np.max(np.abs(T.t12 + np.swapaxes(T.t12, 1, 2))) < 1e-12
     assert np.max(np.abs(T.t3 - np.einsum("kij->ijk", T.t12))) == 0.0
 
@@ -78,7 +79,7 @@ def _lstsq_characteristic(space, family, tol=DEFAULT_TOL):
     coeffs, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
     resid = float(np.linalg.norm(A @ coeffs - b))
     pnorm = float(np.linalg.norm(space.pm))
-    if resid > 1e3 * tol.residual_tol * pnorm:
+    if resid > 1e3 * RESIDUAL_TOL * pnorm:
         raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
     assert np.count_nonzero(sv > tol.rank_tol * sv[0]) == len(family)
     L = np.einsum("d,dja->ja", coeffs, family)
@@ -112,7 +113,7 @@ def test_closed_form_matches_lstsq_reference(sid, abg, scale, off_locus):
                  for R in space.iso)
     bound = 1e-12 * float(np.linalg.norm(space.pm)) + 10 * defect
     assert np.max(np.abs(conn.lambda_coeffs - want[0])) <= bound
-    assert np.max(np.abs(con.torsion(conn).t3 - want[1])) <= bound
+    assert np.max(np.abs(conn.torsion.t3 - want[1])) <= bound
 
 
 def test_characteristic_lies_in_equivariant_family():
@@ -143,7 +144,7 @@ def test_feasibility_band_m1(scale):
 
 def test_m4_integrable_point():
     ctx = pipeline("M4", alpha=1.0, beta=2.0, gamma=1.2)
-    T = con.torsion(ctx["conn"])
+    T = ctx["conn"].torsion
     assert T.norm2_increasing <= 1e-18
 
 
@@ -203,16 +204,20 @@ def test_lambda_entries_are_scale_free(scale):
 
 def test_derived_tensors_are_read_only():
     conn = pipeline("M4", alpha=1.1, beta=1.5, gamma=0.7)["conn"]
-    T = con.torsion(conn)
-    for arr in (conn.so_matrices(), T.t3, T.t12, con.curvature(conn), conn.lambda_coeffs):
+    T = conn.torsion
+    for arr in (conn.stack, T.t3, T.t12, conn.ad, conn.curvature, conn.lambda_coeffs):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
-    assert con.torsion(conn) is T and conn.so_matrices() is conn.so_matrices()
+    # each tensor is computed once and then kept, and none can be replaced
+    for name in ("stack", "torsion", "ad", "curvature"):
+        assert getattr(conn, name) is getattr(conn, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(conn, name, None)
 
 
 def test_classify_type_parseval_and_mixed():
     ctx = pipeline("M1", alpha=1.0, beta=1.0, gamma=1.0)
-    T = con.torsion(ctx["conn"])
+    T = ctx["conn"].torsion
     comps = con.classify_type(T.t3, np.linalg.norm(ctx["space"].pm))
     assert set(comps) == {-8, -12, -18, -16}
     assert abs(sum(comps.values()) - T.norm2_increasing) < 1e-10
@@ -247,11 +252,11 @@ def test_m4_pure_types():
     for b, g in [(1.0, 1.0), (2.0, 0.5)]:
         a = spaces.m4_pure_sp3_alpha(b, g)
         conn = pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"]
-        comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
+        comps = con.classify_type(conn.torsion.t3, np.linalg.norm(conn.space.pm))
         assert np.sqrt(sum(v for k, v in comps.items() if k != -8)) <= 1e-8
         a = spaces.m4_pure_189_alpha(b, g)
         conn = pipeline("M4", alpha=float(a), beta=b, gamma=g)["conn"]
-        comps = con.classify_type(con.torsion(conn).t3, np.linalg.norm(conn.space.pm))
+        comps = con.classify_type(conn.torsion.t3, np.linalg.norm(conn.space.pm))
         assert np.sqrt(sum(v for k, v in comps.items() if k != -16)) <= 1e-8
 
 
@@ -389,7 +394,7 @@ def _loop_holonomy(conn, tol=DEFAULT_TOL):
     """Reference: (dim, label, packed basis) from the per-matrix seed loop,
     the per-pair closure rounds and the per-element label test."""
     space = conn.space
-    lam = conn.so_matrices()
+    lam = conn.stack
 
     def span(mats):
         return orthonormal_columns(np.array([reps.pack_so(m, 14) for m in mats]).T, tol)
@@ -414,7 +419,7 @@ def _loop_holonomy(conn, tol=DEFAULT_TOL):
         Ton = span([rho[i] for i in target_idx])
         for m in basis:
             v = reps.pack_so(m, 14)
-            if np.linalg.norm(v - Ton @ (Ton.T @ v)) > 1e3 * tol.residual_tol * max(np.linalg.norm(v), 1.0):
+            if np.linalg.norm(v - Ton @ (Ton.T @ v)) > 1e3 * RESIDUAL_TOL * max(np.linalg.norm(v), 1.0):
                 return False
         return True
 

@@ -85,7 +85,7 @@ def test_isotropy_rejects_small_non_reductive_m(s):
     su2 = su_algebra(2)
     X, Y = su2[:2]
     with pytest.raises(NotReductive):
-        isotropy_matrices([X], [s * Y])
+        isotropy_matrices(CoordinateFrame([X, s * Y]), 1)
 
 
 @pytest.mark.parametrize("s", [1.0, 1e6, 1e14])
@@ -95,12 +95,12 @@ def test_isotropy_rejects_tilted_generator_at_any_scale(s):
     K, H, _ = spaces.frames("su4-so2", spaces.MetricParams(alpha=s, beta=s, gamma=s))
     tilted = H[0] + 0.3 * np.sqrt(2 * s) * K[0]
     with pytest.raises(NotReductive):
-        isotropy_matrices([tilted], K)
+        isotropy_matrices(CoordinateFrame(np.concatenate([[tilted], K])), 1)
 
 
 def test_isotropy_matrices_m1_identification(sp3_data):
     K, H, _ = spaces.frames("M1", spaces.MetricParams(alpha=1.4, beta=0.6, gamma=1.1))
-    iso = isotropy_matrices(H, K)
+    iso = isotropy_matrices(CoordinateFrame(np.concatenate([H, K])), len(H))
     assert np.max(np.abs(iso[0] - np.sqrt(2.0) * sp3_data.rho[20])) < 1e-12
     for R in iso:
         assert np.max(np.abs(R + R.T)) < 1e-12
@@ -109,14 +109,14 @@ def test_isotropy_matrices_m1_identification(sp3_data):
 def test_isotropy_abelian_trivial():
     t2 = np.array([1j * np.diag([1.0, -1.0, 0.0]), 1j * np.diag([0.0, 1.0, -1.0])])
     # the base-orthogonal complement of t2[0] in span(t2)
-    iso = isotropy_matrices(t2[:1], [1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)])
+    iso = isotropy_matrices(CoordinateFrame([t2[0], 1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)]), 1)
     assert np.max(np.abs(iso[0])) < 1e-14
 
 
 def test_isotropy_representation_property():
     K, H, _ = spaces.frames("M4", spaces.MetricParams(alpha=1.0, beta=1.3, gamma=0.8))
-    iso = isotropy_matrices(H, K)
     frame = CoordinateFrame(np.concatenate([H, K]))
+    iso = isotropy_matrices(frame, len(H))
     frame_iso = {i: iso[i] for i in range(len(H))}
     # rho([H_i, H_j]) = [rho(H_i), rho(H_j)] via h coordinates of the bracket
     for i in range(3):

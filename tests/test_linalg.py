@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import densify
 from gstruct.errors import NotSelfAdjoint
-from gstruct.linalg import (DEFAULT_TOL, ToleranceProfile, eig_selfadjoint, nullspace, nullspace_entries,
-                            orthonormal_columns, rank)
+from gstruct.linalg import (CLUSTER_TOL, DEFAULT_TOL, RESIDUAL_TOL, ToleranceProfile, eig_selfadjoint, nullspace,
+                            nullspace_entries, orthonormal_columns, rank)
 
 
 def test_rank_identity_and_zero():
@@ -20,12 +20,10 @@ def test_tolerance_profile_validation():
         ToleranceProfile(rank_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceProfile(rank_tol=2.0)
-    with pytest.raises(ValueError):
-        ToleranceProfile(residual_tol=-1e-9)
 
 
 def test_exceeds_is_elementwise_and_relative():
-    tol = ToleranceProfile(residual_tol=1e-9)
+    tol = ToleranceProfile()
     for factor in (1, 100, 1e3, 1e4):
         for scale in (1e-12, 1.0, 1e12):
             value = np.array([0.9, 1.1]) * factor * 1e-9 * scale
@@ -90,7 +88,7 @@ def test_nullspace_residual_bound():
     A = rng.standard_normal((8, 5)) @ rng.standard_normal((5, 9))
     ker = nullspace(A)
     res = np.linalg.norm(A @ ker, axis=0)
-    assert np.all(res <= DEFAULT_TOL.residual_tol * np.linalg.norm(A))
+    assert np.all(res <= RESIDUAL_TOL * np.linalg.norm(A))
 
 
 def test_eig_selfadjoint_clusters():
@@ -105,7 +103,7 @@ def test_eig_selfadjoint_reconstruction_and_orthonormality():
     parts = eig_selfadjoint(A)
     assert sum(b.shape[1] for _, b in parts) == 9
     recon = sum(ev * (b @ b.conj().T) for ev, b in parts)
-    assert np.linalg.norm(recon - A) <= DEFAULT_TOL.residual_tol * np.linalg.norm(A)
+    assert np.linalg.norm(recon - A) <= RESIDUAL_TOL * np.linalg.norm(A)
 
 
 def test_eig_selfadjoint_rejects_nonhermitian():
@@ -150,7 +148,7 @@ def test_nullspace_tall_matches_full_svd(n, extra_rows, rank_frac, complex_, see
     ref = vh[r_ref:].conj().T
     assert r_ref == r and ker.shape == (n, n - r)
     assert np.linalg.norm(ker @ ker.conj().T - ref @ ref.conj().T) <= 1e-10
-    assert np.all(np.linalg.norm(A @ ker, axis=0) <= DEFAULT_TOL.residual_tol * np.linalg.norm(A))
+    assert np.all(np.linalg.norm(A @ ker, axis=0) <= RESIDUAL_TOL * np.linalg.norm(A))
 
 
 def _full_svd_kernel(A):
@@ -340,8 +338,8 @@ def test_m3_extreme_point_merges_blocks():
 
 def _clusters(w, vecs):
     """(eigenvalue, projector) per cluster of sorted eigenvalues, cut where
-    neighbours differ by more than cluster_tol * max|w|."""
-    cuts = np.flatnonzero(np.diff(w) > DEFAULT_TOL.cluster_tol * np.abs(w).max()) + 1
+    neighbours differ by more than CLUSTER_TOL * max|w|."""
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * np.abs(w).max()) + 1
     return [(wc.mean(), vc @ vc.conj().T) for wc, vc in zip(np.split(w, cuts), np.split(vecs, cuts, axis=1))]
 
 

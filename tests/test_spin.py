@@ -78,7 +78,7 @@ def test_invariant_spinor_dimensions():
 def test_no_invariant_spinors_error():
     ctx = pipeline("M3", alpha=1.0, beta=1.0, gamma=1.0)
     with pytest.raises(NoInvariantSpinors):
-        spin.dirac_on_invariants(ctx["conn"])
+        spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
 
 
 def test_m2_dirac_closed_form_three_draws():
@@ -92,14 +92,14 @@ def test_m2_dirac_closed_form_three_draws():
 def test_m2_mu_and_torsion_norm():
     for b in (1.0, 0.6, 2.4):
         ctx = pipeline("M2", alpha=1.0, beta=b, gamma=1.1)
-        rep = spin.dirac_on_invariants(ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - 2 * np.sqrt(4 + b)) <= 1e-9
         assert abs(rep.torsion_norm2 - (8 + 4 * b)) <= 1e-9
 
 
 def test_torsion_norm_convention():
     ctx = pipeline("M2", alpha=1.0, beta=1.7, gamma=1.0)
-    T = con.torsion(ctx["conn"])
+    T = ctx["conn"].torsion
     full_sum = float(np.sum(T.t3**2))
     assert abs(full_sum - 6 * T.norm2_increasing) < 1e-10
 
@@ -108,18 +108,18 @@ def test_m4_dirac_formula_three_draws():
     fx = spaces.fixtures("M4")
     for a, b, g in [(1.0, 1.0, 1.0), (1.3, 0.9, 1.1), (0.8, 1.7, 2.2)]:
         ctx = pipeline("M4", alpha=a, beta=b, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
         expect = fx.extras["dirac"](ctx["params"])
         assert np.max(np.abs(np.abs(rep.eigenvalues) - expect)) <= 1e-9
     ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
     assert np.max(np.abs(np.abs(rep.eigenvalues) - 0.5 * np.sqrt(30))) <= 1e-12
 
 
 def test_m4_mu_and_norm_alpha_beta_one():
     for g in (1.0, 0.5, 2.0):
         ctx = pipeline("M4", alpha=1.0, beta=1.0, gamma=g)
-        rep = spin.dirac_on_invariants(ctx["conn"])
+        rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
         assert abs(np.max(np.abs(rep.torsion_op_eigenvalues)) - np.sqrt(25 + 5 * g)) <= 1e-9
         assert abs(rep.torsion_norm2 - (5 + 5 * g)) <= 1e-9
 
@@ -170,7 +170,7 @@ def test_estimate_crossovers_bracketing():
 
 def test_estimates_require_parallel_torsion():
     ctx = pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
     with pytest.raises(TorsionNotParallel):
         spin.eigenvalue_estimates(rep, 10.0, con.torsion_is_parallel(ctx["conn"]))
 
@@ -178,7 +178,7 @@ def test_estimates_require_parallel_torsion():
 def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
     # no closed form exists for the 48-dimensional case; assert structure only
     ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.7)
-    rep = spin.dirac_on_invariants(ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
     assert rep.eigenvalues.shape == (48,)
     ev = np.sort(rep.eigenvalues)
     assert np.max(np.abs(ev + ev[::-1])) < 1e-9
@@ -186,7 +186,7 @@ def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
 
 def test_parallel_spinors_are_torsion_eigenvectors():
     ctx = pipeline("M2", alpha=1.0, beta=1.0, gamma=1.0)
-    rep = spin.dirac_on_invariants(ctx["conn"])
+    rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
     assert rep.parallel_spinor_dim == 16
     # with a vanishing connection map the Dirac matrix is the torsion term
     assert set(np.round(np.abs(rep.eigenvalues), 9)) == {round(np.sqrt(5.0), 9)}
@@ -273,7 +273,7 @@ def test_restricted_dirac_matrix_matches_loop_reference():
     cl = spin.build_clifford(14)
     for sid in ("M2", "M4"):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
-        lam, T = ctx["conn"].so_matrices(), con.torsion(ctx["conn"])
+        lam, T = ctx["conn"].stack, ctx["conn"].torsion
         D_ref = sum(cl[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
         D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
         sub = spin.invariant_spinors(ctx["space"])
