@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 import numpy as np
 
@@ -145,6 +146,22 @@ class SpinorSubspace:
         per catalog space in a process (``invariant_spinors``)."""
         return read_only((_lifted_rho().reshape(-1, self.basis.shape[0]) @ self.basis).reshape(21, -1, self.dim))
 
+    @cached_property
+    def support(self):
+        """(B[S], {k: (terms, cells, values)}), S the rows where the basis B is
+        nonzero: for k = 3, 1 the entries of ``_product_table(14, k)`` in rows
+        S[i] and columns S[j], cell i |S| + j, in the table's order; read-only
+        and computed once per subspace, like ``lifted_rho`` (``_restricted``)."""
+        mask = np.any(self.basis != 0, axis=1)
+        rows, local = np.flatnonzero(mask), np.cumsum(mask) - 1
+        tables = {}
+        for k in (3, 1):
+            _, cols, vals = _product_table(14, k)
+            term, i = np.nonzero(mask[cols[:, rows]])
+            cells = i * rows.size + local[cols[term, rows[i]]]
+            tables[k] = tuple(read_only(a) for a in (term, cells, vals[term, rows[i]]))
+        return read_only(self.basis[rows]), MappingProxyType(tables)
+
 
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
     """Joint kernel of the lifted isotropy generators inside the spinor module.
@@ -157,11 +174,6 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
         return SpinorSubspace(basis=read_only(nullspace_entries(*_lift_entries(space.iso, tol), tol)))
 
     return space.isotropy_result("spinors", tol, solve)
-
-
-def torsion_clifford(t3: np.ndarray, n: int = 14) -> np.ndarray:
-    """Clifford action of the torsion 3-form (increasing-triple sum)."""
-    return _form_action(np.asarray(t3), n)
 
 
 @dataclass(frozen=True)
@@ -183,27 +195,41 @@ class Estimates:
     twistor_strict: bool
 
 
-def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, rho_b: np.ndarray, tol: ToleranceProfile):
-    """(a stack whose kernel is the parallel spinors, T_cl, the Dirac matrix D)
-    on the full spinor module, for lam = coeffs . rho, torsion t3 and rho_b
-    the rho lifts applied to a spinor basis (``SpinorSubspace.lifted_rho``).
+def _restricted(sub: SpinorSubspace, *forms: np.ndarray) -> np.ndarray:
+    """B^H X B for X the sum of the Clifford actions of ``forms`` (3-forms or
+    vectors over R^14): B is zero off S, so it is B[S]^H X[S, S] B[S], and
+    X[S, S] is the bincount of ``sub.support``'s entries."""
+    bs, tables = sub.support
+    m = bs.shape[0]
+    X = 0
+    for t in forms:
+        terms, cells, vals = tables[t.ndim]
+        w = t[tuple(_product_table(14, t.ndim)[0].T)][terms] * vals
+        X = X + (np.bincount(cells, w.real, m * m) + 1j * np.bincount(cells, w.imag, m * m))
+    return bs.conj().T @ X.reshape(m, m) @ bs
 
-    The lifts of the Lambda(e_i) on the basis stack to (C x I) R, C = coeffs,
-    R = rho_b as (21 m, k).  For C = U S Vh, U^H x I is orthogonal, so only
-    the blocks s_i (Vh_i x I) R with s_i > tau = ``round_off``(s_0, 14, 21)
-    <= 64 eps s_0 are formed, none for C = 0.  That moves a singular value by
-    at most tau ||R||_2, the order of the round-off of forming C R: 64 eps /
-    rank_tol of the rank cut times s_0 ||R||_2 / ||C R||_2.  With
-    a[i] = Lambda(e_i), sum_i e_i lift(a[i]) = c(c3) + c(v) for the 3-form
-    c3[i, k, l] = -(a[i, k, l] + a[k, l, i] + a[l, i, k]) / 2 and the vector
-    v[m] = sum_k a[k, k, m] / 2."""
-    _, s, vh = np.linalg.svd(coeffs, full_matrices=False)
-    rows = (s[:, None] * vh)[s > tol.round_off(s[0], *coeffs.shape)]
-    stack = (rows @ rho_b.reshape(21, -1)).reshape(-1, rho_b.shape[2])
+
+def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, sub: SpinorSubspace, tol: ToleranceProfile):
+    """(a stack whose kernel is the parallel spinors, T_r, D_r) on the
+    spinor subspace ``sub`` with basis B, for lam = coeffs . rho and torsion
+    t3: T_r = B^H T_cl B and D_r = B^H D B, formed by ``_restricted``.
+
+    The lifts of the Lambda(e_i) on B stack to (C x I) R, C = coeffs[:, nz]
+    for its nonzero columns nz and R = ``sub.lifted_rho``[nz] as (|nz| m, k).
+    For C = U S Vh, U^H x I is orthogonal, so only the blocks s_i (Vh_i x I) R
+    with s_i > tau = ``round_off``(s_0, 14, 21) <= 64 eps s_0 are formed, none
+    for C = 0.  That moves a singular value by at most tau ||R||_2, the order
+    of the round-off of forming C R: 64 eps / rank_tol of the rank cut times
+    s_0 ||R||_2 / ||C R||_2.  With a[i] = Lambda(e_i), sum_i e_i lift(a[i]) =
+    c(c3) + c(v) for the 3-form c3[i, k, l] = -(a[i, k, l] + a[k, l, i] +
+    a[l, i, k]) / 2 and the vector v[m] = sum_k a[k, k, m] / 2."""
+    nz = np.flatnonzero(np.any(coeffs != 0, axis=0))
+    _, s, vh = np.linalg.svd(coeffs[:, nz], full_matrices=False)
+    rows = (s[:, None] * vh)[s > tol.round_off(s.max(initial=0.0), *coeffs.shape)]
+    stack = (rows @ sub.lifted_rho[nz].reshape(nz.size, sub.basis.size)).reshape(-1, sub.dim)
     c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
     v = 0.5 * np.trace(lam, axis1=0, axis2=1)
-    t_op = torsion_clifford(t3)
-    return stack, t_op, _form_action(c3 + DIRAC_TORSION_FACTOR * t3, 14) + _form_action(v, 14)
+    return stack, _restricted(sub, t3), _restricted(sub, c3 + DIRAC_TORSION_FACTOR * t3, v)
 
 
 def dirac_on_invariants(conn: InvariantConnection, sub: SpinorSubspace,
@@ -215,16 +241,11 @@ def dirac_on_invariants(conn: InvariantConnection, sub: SpinorSubspace,
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
     T = conn.torsion
-    B = sub.basis
-    stack, t_op, D = _dirac_terms(conn.stack, conn.lambda_coeffs, T.t3, sub.lifted_rho, tol)
-
-    Dr = B.conj().T @ D @ B
+    stack, Tr, Dr = _dirac_terms(conn.stack, conn.lambda_coeffs, T.t3, sub, tol)
     herm = np.max(np.abs(Dr - Dr.conj().T))
     if tol.exceeds(herm, np.max(np.abs(Dr))):
         raise StructureViolation(f"restricted Dirac matrix not self-adjoint ({herm:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (Dr + Dr.conj().T))
-
-    Tr = B.conj().T @ t_op @ B
     mu = np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T))
 
     return DiracReport(

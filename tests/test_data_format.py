@@ -54,8 +54,16 @@ def test_shared_caches_are_read_only(name):
         stack[(0,) * (stack.ndim - 1) + (1,)] = 1.0
 
 
+def _m1_support():
+    basis_rows, tables = spin.invariant_spinors(pipeline("M1")["space"]).support
+    with pytest.raises(TypeError):
+        tables[3] = tables[1]
+    return (basis_rows, *(a for table in tables.values() for a in table))
+
+
 INDEX_TABLES = {
     "spin._product_table": lambda: spin._product_table(14, 1),
+    "SpinorSubspace.support": _m1_support,
     "reps.theta_index": lambda: reps.theta_index(14),
     "reps._symmetric_embedding": lambda: (reps._symmetric_embedding(14),),
 }

@@ -260,47 +260,65 @@ def test_lift_entries_match_loop_reference():
         spin._lift_entries(np.stack([iso[0], np.eye(14)]), DEFAULT_TOL)
 
 
+def _torsion_clifford(t3):
+    """The full 128 x 128 Clifford action of a 3-form over R^14 (the
+    increasing-triple sum): the reference for the restricted T_r."""
+    return spin._form_action(np.asarray(t3), 14)
+
+
 def test_torsion_clifford_matches_loop_reference():
     cl = spin.build_clifford(14)
     rng = np.random.default_rng(22)
     for density in (1.0, 0.2):
         t3 = _random_form(rng, 14, 3, density)
         ref = _loop_torsion_clifford(cl, t3)
-        assert np.max(np.abs(spin.torsion_clifford(t3) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(_torsion_clifford(t3) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+
+
+def _close(got, ref):
+    return np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_restricted_dirac_matrix_matches_loop_reference():
+    # D_r and T_r are formed on the rows where the invariant-spinor basis is
+    # nonzero (48, 16 and 16 of 128 here); the reference projects the full
+    # loop-built matrices
     cl = spin.build_clifford(14)
-    for sid in ("M2", "M4"):
+    for sid, support in (("M1", 48), ("M2", 16), ("M4", 16)):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
         lam, T = ctx["conn"].stack, ctx["conn"].torsion
-        D_ref = sum(cl[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14))
-        D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, T.t3)
+        T_ref = _loop_torsion_clifford(cl, T.t3)
+        D_ref = sum(cl[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14)) + spin.DIRAC_TORSION_FACTOR * T_ref
         sub = spin.invariant_spinors(ctx["space"])
         B = sub.basis
-        _, _, D = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub.lifted_rho, DEFAULT_TOL)
-        ref = B.conj().T @ D_ref @ B
-        assert np.max(np.abs(B.conj().T @ D @ B - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        assert sub.support[0].shape == (support, sub.dim)
+        _, Tr, Dr = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub, DEFAULT_TOL)
+        assert _close(Dr, B.conj().T @ D_ref @ B) and _close(Tr, B.conj().T @ T_ref @ B)
 
 
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 4, 48]))
 def test_dirac_terms_match_loop_reference(seed, k):
     # sum_i e_i lift(a[i]) = c(c3) + c(v) for any antisymmetric stack a, so
-    # the full D is checked on a general one; D reads only a and the lifts
-    # only coeffs, which stand for the stack coeffs . rho
+    # the full D is checked on a general one, through the identity basis
+    # (S = all rows); D reads only a and the lifts only coeffs, which stand
+    # for the stack coeffs . rho
     cl = spin.build_clifford(14)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((14, 14, 14))
     a = a - a.transpose(0, 2, 1)
     coeffs = rng.standard_normal((14, 21))
+    coeffs[:, rng.permutation(21)[:rng.integers(0, 21)]] = 0.0
     t3 = _random_form(rng, 14, 3, 0.5)
-    basis = np.linalg.qr(rng.standard_normal((cl.shape[1], k)) + 1j * rng.standard_normal((cl.shape[1], k)))[0]
-    stack, t_op, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis).lifted_rho, DEFAULT_TOL)
-
-    D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl, a))
-    D_ref = D_ref + spin.DIRAC_TORSION_FACTOR * _loop_torsion_clifford(cl, t3)
+    T_ref = _loop_torsion_clifford(cl, t3)
+    D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl, a)) + spin.DIRAC_TORSION_FACTOR * T_ref
+    _, T, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(np.eye(128, dtype=complex)), DEFAULT_TOL)
     assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
+    assert np.max(np.abs(T - T_ref)) <= 1e-13 * np.max(np.abs(T_ref))
+
+    basis = np.linalg.qr(rng.standard_normal((cl.shape[1], k)) + 1j * rng.standard_normal((cl.shape[1], k)))[0]
+    stack, Tr, Dr = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis), DEFAULT_TOL)
+    assert _close(Dr, basis.conj().T @ D_ref @ basis) and _close(Tr, basis.conj().T @ T_ref @ basis)
     lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
     assert k - rank(stack) == nullspace(lifts_ref.reshape(-1, k)).shape[1]
 
@@ -313,10 +331,10 @@ def _full_stack_count(coeffs, rho_b):
     return nullspace(lifts.reshape(-1, rho_b.shape[2])).shape[1]
 
 
-def _row_space_count(coeffs, rho_b):
+def _row_space_count(coeffs, sub):
     zero = np.zeros((14, 14, 14))
-    stack, _, _ = spin._dirac_terms(zero, coeffs, zero, rho_b, DEFAULT_TOL)
-    return rho_b.shape[2] - rank(stack)
+    stack, _, _ = spin._dirac_terms(zero, coeffs, zero, sub, DEFAULT_TOL)
+    return sub.dim - rank(stack)
 
 
 @lru_cache(maxsize=None)
@@ -345,9 +363,9 @@ def test_row_space_count_matches_full_stack(seed, sid, r, in_isotropy, round_off
     coeffs = left @ rng.standard_normal((r, len(rows))) @ rows
     if round_off:
         coeffs = coeffs + 1e-17 * np.abs(coeffs).max(initial=0.0) * rng.standard_normal((14, 21))
-    rho_b = spin.SpinorSubspace(basis).lifted_rho
-    count = _row_space_count(coeffs, rho_b)
-    assert count == _full_stack_count(coeffs, rho_b)
+    sub = spin.SpinorSubspace(basis)
+    count = _row_space_count(coeffs, sub)
+    assert count == _full_stack_count(coeffs, sub.lifted_rho)
     if r == 0:
         assert count == basis.shape[1]
     elif in_isotropy:
@@ -389,4 +407,4 @@ def test_clifford_shape_mismatch_rejected():
         with pytest.raises(BadDimension):
             spin.spin_lift(np.zeros((n, n)))
     with pytest.raises(BadDimension):
-        spin.torsion_clifford(np.zeros((12, 12, 12)))
+        spin._form_action(np.zeros((12, 12, 12)), 14)
