@@ -9,8 +9,8 @@ Conventions fixed here and used everywhere else:
   orthonormal for it);
 * isotropy matrices act by columns,  ``[H, K_j] = sum_k rho(H)_{kj} K_k``;
 * a set of k matrices of size n x n is one (k, n, n) array; the sets
-  cached for the whole process (``sp3.load()``, ``reps.complement_action()``,
-  ``spin.build_clifford``) are read-only.
+  cached for the whole process (``sp3.load()``, ``reps.complement_action()``)
+  are read-only, and so are the Clifford tables of ``spin._product_table``.
 """
 
 from __future__ import annotations

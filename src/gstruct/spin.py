@@ -10,6 +10,13 @@ with a third of the characteristic torsion is
 
     D = sum_i c(e_i) lift(Lambda(e_i)) - (1/2) T_cl .
 
+No Clifford matrix is formed: every monomial e_p has one nonzero entry per
+row, a Pauli string (Aaronson-Gottesman), kept as the column and the value
+of that entry in each row.  On the 2^m-dim module of Cl(2m), e_{2j+s} sends
+row r to column r XOR 2^(m-1-j), with value (-1)^popcount(r >> (m-j)) times
+i for s = 0 and times (-1)^(bit m-1-j of r) for s = 1; the lift of an
+antisymmetric A is (1/4) sum_ij A_ij e_j e_i, the 2-form -A/2.
+
 The torsion coefficient was calibrated once against the first closed-form
 Dirac spectrum at two parameter samples and then validated untouched
 against the second space's independent formula; see the verification
@@ -35,41 +42,22 @@ from .spaces import HomogeneousSpaceInstance
 # calibrated against the first space's closed-form spectrum and frozen
 DIRAC_TORSION_FACTOR = -0.5
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-@lru_cache(maxsize=8)
-def build_clifford(n: int) -> np.ndarray:
-    """The gammas e_1 .. e_n, a read-only (n, 2^(n/2), 2^(n/2)) array shared
-    by every caller; iterated tensor construction, e_i^2 = -Id."""
-    if n % 2 or not (2 <= n <= 14):
-        raise BadDimension(f"need an even dimension between 2 and 14, got {n}")
-    m = n // 2
-    gammas = []
-    for k in range(m):
-        for sigma in (1j * _SX, 1j * _SY):
-            factors = [_SZ] * k + [sigma] + [np.eye(2, dtype=complex)] * (m - k - 1)
-            g = factors[0]
-            for f in factors[1:]:
-                g = np.kron(g, f)
-            gammas.append(g)
-    return read_only(np.array(gammas))
-
-
 @lru_cache(maxsize=16)
 def _product_table(n: int, k: int):
     """The products e_p = e_i1 ... e_ik over increasing tuples p, in
-    combinations order.  Each gamma is a Kronecker product of 2x2 factors
-    with one nonzero entry per row, so each product is too: returns the
-    tuples and the column and value of that entry in every row, the last
-    two of shape (C(n, k), 2^(n/2))."""
-    g = build_clifford(n)
-    gcols = np.argmax(g != 0, axis=2)
-    gvals = np.take_along_axis(g, gcols[..., None], axis=2)[..., 0]
+    combinations order, from the XOR masks and popcount signs of the gammas
+    (module docstring): returns the tuples and the column and value of the
+    one entry of e_p in every row, the last two of shape (C(n, k), 2^(n/2))."""
+    if n % 2 or not (2 <= n <= 14):
+        raise BadDimension(f"need an even dimension between 2 and 14, got {n}")
+    r = np.arange(2 ** (n // 2))
+    masks = 1 << np.arange(n // 2 - 1, -1, -1)[:, None]
+    flip = np.where(r & masks, -1.0, 1.0)
+    sign = np.cumprod(flip, axis=0)  # (-1)^popcount(r >> (m-1-j)) in row j
+    gcols = np.repeat(r ^ masks, 2, axis=0)
+    gvals = np.stack([1j * sign * flip, sign], axis=1).reshape(n, -1)
     combos = np.array(list(combinations(range(n), k)))
-    cols = np.broadcast_to(np.arange(g.shape[1]), (len(combos), g.shape[1]))
+    cols = np.broadcast_to(r, (len(combos), r.size))
     vals = np.ones(cols.shape, dtype=complex)
     for b in combos.T:
         # row r of (P G_b) is vals[r] times row cols[r] of G_b
@@ -91,44 +79,19 @@ def _form_entries(stack: np.ndarray, n: int):
     return g, cols[p], coeffs[g, p, None] * vals[p]
 
 
-def _form_action(t: np.ndarray, n: int) -> np.ndarray:
-    """sum over increasing tuples p of t[p] e_p, for a k-index array t over
-    R^n: the bincount of its ``_form_entries``."""
-    _, cols, w = _form_entries(t[None], n)
-    dim = cols.shape[1]
-    idx, w = (np.arange(dim) * dim + cols).ravel(), w.ravel()
-    out = np.bincount(idx, w.real, dim * dim) + 1j * np.bincount(idx, w.imag, dim * dim)
-    return out.reshape(dim, dim)
-
-
-def spin_lift(A, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Lift of an antisymmetric n x n matrix to the spinor module of Cl(n),
-    (1/4) sum_ij A_ij e_j e_i, with the entry order fixed so that both
-    [lift(A), c(v)] = c(Av) and lift([A, B]) = [lift(A), lift(B)] hold."""
-    A = np.asarray(A)
-    _check_antisymmetric(A, tol)
-    return _form_action(-0.5 * A, len(A))
-
-
-def _check_antisymmetric(A: np.ndarray, tol: ToleranceProfile):
-    """Raise NotAntisymmetric unless A, a matrix or a stack of them, is."""
-    if np.any(tol.exceeds(np.abs(A + np.swapaxes(A, -1, -2)).max(axis=(-2, -1)), np.abs(A).max(axis=(-2, -1)), 1)):
-        raise NotAntisymmetric("spin_lift needs an antisymmetric matrix")
-
-
 def _lift_entries(iso: np.ndarray, tol: ToleranceProfile):
     """(rows, cols, vals, shape) of the spin lifts of the generators iso[g]
     in rows g*128 + r: the ``_form_entries`` of the 2-forms -iso/2."""
-    _check_antisymmetric(iso, tol)
+    if np.any(tol.exceeds(np.abs(iso + iso.transpose(0, 2, 1)).max(axis=(1, 2)), np.abs(iso).max(axis=(1, 2)), 1)):
+        raise NotAntisymmetric("a spin lift needs antisymmetric generators")
     g, cols, vals = _form_entries(-0.5 * iso, 14)
     rows = (128 * g[:, None] + np.arange(128)).ravel()
     return rows, cols.ravel(), vals.ravel(), (128 * len(iso), 128)
 
 
-@lru_cache(maxsize=1)
-def _lifted_rho() -> np.ndarray:
-    """(21, 128, 128) read-only stack of the spin lifts of the rho(sp3) basis."""
-    return read_only(np.array([spin_lift(r) for r in sp3.load().rho]))
+def _scatter(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
+    """The complex bincount of the weights w at the flat positions idx."""
+    return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
 
 
 @dataclass(frozen=True)
@@ -139,12 +102,27 @@ class SpinorSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    def _on_support(self, cols: np.ndarray, rows: np.ndarray):
+        """(t, i, cell) for the entries cols[t, rows[i]] of a table with one
+        entry per row whose column lies in the support S, the rows where the
+        basis is nonzero, in the table's order; cell = i |S| + the place of
+        the column in S."""
+        mask = np.any(self.basis != 0, axis=1)
+        t, i = np.nonzero(mask[cols[:, rows]])
+        return t, i, i * np.count_nonzero(mask) + (np.cumsum(mask) - 1)[cols[t, rows[i]]]
+
     @cached_property
     def lifted_rho(self) -> np.ndarray:
         """(21, 2^(n/2), k) read-only: the spin lifts of the rho(sp3) basis
-        applied to the basis columns, computed once per subspace, so once
-        per catalog space in a process (``invariant_spinors``)."""
-        return read_only((_lifted_rho().reshape(-1, self.basis.shape[0]) @ self.basis).reshape(21, -1, self.dim))
+        applied to the basis columns, lift(rho)[:, S] B[S], from the entries
+        of the 2-forms -rho/2 with column in S; computed once per subspace,
+        so once per catalog space in a process (``invariant_spinors``)."""
+        bs = self.support[0]
+        g, cols, vals = _form_entries(-0.5 * sp3.load().rho, 14)
+        t, r, cells = self._on_support(cols, np.arange(len(self.basis)))
+        size = len(self.basis) * len(bs)
+        lifts = _scatter(g[t] * size + cells, vals[t, r], 21 * size)
+        return read_only((lifts.reshape(-1, len(bs)) @ bs).reshape(21, -1, self.dim))
 
     @cached_property
     def support(self):
@@ -152,13 +130,11 @@ class SpinorSubspace:
         nonzero: for k = 3, 1 the entries of ``_product_table(14, k)`` in rows
         S[i] and columns S[j], cell i |S| + j, in the table's order; read-only
         and computed once per subspace, like ``lifted_rho`` (``_restricted``)."""
-        mask = np.any(self.basis != 0, axis=1)
-        rows, local = np.flatnonzero(mask), np.cumsum(mask) - 1
+        rows = np.flatnonzero(np.any(self.basis != 0, axis=1))
         tables = {}
         for k in (3, 1):
             _, cols, vals = _product_table(14, k)
-            term, i = np.nonzero(mask[cols[:, rows]])
-            cells = i * rows.size + local[cols[term, rows[i]]]
+            term, i, cells = self._on_support(cols, rows)
             tables[k] = tuple(read_only(a) for a in (term, cells, vals[term, rows[i]]))
         return read_only(self.basis[rows]), MappingProxyType(tables)
 
@@ -205,7 +181,7 @@ def _restricted(sub: SpinorSubspace, *forms: np.ndarray) -> np.ndarray:
     for t in forms:
         terms, cells, vals = tables[t.ndim]
         w = t[tuple(_product_table(14, t.ndim)[0].T)][terms] * vals
-        X = X + (np.bincount(cells, w.real, m * m) + 1j * np.bincount(cells, w.imag, m * m))
+        X = X + _scatter(cells, w, m * m)
     return bs.conj().T @ X.reshape(m, m) @ bs
 
 

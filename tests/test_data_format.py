@@ -20,8 +20,6 @@ STACKS = {
     "M1.family": (lambda: pipeline("M1")["family"], (98, 14, 21)),
     "M4.family": (lambda: pipeline("M4")["family"], (7, 14, 21)),
     "M4.holonomy": (lambda: con.holonomy_algebra(pipeline("M4")["conn"]).basis, (10, 14, 14)),
-    "clifford14.gammas": (lambda: spin.build_clifford(14), (14, 128, 128)),
-    "lifted_rho": (spin._lifted_rho, (21, 128, 128)),
     "su3": (lambda: groups.su_algebra(3), (8, 3, 3)),
     "u2": (lambda: groups.u_algebra(2), (4, 2, 2)),
     "su2+su2": (groups.su2_plus_su2, (6, 4, 4)),
@@ -39,7 +37,7 @@ def test_matrix_sets_are_stacked_arrays(name):
 # every metric of a catalog space shares its family and spinors
 SHARED = {
     **{name: STACKS[name][0] for name in ("sp3.rho", "sp3.structure_constants", "complement_acts",
-                                          "clifford14.gammas", "lifted_rho", "M4.family", "M1.family")},
+                                          "M4.family", "M1.family")},
     "M4.spinors": lambda: spin.invariant_spinors(pipeline("M4")["space"]).basis,
     "M1.spinors": lambda: spin.invariant_spinors(pipeline("M1")["space"]).basis,
     "M1.lifted_rho": lambda: spin.invariant_spinors(pipeline("M1")["space"]).lifted_rho,
@@ -63,6 +61,8 @@ def _m1_support():
 
 INDEX_TABLES = {
     "spin._product_table": lambda: spin._product_table(14, 1),
+    "spin._product_table(14, 2)": lambda: spin._product_table(14, 2),
+    "spin._product_table(14, 3)": lambda: spin._product_table(14, 3),
     "SpinorSubspace.support": _m1_support,
     "reps.theta_index": lambda: reps.theta_index(14),
     "reps._symmetric_embedding": lambda: (reps._symmetric_embedding(14),),

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,12 +13,84 @@ from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, T
 from gstruct.linalg import DEFAULT_TOL, nullspace, rank
 
 
+# The kron construction of the gammas, which the mask/phase tables of
+# ``spin._product_table`` replaced, kept as their reference.
+_SX = np.array([[0, 1], [1, 0]], dtype=complex)
+_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+@lru_cache(maxsize=8)
+def _kron_clifford(n):
+    m = n // 2
+    gammas = []
+    for k in range(m):
+        for sigma in (1j * _SX, 1j * _SY):
+            factors = [_SZ] * k + [sigma] + [np.eye(2, dtype=complex)] * (m - k - 1)
+            g = factors[0]
+            for f in factors[1:]:
+                g = np.kron(g, f)
+            gammas.append(g)
+    return np.array(gammas)
+
+
+def _kron_table(n, k):
+    """The product table read back from the kron gammas: one column and one
+    value per row of each product over increasing k-tuples."""
+    g = _kron_clifford(n)
+    gcols = np.argmax(g != 0, axis=2)
+    gvals = np.take_along_axis(g, gcols[..., None], axis=2)[..., 0]
+    combos = np.array(list(combinations(range(n), k)))
+    cols = np.broadcast_to(np.arange(g.shape[1]), (len(combos), g.shape[1]))
+    vals = np.ones(cols.shape, dtype=complex)
+    for b in combos.T:
+        vals = vals * gvals[b[:, None], cols]
+        cols = gcols[b[:, None], cols]
+    return combos, cols, vals
+
+
+def _scattered(cols, vals):
+    """The bincount of a table into its dense (terms, 2^m, 2^m) matrices."""
+    d = cols.shape[1]
+    idx = (np.arange(len(cols))[:, None] * d * d + np.arange(d) * d + cols).ravel()
+    return spin._scatter(idx, vals.ravel(), len(cols) * d * d).reshape(-1, d, d)
+
+
+def _gammas(n):
+    """The gammas of Cl(n), scattered from the src table."""
+    return _scattered(*spin._product_table(n, 1)[1:])
+
+
+def _form_action(t, n):
+    """sum over increasing tuples p of t[p] e_p, for a k-index array t over
+    R^n: the bincount of its ``spin._form_entries``."""
+    _, cols, w = spin._form_entries(np.asarray(t)[None], n)
+    dim = cols.shape[1]
+    return spin._scatter((np.arange(dim) * dim + cols).ravel(), w.ravel(), dim * dim).reshape(dim, dim)
+
+
+def _lift(A):
+    """The spin lift (1/4) sum_ij A_ij e_j e_i of an antisymmetric n x n A."""
+    return _form_action(-0.5 * A, len(A))
+
+
+@pytest.mark.parametrize("n", range(2, 15, 2))
+def test_product_table_matches_kron_reference(n):
+    for k in (1, 2, 3):
+        got, ref = spin._product_table(n, k), _kron_table(n, k)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), k
+        # the two differ only in the sign of some zero real or imaginary
+        # parts, which a bincount, the one way the tables are summed, drops
+        if n == 14:
+            assert _scattered(*got[1:]).tobytes() == _scattered(*ref[1:]).tobytes()
+
+
 def test_clifford_small_and_large():
-    cl2 = spin.build_clifford(2)
+    cl2 = _gammas(2)
     assert cl2.shape[1] == 2
     for g in cl2:
         assert np.max(np.abs(g @ g + np.eye(2))) < 1e-15
-    cl14 = spin.build_clifford(14)
+    cl14 = _gammas(14)
     assert cl14.shape[1] == 128
     rng = np.random.default_rng(0)
     for _ in range(12):
@@ -32,11 +105,13 @@ def test_clifford_small_and_large():
 def test_clifford_bad_dimension():
     for n in (1, 3, 16, 0):
         with pytest.raises(BadDimension):
-            spin.build_clifford(n)
+            spin._product_table(n, 1)
+        with pytest.raises(BadDimension):
+            spin._form_entries(np.zeros((1, n, n)), n)
 
 
 def test_clifford_irreducible_small():
-    cl = spin.build_clifford(4)
+    cl = _gammas(4)
     rows = []
     for g in cl:
         rows.append(np.kron(np.eye(4), g) - np.kron(g.T, np.eye(4)))
@@ -45,13 +120,13 @@ def test_clifford_irreducible_small():
 
 
 def test_spin_lift_properties(sp3_data):
-    cl = spin.build_clifford(14)
-    assert np.max(np.abs(spin.spin_lift(np.zeros((14, 14))))) == 0.0
-    with pytest.raises(NotAntisymmetric):
-        spin.spin_lift(np.eye(14))
+    cl = _gammas(14)
+    assert np.max(np.abs(_lift(np.zeros((14, 14))))) == 0.0
+    with pytest.raises(NotAntisymmetric, match="antisymmetric generators"):
+        spin._lift_entries(np.eye(14)[None], DEFAULT_TOL)
     # [lift(A), c(v)] = c(Av)
     A = sp3_data.rho[8]
-    lam = spin.spin_lift(A)
+    lam = _lift(A)
     v = np.zeros(14)
     v[4] = 1.0  # e5
     cv = cl[4]
@@ -65,8 +140,8 @@ def test_spin_lift_properties(sp3_data):
         X = X - X.T
         Y = rng.standard_normal((14, 14))
         Y = Y - Y.T
-        lhs = spin.spin_lift(X @ Y - Y @ X)
-        lx, ly = spin.spin_lift(X), spin.spin_lift(Y)
+        lhs = _lift(X @ Y - Y @ X)
+        lx, ly = _lift(X), _lift(Y)
         assert np.max(np.abs(lhs - (lx @ ly - ly @ lx))) < 1e-10
 
 
@@ -197,7 +272,7 @@ def test_parallel_spinors_are_torsion_eigenvectors():
 # monomial tables replaced (the pair products are kept per dimension).
 @lru_cache(maxsize=1)
 def _loop_pair_products(n):
-    g = spin.build_clifford(n)
+    g = _kron_clifford(n)
     return {(i, j): g[i] @ g[j] for i in range(n) for j in range(i + 1, n)}
 
 
@@ -224,7 +299,7 @@ def _loop_torsion_clifford(cl, t3):
 
 def _random_form(rng, n, degree, density):
     """Antisymmetric random array; a share 1 - density of its increasing entries is zero."""
-    from itertools import combinations, permutations
+    from itertools import permutations
 
     t = np.zeros((n,) * degree)
     for idx in combinations(range(n), degree):
@@ -237,37 +312,37 @@ def _random_form(rng, n, degree, density):
 
 
 def test_spin_lift_matches_loop_reference():
-    cl = spin.build_clifford(14)
+    cl = _kron_clifford(14)
     rng = np.random.default_rng(21)
     for density in (1.0, 0.3, 0.05):
         A = _random_form(rng, 14, 2, density)
         ref = _loop_spin_lift(cl, A)
-        assert np.max(np.abs(spin.spin_lift(A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(_lift(A) - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_lift_entries_match_loop_reference():
-    # rows 128 g .. 128 g + 127 of the entry-built stack are spin_lift(iso[g]), bit for bit
-    cl = spin.build_clifford(14)
+    # rows 128 g .. 128 g + 127 of the entry-built stack are the lift of iso[g], bit for bit
+    cl = _kron_clifford(14)
     for sid in ("M2", "M4"):
         iso = pipeline(sid, alpha=1.2, beta=0.8, gamma=1.5)["space"].iso
         L = densify(*spin._lift_entries(iso, DEFAULT_TOL))
         assert L.shape == (128 * len(iso), 128)
-        assert L.tobytes() == np.vstack([spin.spin_lift(R) for R in iso]).tobytes()
+        assert L.tobytes() == np.vstack([_lift(R) for R in iso]).tobytes()
         for R, block in zip(iso, L.reshape(-1, 128, 128)):
             ref = _loop_spin_lift(cl, R)
             assert np.max(np.abs(block - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
-    with pytest.raises(NotAntisymmetric):
+    with pytest.raises(NotAntisymmetric, match="antisymmetric generators"):
         spin._lift_entries(np.stack([iso[0], np.eye(14)]), DEFAULT_TOL)
 
 
 def _torsion_clifford(t3):
     """The full 128 x 128 Clifford action of a 3-form over R^14 (the
     increasing-triple sum): the reference for the restricted T_r."""
-    return spin._form_action(np.asarray(t3), 14)
+    return _form_action(t3, 14)
 
 
 def test_torsion_clifford_matches_loop_reference():
-    cl = spin.build_clifford(14)
+    cl = _kron_clifford(14)
     rng = np.random.default_rng(22)
     for density in (1.0, 0.2):
         t3 = _random_form(rng, 14, 3, density)
@@ -283,7 +358,7 @@ def test_restricted_dirac_matrix_matches_loop_reference():
     # D_r and T_r are formed on the rows where the invariant-spinor basis is
     # nonzero (48, 16 and 16 of 128 here); the reference projects the full
     # loop-built matrices
-    cl = spin.build_clifford(14)
+    cl = _kron_clifford(14)
     for sid, support in (("M1", 48), ("M2", 16), ("M4", 16)):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
         lam, T = ctx["conn"].stack, ctx["conn"].torsion
@@ -303,7 +378,7 @@ def test_dirac_terms_match_loop_reference(seed, k):
     # the full D is checked on a general one, through the identity basis
     # (S = all rows); D reads only a and the lifts only coeffs, which stand
     # for the stack coeffs . rho
-    cl = spin.build_clifford(14)
+    cl = _kron_clifford(14)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((14, 14, 14))
     a = a - a.transpose(0, 2, 1)
@@ -399,12 +474,21 @@ def test_lifted_rho_is_shared_with_the_spinor_subspace():
     assert m1[0].lifted_rho.shape == (21, 128, 48) and not m1[0].lifted_rho.flags.writeable
 
 
+@pytest.mark.parametrize("sid", ["M1", "M2", "M4"])
+def test_lifted_rho_matches_dense_reference(sid):
+    # lift(rho)[:, S] B[S] from the support's 2-form entries against the
+    # dense lifts applied to all 128 rows of B
+    sub = spin.invariant_spinors(pipeline(sid)["space"])
+    ref = np.array([_lift(R) for R in sp3.load().rho]) @ sub.basis
+    assert _close(sub.lifted_rho, ref)
+
+
 def test_clifford_shape_mismatch_rejected():
-    # spin_lift reads n from A: a 12 x 12 matrix lifts to the Cl(12) module,
-    # and a size with no Clifford module here is rejected
-    assert spin.spin_lift(np.zeros((12, 12))).shape == (64, 64)
+    # the module is read from n: a 2-form over R^12 acts on the Cl(12)
+    # module, and a size with no Clifford module here is rejected
+    assert _lift(np.zeros((12, 12))).shape == (64, 64)
     for n in (13, 16):
         with pytest.raises(BadDimension):
-            spin.spin_lift(np.zeros((n, n)))
+            spin._form_entries(np.zeros((1, n, n)), n)
     with pytest.raises(BadDimension):
-        spin._form_action(np.zeros((12, 12, 12)), 14)
+        spin._form_entries(np.zeros((1, 12, 12, 12)), 14)
