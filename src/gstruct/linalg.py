@@ -1,4 +1,4 @@
-"""Dense complex linear algebra with an explicit tolerance policy.
+"""Real and complex linear algebra with an explicit tolerance policy.
 
 Every floating-point decision elsewhere in the package (ranks, kernels,
 eigenvalue clustering, residual assertions) is routed through a single
@@ -7,8 +7,10 @@ outputs.  Its one setting is the rank cut ``rank_tol``; the residual
 tolerance ``RESIDUAL_TOL`` and the clustering width ``CLUSTER_TOL`` are
 constants that only this module reads.  Every residual, defect and nonzero
 test is one call of :meth:`ToleranceProfile.exceeds`.
-Backed by numpy's LAPACK bindings; matrices are plain
-``numpy.ndarray`` objects (row-major, complex or real dtype).
+The kernel and spectral solvers read a matrix as its entries (rows, cols,
+vals), a dense one as its nonzero cells, and split it into the connected
+components of its row/column pattern (the block-diagonal case of Pothen
+and Fan, ACM TOMS 16, 1990); numpy's batched LAPACK calls solve the blocks.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _block_labels(r: np.ndarray, c: np.ndarray, n: int):
     changes: each round only lowers labels and every label stays a column
     of its own component, so the fixed point is one label per component.
     """
-    by_col = np.argsort(c, kind="stable")
+    by_col = np.argsort(c.astype(np.min_scalar_type(n)), kind="stable")  # a radix sort, c < n
     row_start = np.flatnonzero(np.diff(r, prepend=-1))
     col_start = np.flatnonzero(np.diff(c[by_col], prepend=-1))
     row_slot = np.cumsum(np.diff(r, prepend=-1) != 0) - 1  # entry -> row_start index
@@ -128,107 +130,105 @@ def _block_svd(blocks: np.ndarray):
     return s, vh
 
 
-def _split_blocks(A: np.ndarray, tol: ToleranceProfile, hermitian: bool = False):
-    """The independent blocks of A once its round-off entries are dropped.
+def _summed(rows, cols, vals, shape):
+    """(pos, v): the ascending positions r n + c of the cells of an m x n
+    matrix that hold an entry, and their values summed in input order."""
+    m, n = shape
+    rows, cols, vals = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(vals)
+    if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n):
+        raise ValueError(f"an entry lies outside the {m}x{n} matrix")
+    key = rows * n + cols
+    order = np.argsort(key, kind="stable")  # np.unique's inverse, faster on the ascending runs of entry lists
+    new = np.diff(key[order], prepend=-1) != 0
+    pos, slot = key[order][new], np.empty_like(order)
+    slot[order] = np.cumsum(new) - 1
+    v = np.bincount(slot, vals.real, pos.size)
+    v = v + 1j * np.bincount(slot, vals.imag, pos.size) if np.iscomplexobj(vals) else v
+    if not np.all(np.isfinite(v)):
+        raise ValueError("matrix contains NaN/Inf")
+    return pos, v
+
+
+def _blocks(pos, v, shape, tol: ToleranceProfile, diagonal: bool = False):
+    """The independent blocks of the m x n matrix A with values v at the
+    ascending positions pos, once its round-off entries are dropped.
 
     Entries of at most tau = max|A| * min(64 eps, 1e-3 rank_tol / sqrt(m n))
     (``ToleranceProfile.round_off``) are round-off.  The dropped part E has
     ||E||_2 <= sqrt(m n) tau <= 1e-3 rank_tol ||A||_2, which bounds the move
     of every singular value (and, A Hermitian, every eigenvalue), and no
-    entry above 64 ulp of the largest is dropped.  The blocks are the
-    connected components of the row/column pattern of the rest
-    (``_group_blocks``); ``hermitian`` adds the diagonal, so every block is
-    a principal submatrix.  Returns None for a zero matrix.
-    """
-    absA = np.abs(A)
-    amax = absA.max() if A.size else 0.0
+    entry above 64 ulp of the largest is dropped.  ``diagonal`` keeps the
+    diagonal, which pos must hold, so every block is a principal submatrix.
+    None for a zero matrix, else (labels, groups): each block's label (its
+    smallest column) and, per block shape, (ids, ri, ci, stack), the block
+    ids, their ascending rows (blocks, h) and columns (blocks, w), and the
+    stack A[ri, ci], round-off entries kept; a column with no entry has no rows."""
+    m, n = shape
+    a = np.abs(v)
+    amax = a.max(initial=0.0)
     if amax == 0.0:
         return None
-    mask = absA > tol.round_off(amax, *A.shape)
-    if hermitian:
-        np.fill_diagonal(mask, True)
-    return _group_blocks(*np.nonzero(mask), A.shape[1])
-
-
-def _group_blocks(r: np.ndarray, c: np.ndarray, n: int):
-    """The blocks of the entries (r, c), r ascending, of a matrix with n
-    columns, grouped by shape: (labels, groups), each block's label
-    (smallest column), and per block shape (ids, ri, ci), the block ids and
-    their ascending row and column indices as (blocks, rows) and (blocks,
-    cols) arrays.  A column with no entry is a block without rows."""
-    col_label, rows, row_label = _block_labels(r, c, n)
+    keep = (a > tol.round_off(amax, m, n)) | ((pos // n == pos % n) & diagonal)
+    col_label, rows, row_label = _block_labels(*np.divmod(pos[keep], n), n)
     labels, col_block = np.unique(col_label, return_inverse=True)
     row_block = np.searchsorted(labels, row_label)
     col_order = np.argsort(col_block, kind="stable")
     row_order = rows[np.argsort(row_block, kind="stable")]
-    ncols = np.bincount(col_block, minlength=labels.size)
-    nrows = np.bincount(row_block, minlength=labels.size)
+    ncols, nrows = np.bincount(col_block, minlength=labels.size), np.bincount(row_block, minlength=labels.size)
     col_start = np.cumsum(ncols) - ncols
     row_start = np.cumsum(nrows) - nrows
     shape_key = nrows * (n + 1) + ncols
     # group equal keys by a sort: a plain np.unique imports numpy.ma
     by_key = np.argsort(shape_key, kind="stable")
-    groups = []
-    for ids in np.split(by_key, np.flatnonzero(np.diff(shape_key[by_key])) + 1):
-        ri = row_order[row_start[ids, None] + np.arange(nrows[ids[0]])]
-        ci = col_order[col_start[ids, None] + np.arange(ncols[ids[0]])]
-        groups.append((ids, ri, ci))
-    return labels, groups
+    groups = [(ids, row_order[row_start[ids, None] + np.arange(nrows[ids[0]])],
+               col_order[col_start[ids, None] + np.arange(ncols[ids[0]])])
+              for ids in np.split(by_key, np.flatnonzero(np.diff(shape_key[by_key])) + 1)]
+    # one buffer holds the stacks: per row its block and first cell, per column its block and place
+    size = [ri.size * ci.shape[1] for _, ri, ci in groups]
+    start = np.cumsum(size) - size
+    row_id, row_at = np.full(m, -1), np.zeros(m, dtype=np.intp)
+    col_id, col_at = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for (ids, ri, ci), s in zip(groups, start):
+        row_id[ri], row_at[ri] = ids[:, None], s + ci.shape[1] * np.arange(ri.size).reshape(ri.shape)
+        col_id[ci], col_at[ci] = ids[:, None], np.arange(ci.shape[1])
+    r, c = np.divmod(pos, n)
+    inside = row_id[r] == col_id[c]
+    buf = np.zeros(sum(size), dtype=np.result_type(v.dtype, float))
+    buf[row_at[r[inside]] + col_at[c[inside]]] = v[inside]
+    return labels, [(ids, ri, ci, buf[s:s + z].reshape(len(ids), ri.shape[1], ci.shape[1]))
+                    for (ids, ri, ci), s, z in zip(groups, start, size)]
 
 
 def nullspace(M, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal kernel basis, returned as the columns of an (n, k) array.
-
-    k is ``cols(M) - rank(M)`` up to ``rank``'s caveat; for a zero or empty
-    matrix the kernel is the full column space.
-
-    M is split into the independent blocks left after dropping its
-    round-off entries (``_split_blocks``), and blocks of equal shape are
-    solved together by one batched SVD.  The rank cut stays global:
-    ``rank_tol`` times the largest singular value over all blocks, i.e. of
-    M up to 0.1% of the cut.  A block without rows is a kernel vector as it
-    stands.  The basis is ordered by block (smallest column index first),
-    and its transpose is C-contiguous.  ``nullspace_entries`` solves a
-    matrix given by its entries the same way.
-    """
+    """Orthonormal kernel basis, as the columns of an (n, k) array, k =
+    ``cols(M) - rank(M)`` up to ``rank``'s caveat: ``nullspace_entries`` of
+    the nonzero entries of M."""
     A = as_matrix(M)
-    return _kernel(_split_blocks(A, tol), lambda ri, ci: A[ri[:, :, None], ci[:, None, :]],
-                   A.shape[1], np.result_type(A.dtype, float), tol)
+    return _kernel(np.flatnonzero(A), A[A != 0], A.shape, tol)
 
 
 def nullspace_entries(rows, cols, vals, shape, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """``nullspace`` of the matrix of the given shape with entry vals[i] at
-    (rows[i], cols[i]), never formed.  A repeated position holds the sum of
-    its values in input order, as ``np.add.at`` would, and a block every
-    entry in its rows and columns, round-off ones too: the basis is bitwise
-    that of the dense float64 or complex128 matrix."""
-    m, n = shape
-    rows, cols, vals = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp), np.asarray(vals)
-    if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= m or cols.max() >= n):
-        raise ValueError(f"an entry lies outside the {m}x{n} matrix")
-    pos, slot = np.unique(rows * n + cols, return_inverse=True)  # unlike a plain np.unique, imports no numpy.ma
-    v = np.bincount(slot, vals.real, pos.size)
-    v = v + 1j * np.bincount(slot, vals.imag, pos.size) if np.iscomplexobj(vals) else v
-    if not np.all(np.isfinite(v)):
-        raise ValueError("matrix contains NaN/Inf")
-    amax = np.abs(v).max(initial=0.0)
-    split = _group_blocks(*np.divmod(pos[np.abs(v) > tol.round_off(amax, m, n)], n), n) if amax > 0.0 else None
+    """``nullspace`` of the m x n matrix (shape) with entry vals[i] at
+    (rows[i], cols[i]), never formed; a repeated position holds the sum of
+    its values in input order, as ``np.add.at`` would.
 
-    def gather(ri, ci):  # A[ri, ci]: the summed value at a cell with entries, else 0
-        cell = ri[:, :, None] * n + ci[:, None, :]
-        at = np.minimum(np.searchsorted(pos, cell), pos.size - 1)
-        return np.where(pos[at] == cell, v[at], 0.0)
-
-    return _kernel(split, gather, n, np.result_type(vals.dtype, float), tol)
+    The blocks of ``_blocks`` of equal shape are solved by one batched SVD.
+    The rank cut stays global: ``rank_tol`` times the largest singular value
+    over all blocks, i.e. of the matrix up to 0.1% of the cut.  A block
+    without rows is a kernel vector as it stands; a zero or empty matrix
+    has the full column space.  The basis is ordered by block (smallest
+    column first), and its transpose is C-contiguous."""
+    return _kernel(*_summed(rows, cols, vals, shape), shape, tol)
 
 
-def _kernel(split, gather, n: int, dtype, tol: ToleranceProfile) -> np.ndarray:
-    """The kernel of n columns from ``_split_blocks``' blocks (None: a zero
-    matrix), ``gather(ri, ci)`` giving the stack of the blocks of one shape."""
+def _kernel(pos, v, shape, tol: ToleranceProfile) -> np.ndarray:
+    """The kernel of the matrix with values v at the ascending positions pos."""
+    n, dtype = shape[1], np.result_type(v.dtype, float)
+    split = _blocks(pos, v, shape, tol)
     if split is None:
         return np.eye(n, dtype=dtype)
     labels, groups = split
-    solved = [(ids, ci, *_block_svd(gather(ri, ci))) for ids, ri, ci in groups]
+    solved = [(ids, ci, *_block_svd(stack)) for ids, _, ci, stack in groups]
     cut = tol.rank_tol * max(s.max(initial=0.0) for _, _, s, _ in solved)
     # kernel vectors as (sort key, columns, values); the key orders by
     # block label, then by position in the block's right factor
@@ -245,40 +245,57 @@ def _kernel(split, gather, n: int, dtype, tol: ToleranceProfile) -> np.ndarray:
 
 
 def eig_selfadjoint(M, tol: ToleranceProfile = DEFAULT_TOL):
-    """Spectral decomposition of a (numerically) self-adjoint matrix.
+    """Spectral decomposition of a (numerically) self-adjoint matrix:
+    ``eig_selfadjoint_entries`` of the nonzero entries of M."""
+    A = as_matrix(M)
+    return _eig(np.flatnonzero(A), A[A != 0], A.shape, tol)
 
-    ||M - M^H||_F may be at most ``RESIDUAL_TOL`` ||M||_F.  The Hermitian
-    part is split by ``_split_blocks``; blocks of equal size share one
+
+def eig_selfadjoint_entries(rows, cols, vals, shape, tol: ToleranceProfile = DEFAULT_TOL):
+    """``eig_selfadjoint`` of the n x n matrix A (shape) with the entries
+    of ``nullspace_entries``, never formed.
+
+    ||A - A^H||_F may be at most ``RESIDUAL_TOL`` ||A||_F.  The blocks of
+    H = (A + A^H) / 2 (``_blocks``, diagonal kept) of equal size share one
     batched ``eigh``.  The eigenvalues of all blocks are sorted together,
     and neighbours closer than ``CLUSTER_TOL`` times the largest |eigenvalue|
     are merged into one entry whose eigenspace collects their eigenvectors.
-    Both tests are relative, so scaling M keeps the partition.  Returns
+    Both tests are relative, so scaling A keeps the partition.  Returns
     ``(eigenvalue, basis)`` pairs sorted by eigenvalue, with ``basis`` an
-    (n, multiplicity) array of orthonormal columns.
-    """
-    A = as_matrix(M)
-    n = A.shape[0]
-    if n != A.shape[1]:
-        raise NotSelfAdjoint(f"matrix is {n}x{A.shape[1]}, not square")
-    Ah = np.ascontiguousarray(A.conj().T)  # the transposed read, made once
-    defect = np.linalg.norm(A - Ah)
-    if tol.exceeds(defect, np.linalg.norm(A), 1):
+    (n, multiplicity) array of orthonormal columns."""
+    return _eig(*_summed(rows, cols, vals, shape), shape, tol)
+
+
+def _eig(pos, v, shape, tol: ToleranceProfile):
+    """The clustered eigenspaces of the matrix with values v at the ascending positions pos."""
+    n = shape[0]
+    if n != shape[1]:
+        raise NotSelfAdjoint(f"matrix is {n}x{shape[1]}, not square")
+    # A at every cell of A, of A^H and of the diagonal, ascending; a stable
+    # (radix) sort by column lists the transposes of these cells in order
+    cells = np.sort(np.concatenate([pos, pos % n * n + pos // n, np.arange(n) * (n + 1)]))
+    cells = cells[np.diff(cells, prepend=-1) != 0]
+    a = np.zeros(cells.size, dtype=v.dtype)
+    a[np.searchsorted(cells, pos)] = v
+    ah = a[np.argsort((cells % n).astype(np.min_scalar_type(n)), kind="stable")].conj()
+    defect = np.linalg.norm(a - ah)
+    if tol.exceeds(defect, np.linalg.norm(v), 1):
         raise NotSelfAdjoint(f"hermiticity defect {defect:.3e} exceeds tolerance")
-    H = 0.5 * (A + Ah)
-    split = _split_blocks(H, tol, hermitian=True)
+    h = 0.5 * (a + ah)
+    split = _blocks(cells, h, shape, tol, diagonal=True)
     if split is None:
-        return [(0.0, np.eye(n, dtype=H.dtype))] if n else []
-    # eigenvector j of block b fills columns ci[b] of row done + b k + j
-    w, vt = np.empty(n), np.zeros((n, n), dtype=H.dtype)
-    done = 0
-    for _, _, ci in split[1]:
-        bw, bv = np.linalg.eigh(H[ci[:, :, None], ci[:, None, :]])
-        rows = done + np.arange(ci.size).reshape(ci.shape)
-        w[rows] = bw
-        vt[rows[:, :, None], ci[:, None, :]] = bv.swapaxes(1, 2)
-        done += ci.size
+        return [(0.0, np.eye(n, dtype=h.dtype))] if n else []
+    solved = [np.linalg.eigh(stack) for *_, stack in split[1]]
+    # eigenpair j of block b of a group, w[done + b k + j], fills columns ci[b] of vt's row row[done + b k + j]
+    w = np.concatenate([bw.ravel() for bw, _ in solved])
     order = np.argsort(w, kind="stable")
-    w, vt = w[order], vt[order]
+    row, vt = np.empty(n, dtype=np.intp), np.zeros((n, n), dtype=h.dtype)
+    row[order] = np.arange(n)
+    done = 0
+    for (_, _, ci, _), (_, bv) in zip(split[1], solved):
+        vt[row[done:done + ci.size].reshape(ci.shape)[:, :, None], ci[:, None, :]] = bv.swapaxes(1, 2)
+        done += ci.size
+    w = w[order]
     cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * np.abs(w).max()) + 1
     return [(float(np.mean(wc)), vc.T) for wc, vc in zip(np.split(w, cuts), np.split(vt, cuts))]
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import sp3
 from .errors import NotClosed, StructureViolation
 from .liealg import CoordinateFrame, pair_brackets
-from .linalg import DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, nullspace, read_only
+from .linalg import (DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoint, eig_selfadjoint_entries, nullspace,
+                     nullspace_entries, read_only)
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,11 @@ def casimir(gens: np.ndarray) -> np.ndarray:
     return np.matmul(gens, gens).sum(axis=0)
 
 
-def decompose_casimir(C: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
-    """Eigenspace decomposition of a Casimir; one part per clustered eigenvalue."""
-    return IsotypicDecomposition(tuple((ev, b.shape[1], b) for ev, b in eig_selfadjoint(C, tol)))
+def decompose_casimir(C, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
+    """Eigenspace decomposition of a Casimir, given as a matrix or as the
+    entries (rows, cols, vals, shape) of one; one part per clustered eigenvalue."""
+    parts = eig_selfadjoint_entries(*C, tol) if isinstance(C, tuple) else eig_selfadjoint(C, tol)
+    return IsotypicDecomposition(tuple((ev, b.shape[1], b) for ev, b in parts))
 
 
 # Theta^T Theta on the 3-forms, Theta = ``sp3_theta``: one row (eigenvalue
@@ -130,32 +133,39 @@ def sp3_theta(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _symmetric_embedding(n: int) -> np.ndarray:
-    """The (n * n, n(n+1)/2) 0/1 matrix whose column (p, q), p <= q in
-    ``np.triu_indices`` order, is vec(E_pq + E_qp) (vec(E_pp) for p = q):
-    coordinates of the symmetric matrices to their row-major entries.
-    Read-only."""
+def _symmetric_coords(n: int) -> np.ndarray:
+    """The (n, n) table of the coordinate of the pair {p, q} in
+    ``np.triu_indices(n)`` order, at (p, q) and (q, p); read-only."""
     p, q = np.triu_indices(n)
-    P = np.zeros((n * n, p.size))
-    P[p * n + q, np.arange(p.size)] = P[q * n + p, np.arange(p.size)] = 1.0
-    return read_only(P)
+    coord = np.empty((n, n), dtype=np.intp)
+    coord[p, q] = coord[q, p] = np.arange(p.size)
+    return read_only(coord)
 
 
-def _commutant_block(R: np.ndarray) -> np.ndarray:
-    """S |-> vec(S R - R S) on symmetric n x n matrices S, over the
-    coordinates of ``_symmetric_embedding``: vec(S R) = (I (x) R^T) vec S
-    and vec(R S) = (R (x) I) vec S for row-major vec."""
-    I = np.eye(len(R))
-    return (np.kron(I, R.T) - np.kron(R, I)) @ _symmetric_embedding(len(R))
+def _commutant_entries(gens: np.ndarray):
+    """[S, R] = 0 for every R of a (k, n, n) stack, over the symmetric
+    S = sum_{p <= q} s_pq (E_pq + E_qp) (E_pp for p = q), as the entries
+    (rows, cols, vals, shape) of a (k n^2, n(n+1)/2) matrix: row g n^2 + i n + j
+    is entry (i, j) of S R_g - R_g S, column (p, q) in ``_symmetric_coords``
+    order.  R_g[a, b] != 0 puts R_g[a, b] s_ia in (S R_g)_ib and R_g[a, b] s_bj
+    in (R_g S)_aj for every i and j, so a cell sums at most two entries."""
+    k, n, _ = gens.shape
+    coord, i = _symmetric_coords(n), np.arange(n)
+    g, a, b = np.nonzero(gens)
+    val = np.repeat(gens[g, a, b], n)
+    rows = np.concatenate([(g * n * n + b)[:, None] + n * i, (g * n * n + a * n)[:, None] + i]).ravel()
+    cols = np.concatenate([coord[a], coord[b]]).ravel()
+    return rows, cols, np.concatenate([val, -val]), (k * n * n, coord[-1, -1] + 1)
 
 
 def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL):
     """Invariant-block dimensions of the 14-dim module under a subalgebra.
 
-    Finds the symmetric commutant of the generator images, eigen-splits a
-    generic commutant element S*, and merges the eigenblocks that some
-    commutant element links (same isotypic type): the parts are the
-    connected components of the linked block pairs.
+    Solves for the symmetric commutant of the generator images from the
+    entries of [S, R] = 0 (``_commutant_entries``), eigen-splits a generic
+    commutant element S*, and merges the eigenblocks that some commutant
+    element links (same isotypic type): the parts are the connected
+    components of the linked block pairs.
     """
     gens = sp3.load().rho_of(row.generators)
     # closure check of the generator span
@@ -164,9 +174,8 @@ def subgroup_decompose(row: sp3.SubgroupRow, tol: ToleranceProfile = DEFAULT_TOL
     if np.any(tol.exceeds(res, scale)):
         raise NotClosed(f"{row.name}: generators do not span a subalgebra")
 
-    # the symmetric S with [S, R] = 0 for every generator R
-    ker = nullspace(np.vstack([_commutant_block(R) for R in gens]), tol)
-    commutant = (_symmetric_embedding(14) @ ker).T.reshape(-1, 14, 14)
+    # the symmetric S with [S, R] = 0 for every generator R: S[p, q] = S[q, p] = s_pq
+    commutant = nullspace_entries(*_commutant_entries(gens), tol).T[:, _symmetric_coords(14)]
 
     # fixed closed-form weights, not a seeded draw: no ``numpy.random`` import
     weights = np.sin(np.sqrt(np.arange(1, len(commutant) + 1)) * 20140314)
@@ -210,7 +219,8 @@ def sym3_casimir(gens: np.ndarray):
     S /= w
     R = gens.reshape(k, n * n)
     omega = (R.T @ R).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    pair = 3 * np.kron(casimir(gens), np.eye(n)) + 6 * omega
+    # C_V (x) I, broadcast: entry ((i, a), (j, b)) is C_V[i, j] delta_ab
+    pair = 3 * (casimir(gens)[:, None, :, None] * np.eye(n)[:, None]).reshape(n * n, n * n) + 6 * omega
     Y = (pair @ S.reshape(n * n, n * N)).reshape(n ** 3, N)
     # row r of S^T Y sums Y at the distinct permutations over w_r, and the
     # six permutations visit each of them 6 / w_r^2 times
@@ -233,32 +243,6 @@ def invariant_cubics(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     return U
 
 
-def trace_cubic() -> np.ndarray:
-    """The invariant cubic built directly from the ambient triple trace,
-    Im tr(sym(B_i B_j B_k)); an independent construction used as an oracle."""
-    B = sp3.load().B
-    t = np.imag(np.einsum("iab,jbc,kca->ijk", B, B, B))
-    return sum(np.transpose(t, p) for p in permutations(range(3))) / 6.0
-
-
-def metric_reconstructor(tol: ToleranceProfile = DEFAULT_TOL):
-    """A scaled invariant cubic U with U_v^2 v = |v|^2 v for every v.
-
-    Uses the ambient-trace construction, fixes the scale on one sample
-    vector, and returns (tensor, scale applied).
-    """
-    t = trace_cubic()
-    rng = np.random.default_rng(7)
-    v = rng.standard_normal(14)
-    v /= np.linalg.norm(v)
-    M = np.einsum("ijk,k->ij", t, v)
-    denom = float(v @ (M @ M) @ v)
-    if denom <= 0:
-        raise RuntimeError("trace cubic degenerate on the sample vector")
-    c = 1.0 / np.sqrt(denom)
-    return c * t, c
-
-
 # ---------------------------------------------------------------------------
 # The tensor product of the 14-dim module with its so(14)-complement.
 
@@ -275,22 +259,21 @@ def complement_action():
     return read_only(F), read_only(acts)
 
 
-def v14_v70_rep() -> np.ndarray:
-    """Action on the 980-dimensional product module, a (21, 980, 980) stack."""
-    R, acts = sp3.load().rho, complement_action()[1]
-    I14, I70 = np.eye(14), np.eye(70)
-    out = np.empty((len(R), 980, 980))
-    for g, r, ad in zip(out, R, acts):
-        g[:] = np.kron(r, I70) + np.kron(I14, ad)
-    return out
-
-
-def v14_v70_casimir() -> np.ndarray:
+def v14_v70_casimir():
     """Casimir of the product module by the split-Casimir identity
-    C = C14 (x) I + I (x) C70 + 2 sum_a R_a (x) ad_a, without the 980x980
-    generators; the cross term is one product."""
+    C = C14 (x) I + I (x) C70 + 2 sum_a R_a (x) ad_a = sum_t X_t (x) Y_t,
+    without the 980 x 980 generators and never formed: its entries (rows,
+    cols, vals, shape), one per pair of nonzero entries X_t[p, q] and
+    Y_t[r, s] of the same t; the solvers sum those that meet at a cell."""
     R, ad = sp3.load().rho, complement_action()[1]
-    c14, c70 = casimir(R), casimir(ad)
-    cross = (R.reshape(21, 196).T @ ad.reshape(21, 4900)).reshape(14, 14, 70, 70)
-    return (np.kron(c14, np.eye(70)) + np.kron(np.eye(14), c70)
-            + 2 * cross.transpose(0, 2, 1, 3).reshape(980, 980))
+    m, n = R.shape[1], ad.shape[1]
+    X = np.concatenate([casimir(R)[None], np.eye(m)[None], 2 * R])
+    Y = np.concatenate([np.eye(n)[None], casimir(ad)[None], ad])
+    a, p, q = np.nonzero(X)
+    b, r, s = np.nonzero(Y)
+    # pair k joins X entry x[k] with Y entry y[k], the nonzeros of Y_t in turn
+    count = np.bincount(b, minlength=len(Y))
+    per = count[a]
+    x = np.repeat(np.arange(a.size), per)
+    y = np.arange(x.size) + np.repeat((np.cumsum(count) - count)[a] - (np.cumsum(per) - per), per)
+    return p[x] * n + r[y], q[x] * n + s[y], X[a, p, q][x] * Y[b, r, s][y], (m * n, m * n)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -83,11 +85,47 @@ def verify_records():
 
 @pytest.fixture(scope="session")
 def v14_v70_parts():
-    """The Casimir eigenspaces of ``reps.v14_v70_rep()``, decomposed
-    once per session for the tests that read them."""
+    """The Casimir eigenspaces of the product module, decomposed once per
+    session from the entries of ``reps.v14_v70_casimir()``, for the tests
+    that read them."""
     from gstruct import reps
 
-    return reps.decompose_casimir(reps.casimir(reps.v14_v70_rep())).parts
+    return reps.decompose_casimir(reps.v14_v70_casimir()).parts
+
+
+def trace_cubic():
+    """The invariant cubic built directly from the ambient triple trace,
+    Im tr(sym(B_i B_j B_k)); an independent construction used as an oracle."""
+    from gstruct import sp3
+
+    B = sp3.load().B
+    t = np.imag(np.einsum("iab,jbc,kca->ijk", B, B, B))
+    return sum(np.transpose(t, p) for p in permutations(range(3))) / 6.0
+
+
+def metric_reconstructor():
+    """The trace cubic scaled to U with U_v^2 v = |v|^2 v for every v, the
+    scale fixed on one sample vector: (tensor, scale applied)."""
+    t = trace_cubic()
+    v = np.random.default_rng(7).standard_normal(14)
+    v /= np.linalg.norm(v)
+    M = np.einsum("ijk,k->ij", t, v)
+    denom = float(v @ (M @ M) @ v)
+    assert denom > 0, "trace cubic degenerate on the sample vector"
+    c = 1.0 / np.sqrt(denom)
+    return c * t, c
+
+
+def v14_v70_rep():
+    """Dense reference action on the 980-dimensional product module
+    V14 (x) V70, a (21, 980, 980) stack: R_a (x) I + I (x) ad_a."""
+    from gstruct import reps, sp3
+
+    R, acts = sp3.load().rho, reps.complement_action()[1]
+    out = np.empty((len(R), 980, 980))
+    for g, r, ad in zip(out, R, acts):
+        g[:] = np.kron(r, np.eye(70)) + np.kron(np.eye(14), ad)
+    return out
 
 
 @pytest.fixture(scope="session")

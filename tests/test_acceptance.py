@@ -9,7 +9,7 @@ Run with:  pytest tests/test_acceptance.py -s -q
 
 import numpy as np
 import pytest
-from conftest import assert_point_checks, draws, pipeline
+from conftest import assert_point_checks, draws, metric_reconstructor, pipeline
 
 from gstruct import connections as con
 from gstruct import curvature as curv
@@ -214,7 +214,7 @@ def test_criterion_14_lie_groups():
 def test_criterion_15_invariant_cubics():
     cubics = reps.invariant_cubics()
     assert len(cubics) >= 1
-    U, scale = reps.metric_reconstructor()
+    U, scale = metric_reconstructor()
     tf = float(np.linalg.norm(np.einsum("iik->k", U)))
     assert tf <= 1e-9
     rng = np.random.default_rng(1500)

@@ -318,17 +318,19 @@ def test_each_flag_blanks_its_own_section(capsys, flag, blanked):
 
 
 def test_decompose_v14xv70_uses_split_casimir(capsys, monkeypatch):
-    # the factors' Casimirs (dims 14 and 70) are computed, the 980-dim one is not
+    # the factors' Casimirs (dims 14 and 70) are computed, and the 980-dim one
+    # reaches the solver as entries; the package has no dense product action
     from gstruct import reps
 
-    counts = _count_calls(monkeypatch, ["reps.v14_v70_rep"])
+    counts = _count_calls(monkeypatch, ["linalg.eig_selfadjoint", "linalg.eig_selfadjoint_entries"])
     dims = []
     original = reps.casimir
     monkeypatch.setattr(reps, "casimir", lambda rep: dims.append(rep.shape[1]) or original(rep))
     code, out = run_cli(capsys, "decompose", "v14xv70")
     assert code == 0
     assert sorted(p["dim"] for p in json.loads(out)["parts"]) == [14, 21, 70, 84, 90, 189, 512]
-    assert counts == {"reps.v14_v70_rep": 0}
+    assert counts == {"linalg.eig_selfadjoint": 0, "linalg.eig_selfadjoint_entries": 1}
+    assert not hasattr(reps, "v14_v70_rep")
     assert sorted(dims) == [14, 70]
 
 

@@ -65,7 +65,7 @@ INDEX_TABLES = {
     "spin._product_table(14, 3)": lambda: spin._product_table(14, 3),
     "SpinorSubspace.support": _m1_support,
     "reps.theta_index": lambda: reps.theta_index(14),
-    "reps._symmetric_embedding": lambda: (reps._symmetric_embedding(14),),
+    "reps._symmetric_coords": lambda: (reps._symmetric_coords(14),),
 }
 
 

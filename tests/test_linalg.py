@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import densify
 from gstruct.errors import NotSelfAdjoint
-from gstruct.linalg import (CLUSTER_TOL, DEFAULT_TOL, RESIDUAL_TOL, ToleranceProfile, eig_selfadjoint, nullspace,
-                            nullspace_entries, orthonormal_columns, rank)
+from gstruct.linalg import (CLUSTER_TOL, DEFAULT_TOL, RESIDUAL_TOL, ToleranceProfile, eig_selfadjoint,
+                            eig_selfadjoint_entries, nullspace, nullspace_entries, orthonormal_columns, rank)
 
 
 def test_rank_identity_and_zero():
@@ -109,6 +109,11 @@ def test_eig_selfadjoint_reconstruction_and_orthonormality():
 def test_eig_selfadjoint_rejects_nonhermitian():
     with pytest.raises(NotSelfAdjoint):
         eig_selfadjoint(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # from entries: a cell whose transpose has none, and a non-square shape
+    with pytest.raises(NotSelfAdjoint, match="hermiticity defect"):
+        eig_selfadjoint_entries([0, 1], [1, 1], [1.0, 2.0], (2, 2))
+    with pytest.raises(NotSelfAdjoint, match="not square"):
+        eig_selfadjoint_entries([0], [0], [1.0], (2, 3))
 
 
 def test_determinism():
@@ -298,7 +303,7 @@ def test_commutant_kernels_match_single_svd(name):
     from gstruct import reps, sp3
 
     row = next(r for r in sp3.subgroup_rows() if r.name == name)
-    A = np.vstack([reps._commutant_block(R) for R in sp3.load().rho_of(row.generators)])
+    A = densify(*reps._commutant_entries(sp3.load().rho_of(row.generators)))
     _assert_kernel_matches_single_svd(A, _COMMUTANT_DIMS[name])
 
 
@@ -375,6 +380,12 @@ def test_eig_selfadjoint_block_split_matches_full_eigh(sizes, complex_, seed):
     A = A + np.spacing(np.max(np.abs(A))) * noise
 
     parts = eig_selfadjoint(A)
+    # the same cells as a shuffled entry list give the same parts bit for bit
+    r, c = np.nonzero(A)
+    shuffle = rng.permutation(r.size)
+    entries = eig_selfadjoint_entries(r[shuffle], c[shuffle], A[r, c][shuffle], A.shape)
+    assert len(entries) == len(parts)
+    assert all(ev == ev_e and _bitwise_equal(b, b_e) for (ev, b), (ev_e, b_e) in zip(parts, entries))
     ref = _clusters(*np.linalg.eigh(0.5 * (A + A.conj().T)))
     values, counts = np.unique(evs, return_counts=True)
     assert [b.shape[1] for _, b in parts] == counts.tolist()

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import densify, metric_reconstructor, trace_cubic, v14_v70_rep
 from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
 from gstruct import reps, sp3, spaces
 from gstruct.errors import NotClosed
-from gstruct.linalg import eig_selfadjoint, nullspace, rank
+from gstruct.linalg import eig_selfadjoint, nullspace, nullspace_entries, rank
 
 _PERM_SIGN = {p: (1 if p in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1)
               for p in permutations(range(3))}
@@ -203,9 +204,37 @@ def test_v14_v70_multiset(v14_v70_parts):
 
 
 def test_v14_v70_casimir_matches_generators():
-    C = reps.v14_v70_casimir()
-    ref = reps.casimir(reps.v14_v70_rep())
+    C = densify(*reps.v14_v70_casimir())
+    ref = reps.casimir(v14_v70_rep())
     assert np.max(np.abs(C - ref)) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _symmetric_embedding(n):
+    """The (n * n, n(n+1)/2) 0/1 matrix whose column (p, q), p <= q in
+    ``np.triu_indices`` order, is vec(E_pq + E_qp) (vec(E_pp) for p = q)."""
+    p, q = np.triu_indices(n)
+    P = np.zeros((n * n, p.size))
+    P[p * n + q, np.arange(p.size)] = P[q * n + p, np.arange(p.size)] = 1.0
+    return P
+
+
+def _commutant_block(R):
+    """Dense reference for one generator: S |-> vec(S R - R S) over the
+    symmetric coordinates, vec(S R) = (I (x) R^T) vec S and vec(R S) =
+    (R (x) I) vec S for row-major vec."""
+    I = np.eye(len(R))
+    return (np.kron(I, R.T) - np.kron(R, I)) @ _symmetric_embedding(len(R))
+
+
+@pytest.mark.parametrize("row", sp3.subgroup_rows(), ids=lambda row: row.name)
+def test_commutant_kernel_matches_dense_kron_route(row):
+    # the entry system and the stacked kron blocks have the same kernel bit
+    # for bit, and scattering the coordinates is the 0/1 embedding
+    gens = sp3.load().rho_of(row.generators)
+    ker = nullspace_entries(*reps._commutant_entries(gens))
+    ref = nullspace(np.vstack([_commutant_block(R) for R in gens]))
+    assert ker.shape == ref.shape and np.array_equal(ker, ref)
+    assert np.array_equal(ker.T[:, reps._symmetric_coords(14)], (_symmetric_embedding(14) @ ref).T.reshape(-1, 14, 14))
 
 
 def test_theta_sp3_full_rank(sp3_data):
@@ -309,7 +338,7 @@ def test_invariant_cubics_properties():
 
 def test_trace_cubic_lies_in_invariant_space():
     cubics = reps.invariant_cubics()
-    t = reps.trace_cubic()
+    t = trace_cubic()
     G = np.array([U.ravel() for U in cubics])
     resid = t.ravel() - G.T @ (G @ t.ravel())
     assert np.linalg.norm(resid) < 1e-9 * np.linalg.norm(t)
@@ -370,13 +399,13 @@ def test_sym3_casimir_so3_has_no_invariant_cubic():
 
 def test_invariant_cubic_is_the_trace_cubic():
     (U,) = reps.invariant_cubics()
-    t = reps.trace_cubic()
+    t = trace_cubic()
     t /= np.linalg.norm(t)
     assert min(np.max(np.abs(U - t)), np.max(np.abs(U + t))) <= 1e-12
 
 
 def test_metric_reconstruction():
-    U, scale = reps.metric_reconstructor()
+    U, scale = metric_reconstructor()
     rng = np.random.default_rng(100)
     worst = 0.0
     for _ in range(100):

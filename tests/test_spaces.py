@@ -428,8 +428,8 @@ def test_rotated_frame_systems_are_one_block(sid):
     rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H)
     for entries, widths in ((_equivariance_entries(rotated.iso), [294]), (_lift_entries(rotated.iso, DEFAULT_TOL), [64, 64])):
         A = densify(*entries)
-        _, groups = linalg._split_blocks(A, DEFAULT_TOL)
-        assert [ci.size for _, _, cis in groups for ci in cis] == widths
+        _, groups = linalg._blocks(np.flatnonzero(A), A[A != 0], A.shape, DEFAULT_TOL)
+        assert [ci.size for _, _, cis, _ in groups for ci in cis] == widths
         ker, ref = linalg.nullspace_entries(*entries), linalg.nullspace(A)
         assert ker.shape == ref.shape and ker.tobytes() == ref.tobytes()
     catalog, fx = spaces.build(sid, p), spaces.fixtures(sid)
