@@ -43,7 +43,7 @@ class InvariantConnection:
 
     @cached_property
     def curvature(self) -> np.ndarray:
-        """(14, 14, 21): ``curvature_of_map`` of this map, in rho coordinates."""
+        """(14, 14, 21): the curvature R(K_i, K_j) of this map, in rho coordinates."""
         space, L = self.space, self.lambda_coeffs
         rest = space.pm.reshape(-1, 14) @ L + space.ph.reshape(196, -1) @ _rho_coords(space.iso)
         return read_only(L @ self.ad - rest.reshape(14, 14, 21))
@@ -112,16 +112,6 @@ def torsion_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> TorsionT
     return TorsionTensor(t12=t12, t3=t12.transpose(1, 2, 0))
 
 
-def curvature_of_map(space: HomogeneousSpaceInstance, lam: np.ndarray) -> np.ndarray:
-    """R4[i, j] = R(K_i, K_j) = [Lambda(K_i), Lambda(K_j)] - Lambda([K_i, K_j]_m)
-    - rho([K_i, K_j]_h), an so(14) matrix acting on frame coordinates; read-only."""
-    comm = lam[:, None] @ lam[None]
-    comm = comm - np.swapaxes(comm, 0, 1)
-    lam_m = np.tensordot(space.pm, lam, 1)
-    rho_h = np.tensordot(space.ph, space.iso, 1)
-    return read_only(comm - lam_m - rho_h)
-
-
 def levi_civita(space: HomogeneousSpaceInstance) -> np.ndarray:
     """Connection map of the Levi-Civita connection,
     Lambda(X)Y = [X,Y]_m/2 + U(X,Y)  with
@@ -154,10 +144,17 @@ def _three_form(v: np.ndarray) -> np.ndarray:
 
 
 def _theta_t(stack: np.ndarray) -> np.ndarray:
-    """Theta^T of a stack of m matrices, over the increasing triples
-    (Theta itself is ``_pr_m(_three_form(v))``)."""
+    """Theta^T of a stack of m matrices over the increasing triples, for any
+    antisymmetric stack its full contraction (Theta is ``_pr_m(_three_form(v))``)."""
     slot, row, col, sign = reps.theta_index(14)
     return np.sum(sign * stack[slot, row, col], axis=0)
+
+
+def _rho_part(x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """N x = ``_rho_coords(_three_form(x)).ravel()``, or N^T x, from ``reps.theta_rho_entries``."""
+    rows, cols, vals = reps.theta_rho_entries()
+    rows, cols = (cols, rows) if transpose else (rows, cols)
+    return np.bincount(rows, vals * x[cols], 364 if transpose else 294)
 
 
 # row k: the coefficients, constant term first, of the cubic that is 1 at the
@@ -168,11 +165,11 @@ _LAGRANGE = np.linalg.inv(np.vander(_LAMBDAS, increasing=True)).T
 
 def _spectral_parts(v: np.ndarray) -> np.ndarray:
     """(4, 364) parts P_k v of a 3-form v over the increasing triples, one per
-    row of ``reps.LAMBDA3_SPECTRUM``: those cubics in G = Theta^T Theta
-    applied to the Krylov powers v, Gv, G^2 v, G^3 v."""
+    row of ``reps.LAMBDA3_SPECTRUM``: those cubics in G = Theta^T Theta applied
+    to the Krylov powers v, Gv, G^2 v, G^3 v, each G w = 3 w - 2 N^T N w (``_rho_part``)."""
     krylov = [v]
     for _ in range(3):
-        krylov.append(_theta_t(_pr_m(_three_form(krylov[-1]))))
+        krylov.append(3.0 * krylov[-1] - 2.0 * _rho_part(_rho_part(krylov[-1]), transpose=True))
     return _LAGRANGE @ np.array(krylov)
 
 
@@ -184,35 +181,35 @@ def characteristic_connection(space: HomogeneousSpaceInstance,
     Its map is Lambda = Lambda_LC - T/2, so T/2 solves Theta(T/2) = Gamma,
     the intrinsic torsion Gamma = pr_m(Lambda_LC).  Theta is injective, so
     T/2 = (Theta^T Theta)^-1 Theta^T Gamma = sum_k P_k Theta^T Gamma / lambda_k
-    over the spectral parts (``_spectral_parts``).  Raises Infeasible when
-    the residual ||Theta(T/2) - Gamma|| shows Gamma outside the image of
-    Theta.  The residual and the round-off clamp of the coefficients are
-    measured against ||pm||, which scales with both under a uniform metric
-    scaling.
+    (``_spectral_parts``); Theta^T Gamma = _theta_t(Lambda_LC) - 2 N^T rho(Lambda_LC)
+    and rho(Lambda) = rho(Lambda_LC) - N(T/2) (``_rho_part``).  Raises Infeasible
+    when ||Theta(T/2) - Gamma|| = ||pr_m(T/2 - Lambda_LC)|| shows Gamma outside
+    the image of Theta.  That residual and the round-off clamp of the coefficients
+    are measured against ||pm||, which scales with both under a uniform metric scaling.
     """
     lc = levi_civita(space)
-    gamma = _pr_m(lc)
-    half_t3 = _three_form((1 / _LAMBDAS) @ _spectral_parts(_theta_t(gamma)))
-    resid = float(np.linalg.norm(_pr_m(half_t3) - gamma))
+    lc_rho = _rho_coords(lc)
+    half = (1 / _LAMBDAS) @ _spectral_parts(_theta_t(lc) - 2.0 * _rho_part(lc_rho.ravel(), transpose=True))
+    resid = float(np.linalg.norm(_pr_m(_three_form(half) - lc)))
     pnorm = float(np.linalg.norm(space.pm))
     if tol.exceeds(resid, pnorm):
         raise Infeasible(f"{space.space_id}: no skew-torsion member (residual {resid:.3e})")
-    L = _rho_coords(lc - half_t3)
+    L = lc_rho - _rho_part(half).reshape(14, 21)
     L[np.abs(L) < 1e-12 * pnorm] = 0.0
     return InvariantConnection(space=space, lambda_coeffs=read_only(L))
 
 
-def nabla_torsion(lam: np.ndarray, t12: np.ndarray) -> np.ndarray:
-    """(nabla_V T)(X, Y) over all frame directions: nt[v, k, i, j]."""
-    return (
-        (lam.reshape(-1, 14) @ t12.reshape(14, -1)).reshape(14, 14, 14, 14)
-        - np.tensordot(lam, t12, (1, 1)).transpose(0, 2, 1, 3)
-        - np.tensordot(lam, t12, (1, 2)).transpose(0, 2, 3, 1)
-    )
+def _max_nabla_t(lam: np.ndarray, t3: np.ndarray) -> float:
+    """max |nabla_V T| over the directions v and the triples i < j < k, for
+    antisymmetric lam[v] and a 3-form t3: nabla_V T is a 3-form, -(X[v, i, j, k]
+    + X[v, j, k, i] + X[v, k, i, j]) with X[v, i, j, k] = sum_l lam[v, l, i] t3[l, j, k]."""
+    X = (lam.transpose(0, 2, 1).reshape(196, 14) @ t3.reshape(14, 196)).reshape(14, 14, 14, 14)
+    i, j, k = reps.theta_index(14)[0]  # row 0: the triples i < j < k in order
+    return float(np.max(np.abs(X[:, i, j, k] + X[:, j, k, i] + X[:, k, i, j])))
 
 
 def torsion_is_parallel(conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL):
-    """(flag, max |nabla T| / (||pm|| ||T||)).
+    """(flag, max |nabla T| / (||pm|| ||T||)), the max of ``_max_nabla_t``.
 
     Under a uniform metric scaling by s the bracket table pm and T scale
     like s^(-1/2) and nabla T like s^(-1), so both tests are scale-free:
@@ -223,8 +220,7 @@ def torsion_is_parallel(conn: InvariantConnection, tol: ToleranceProfile = DEFAU
     pnorm = float(np.linalg.norm(conn.space.pm))
     if not tol.exceeds(tnorm, pnorm, 100):
         return True, 0.0
-    nt = nabla_torsion(conn.stack, T.t12)
-    ratio = float(np.max(np.abs(nt)) / (pnorm * tnorm))
+    ratio = _max_nabla_t(conn.stack, T.t3) / (pnorm * tnorm)
     return not tol.exceeds(ratio, 1.0, 100), ratio
 
 
@@ -239,8 +235,7 @@ def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_
     )
     if tol.exceeds(skew_defect, scale):
         raise NotSkew(f"tensor is not a 3-form (defect {skew_defect:.3e})")
-    slot, row, col, _ = reps.theta_index(14)
-    parts = _spectral_parts(t3[slot[0], row[0], col[0]])
+    parts = _spectral_parts(t3[tuple(reps.theta_index(14)[0])])
     return {cas: float(np.linalg.norm(p) ** 2) for (_, cas, _), p in zip(reps.LAMBDA3_SPECTRUM, parts)}
 
 

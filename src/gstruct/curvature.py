@@ -4,9 +4,9 @@ Levi-Civita connection, scalar curvatures, and the Einstein defect.
 The curvature of an invariant connection given by a map Lambda is
 R(X, Y) = [Lambda(X), Lambda(Y)] - Lambda([X,Y]_m) - rho([X,Y]_h): in rho
 coordinates, (14, 14, 21), for a connection with image in rho(sp3)
-(``InvariantConnection.curvature``), and as so(14) matrices for the
-Levi-Civita map (``connections.curvature_of_map``); both are certified end
-to end by reproducing the four closed-form Ricci tables of the catalog spaces.
+(``InvariantConnection.curvature``); the Levi-Civita Ricci tensor is contracted
+from its map without forming R; both are certified end to end by
+reproducing the four closed-form Ricci tables of the catalog spaces.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sp3
-from .connections import InvariantConnection, curvature_of_map, levi_civita
+from .connections import InvariantConnection, levi_civita
 from .errors import StructureViolation
 from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
@@ -44,9 +44,12 @@ def _identity_route(conn: InvariantConnection, ric_conn: np.ndarray) -> np.ndarr
 
 
 def ricci_riemannian(space: HomogeneousSpaceInstance) -> np.ndarray:
-    """The Ricci tensor of the Levi-Civita connection from its curvature R4:
-    Ric(X, Y) = sum_i g(R(K_i, X)Y, K_i) in the orthonormal frame."""
-    return np.trace(curvature_of_map(space, levi_civita(space)), axis1=0, axis2=2)
+    """The Levi-Civita Ricci tensor Ric[j, b] = sum_i R(K_i, K_j)[i, b], with
+    R(K_i, K_j) = [L_i, L_j] - sum_k pm[i, j, k] L_k - sum_r ph[i, j, r] iso_r."""
+    lam = levi_civita(space)
+    pm, ph = (t.transpose(1, 0, 2).reshape(14, -1) for t in (space.pm, space.ph))
+    lam_k, iso_k = (t.transpose(1, 0, 2).reshape(-1, 14) for t in (lam, space.iso))
+    return np.trace(lam) @ lam - lam.reshape(14, -1) @ lam.reshape(-1, 14) - pm @ lam_k - ph @ iso_k
 
 
 def curvature_report(

@@ -127,12 +127,3 @@ def isotropy_matrices(frame: CoordinateFrame, r: int, tol: ToleranceProfile = DE
         raise NotReductive(f"[h, m] leaves m (h-part {hpart[bad[0]]:.3e})")
     # R[:, j] holds the m-coordinates of [H, K_j]
     return cm.reshape(r, d, d).swapaxes(1, 2)
-
-
-def is_naturally_reductive(pm, tol: ToleranceProfile = DEFAULT_TOL):
-    """(flag, max defect) for g([X,Y]_m, Z) + g(Y, [X,Z]_m) over the triples
-    of an orthonormal frame, read off its bracket table pm (pm[i, j, k] is
-    g([K_i, K_j]_m, K_k)) and measured against ||pm||."""
-    pm = np.asarray(pm)
-    defect = float(np.max(np.abs(pm + np.swapaxes(pm, 1, 2))))
-    return not tol.exceeds(defect, np.linalg.norm(pm)), defect

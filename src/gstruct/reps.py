@@ -53,11 +53,13 @@ def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomp
     sp(3) module, built once per process and tolerance profile; every
     caller shares it, so the bases are read-only.
 
-    The Casimir of the derivative action is C = -6 I - 4 Theta^T Theta,
-    with Theta = ``sp3_theta``, so no 364 x 364 generator is built; its
-    eigenspaces are those of ``LAMBDA3_SPECTRUM``."""
-    theta = sp3_theta(tol)
-    dec = decompose_casimir(-6.0 * np.eye(theta.shape[1]) - 4.0 * (theta.T @ theta), tol)
+    The Casimir of the derivative action is C = -6 I - 4 Theta^T Theta =
+    -18 I + 8 N^T N, given as the products of N's entry pairs within a row
+    (``theta_rho_entries``); its eigenspaces are those of ``LAMBDA3_SPECTRUM``."""
+    (rows, cols, vals), d = theta_rho_entries(), np.arange(364)
+    x, y = _matching_pairs(rows, rows, 294)
+    dec = decompose_casimir((np.r_[cols[x], d], np.r_[cols[y], d],
+                             np.r_[8.0 * vals[x] * vals[y], np.full(364, -18.0)], (364, 364)), tol)
     for _, _, basis in dec.parts:
         read_only(basis)
     return dec
@@ -126,6 +128,19 @@ def sp3_theta(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
     """``theta_map`` of rho(sp3) in so(14), the (980, 364) matrix, built once
     per process and tolerance profile; read-only."""
     return read_only(theta_map(sp3.load().rho, tol))
+
+
+@lru_cache(maxsize=1)
+def theta_rho_entries():
+    """The rho(sp3) part N of ``sp3_theta`` as read-only entries (rows, cols,
+    vals) of a (294, 364) matrix, ascending by row: (21 l + a, t) holds the
+    rho_a coordinate of e_l _| t, so Theta^T Theta = 3 I - 2 N^T N."""
+    slot, row, col, sign = theta_index(14)
+    half = 0.5 * sign * sp3.load().rho[:, row, col]  # [a, r, t]: contraction r of triple t, read by rho_a
+    a, r, t = np.nonzero(half)
+    rows = 21 * slot[r, t] + a
+    order = np.lexsort((t, rows))
+    return tuple(read_only(x) for x in (rows[order], t[order], half[a, r, t][order]))
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +286,13 @@ def v14_v70_casimir():
     Y = np.concatenate([np.eye(n)[None], casimir(ad)[None], ad])
     a, p, q = np.nonzero(X)
     b, r, s = np.nonzero(Y)
-    # pair k joins X entry x[k] with Y entry y[k], the nonzeros of Y_t in turn
-    count = np.bincount(b, minlength=len(Y))
+    x, y = _matching_pairs(a, b, len(Y))
+    return p[x] * n + r[y], q[x] * n + s[y], X[a, p, q][x] * Y[b, r, s][y], (m * n, m * n)
+
+
+def _matching_pairs(a: np.ndarray, b: np.ndarray, n: int):
+    """(x, y): every pair with a[x] = b[y], for keys below n and b ascending."""
+    count = np.bincount(b, minlength=n)
     per = count[a]
     x = np.repeat(np.arange(a.size), per)
-    y = np.arange(x.size) + np.repeat((np.cumsum(count) - count)[a] - (np.cumsum(per) - per), per)
-    return p[x] * n + r[y], q[x] * n + s[y], X[a, p, q][x] * Y[b, r, s][y], (m * n, m * n)
+    return x, np.arange(x.size) + np.repeat((np.cumsum(count) - count)[a] - (np.cumsum(per) - per), per)

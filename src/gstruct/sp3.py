@@ -241,11 +241,3 @@ def derive_isotropy():
                 f"(max dev {np.max(np.abs(d - t)):.3e})"
             )
     return derived
-
-
-def homomorphism_defect() -> float:
-    """max |[A_a, A_b] - sum_c F[a, b, c] A_c|: rho is a homomorphism iff the
-    A basis has the structure constants F of the rho basis."""
-    A = load().A
-    brackets = A[:, None] @ A[None] - A[None] @ A[:, None]
-    return float(np.max(np.abs(brackets - np.tensordot(structure_constants(), A, 1))))

@@ -6,7 +6,7 @@ import pytest
 from gstruct import connections as con
 from gstruct import spaces, verify
 from gstruct.analysis import Analysis
-from gstruct.linalg import nullspace
+from gstruct.linalg import DEFAULT_TOL, nullspace
 
 _cache = {}
 
@@ -50,6 +50,44 @@ def parallel_vector_fields(conn, holonomy):
     """
     vecs = nullspace(np.concatenate([holonomy.basis, conn.space.iso]).reshape(-1, 14))
     return vecs, [np.tensordot(v, conn.torsion.t3, 1) for v in vecs.T]
+
+
+def curvature_of_map(space, lam):
+    """Reference: R4[i, j] = R(K_i, K_j) = [Lambda(K_i), Lambda(K_j)] - Lambda([K_i, K_j]_m)
+    - rho([K_i, K_j]_h), the (14, 14, 14, 14) so(14) matrices acting on frame
+    coordinates, of any connection map (stack of so(14) matrices)."""
+    comm = lam[:, None] @ lam[None]
+    comm = comm - np.swapaxes(comm, 0, 1)
+    return comm - np.tensordot(space.pm, lam, 1) - np.tensordot(space.ph, space.iso, 1)
+
+
+def nabla_torsion(lam, t12):
+    """Reference: (nabla_V T)(X, Y) over all frame directions, nt[v, k, i, j],
+    the full (14, 14, 14, 14) array."""
+    return (
+        (lam.reshape(-1, 14) @ t12.reshape(14, -1)).reshape(14, 14, 14, 14)
+        - np.tensordot(lam, t12, (1, 1)).transpose(0, 2, 1, 3)
+        - np.tensordot(lam, t12, (1, 2)).transpose(0, 2, 3, 1)
+    )
+
+
+def homomorphism_defect():
+    """Reference: max |[A_a, A_b] - sum_c F[a, b, c] A_c|; rho is a
+    homomorphism iff the A basis has the structure constants F of the rho basis."""
+    from gstruct import sp3
+
+    A = sp3.load().A
+    brackets = A[:, None] @ A[None] - A[None] @ A[:, None]
+    return float(np.max(np.abs(brackets - np.tensordot(sp3.structure_constants(), A, 1))))
+
+
+def is_naturally_reductive(pm, tol=DEFAULT_TOL):
+    """Reference: (flag, max defect) for g([X,Y]_m, Z) + g(Y, [X,Z]_m) over
+    the triples of an orthonormal frame, read off its bracket table pm
+    (pm[i, j, k] is g([K_i, K_j]_m, K_k)) and measured against ||pm||."""
+    pm = np.asarray(pm)
+    defect = float(np.max(np.abs(pm + np.swapaxes(pm, 1, 2))))
+    return not tol.exceeds(defect, np.linalg.norm(pm)), defect
 
 
 def densify(rows, cols, vals, shape):

@@ -9,7 +9,7 @@ Run with:  pytest tests/test_acceptance.py -s -q
 
 import numpy as np
 import pytest
-from conftest import assert_point_checks, draws, metric_reconstructor, pipeline
+from conftest import assert_point_checks, draws, homomorphism_defect, metric_reconstructor, nabla_torsion, pipeline
 
 from gstruct import connections as con
 from gstruct import curvature as curv
@@ -33,7 +33,7 @@ def _passed(records, *names):
 
 def test_criterion_01_catalog_self_consistency(verify_records):
     (dev,) = _passed(verify_records, "isotropy transcription")
-    hom = sp3.homomorphism_defect()
+    hom = homomorphism_defect()
     assert hom <= 1e-9
     _report(1, f"isotropy transcription {dev}, homomorphism residual {hom:.2e}")
 
@@ -91,7 +91,7 @@ def test_criterion_07_parallel_torsion():
         flag, _ = con.torsion_is_parallel(pipeline("M4", **kw)["conn"])
         assert flag, kw
     T = pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].torsion
-    nt = con.nabla_torsion(pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].stack, T.t12)
+    nt = nabla_torsion(pipeline("M4", alpha=1.0, beta=1.5, gamma=1.0)["conn"].stack, T.t12)
     assert float(np.max(np.abs(nt))) > 1e-4
     _report(7, "parallel on the torus spaces and the two special loci; nonparallel off-locus")
 

@@ -252,7 +252,7 @@ def _count_calls(monkeypatch, names):
 def test_analyze_runs_each_stage_once(capsys, monkeypatch):
     counts = _count_calls(monkeypatch, [
         "connections.holonomy_algebra", "curvature.curvature_report", "spin.invariant_spinors",
-        "spin.dirac_on_invariants", "connections.torsion_of_map", "connections.curvature_of_map",
+        "spin.dirac_on_invariants", "connections.torsion_of_map",
     ])
     from functools import cached_property
 
@@ -270,8 +270,6 @@ def test_analyze_runs_each_stage_once(capsys, monkeypatch):
         "spin.invariant_spinors": 1, "spin.dirac_on_invariants": 1,
         # the connection
         "connections.torsion_of_map": 1,
-        # Levi-Civita only: the connection's curvature is in rho coordinates
-        "connections.curvature_of_map": 1,
     }
     assert len(stacks) == 1
 

@@ -3,11 +3,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import assert_point_checks, densify, draws, parallel_vector_fields, pipeline
+from conftest import (assert_point_checks, curvature_of_map, densify, draws, nabla_torsion, parallel_vector_fields,
+                      pipeline)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import connections as con
+from gstruct import curvature as curv
 from gstruct import reps, sp3, spaces
 from gstruct.errors import Infeasible, NotSkew
 from gstruct.linalg import DEFAULT_TOL, RESIDUAL_TOL, orthonormal_columns
@@ -380,14 +382,47 @@ def test_contractions_match_einsum_reference(seed):
     lam = lam - lam.transpose(0, 2, 1)
     space = SimpleNamespace(pm=rng.standard_normal((14, 14, 14)), ph=rng.standard_normal((14, 14, 10)),
                             iso=rng.standard_normal((10, 14, 14)))
+    # a 3-form, for which nabla T is one too and its max is taken over the increasing triples
+    t3 = con._three_form(rng.standard_normal(364))
     for got, ref in [
-        (con.curvature_of_map(space, lam), _einsum_curvature(space, lam)),
-        (con.nabla_torsion(lam, t12), _einsum_nabla_torsion(lam, t12)),
+        (curvature_of_map(space, lam), _einsum_curvature(space, lam)),
+        (nabla_torsion(lam, t12), _einsum_nabla_torsion(lam, t12)),
         (con._rho_coords(stack), _einsum_rho_coords(stack)),
         (con._pr_m(stack), _einsum_pr_m(stack)),
+        (curv.ricci_riemannian(space), np.trace(_einsum_curvature(space, con.levi_civita(space)), axis1=0, axis2=2)),
+        (np.array(con._max_nabla_t(lam, t3)), np.max(np.abs(_einsum_nabla_torsion(lam, t3.transpose(2, 0, 1))))),
     ]:
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _theta_rho_dense():
+    N = np.zeros((294, 364))
+    rows, cols, vals = reps.theta_rho_entries()
+    N[rows, cols] = vals
+    return N
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_theta_rho_part_matches_three_form_route(seed):
+    # N v against the rho coordinates of the (14, 14, 14) stack of v, and
+    # G v = 3 v - 2 N^T N v against the three-stack route of Theta^T Theta
+    v = np.random.default_rng(seed).standard_normal(364)
+    ref = con._rho_coords(con._three_form(v)).ravel()
+    assert np.max(np.abs(con._rho_part(v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    ref = con._theta_t(con._pr_m(con._three_form(v)))
+    got = 3.0 * v - 2.0 * con._rho_part(con._rho_part(v), transpose=True)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    c = np.random.default_rng(seed + 10).standard_normal(294)
+    assert np.max(np.abs(con._rho_part(c, transpose=True) - _theta_rho_dense().T @ c)) <= 1e-13 * np.max(np.abs(c))
+
+
+def test_theta_rho_part_gives_theta_gram():
+    N = _theta_rho_dense()
+    rows, _, _ = reps.theta_rho_entries()
+    assert rows.size == 1248 and np.all(np.diff(rows) >= 0)
+    theta = reps.sp3_theta()
+    assert np.max(np.abs(3.0 * np.eye(364) - 2.0 * N.T @ N - theta.T @ theta)) <= 1e-13
 
 
 def _loop_holonomy(conn, tol=DEFAULT_TOL):

@@ -1,5 +1,5 @@
 import numpy as np
-from conftest import assert_point_checks, draws, parallel_vector_fields, pipeline
+from conftest import assert_point_checks, curvature_of_map, draws, parallel_vector_fields, pipeline
 
 from gstruct import curvature as curv
 from gstruct import sp3
@@ -18,7 +18,7 @@ def test_curvature_antisymmetric_and_metric():
     # each R(X, Y) is so(14)
     assert np.max(np.abs(R4 + np.swapaxes(R4, 2, 3))) < 1e-12
     # and is the curvature of the connection's so(14) stack
-    ref = con.curvature_of_map(ctx["space"], ctx["conn"].stack)
+    ref = curvature_of_map(ctx["space"], ctx["conn"].stack)
     assert np.max(np.abs(R4 - ref)) < 1e-12
 
 

@@ -65,6 +65,7 @@ INDEX_TABLES = {
     "spin._product_table(14, 3)": lambda: spin._product_table(14, 3),
     "SpinorSubspace.support": _m1_support,
     "reps.theta_index": lambda: reps.theta_index(14),
+    "reps.theta_rho_entries": reps.theta_rho_entries,
     "reps._symmetric_coords": lambda: (reps._symmetric_coords(14),),
 }
 

@@ -3,7 +3,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from conftest import densify
+from conftest import densify, is_naturally_reductive
 
 from gstruct import liealg, reps, sp3, spaces
 from gstruct.errors import DimensionMismatch, NotClosed, NotReductive
@@ -13,7 +13,6 @@ from gstruct.liealg import (
     CoordinateFrame,
     bracket,
     inner,
-    is_naturally_reductive,
     isotropy_matrices,
     pair_brackets,
     split_coords,

@@ -1,4 +1,5 @@
 import numpy as np
+from conftest import homomorphism_defect
 
 from gstruct import sp3
 from gstruct.liealg import inner
@@ -49,7 +50,7 @@ def test_rho_antisymmetric(sp3_data):
 
 
 def test_rho_homomorphism():
-    assert sp3.homomorphism_defect() <= 1e-9
+    assert homomorphism_defect() <= 1e-9
 
 
 def test_rho_injective(sp3_data):
