@@ -11,7 +11,6 @@ rendered to 15 significant digits).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -19,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import analysis, groups, reps, sp3, spaces
 from .errors import BadParams, GstructError, StructureViolation
 from .linalg import ToleranceProfile, nullspace
 
@@ -78,7 +76,9 @@ def _tolerance(args) -> ToleranceProfile:
         raise BadParams(f"invalid rank tolerance: {exc}") from exc
 
 
-def _params_from_args(sid: str, args) -> spaces.MetricParams:
+def _params_from_args(sid: str, args):
+    from . import spaces
+
     # the n extra coefficients are --alpha2..--alpha(1+n), all of them or none
     extra_count = spaces._EXTRA_ALPHAS[sid]
     given = [i for i in range(2, 9) if getattr(args, f"alpha{i}") is not None]
@@ -92,6 +92,8 @@ def _params_from_args(sid: str, args) -> spaces.MetricParams:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis, spaces
+
     tol = _tolerance(args)
     sid = spaces.canonical_id(args.space)
     params = _params_from_args(sid, args)
@@ -104,7 +106,7 @@ def cmd_analyze(args) -> int:
     drep = None if sub is None else res.dirac
     # the estimates use the scalar curvature: without that section they stay null
     est = res.estimates if drep is not None and crep is not None else None
-    est = {} if est is None else dataclasses.asdict(est)
+    est = {} if est is None else est._asdict()
     report = {
         "space_id": sid,
         "params": {
@@ -155,6 +157,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import reps
+
     tol = _tolerance(args)
     if args.selector == "lambda3":
         dec = reps.lambda3_decomposition(tol)
@@ -172,6 +176,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from . import groups, reps
+
     tol = _tolerance(args)
     if args.selector == "sp3":
         theta = reps.sp3_theta(tol)
@@ -191,6 +197,8 @@ def cmd_theta(args) -> int:
 
 
 def cmd_subgroups(args) -> int:
+    from . import reps, sp3
+
     tol = _tolerance(args)
     rows = []
     ok = True
@@ -210,17 +218,20 @@ def cmd_subgroups(args) -> int:
     return 0 if ok else 3
 
 
+# selector: (its algebra from the ``groups`` module, the partition of its simple ideals)
 _LIEGROUP_ALGEBRAS = {
-    "su2": (lambda: groups.su_algebra(2), ((0, 1, 2),)),
-    "su3": (lambda: groups.su_algebra(3), (tuple(range(8)),)),
-    "su2+su2": (lambda: groups.su2_plus_su2(), ((0, 1, 2), (3, 4, 5))),
+    "su2": (lambda groups: groups.su_algebra(2), ((0, 1, 2),)),
+    "su3": (lambda groups: groups.su_algebra(3), (tuple(range(8)),)),
+    "su2+su2": (lambda groups: groups.su2_plus_su2(), ((0, 1, 2), (3, 4, 5))),
 }
 
 
 def cmd_liegroup(args) -> int:
+    from . import groups
+
     tol = _tolerance(args)
     build, partition = _LIEGROUP_ALGEBRAS[args.selector]
-    alg = build()
+    alg = build(groups)
     kernel, theta = groups.theta_kernel_adjoint(alg, tol)
     family = groups.canonical_torsion_family(alg, partition, tol)
     in_kernel = [float(np.linalg.norm(theta @ v) / np.linalg.norm(v)) for v in family]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +55,7 @@ class InvariantConnection:
         return [(int(j) + 1, int(a) + 1, float(L[j, a])) for j, a in np.argwhere(L != 0)]
 
 
-@dataclass(frozen=True)
-class TorsionTensor:
+class TorsionTensor(NamedTuple):
     t12: np.ndarray  # t12[k, i, j]: K_k component of T(K_i, K_j)
     t3: np.ndarray  # t3[i, j, k] = g(T(K_i, K_j), K_k) = t12[k, i, j]
 
@@ -66,8 +66,7 @@ class TorsionTensor:
         return float(np.sum(self.t3[slot[0], row[0], col[0]] ** 2))
 
 
-@dataclass(frozen=True)
-class HolonomyResult:
+class HolonomyResult(NamedTuple):
     basis: np.ndarray  # (dim, 14, 14) antisymmetric, orthonormal in pair coordinates
     dim: int
     label: str

@@ -11,7 +11,7 @@ reproducing the four closed-form Ricci tables of the catalog spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .linalg import DEFAULT_TOL, ToleranceProfile
 from .spaces import HomogeneousSpaceInstance
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     ricci_conn: np.ndarray  # 14x14, characteristic connection (or None)
     ricci_riem: np.ndarray  # 14x14, Levi-Civita
     scal_conn: float

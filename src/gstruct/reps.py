@@ -7,9 +7,9 @@ of the source algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .linalg import (DEFAULT_TOL, ToleranceProfile, _block_labels, eig_selfadjoi
                      nullspace_entries, read_only)
 
 
-@dataclass(frozen=True)
-class IsotypicDecomposition:
+class IsotypicDecomposition(NamedTuple):
     parts: tuple  # (casimir eigenvalue, dimension, orthonormal basis columns)
 
     @property

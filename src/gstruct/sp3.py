@@ -16,8 +16,8 @@ entrywise to 1e-12, so a single typo in either copy is caught immediately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +134,7 @@ def _rho_matrices():
     return out
 
 
-@dataclass(frozen=True)
-class SubgroupRow:
+class SubgroupRow(NamedTuple):
     """A maximal-subalgebra generator set with the expected module split."""
 
     name: str
@@ -182,8 +181,7 @@ def subgroup_rows() -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class Sp3Data:
+class Sp3Data(NamedTuple):
     A: np.ndarray  # (21, 6, 6) anti-hermitian
     B: np.ndarray  # (14, 6, 6) anti-hermitian, orthonormal complement of A
     rho: np.ndarray  # (21, 14, 14) real antisymmetric

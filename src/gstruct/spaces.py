@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,8 +112,7 @@ class HomogeneousSpaceInstance:
         return self._memo[key]
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     """The metric-free frame of a catalog space.  At metric coefficients c
     (alpha, the extra alphas, beta, gamma) its tangent frame is
     K_i = K[i] / sqrt(nu2[i] c[slot[i]]), orthonormal for that metric; at
@@ -357,8 +358,7 @@ def m4_pure_189_alpha(beta: float, gamma: float) -> float:
     return (9 * beta - np.sqrt(15 * beta * gamma)) / 12.0
 
 
-@dataclass(frozen=True)
-class SpaceFixtures:
+class SpaceFixtures(NamedTuple):
     expected_family_dim: int
     expected_spinor_dim: int
     torsion: callable  # params -> {(i,j,k) 0-indexed: coefficient}
@@ -370,7 +370,7 @@ class SpaceFixtures:
     scal_riem: callable
     holonomy: callable  # params -> (dim, label)
     parallel: callable  # params -> bool
-    extras: dict = field(default_factory=dict)
+    extras: dict = MappingProxyType({})  # read-only, shared by every record that leaves it out
 
 
 def _fixtures_m1():

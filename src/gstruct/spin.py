@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,16 +153,14 @@ def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = D
     return space.isotropy_result("spinors", tol, solve)
 
 
-@dataclass(frozen=True)
-class DiracReport:
+class DiracReport(NamedTuple):
     eigenvalues: np.ndarray  # Dirac spectrum on the invariant subspace
     torsion_op_eigenvalues: np.ndarray  # mu spectrum on the subspace
     torsion_norm2: float  # sum over increasing triples of T(K_i,K_j,K_k)^2
     parallel_spinor_dim: int
 
 
-@dataclass(frozen=True)
-class Estimates:
+class Estimates(NamedTuple):
     """Both lower bounds for the squared first Dirac eigenvalue; whether it
     attains the first and strictly exceeds the second."""
 

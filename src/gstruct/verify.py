@@ -11,7 +11,7 @@ import numpy as np
 
 from . import reps, sp3, spaces
 from .analysis import Analysis
-from .linalg import DEFAULT_TOL, nullspace
+from .linalg import DEFAULT_TOL
 
 
 # the two sample points (alpha, beta, gamma), the same for every space;
@@ -129,10 +129,14 @@ def _check_reps(tol, results):
 
     # the eigensolve against the table that type classification relies on
     want = {cas: dim for _, cas, dim in reps.LAMBDA3_SPECTRUM}
-    got = {int(round(ev)): d for ev, d, _ in reps.lambda3_decomposition(tol).parts}
+    parts = reps.lambda3_decomposition(tol).parts
+    got = {int(round(ev)): d for ev, d, _ in parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))
 
-    r = 364 - nullspace(reps.sp3_theta(tol), tol).shape[1]  # the block route; rank's dense SVD takes ~4x as long
+    # Theta^T Theta = (-6 - C) / 4 on the part of Casimir eigenvalue C: the rank of Theta is the dim of
+    # the parts whose singular value exceeds rank_tol times the largest one, the cut of ``nullspace``
+    s = [(np.sqrt((-6 - ev) / 4), d) for ev, d, _ in parts]
+    r = sum(d for x, d in s if x > tol.rank_tol * max(x for x, _ in s))
     results.append(("theta rank (14-dim module)", r == 364, f"rank {r}"))
 
     for row in sp3.subgroup_rows():

@@ -398,6 +398,41 @@ def test_analyze_does_not_import_numpy_random():
     assert out.stdout.strip() == "False False"
 
 
+def _loaded_submodules(statement: str) -> set:
+    """The gstruct submodules a fresh process has loaded after ``statement``."""
+    child = (
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    {statement}\n"
+        "print(' '.join(m for m in sys.modules if m.startswith('gstruct.')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return {m.removeprefix("gstruct.") for m in out.stdout.split()}
+
+
+_PIPELINE = {"spaces", "spin", "connections", "curvature", "analysis", "verify"}
+
+
+@pytest.mark.parametrize("statement, absent", [
+    ("from gstruct import cli; assert cli.main(['liegroup', 'su2']) == 0", _PIPELINE),
+    ("from gstruct import cli; assert cli.main(['decompose', 'lambda3']) == 0", _PIPELINE),
+    ("from gstruct import cli; assert cli.main(['theta', 'su3-adjoint']) == 0", _PIPELINE),
+    ("from gstruct import cli; assert cli.main(['subgroups']) == 0", _PIPELINE),
+    ("import gstruct.reps", _PIPELINE),
+    ("from gstruct import cli; assert cli.main(['analyze', 'M1']) == 0", {"groups", "verify"}),
+], ids=["liegroup", "decompose", "theta", "subgroups", "reps", "analyze"])
+def test_command_imports_only_its_modules(statement, absent):
+    # the package loads a submodule on first use, and each command imports its own
+    loaded = _loaded_submodules(statement)
+    assert "reps" in loaded and not loaded & absent, loaded & absent
+
+
+def test_package_import_loads_only_errors():
+    assert _loaded_submodules("import gstruct") == {"errors"}
+
 def test_analyze_uses_no_pair_coordinates():
     # the connection's curvature and holonomy stay in rho coordinates: a
     # fresh process analyzes M1-M4 without reps.pack_so or reps.unpack_so,

@@ -121,7 +121,7 @@ def test_theta_map_matches_loop_reference(sp3_data):
     assert np.array_equal(reps.theta_map(sp3_data.rho), _theta_map_loop(sp3_data.rho))
 
 
-def test_type_components_skip_theta_and_verify_builds_it_once(monkeypatch):
+def test_type_components_and_verify_skip_theta(monkeypatch):
     from gstruct import linalg, verify
     from gstruct.analysis import Analysis
     from gstruct.linalg import DEFAULT_TOL
@@ -150,7 +150,8 @@ def test_type_components_skip_theta_and_verify_builds_it_once(monkeypatch):
     results = []
     verify._check_reps(DEFAULT_TOL, results)
     assert all(ok for _, ok, _ in results)
-    assert calls.count("theta_map") == 1
+    # verify reads rank Theta from the Lambda^3 splitting it has just run
+    assert "theta_map" not in calls and ("theta rank (14-dim module)", True, "rank 364") in results
     assert not reps.sp3_theta().flags.writeable
 
 

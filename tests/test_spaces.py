@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import assert_point_checks, densify, pipeline
@@ -485,7 +483,7 @@ def test_build_rejects_metric_dependent_isotropy(monkeypatch, fresh_isotropy_cac
     catalog = spaces._FRAME_BUILDERS["su5-sp2"]
 
     def split_blocks():
-        return dataclasses.replace(catalog(), slot=np.repeat([0, 1, 2], [4, 9, 1]))
+        return catalog()._replace(slot=np.repeat([0, 1, 2], [4, 9, 1]))
 
     monkeypatch.setitem(spaces._FRAME_BUILDERS, "su5-sp2", split_blocks)
     spaces.build("M4", spaces.MetricParams(alpha=1.1, beta=1.1))  # one coefficient across the split

@@ -1,11 +1,10 @@
-import dataclasses
-
 import pytest
 from conftest import pipeline
 
 from gstruct import connections as con
-from gstruct import spaces, spin, verify
+from gstruct import reps, spaces, spin, verify
 from gstruct.errors import Infeasible
+from gstruct.linalg import ToleranceProfile, nullspace
 
 
 def test_run_all_passes_every_check(verify_records):
@@ -37,7 +36,7 @@ def test_torsion_table_check_covers_unlisted_entries(monkeypatch):
             del table[next(iter(table))]
             return table
 
-        return dataclasses.replace(fx, torsion=torsion)
+        return fx._replace(torsion=torsion)
 
     monkeypatch.setattr(spaces, "fixtures", dropping)
     failed = [name for name, ok, _ in verify.run_all(space="M3") if not ok]
@@ -69,7 +68,7 @@ def test_each_point_check_fails_on_its_perturbed_fixture(monkeypatch, field):
 
     def perturbed(sid):
         fx = fixtures(sid)
-        return dataclasses.replace(fx, **{field: perturb(getattr(fx, field))})
+        return fx._replace(**{field: perturb(getattr(fx, field))})
 
     ctx = pipeline("M4", alpha=1.1, beta=0.9, gamma=1.3)
     assert all(ok for _, ok, _ in verify.point_checks(ctx["analysis"], ctx["params"]))
@@ -94,3 +93,15 @@ def test_space_checks_skip_unchecked_stages(monkeypatch):
     assert counts == {"classify_type": 0, "dirac_on_invariants": 0}
     assert all(ok for _, ok, _ in verify.run_all(space="M2"))
     assert counts["classify_type"] == 0 and counts["dirac_on_invariants"] > 0
+
+
+@pytest.mark.parametrize("rank_tol", [1e-8, 0.3, 0.72])
+def test_theta_rank_from_lambda3_spectrum_matches_its_kernel(rank_tol):
+    # the rank that verify reads from the Lambda^3 parts is the count of the
+    # kernel of the dense Theta at any cut: 364, 364 and 273 here (at 0.3 a
+    # cut on eigenvalues of Theta^T Theta rather than singular values gives 343)
+    tol = ToleranceProfile(rank_tol=rank_tol)
+    results = []
+    verify._check_reps(tol, results)
+    want = 364 - nullspace(reps.sp3_theta(tol), tol).shape[1]
+    assert {name: detail for name, _, detail in results}["theta rank (14-dim module)"] == f"rank {want}"
