@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .errors import BadParams, GstructError, StructureViolation
-from .linalg import ToleranceProfile, nullspace
+from .linalg import ToleranceProfile
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,19 +176,20 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    from . import groups, reps
+    from . import groups, linalg, reps, sp3
 
     tol = _tolerance(args)
     if args.selector == "sp3":
-        theta = reps.sp3_theta(tol)
+        theta = reps.theta_entries(reps.so_complement(sp3.load().rho, tol))
+        kernel = linalg.nullspace_entries(*theta, tol)
     else:
-        theta = reps.theta_map(groups.adjoint_generators(groups.su_algebra(3), tol), tol)
-    kdim = nullspace(theta, tol).shape[1]
+        kernel, theta = groups.theta_kernel_adjoint(groups.su_algebra(3), tol)
+    shape, kdim = theta[3], kernel.shape[1]
     _emit(
         {
             "selector": args.selector,
-            "shape": list(theta.shape),
-            "rank": theta.shape[1] - kdim,
+            "shape": list(shape),
+            "rank": shape[1] - kdim,
             "kernel_dim": kdim,
         },
         args.format,
@@ -232,9 +233,10 @@ def cmd_liegroup(args) -> int:
     tol = _tolerance(args)
     build, partition = _LIEGROUP_ALGEBRAS[args.selector]
     alg = build(groups)
-    kernel, theta = groups.theta_kernel_adjoint(alg, tol)
+    kernel, (rows, cols, vals, shape) = groups.theta_kernel_adjoint(alg, tol)
     family = groups.canonical_torsion_family(alg, partition, tol)
-    in_kernel = [float(np.linalg.norm(theta @ v) / np.linalg.norm(v)) for v in family]
+    in_kernel = [float(np.linalg.norm(np.bincount(rows, vals * v[cols], shape[0])) / np.linalg.norm(v))
+                 for v in family]
     _emit(
         {
             "selector": args.selector,

@@ -11,7 +11,7 @@ import numpy as np
 from . import reps
 from .errors import DimensionMismatch, NotAnIdeal
 from .liealg import inner, structure_constants
-from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace
+from .linalg import DEFAULT_TOL, ToleranceProfile, nullspace_entries
 
 # random triples drawn by metricity_defect, from a fixed seed
 _METRICITY_SAMPLES = 100
@@ -86,10 +86,10 @@ def adjoint_generators(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
 
 
 def theta_kernel_adjoint(alg: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL):
-    """(orthonormal kernel basis as columns over the triples, theta matrix)
-    for the adjoint embedding."""
-    theta = reps.theta_map(adjoint_generators(alg, tol), tol)
-    return nullspace(theta, tol), theta
+    """(orthonormal kernel basis as columns over the triples, the entries
+    ``reps.theta_entries`` of Theta) for the adjoint embedding."""
+    theta = reps.theta_entries(reps.so_complement(adjoint_generators(alg, tol), tol))
+    return nullspace_entries(*theta, tol), theta
 
 
 def laquer_eta(X, Y, alpha: float = 1.0) -> np.ndarray:

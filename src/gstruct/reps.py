@@ -34,13 +34,14 @@ def casimir(gens: np.ndarray) -> np.ndarray:
 
 
 def decompose_casimir(C, tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomposition:
-    """Eigenspace decomposition of a Casimir, given as a matrix or as the
-    entries (rows, cols, vals, shape) of one; one part per clustered eigenvalue."""
-    parts = eig_selfadjoint_entries(*C, tol) if isinstance(C, tuple) else eig_selfadjoint(C, tol)
+    """Eigenspace decomposition of a Casimir given as the entries (rows,
+    cols, vals, shape) of ``eig_selfadjoint_entries``; one part per
+    clustered eigenvalue."""
+    parts = eig_selfadjoint_entries(*C, tol)
     return IsotypicDecomposition(tuple((ev, b.shape[1], b) for ev, b in parts))
 
 
-# Theta^T Theta on the 3-forms, Theta = ``sp3_theta``: one row (eigenvalue
+# Theta^T Theta on the 3-forms, Theta of rho(sp3) in so(14): one row (eigenvalue
 # lambda, Casimir eigenvalue -6 - 4 lambda, dimension) per irreducible part
 LAMBDA3_SPECTRUM = tuple((lam, round(-6 - 4 * lam), dim)
                          for lam, dim in ((0.5, 21), (1.5, 70), (2.5, 189), (3.0, 84)))
@@ -65,36 +66,23 @@ def lambda3_decomposition(tol: ToleranceProfile = DEFAULT_TOL) -> IsotypicDecomp
 
 
 # ---------------------------------------------------------------------------
-# so(n) bookkeeping: a 2-form sum_{a<b} w_ab e_a^e_b corresponds to the
-# matrix sum_{a<b} w_ab E_ab, and the pairs basis {E_ab} is orthonormal
-# for <A, B> = -tr(AB)/2.
+# The skew-torsion compatibility map Theta: T |-> sum_l e_l (x) pr_m(e_l _| T)
+# of a subalgebra g of so(n), m its complement.  A 2-form sum_{a<b} w_ab e_a^e_b
+# is the matrix sum_{a<b} w_ab E_ab, and {E_ab} is orthonormal for
+# <A, B> = -tr(AB)/2.
 
 
-@lru_cache(maxsize=8)
-def _pair_rows_cols(n: int):
-    """Row and column indices of the pairs a < b, in lexicographic order."""
-    return np.triu_indices(n, 1)
-
-
-def pack_so(M, n: int) -> np.ndarray:
-    """Pair coordinates of an n x n matrix, or (..., pairs) of a stack."""
-    return np.asarray(M)[(..., *_pair_rows_cols(n))]
-
-
-def unpack_so(v, n: int) -> np.ndarray:
-    """Antisymmetric matrix of pair coordinates; a (..., pairs) stack gives
-    a (..., n, n) stack."""
-    v = np.asarray(v)
-    M = np.zeros(v.shape[:-1] + (n, n))
-    M[(..., *_pair_rows_cols(n))] = v
-    return M - np.swapaxes(M, -1, -2)
-
-
-def so_complement(group_gens, n: int, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the complement of span(group_gens) in so(n), as
-    a (q, n, n) stack."""
-    comp = nullspace(pack_so(np.reshape(group_gens, (len(group_gens), n, n)), n), tol)
-    return unpack_so(comp.T, n)
+def so_complement(gens: np.ndarray, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis of the complement of the span of a (k, n, n) stack
+    in so(n), as a (q, n, n) stack: the kernel of the generators' nonzero
+    pair coordinates w_ab, a < b in ``np.triu_indices(n, 1)`` order."""
+    k, n, _ = gens.shape
+    a, b = np.triu_indices(n, 1)
+    g, p = np.nonzero(gens[:, a, b])
+    ker = nullspace_entries(g, p, gens[g, a[p], b[p]], (k, a.size), tol)
+    F = np.zeros((ker.shape[1], n, n))
+    F[:, a, b] = ker.T
+    return F - F.swapaxes(1, 2)
 
 
 @lru_cache(maxsize=8)
@@ -108,38 +96,28 @@ def theta_index(n: int):
                                        np.stack([k, k, j]), sign))
 
 
-def theta_map(group_gens, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Skew-torsion compatibility map of a subalgebra g of so(n), given by
-    a (k, n, n) stack: T |-> sum_l e_l (x) pr_m(e_l _| T), with m the
-    complement of g, as an (n * dim m, C(n, 3)) matrix; block l holds the
-    coordinates over the orthonormal basis ``so_complement`` of m."""
-    n = np.shape(group_gens)[-1]
-    F = so_complement(group_gens, n, tol)
+def theta_entries(basis: np.ndarray):
+    """Theta read against a (q, n, n) stack B, as the entries (rows, cols,
+    vals, shape) of an (n q, C(n, 3)) matrix, ascending by row and column:
+    (q l + f, t) holds sign * B[f, row, col] over the ``theta_index(n)``
+    tables, the B_f coordinate of e_l _| t for B orthonormal.  Theta itself
+    is ``theta_entries(so_complement(gens))``; its zeros are not listed."""
+    q, n, _ = basis.shape
     slot, row, col, sign = theta_index(n)
-    N = slot.shape[1]
-    theta = np.zeros((n, len(F), N))
-    theta[slot, :, np.arange(N)] = (sign * F[:, row, col]).transpose(1, 2, 0)
-    return theta.reshape(n * len(F), N)
-
-
-@lru_cache(maxsize=4)
-def sp3_theta(tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """``theta_map`` of rho(sp3) in so(14), the (980, 364) matrix, built once
-    per process and tolerance profile; read-only."""
-    return read_only(theta_map(sp3.load().rho, tol))
+    coords = sign * basis[:, row, col]  # [f, r, t]: contraction r of triple t, read by B_f
+    f, r, t = np.nonzero(coords)
+    rows = q * slot[r, t] + f
+    order = np.lexsort((t, rows))
+    return rows[order], t[order], coords[f, r, t][order], (n * q, slot.shape[1])
 
 
 @lru_cache(maxsize=1)
 def theta_rho_entries():
-    """The rho(sp3) part N of ``sp3_theta`` as read-only entries (rows, cols,
-    vals) of a (294, 364) matrix, ascending by row: (21 l + a, t) holds the
-    rho_a coordinate of e_l _| t, so Theta^T Theta = 3 I - 2 N^T N."""
-    slot, row, col, sign = theta_index(14)
-    half = 0.5 * sign * sp3.load().rho[:, row, col]  # [a, r, t]: contraction r of triple t, read by rho_a
-    a, r, t = np.nonzero(half)
-    rows = 21 * slot[r, t] + a
-    order = np.lexsort((t, rows))
-    return tuple(read_only(x) for x in (rows[order], t[order], half[a, r, t][order]))
+    """The rho(sp3) part N of Theta as read-only entries (rows, cols, vals)
+    of a (294, 364) matrix, ascending by row: ``theta_entries`` of rho / 2,
+    so (21 l + a, t) holds the rho_a coordinate of e_l _| t.  The rho_a /
+    sqrt(2) are pair-orthonormal, so Theta^T Theta = 3 I - 2 N^T N."""
+    return tuple(read_only(x) for x in theta_entries(0.5 * sp3.load().rho)[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +244,7 @@ def complement_action():
     """(complement basis of rho(sp3) in so(14), the induced actions), as
     read-only (70, 14, 14) and (21, 70, 70) stacks."""
     rho = sp3.load().rho
-    F = so_complement(rho, 14)
+    F = so_complement(rho)
     # acts[r, k, l] = <F_k, [rho_r, F_l]> with <A, B> = -tr(AB)/2
     Br = (rho[:, None] @ F - F @ rho[:, None]).reshape(len(rho), len(F), -1)
     acts = -0.5 * (F.swapaxes(1, 2).reshape(len(F), -1) @ Br.swapaxes(1, 2))

@@ -133,8 +133,8 @@ def _check_reps(tol, results):
     got = {int(round(ev)): d for ev, d, _ in parts}
     results.append(("3-form Casimir table", got == want, f"{got}"))
 
-    # Theta^T Theta = (-6 - C) / 4 on the part of Casimir eigenvalue C: the rank of Theta is the dim of
-    # the parts whose singular value exceeds rank_tol times the largest one, the cut of ``nullspace``
+    # Theta^T Theta = (-6 - C) / 4 on the part of Casimir eigenvalue C: the rank of Theta is the dim of the
+    # parts whose singular value exceeds rank_tol times the largest one, the cut of ``nullspace_entries``
     s = [(np.sqrt((-6 - ev) / 4), d) for ev, d, _ in parts]
     r = sum(d for x, d in s if x > tol.rank_tol * max(x for x, _ in s))
     results.append(("theta rank (14-dim module)", r == 364, f"rank {r}"))

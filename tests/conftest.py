@@ -98,6 +98,28 @@ def densify(rows, cols, vals, shape):
     return A
 
 
+def entries(A):
+    """The entry list (rows, cols, vals, shape) of the nonzero cells of a matrix."""
+    nz = np.nonzero(A)
+    return (*nz, A[nz], A.shape)
+
+
+def pack_pairs(M):
+    """Reference: the pair coordinates w_ab, a < b, of an n x n matrix, or
+    (..., pairs) of a stack."""
+    M = np.asarray(M)
+    return M[(..., *np.triu_indices(M.shape[-1], 1))]
+
+
+def unpack_pairs(v, n):
+    """Reference: the antisymmetric matrix of pair coordinates; a (..., pairs)
+    stack gives a (..., n, n) stack."""
+    v = np.asarray(v)
+    M = np.zeros(v.shape[:-1] + (n, n))
+    M[(..., *np.triu_indices(n, 1))] = v
+    return M - np.swapaxes(M, -1, -2)
+
+
 def draws(sid, count, seed, lo=0.55, hi=1.9):
     """Deterministic positive (alpha, beta, gamma) samples per space."""
     rng = np.random.default_rng(seed)

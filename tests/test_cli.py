@@ -434,28 +434,23 @@ def test_package_import_loads_only_errors():
     assert _loaded_submodules("import gstruct") == {"errors"}
 
 def test_analyze_uses_no_pair_coordinates():
-    # the connection's curvature and holonomy stay in rho coordinates: a
-    # fresh process analyzes M1-M4 without reps.pack_so or reps.unpack_so,
-    # which `theta sp3` then shows the counting sees
+    # the connection's curvature and holonomy stay in rho coordinates and
+    # Theta is built from its entries: reps has no pair-coordinate packing
+    # or dense Theta, and a fresh process analyzes M1-M4 and runs `theta sp3`
     child = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io\n"
         "from gstruct import cli, reps\n"
-        "calls = []\n"
-        "for fn in (reps.pack_so, reps.unpack_so):\n"
-        "    counted = lambda *a, _fn=fn, **k: calls.append(_fn.__name__) or _fn(*a, **k)\n"
-        "    for mod in [m for key, m in sys.modules.items() if key.startswith('gstruct')]:\n"
-        "        for attr in [attr for attr, obj in vars(mod).items() if obj is fn]:\n"
-        "            setattr(mod, attr, counted)\n"
-        "for argvs in ([['analyze', sid] for sid in ('M1', 'M2', 'M3', 'M4')], [['theta', 'sp3']]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert all(cli.main(argv) == 0 for argv in argvs)\n"
-        "    print(sorted(set(calls)))\n"
+        "print([name for name in ('pack_so', 'unpack_so', 'theta_map', 'sp3_theta') if hasattr(reps, name)])\n"
+        "argvs = [['analyze', sid] for sid in ('M1', 'M2', 'M3', 'M4')] + [['theta', 'sp3']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in argvs]\n"
+        "print(codes)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[]", "['pack_so', 'unpack_so']"]
+    assert out.stdout.splitlines() == ["[]", "[0, 0, 0, 0, 0]"]
 
 
 THREAD_GUARD_COMMANDS = (

@@ -3,8 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import (assert_point_checks, curvature_of_map, densify, draws, nabla_torsion, parallel_vector_fields,
-                      pipeline)
+from conftest import (assert_point_checks, curvature_of_map, densify, draws, nabla_torsion, pack_pairs,
+                      parallel_vector_fields, pipeline, unpack_pairs)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -421,7 +421,7 @@ def test_theta_rho_part_gives_theta_gram():
     N = _theta_rho_dense()
     rows, _, _ = reps.theta_rho_entries()
     assert rows.size == 1248 and np.all(np.diff(rows) >= 0)
-    theta = reps.sp3_theta()
+    theta = densify(*reps.theta_entries(reps.so_complement(sp3.load().rho)))
     assert np.max(np.abs(3.0 * np.eye(364) - 2.0 * N.T @ N - theta.T @ theta)) <= 1e-13
 
 
@@ -432,7 +432,7 @@ def _loop_holonomy(conn, tol=DEFAULT_TOL):
     lam = conn.stack
 
     def span(mats):
-        return orthonormal_columns(np.array([reps.pack_so(m, 14) for m in mats]).T, tol)
+        return orthonormal_columns(np.array([pack_pairs(m) for m in mats]).T, tol)
 
     seeds = []
     for i in range(14):
@@ -442,18 +442,18 @@ def _loop_holonomy(conn, tol=DEFAULT_TOL):
             m -= np.tensordot(space.ph[i, j], np.array(space.iso), axes=(0, 0))
             seeds.append(m)
     on = span(seeds)
-    basis = [reps.unpack_so(col, 14) for col in on.T]
+    basis = [unpack_pairs(col, 14) for col in on.T]
     for _ in range(91):
         on2 = span(basis + [L @ B - B @ L for L in lam for B in basis])
         if on2.shape[1] == on.shape[1]:
             break
-        on, basis = on2, [reps.unpack_so(col, 14) for col in on2.T]
+        on, basis = on2, [unpack_pairs(col, 14) for col in on2.T]
 
     def inside(target_idx):
         rho = sp3.load().rho
         Ton = span([rho[i] for i in target_idx])
         for m in basis:
-            v = reps.pack_so(m, 14)
+            v = pack_pairs(m)
             if np.linalg.norm(v - Ton @ (Ton.T @ v)) > 1e3 * RESIDUAL_TOL * max(np.linalg.norm(v), 1.0):
                 return False
         return True
@@ -488,7 +488,7 @@ def test_holonomy_matches_loop_reference(sid, kw):
     hol = con.holonomy_algebra(conn)
     dim, label, on = _loop_holonomy(conn)
     assert (hol.dim, hol.label) == (dim, label)
-    got = np.array([reps.pack_so(m, 14) for m in hol.basis]).reshape(-1, 91).T
+    got = np.array([pack_pairs(m) for m in hol.basis]).reshape(-1, 91).T
     assert np.max(np.abs(got @ got.T - on @ on.T)) <= 1e-12
 
 

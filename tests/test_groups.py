@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from conftest import densify, pack_pairs, unpack_pairs
 
-from gstruct import groups
+from gstruct import groups, reps
 from gstruct.errors import NotAnIdeal
 from gstruct.liealg import bracket, structure_constants
 
@@ -72,11 +73,44 @@ def test_torsion_family_inside_theta_kernel():
         (groups.su_algebra(3), [tuple(range(8))]),
         (groups.su2_plus_su2(), [(0, 1, 2), (3, 4, 5)]),
     ]:
-        kbasis, tmap = groups.theta_kernel_adjoint(alg)
+        kbasis, theta = groups.theta_kernel_adjoint(alg)
         fam = groups.canonical_torsion_family(alg, parts)
         assert len(fam) == kbasis.shape[1]
         for v in fam:
-            assert np.linalg.norm(tmap @ v) <= 1e-9 * np.linalg.norm(v)
+            assert np.linalg.norm(densify(*theta) @ v) <= 1e-9 * np.linalg.norm(v)
+
+
+_LIE_ALGEBRAS = {
+    "su2": (lambda: groups.su_algebra(2), [(0, 1, 2)]),
+    "su3": (lambda: groups.su_algebra(3), [tuple(range(8))]),
+    "su2+su2": (groups.su2_plus_su2, [(0, 1, 2), (3, 4, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIE_ALGEBRAS))
+def test_theta_kernel_is_the_canonical_family(name):
+    # biinvariant = canonical = characteristic: the kernel of Theta, solved
+    # from its entries, is exactly the span of the per-ideal commutator forms
+    build, parts = _LIE_ALGEBRAS[name]
+    alg = build()
+    kernel, _ = groups.theta_kernel_adjoint(alg)
+    family, _ = np.linalg.qr(np.array(groups.canonical_torsion_family(alg, parts)).T)
+    assert kernel.shape == family.shape
+    # the sines of the principal angles between the two spans
+    sines = np.linalg.svd(family - kernel @ (kernel.T @ family), compute_uv=False)
+    assert sines.max() <= 1e-12
+
+
+def test_theta_and_adjoint_part_complete_the_contraction():
+    # Theta^T Theta + N^T N = 3 I on the su(3) adjoint: [N; Theta] is the whole
+    # contraction T |-> sum_l e_l (x) (e_l _| T) onto g + m = so(8), whose Gram
+    # is 3 I (sp(3)'s Theta^T Theta = 3 I - 2 N^T N is this with N over rho / 2)
+    ad = groups.adjoint_generators(groups.su_algebra(3))
+    on, _ = np.linalg.qr(pack_pairs(ad).T)
+    theta = densify(*reps.theta_entries(reps.so_complement(ad)))
+    N = densify(*reps.theta_entries(unpack_pairs(on.T, 8)))
+    assert theta.shape == (8 * 20, 56) and N.shape == (8 * 8, 56)
+    assert np.max(np.abs(theta.T @ theta + N.T @ N - 3 * np.eye(56))) <= 1e-13 * 3
 
 
 def test_laquer_eta_closed_form_and_structure():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import densify, metric_reconstructor, trace_cubic, v14_v70_rep
+from conftest import densify, entries, metric_reconstructor, pack_pairs, trace_cubic, v14_v70_rep
 from test_liealg import _sym3_action, _sym3_basis, _sym3_tensors
 
 from gstruct import reps, sp3, spaces
@@ -60,7 +60,7 @@ def _lambda3_action_loop(rho_list):
 def _theta_map_loop(group_gens):
     """Reference: Theta column by column, one matvec per contraction."""
     n = np.shape(group_gens)[-1]
-    F = reps.pack_so(reps.so_complement(group_gens, n), n)
+    F = pack_pairs(reps.so_complement(group_gens))
     q = len(F)
     trips = _triples(n)
     pidx = {p: i for i, p in enumerate(combinations(range(n), 2))}
@@ -74,6 +74,22 @@ def _theta_map_loop(group_gens):
             w[pidx[pair]] = sign
             theta[l * q:(l + 1) * q, col] = F @ w
     return theta
+
+
+def _theta_dense(group_gens):
+    """Theta of the subalgebra spanned by a (k, n, n) stack, densified from its entries."""
+    return densify(*reps.theta_entries(reps.so_complement(group_gens)))
+
+
+def _theta_rho_entries_direct():
+    """Reference: N built on its own, the rho_a / 2 coordinate of each
+    contraction of each triple, sorted by row and column."""
+    slot, row, col, sign = reps.theta_index(14)
+    half = 0.5 * sign * sp3.load().rho[:, row, col]
+    a, r, t = np.nonzero(half)
+    rows = 21 * slot[r, t] + a
+    order = np.lexsort((t, rows))
+    return rows[order], t[order], half[a, r, t][order]
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +126,7 @@ def test_lambda3_leibniz_spot_check(sp3_data, lambda3):
 
 def test_lambda3_casimir_matches_loop_reference(lambda3):
     # the production splitting diagonalizes -6 I - 4 Theta^T Theta
-    theta = reps.sp3_theta()
+    theta = _theta_dense(sp3.load().rho)
     C = reps.casimir(lambda3)
     assert np.max(np.abs(-6 * np.eye(364) - 4 * theta.T @ theta - C)) <= 1e-12 * np.linalg.norm(C)
     for ev, _, basis in reps.lambda3_decomposition().parts:
@@ -118,7 +134,15 @@ def test_lambda3_casimir_matches_loop_reference(lambda3):
 
 
 def test_theta_map_matches_loop_reference(sp3_data):
-    assert np.array_equal(reps.theta_map(sp3_data.rho), _theta_map_loop(sp3_data.rho))
+    assert np.array_equal(_theta_dense(sp3_data.rho), _theta_map_loop(sp3_data.rho))
+
+
+def test_theta_rho_entries_are_theta_entries_of_half_rho():
+    # one builder serves N and Theta: its entries of rho / 2 are N's, bit for bit
+    got, want = reps.theta_rho_entries(), _theta_rho_entries_direct()
+    assert len(got) == 3
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_type_components_and_verify_skip_theta(monkeypatch):
@@ -130,29 +154,34 @@ def test_type_components_and_verify_skip_theta(monkeypatch):
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, len(args[0])))
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(reps, "theta_map", counting("theta_map", reps.theta_map))
+    for name in ("theta_entries", "so_complement"):
+        monkeypatch.setattr(reps, name, counting(name, getattr(reps, name)))
     for mod in (reps, linalg):
         monkeypatch.setattr(mod, "eig_selfadjoint", counting("eig_selfadjoint", linalg.eig_selfadjoint))
     for sid in ("M1", "M2", "M3", "M4"):
-        # a fresh process: no Lambda^3 splitting or Theta built yet
+        # a fresh process: no Lambda^3 splitting, N or Theta built yet; the
+        # type reads N, the entries of rho / 2 (21 matrices), and never
+        # Theta, which needs the complement of rho (70 matrices)
         reps.lambda3_decomposition.cache_clear()
-        reps.sp3_theta.cache_clear()
+        reps.theta_rho_entries.cache_clear()
+        calls.clear()
         comps = Analysis(spaces.build(sid, spaces.MetricParams())).type_components
         assert set(comps) == {-8, -12, -18, -16}
-        assert calls == [], sid
+        assert calls == [("theta_entries", 21)], sid
 
     reps.lambda3_decomposition.cache_clear()
-    reps.sp3_theta.cache_clear()
+    reps.theta_rho_entries.cache_clear()
+    calls.clear()
     results = []
     verify._check_reps(DEFAULT_TOL, results)
     assert all(ok for _, ok, _ in results)
     # verify reads rank Theta from the Lambda^3 splitting it has just run
-    assert "theta_map" not in calls and ("theta rank (14-dim module)", True, "rank 364") in results
-    assert not reps.sp3_theta().flags.writeable
+    assert [c for c in calls if c[0] != "eig_selfadjoint"] == [("theta_entries", 21)]
+    assert ("theta rank (14-dim module)", True, "rank 364") in results
 
 
 def test_lambda3_respects_structure_constants(sp3_data, lambda3):
@@ -183,7 +212,7 @@ def test_casimir_commutes_with_generators(lambda3):
 
 
 def test_lambda3_isotypic_table(lambda3):
-    dec = reps.decompose_casimir(reps.casimir(lambda3))
+    dec = reps.decompose_casimir(entries(reps.casimir(lambda3)))
     got = {int(round(ev)): d for ev, d, _ in dec.parts}
     assert got == {-8: 21, -12: 70, -18: 84, -16: 189}
     for ev, d, basis in dec.parts:
@@ -191,7 +220,7 @@ def test_lambda3_isotypic_table(lambda3):
 
 
 def test_trivial_rep_single_part():
-    dec = reps.decompose_casimir(reps.casimir(np.zeros((1, 5, 5))))
+    dec = reps.decompose_casimir(entries(reps.casimir(np.zeros((1, 5, 5)))))
     assert len(dec.parts) == 1
     ev, d, _ = dec.parts[0]
     assert ev == 0.0 and d == 5
@@ -239,10 +268,10 @@ def test_commutant_kernel_matches_dense_kron_route(row):
 
 
 def test_theta_sp3_full_rank(sp3_data):
-    tmap = reps.theta_map(list(sp3_data.rho))
-    assert tmap.shape == (14 * 70, 364)
-    assert rank(tmap) == 364
-    kdim = nullspace(tmap).shape[1]
+    theta = reps.theta_entries(reps.so_complement(sp3_data.rho))
+    assert theta[3] == (14 * 70, 364)
+    assert rank(densify(*theta)) == 364
+    kdim = nullspace_entries(*theta).shape[1]
     assert kdim == 0
 
 
@@ -253,16 +282,16 @@ def test_theta_so_n_itself():
         m = np.zeros((n, n))
         m[a, b], m[b, a] = 1.0, -1.0
         gens.append(m)
-    tmap = reps.theta_map(gens)
-    kdim = nullspace(tmap).shape[1]
+    theta = reps.theta_entries(reps.so_complement(np.array(gens)))
+    assert theta[3] == (0, 4)
+    kdim = nullspace_entries(*theta).shape[1]
     assert kdim == 4  # full 3-form space C(4,3)
 
 
 def test_theta_restricted_to_adjoint_part_full_rank(sp3_data, lambda3):
-    dec = reps.decompose_casimir(reps.casimir(lambda3))
+    dec = reps.decompose_casimir(entries(reps.casimir(lambda3)))
     basis21 = next(b for ev, d, b in dec.parts if int(round(ev)) == -8)
-    tmap = reps.theta_map(list(sp3_data.rho))
-    assert rank(tmap @ basis21) == 21
+    assert rank(_theta_dense(sp3_data.rho) @ basis21) == 21
 
 
 def test_invariant_vectors_of_space_isotropies():
@@ -370,7 +399,10 @@ def _skew_stacks(draw):
 @settings(max_examples=40, deadline=None)
 @given(_skew_stacks())
 def test_theta_map_arbitrary_input_matches_loop(gens):
-    got = reps.theta_map(gens)
+    rows, cols, vals, shape = reps.theta_entries(reps.so_complement(gens))
+    # ascending by row and column, one entry per cell, no zeros listed
+    assert np.all(np.diff(rows * shape[1] + cols) > 0) and np.all(vals != 0)
+    got = densify(rows, cols, vals, shape)
     assert got.shape[1] == len(_triples(gens.shape[-1]))
     assert np.array_equal(got, _theta_map_loop(gens))
 

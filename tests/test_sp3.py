@@ -62,7 +62,7 @@ def test_rho_span_complement_dimension(sp3_data):
     # rho(sp3) is 21-dimensional inside the 91-dimensional so(14)
     from gstruct.reps import so_complement
 
-    comp = so_complement(list(sp3_data.rho), 14)
+    comp = so_complement(sp3_data.rho)
     assert len(comp) == 70
 
 

@@ -2,9 +2,9 @@ import pytest
 from conftest import pipeline
 
 from gstruct import connections as con
-from gstruct import reps, spaces, spin, verify
+from gstruct import reps, sp3, spaces, spin, verify
 from gstruct.errors import Infeasible
-from gstruct.linalg import ToleranceProfile, nullspace
+from gstruct.linalg import ToleranceProfile, nullspace_entries
 
 
 def test_run_all_passes_every_check(verify_records):
@@ -98,10 +98,12 @@ def test_space_checks_skip_unchecked_stages(monkeypatch):
 @pytest.mark.parametrize("rank_tol", [1e-8, 0.3, 0.72])
 def test_theta_rank_from_lambda3_spectrum_matches_its_kernel(rank_tol):
     # the rank that verify reads from the Lambda^3 parts is the count of the
-    # kernel of the dense Theta at any cut: 364, 364 and 273 here (at 0.3 a
-    # cut on eigenvalues of Theta^T Theta rather than singular values gives 343)
+    # kernel of Theta, solved from its entries, at any cut: 364, 364 and 273
+    # here (at 0.3 a cut on eigenvalues of Theta^T Theta rather than singular
+    # values gives 343)
     tol = ToleranceProfile(rank_tol=rank_tol)
     results = []
     verify._check_reps(tol, results)
-    want = 364 - nullspace(reps.sp3_theta(tol), tol).shape[1]
+    theta = reps.theta_entries(reps.so_complement(sp3.load().rho, tol))
+    want = 364 - nullspace_entries(*theta, tol).shape[1]
     assert {name: detail for name, _, detail in results}["theta rank (14-dim module)"] == f"rank {want}"
