@@ -248,9 +248,12 @@ def holonomy_algebra(
     skips the SVD of S = [on, new] when r = new - on on^T new has
     ||r||_F <= rank_tol and rank_tol ||S||_F < 1 - rank_tol: as on is
     orthonormal, the SVD would then keep sigma_k(S) >= 1 - ||r|| and drop
-    sigma_(k+1)(S) <= ||r||.  The basis is pair-orthonormal so(14) matrices."""
+    sigma_(k+1)(S) <= ||r||.  No round runs once on spans rho(sp3), 21
+    columns, and at most 21 run.  The basis is pair-orthonormal so(14) matrices."""
     on = orthonormal_columns(conn.curvature[np.triu_indices(14, 1)].T, tol)
     for _ in range(21):
+        if on.shape[1] == 21:
+            break
         new = (on.T @ conn.ad).reshape(-1, 21).T  # column (i, p): [Lambda(K_i), x_p]
         norm_s = np.sqrt(on.shape[1] + np.linalg.norm(new) ** 2)
         if (np.linalg.norm(new - on @ (on.T @ new)) <= tol.rank_tol

@@ -72,10 +72,17 @@ def as_matrix(M) -> np.ndarray:
 def rank(M, tol: ToleranceProfile = DEFAULT_TOL) -> int:
     """Number of singular values above ``rank_tol`` times the largest one s_0,
     from one SVD of the nonzero rows of M.  It differs from the count of
-    ``nullspace`` only for a singular value within 1e-3 rank_tol s_0 of the cut."""
-    A = as_matrix(M)
-    s = np.linalg.svd(A[np.any(A != 0, axis=1)], compute_uv=False)
-    return int(np.count_nonzero(s > tol.rank_tol * s[0])) if s.size else 0
+    ``nullspace`` only for a singular value within 1e-3 rank_tol s_0 of the cut.
+    A (b, m, n) stack is read as the block-diagonal matrix of its b blocks:
+    one batched SVD of the rows nonzero in some block, and one cut, s_0 the
+    largest singular value over all blocks."""
+    A = np.asarray(M)
+    if A.ndim != 3:
+        A = as_matrix(A)[None]
+    elif not np.all(np.isfinite(A)):
+        raise ValueError("matrix contains NaN/Inf")
+    s = np.linalg.svd(A[:, np.any(A != 0, axis=(0, 2))], compute_uv=False)
+    return int(np.count_nonzero(s > tol.rank_tol * s.max())) if s.size else 0
 
 
 def _block_labels(r: np.ndarray, c: np.ndarray, n: int):

@@ -17,6 +17,12 @@ row r to column r XOR 2^(m-1-j), with value (-1)^popcount(r >> (m-j)) times
 i for s = 0 and times (-1)^(bit m-1-j of r) for s = 1; the lift of an
 antisymmetric A is (1/4) sum_ij A_ij e_j e_i, the 2-form -A/2.
 
+Chirality: each gamma flips one bit of the row, so the parity of
+popcount(r) grades the module.  2-forms, hence the spin lifts, are even and
+keep each half; vectors and 3-forms, hence D and T_cl, are odd and swap
+them.  The invariant spinors are chirally pure, and on them D and T_cl are
+[[0, A], [A^H, 0]], with spectrum +-sigma(A) and |k+ - k-| zeros.
+
 The torsion coefficient was calibrated once against the first closed-form
 Dirac spectrum at two parameter samples and then validated untouched
 against the second space's independent formula; see the verification
@@ -95,6 +101,12 @@ def _scatter(idx: np.ndarray, w: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(idx, w.real, size) + 1j * np.bincount(idx, w.imag, size)
 
 
+def _odd(r: np.ndarray) -> np.ndarray:
+    """The chirality of the rows r of the Cl(14) module, popcount(r) mod 2,
+    as True for odd: every gamma flips one bit of the row (module docstring)."""
+    return np.count_nonzero(r[:, None] & (1 << np.arange(7)), axis=1) % 2 == 1
+
+
 @dataclass(frozen=True)
 class SpinorSubspace:
     basis: np.ndarray  # (2^(n/2), k), orthonormal columns
@@ -103,14 +115,33 @@ class SpinorSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    @cached_property
+    def chirality(self):
+        """(S, order, m+, k+), read-only: the support S, the rows where the
+        basis is nonzero, and the order of the basis columns, each even
+        chirality first, with m+ even rows and k+ even columns.  A column
+        with nonzero rows of both chiralities raises StructureViolation."""
+        nonzero = self.basis != 0
+        odd = _odd(np.arange(len(self.basis)))
+        rows = np.flatnonzero(np.any(nonzero, axis=1))
+        rows = rows[np.argsort(odd[rows], kind="stable")]
+        has = [np.any(nonzero[odd == c], axis=0) for c in (False, True)]
+        mixed = np.flatnonzero(has[0] & has[1])
+        if mixed.size:
+            raise StructureViolation(f"spinor basis column {mixed[0]} mixes both chiralities")
+        return (read_only(rows), read_only(np.argsort(has[1], kind="stable")),
+                int(np.count_nonzero(~odd[rows])), int(np.count_nonzero(~has[1])))
+
     def _on_support(self, cols: np.ndarray, rows: np.ndarray):
-        """(t, i, cell) for the entries cols[t, rows[i]] of a table with one
-        entry per row whose column lies in the support S, the rows where the
-        basis is nonzero, in the table's order; cell = i |S| + the place of
-        the column in S."""
-        mask = np.any(self.basis != 0, axis=1)
-        t, i = np.nonzero(mask[cols[:, rows]])
-        return t, i, i * np.count_nonzero(mask) + (np.cumsum(mask) - 1)[cols[t, rows[i]]]
+        """(t, i, j) for the entries cols[t, rows[i]] of a table with one
+        entry per row whose column lies in the support S, in the table's
+        order; j is the place of the column in S, ordered by ``chirality``."""
+        support = self.chirality[0]
+        place = np.full(len(self.basis), -1)
+        place[support] = np.arange(support.size)
+        j = place[cols[:, rows]]
+        t, i = np.nonzero(j >= 0)
+        return t, i, j[t, i]
 
     @cached_property
     def lifted_rho(self) -> np.ndarray:
@@ -118,26 +149,50 @@ class SpinorSubspace:
         applied to the basis columns, lift(rho)[:, S] B[S], from the entries
         of the 2-forms -rho/2 with column in S; computed once per subspace,
         so once per catalog space in a process (``invariant_spinors``)."""
-        bs = self.support[0]
+        support = self.chirality[0]
         g, cols, vals = _form_entries(-0.5 * sp3.load().rho, 14)
-        t, r, cells = self._on_support(cols, np.arange(len(self.basis)))
-        size = len(self.basis) * len(bs)
-        lifts = _scatter(g[t] * size + cells, vals[t, r], 21 * size)
-        return read_only((lifts.reshape(-1, len(bs)) @ bs).reshape(21, -1, self.dim))
+        t, r, j = self._on_support(cols, np.arange(len(self.basis)))
+        size = len(self.basis) * support.size
+        lifts = _scatter(g[t] * size + r * support.size + j, vals[t, r], 21 * size)
+        return read_only((lifts.reshape(-1, support.size) @ self.basis[support]).reshape(21, -1, self.dim))
+
+    @cached_property
+    def lifted_halves(self) -> np.ndarray:
+        """(2, 21, 64, h) read-only, h = max(k+, k-): ``lifted_rho`` split by
+        chirality, the even rows of the even columns and the odd rows of the
+        odd columns, each zero-padded to h columns.  The lifts are even, so
+        the other rows of these columns are zero."""
+        _, order, _, kp = self.chirality
+        odd = _odd(np.arange(len(self.basis)))
+        h = max(kp, self.dim - kp)
+        out = np.zeros((2, 21, len(self.basis) // 2, h), dtype=self.lifted_rho.dtype)
+        for c, cols in enumerate((order[:kp], order[kp:])):
+            out[c, :, :, :cols.size] = self.lifted_rho[:, np.flatnonzero(odd == c)[:, None], cols]
+        return read_only(out)
 
     @cached_property
     def support(self):
-        """(B[S], {k: (terms, cells, values)}), S the rows where the basis B is
-        nonzero: for k = 3, 1 the entries of ``_product_table(14, k)`` in rows
-        S[i] and columns S[j], cell i |S| + j, in the table's order; read-only
-        and computed once per subspace, like ``lifted_rho`` (``_restricted``)."""
-        rows = np.flatnonzero(np.any(self.basis != 0, axis=1))
+        """(B, {k: (terms, cells, values)}), read-only and computed once per
+        subspace, like ``lifted_rho`` (``_restricted``).  With S and the basis
+        columns split by ``chirality``, B is (2, max(m+, m-), max(k+, k-)):
+        B[S+, even columns] and B[S-, odd columns], zero-padded.  For k = 3, 1
+        the tables hold the entries of ``_product_table(14, k)`` in rows S and
+        columns S, in the table's order; these monomials are odd, so an entry
+        in row S+[a] lies in a column S-[b], cell a h + b of an h x h block,
+        h = max(m+, m-), and one in row S-[a] in column S+[b], cell h^2 + a h + b."""
+        rows, order, mp, kp = self.chirality
+        h = max(mp, rows.size - mp)
+        blocks = np.zeros((2, h, max(kp, self.dim - kp)), dtype=self.basis.dtype)
+        blocks[0, :mp, :kp] = self.basis[np.ix_(rows[:mp], order[:kp])]
+        blocks[1, :rows.size - mp, :self.dim - kp] = self.basis[np.ix_(rows[mp:], order[kp:])]
         tables = {}
         for k in (3, 1):
             _, cols, vals = _product_table(14, k)
-            term, i, cells = self._on_support(cols, rows)
+            term, i, j = self._on_support(cols, rows)
+            odd_row = i >= mp
+            cells = odd_row * h * h + (i - mp * odd_row) * h + (j - mp * ~odd_row)
             tables[k] = tuple(read_only(a) for a in (term, cells, vals[term, rows[i]]))
-        return read_only(self.basis[rows]), MappingProxyType(tables)
+        return read_only(blocks), MappingProxyType(tables)
 
 
 def invariant_spinors(space: HomogeneousSpaceInstance, tol: ToleranceProfile = DEFAULT_TOL) -> SpinorSubspace:
@@ -171,37 +226,44 @@ class Estimates(NamedTuple):
 
 
 def _restricted(sub: SpinorSubspace, *forms: np.ndarray) -> np.ndarray:
-    """B^H X B for X the sum of the Clifford actions of ``forms`` (3-forms or
-    vectors over R^14): B is zero off S, so it is B[S]^H X[S, S] B[S], and
-    X[S, S] is the bincount of ``sub.support``'s entries."""
+    """The blocks (B+^H X B-, B-^H X B+) of B^H X B, zero-padded to (2, h, h),
+    h = max(k+, k-), for X the sum of the Clifford actions of ``forms``
+    (3-forms or vectors over R^14): B is zero off S and X is odd, so these
+    are its only nonzero blocks, formed from the blocks X[S+, S-] and
+    X[S-, S+] that ``sub.support``'s entries bincount into."""
     bs, tables = sub.support
-    m = bs.shape[0]
+    h = bs.shape[1]
     X = 0
     for t in forms:
         terms, cells, vals = tables[t.ndim]
         w = t[tuple(_product_table(14, t.ndim)[0].T)][terms] * vals
-        X = X + _scatter(cells, w, m * m)
-    return bs.conj().T @ X.reshape(m, m) @ bs
+        X = X + _scatter(cells, w, 2 * h * h)
+    return bs.conj().swapaxes(1, 2) @ X.reshape(2, h, h) @ bs[::-1]
 
 
 def _dirac_terms(lam: np.ndarray, coeffs: np.ndarray, t3: np.ndarray, sub: SpinorSubspace, tol: ToleranceProfile):
-    """(a stack whose kernel is the parallel spinors, T_r, D_r) on the
-    spinor subspace ``sub`` with basis B, for lam = coeffs . rho and torsion
-    t3: T_r = B^H T_cl B and D_r = B^H D B, formed by ``_restricted``.
+    """(the two chiral halves of a stack whose kernel is the parallel
+    spinors, the blocks of T_r, the blocks of D_r) on the spinor subspace
+    ``sub`` with basis B, for lam = coeffs . rho and torsion t3: T_r = B^H T_cl B
+    and D_r = B^H D B, each as its two off-diagonal chiral blocks (``_restricted``).
 
     The lifts of the Lambda(e_i) on B stack to (C x I) R, C = coeffs[:, nz]
-    for its nonzero columns nz and R = ``sub.lifted_rho``[nz] as (|nz| m, k).
+    for its nonzero columns nz and R the lifts of rho[nz] on B as (|nz| m, k).
     For C = U S Vh, U^H x I is orthogonal, so only the blocks s_i (Vh_i x I) R
     with s_i > tau = ``round_off``(s_0, 14, 21) <= 64 eps s_0 are formed, none
     for C = 0.  That moves a singular value by at most tau ||R||_2, the order
     of the round-off of forming C R: 64 eps / rank_tol of the rank cut times
-    s_0 ||R||_2 / ||C R||_2.  With a[i] = Lambda(e_i), sum_i e_i lift(a[i]) =
-    c(c3) + c(v) for the 3-form c3[i, k, l] = -(a[i, k, l] + a[k, l, i] +
-    a[l, i, k]) / 2 and the vector v[m] = sum_k a[k, k, m] / 2."""
+    s_0 ||R||_2 / ||C R||_2.  The lifts are even, so R is block-diagonal in
+    the chiral split and the stack is formed as its two halves, (2, |rows|
+    64, h), from ``sub.lifted_halves``[:, nz].
+    With a[i] = Lambda(e_i), sum_i e_i lift(a[i]) = c(c3) + c(v) for the
+    3-form c3[i, k, l] = -(a[i, k, l] + a[k, l, i] + a[l, i, k]) / 2 and the
+    vector v[m] = sum_k a[k, k, m] / 2."""
     nz = np.flatnonzero(np.any(coeffs != 0, axis=0))
     _, s, vh = np.linalg.svd(coeffs[:, nz], full_matrices=False)
     rows = (s[:, None] * vh)[s > tol.round_off(s.max(initial=0.0), *coeffs.shape)]
-    stack = (rows @ sub.lifted_rho[nz].reshape(nz.size, sub.basis.size)).reshape(-1, sub.dim)
+    _, _, m, h = sub.lifted_halves.shape
+    stack = (rows @ sub.lifted_halves[:, nz].reshape(2, nz.size, m * h)).reshape(2, -1, h)
     c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
     v = 0.5 * np.trace(lam, axis1=0, axis2=1)
     return stack, _restricted(sub, t3), _restricted(sub, c3 + DIRAC_TORSION_FACTOR * t3, v)
@@ -211,17 +273,24 @@ def dirac_on_invariants(conn: InvariantConnection, sub: SpinorSubspace,
                         tol: ToleranceProfile = DEFAULT_TOL) -> DiracReport:
     """Dirac matrix of the connection with torsion T/3 on the invariant
     spinors ``sub`` of ``conn.space``, plus the torsion-operator spectrum and
-    norm used by the estimates, from the connection's cached stack and torsion;
-    the parallel spinors are k minus the rank of ``_dirac_terms``' stack."""
+    norm used by the estimates, from the connection's cached stack and torsion.
+
+    D_r and T_r are odd: in the chiral split they are [[0, A], [A^H, 0]] with
+    A the Hermitian part of the k+ x k- block, so each spectrum is +-sigma(A)
+    and |k+ - k-| zeros, from one batched SVD of the two A.  The parallel
+    spinors are k minus the ``rank`` of ``_dirac_terms``' two stack halves."""
     if sub.dim == 0:
         raise NoInvariantSpinors(f"{conn.space.space_id} has no invariant spinors")
     T = conn.torsion
     stack, Tr, Dr = _dirac_terms(conn.stack, conn.lambda_coeffs, T.t3, sub, tol)
-    herm = np.max(np.abs(Dr - Dr.conj().T))
+    herm = np.max(np.abs(Dr[0] - Dr[1].conj().T))
     if tol.exceeds(herm, np.max(np.abs(Dr))):
         raise StructureViolation(f"restricted Dirac matrix not self-adjoint ({herm:.3e})")
-    eigs = np.linalg.eigvalsh(0.5 * (Dr + Dr.conj().T))
-    mu = np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T))
+    kp = sub.chirality[3]
+    pair = min(kp, sub.dim - kp)
+    blocks = np.stack([Dr, Tr])
+    s = np.linalg.svd(0.5 * (blocks[:, 0] + blocks[:, 1].conj().swapaxes(1, 2)), compute_uv=False)[:, :pair]
+    eigs, mu = np.concatenate([-s, np.zeros((2, sub.dim - 2 * pair)), s[:, ::-1]], axis=1)
 
     return DiracReport(
         eigenvalues=eigs,

@@ -6,7 +6,7 @@ import pytest
 from gstruct import connections as con
 from gstruct import spaces, verify
 from gstruct.analysis import Analysis
-from gstruct.linalg import DEFAULT_TOL, nullspace
+from gstruct.linalg import DEFAULT_TOL, nullspace, rank
 
 _cache = {}
 
@@ -118,6 +118,52 @@ def unpack_pairs(v, n):
     M = np.zeros(v.shape[:-1] + (n, n))
     M[(..., *np.triu_indices(n, 1))] = v
     return M - np.swapaxes(M, -1, -2)
+
+
+def sp3_rotation(seed):
+    """g = exp(rho(X)) in Sp(3) inside SO(14), X with coefficients 0.7 N(0, 1)."""
+    from gstruct import sp3
+
+    A = np.tensordot(0.7 * np.random.default_rng(seed).standard_normal(21), sp3.load().rho, axes=1)
+    w, V = np.linalg.eigh(1j * A)  # A = -i V diag(w) V^H
+    return ((V * np.exp(-1j * w)) @ V.conj().T).real
+
+
+def dirac_reference(lam, coeffs, t3, sub, tol=DEFAULT_TOL):
+    """Reference for ``spin.dirac_on_invariants``: the full-matrix route that
+    the chiral blocks replaced.  On the support S, the rows where the basis B
+    is nonzero, in ascending order, D_r = B[S]^H X[S, S] B[S] for X = c(c3 -
+    T/2) + c(v) and T_r likewise for X = T_cl, the sum of the rows of S x S
+    of ``spin._product_table``; their spectra by ``eigvalsh`` of the
+    Hermitian parts; and k minus the ``rank`` of the whole (r 128, k) stack
+    of the lifts over the row space of coeffs.  Returns (D_r, T_r, Dirac
+    eigenvalues, torsion-operator eigenvalues, parallel spinor dim)."""
+    from gstruct import spin
+
+    S = np.flatnonzero(np.any(sub.basis != 0, axis=1))
+    bs = sub.basis[S]
+    place = np.full(len(sub.basis), -1)
+    place[S] = np.arange(S.size)
+
+    def restricted(*forms):
+        X = 0
+        for t in forms:
+            combos, cols, vals = spin._product_table(14, t.ndim)
+            j = place[cols[:, S]]
+            term, i = np.nonzero(j >= 0)
+            w = t[tuple(combos.T)][term] * vals[term, S[i]]
+            X = X + spin._scatter(i * S.size + j[term, i], w, S.size ** 2)
+        return bs.conj().T @ X.reshape(S.size, S.size) @ bs
+
+    c3 = -0.5 * (lam - lam.transpose(1, 0, 2) + lam.transpose(1, 2, 0))
+    v = 0.5 * np.trace(lam, axis1=0, axis2=1)
+    Tr, Dr = restricted(t3), restricted(c3 + spin.DIRAC_TORSION_FACTOR * t3, v)
+    nz = np.flatnonzero(np.any(coeffs != 0, axis=0))
+    _, s, vh = np.linalg.svd(coeffs[:, nz], full_matrices=False)
+    rows = (s[:, None] * vh)[s > tol.round_off(s.max(initial=0.0), *coeffs.shape)]
+    stack = (rows @ sub.lifted_rho[nz].reshape(nz.size, sub.basis.size)).reshape(-1, sub.dim)
+    return (Dr, Tr, np.linalg.eigvalsh(0.5 * (Dr + Dr.conj().T)), np.linalg.eigvalsh(0.5 * (Tr + Tr.conj().T)),
+            sub.dim - rank(stack, tol))
 
 
 def draws(sid, count, seed, lo=0.55, hi=1.9):

@@ -83,9 +83,10 @@ def test_alpha_flags_are_all_or_none(capsys, sid, flags):
 
 
 def _non_hermitian_dirac(original):
+    # D_r is Hermitian iff its chiral block D+- is the adjoint of D-+
     def patched(*args):
         stack, t_op, D = original(*args)
-        return stack, t_op, D + 1j * np.eye(len(D))
+        return stack, t_op, D + np.array([1j, 0])[:, None, None] * np.eye(D.shape[1])
 
     return patched
 
@@ -365,7 +366,7 @@ def test_analyze_solves_each_isotropy_system_once(capsys, monkeypatch, fresh_iso
 
     for module in (connections, spin):
         recording(module, "nullspace_entries", lambda rows, cols, vals, shape, *_: shape[1])
-    recording(spin, "rank", lambda M, *_: np.shape(M)[1])
+    recording(spin, "rank", lambda M, *_: np.shape(M)[-1])
     fx = spaces.fixtures(spaces.canonical_id(sid))
     for argv, expected in zip(metrics, codes):
         code, out = run_cli(capsys, "analyze", sid, *argv)

@@ -15,6 +15,27 @@ def test_rank_identity_and_zero():
     assert rank(np.zeros((0, 4))) == 0
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 3), m=st.integers(0, 9), n=st.integers(1, 7),
+       complex_=st.booleans())
+def test_rank_of_block_stack_is_rank_of_block_diagonal(seed, b, m, n, complex_):
+    # a (b, m, n) stack is the block-diagonal matrix of its blocks: each
+    # block of random rank, scaled over six decades, some rows zero in one
+    # block only, some in all
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((b, m, n), dtype=complex if complex_ else float)
+    for block in stack:
+        r = rng.integers(0, min(m, n) + 1)
+        left = rng.standard_normal((m, r)) + (1j * rng.standard_normal((m, r)) if complex_ else 0)
+        block[:] = 10.0 ** rng.uniform(-3, 3) * left @ rng.standard_normal((r, n))
+        block[rng.random(m) < 0.3] = 0.0
+    stack[:, rng.random(m) < 0.2] = 0.0
+    dense = np.zeros((b * m, b * n), dtype=stack.dtype)
+    for i, block in enumerate(stack):
+        dense[i * m:(i + 1) * m, i * n:(i + 1) * n] = block
+    assert rank(stack) == rank(dense)
+
+
 def test_tolerance_profile_validation():
     with pytest.raises(ValueError):
         ToleranceProfile(rank_tol=0.0)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import assert_point_checks, densify, pipeline
+from conftest import assert_point_checks, densify, pipeline, sp3_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -355,13 +355,6 @@ def test_bracket_tables_are_scale_free(sid, scale):
     assert _close(scaled.ph * scale, base.ph, rel=2e-15)
 
 
-def _sp3_rotation(seed):
-    """g = exp(rho(X)) in Sp(3) inside SO(14), X with coefficients 0.7 N(0, 1)."""
-    A = np.tensordot(0.7 * np.random.default_rng(seed).standard_normal(21), sp3.load().rho, axes=1)
-    w, V = np.linalg.eigh(1j * A)  # A = -i V diag(w) V^H
-    return ((V * np.exp(-1j * w)) @ V.conj().T).real
-
-
 def _projector(basis):
     return basis @ basis.conj().T
 
@@ -396,7 +389,7 @@ def test_rotated_frame_solves_its_own_isotropy():
     p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
     space = spaces.build("M4", p)
     K, H, _ = spaces.frames("su5-sp2", p)
-    rot = _sp3_rotation(5)
+    rot = sp3_rotation(5)
     rotated = spaces.assemble("su5-sp2", np.tensordot(rot.T, K, axes=1), H)
     assert rotated._memo is not space._memo
     assert _close(rotated.iso, rot.T @ space.iso @ rot, rel=1e-12)
@@ -423,7 +416,7 @@ def test_rotated_frame_systems_are_one_block(sid):
     sid = spaces.canonical_id(sid)
     p = spaces.MetricParams(alpha=1.1, beta=0.8, gamma=1.4)
     K, H, _ = spaces.frames(sid, p)
-    rotated = spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H)
+    rotated = spaces.assemble(sid, np.tensordot(sp3_rotation(3).T, K, axes=1), H)
     for entries, widths in ((_equivariance_entries(rotated.iso), [294]), (_lift_entries(rotated.iso, DEFAULT_TOL), [64, 64])):
         A = densify(*entries)
         _, groups = linalg._blocks(np.flatnonzero(A), A[A != 0], A.shape, DEFAULT_TOL)
@@ -467,7 +460,7 @@ def test_rotated_frame_keeps_the_holonomy_label(sid, abg, scale):
     alphas = (*alpha2, *[a] * (spaces._EXTRA_ALPHAS[sid] - 1)) if alpha2 else ()
     p = spaces.MetricParams(alpha=a, alphas=alphas, beta=b, gamma=g)
     K, H, _ = spaces.frames(sid, p)
-    rotated = _decisions(Analysis(spaces.assemble(sid, np.tensordot(_sp3_rotation(3).T, K, axes=1), H)))
+    rotated = _decisions(Analysis(spaces.assemble(sid, np.tensordot(sp3_rotation(3).T, K, axes=1), H)))
     catalog = _decisions(Analysis(spaces.build(sid, p)))
     assert rotated == catalog
     fx = spaces.fixtures(sid)

@@ -3,13 +3,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from conftest import assert_point_checks, densify, pipeline
+from conftest import assert_point_checks, densify, dirac_reference, pipeline, sp3_rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gstruct import sp3, spin, spaces
 from gstruct import connections as con
-from gstruct.errors import BadDimension, NoInvariantSpinors, NotAntisymmetric, TorsionNotParallel
+from gstruct.errors import (BadDimension, NoInvariantSpinors, NotAntisymmetric, StructureViolation,
+                            TorsionNotParallel)
 from gstruct.linalg import DEFAULT_TOL, nullspace, rank
 
 
@@ -256,7 +257,8 @@ def test_dirac_selfadjoint_and_symmetric_spectrum_m1():
     rep = spin.dirac_on_invariants(ctx["conn"], ctx["analysis"].spinors)
     assert rep.eigenvalues.shape == (48,)
     ev = np.sort(rep.eigenvalues)
-    assert np.max(np.abs(ev + ev[::-1])) < 1e-9
+    # D_r is odd for the chirality grading, so its spectrum is +-sigma exactly
+    assert np.array_equal(ev, -ev[::-1])
 
 
 def test_parallel_spinors_are_torsion_eigenvectors():
@@ -354,10 +356,45 @@ def _close(got, ref):
     return np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), 1.0)
 
 
+def _odd_rows(n=128):
+    """True on the odd rows of the module, popcount(r) mod 2 = 1, by bit count."""
+    return np.array([bin(r).count("1") % 2 == 1 for r in range(n)])
+
+
+def _graded_basis(rng, even, odd, pure=None):
+    """Orthonormal columns of one chirality each: the pure columns of ``pure``
+    followed by ``even`` random complex vectors on the even rows and ``odd``
+    on the odd rows, each chirality orthonormalised on its own rows."""
+    pure = np.zeros((128, 0), dtype=complex) if pure is None else pure
+    rows = _odd_rows()
+    parts = []
+    for c, extra in ((False, even), (True, odd)):
+        mine = pure[:, np.any(pure[rows == c] != 0, axis=0)]
+        q = np.linalg.qr(np.hstack([mine[rows == c], rng.standard_normal((64, extra))
+                                    + 1j * rng.standard_normal((64, extra))]))[0]
+        part = np.zeros((128, q.shape[1]), dtype=complex)
+        part[rows == c] = q
+        parts.append(part)
+    return np.hstack(parts)
+
+
+def _chiral_blocks(sub, R):
+    """The blocks (B+^H M B-, B-^H M B+) of R = B^H M B in the padded layout
+    of ``spin._restricted``, and the largest entry of its two same-chirality
+    blocks, which is 0 for an odd M."""
+    _, order, _, kp = sub.chirality
+    R = R[np.ix_(order, order)]
+    km = sub.dim - kp
+    out = np.zeros((2,) + sub.support[0].shape[2:] * 2, dtype=complex)
+    out[0, :kp, :km], out[1, :km, :kp] = R[:kp, kp:], R[kp:, :kp]
+    return out, max(np.max(np.abs(R[:kp, :kp]), initial=0.0), np.max(np.abs(R[kp:, kp:]), initial=0.0))
+
+
 def test_restricted_dirac_matrix_matches_loop_reference():
-    # D_r and T_r are formed on the rows where the invariant-spinor basis is
-    # nonzero (48, 16 and 16 of 128 here); the reference projects the full
-    # loop-built matrices
+    # D_r and T_r are formed as their off-diagonal chiral blocks on the rows
+    # where the invariant-spinor basis is nonzero (48, 16 and 16 of 128 here,
+    # half of each chirality); the reference projects the full loop-built
+    # matrices, whose same-chirality blocks are exactly zero
     cl = _kron_clifford(14)
     for sid, support in (("M1", 48), ("M2", 16), ("M4", 16)):
         ctx = pipeline(sid, alpha=1.3, beta=0.9, gamma=1.1)
@@ -365,10 +402,13 @@ def test_restricted_dirac_matrix_matches_loop_reference():
         T_ref = _loop_torsion_clifford(cl, T.t3)
         D_ref = sum(cl[i] @ _loop_spin_lift(cl, lam[i]) for i in range(14)) + spin.DIRAC_TORSION_FACTOR * T_ref
         sub = spin.invariant_spinors(ctx["space"])
-        B = sub.basis
-        assert sub.support[0].shape == (support, sub.dim)
+        assert sub.support[0].shape == (2, support // 2, sub.dim // 2)
         _, Tr, Dr = spin._dirac_terms(lam, ctx["conn"].lambda_coeffs, T.t3, sub, DEFAULT_TOL)
-        assert _close(Dr, B.conj().T @ D_ref @ B) and _close(Tr, B.conj().T @ T_ref @ B)
+        B = sub.basis
+        for got, ref in ((Dr, D_ref), (Tr, T_ref)):
+            blocks, same = _chiral_blocks(sub, B.conj().T @ ref @ B)
+            assert same == 0.0
+            assert _close(got, blocks)
 
 
 @settings(max_examples=6, deadline=None)
@@ -377,7 +417,8 @@ def test_dirac_terms_match_loop_reference(seed, k):
     # sum_i e_i lift(a[i]) = c(c3) + c(v) for any antisymmetric stack a, so
     # the full D is checked on a general one, through the identity basis
     # (S = all rows); D reads only a and the lifts only coeffs, which stand
-    # for the stack coeffs . rho
+    # for the stack coeffs . rho; a graded random basis has k columns, of
+    # each chirality at random
     cl = _kron_clifford(14)
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((14, 14, 14))
@@ -387,15 +428,106 @@ def test_dirac_terms_match_loop_reference(seed, k):
     t3 = _random_form(rng, 14, 3, 0.5)
     T_ref = _loop_torsion_clifford(cl, t3)
     D_ref = sum(g @ _loop_spin_lift(cl, A) for g, A in zip(cl, a)) + spin.DIRAC_TORSION_FACTOR * T_ref
-    _, T, D = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(np.eye(128, dtype=complex)), DEFAULT_TOL)
-    assert np.max(np.abs(D - D_ref)) <= 1e-13 * np.max(np.abs(D_ref))
-    assert np.max(np.abs(T - T_ref)) <= 1e-13 * np.max(np.abs(T_ref))
+    whole = spin.SpinorSubspace(np.eye(128, dtype=complex))
+    _, T, D = spin._dirac_terms(a, coeffs, t3, whole, DEFAULT_TOL)
+    for got, ref in ((D, D_ref), (T, T_ref)):
+        blocks, same = _chiral_blocks(whole, ref)
+        assert same == 0.0
+        assert np.max(np.abs(got - blocks)) <= 1e-13 * np.max(np.abs(ref))
 
-    basis = np.linalg.qr(rng.standard_normal((cl.shape[1], k)) + 1j * rng.standard_normal((cl.shape[1], k)))[0]
-    stack, Tr, Dr = spin._dirac_terms(a, coeffs, t3, spin.SpinorSubspace(basis), DEFAULT_TOL)
-    assert _close(Dr, basis.conj().T @ D_ref @ basis) and _close(Tr, basis.conj().T @ T_ref @ basis)
+    even = rng.integers(0, k + 1)
+    basis = _graded_basis(rng, even, k - even)
+    sub = spin.SpinorSubspace(basis)
+    stack, Tr, Dr = spin._dirac_terms(a, coeffs, t3, sub, DEFAULT_TOL)
+    assert _close(Dr, _chiral_blocks(sub, basis.conj().T @ D_ref @ basis)[0])
+    assert _close(Tr, _chiral_blocks(sub, basis.conj().T @ T_ref @ basis)[0])
     lifts_ref = np.array([_loop_spin_lift(cl, A) @ basis for A in np.tensordot(coeffs, sp3.load().rho, 1)])
     assert k - rank(stack) == nullspace(lifts_ref.reshape(-1, k)).shape[1]
+
+
+# ROADMAP item 4's anisotropic probe within |e| <= 7: one of alpha, beta,
+# gamma scaled by 10^e
+@settings(max_examples=40, deadline=None)
+@given(sid=st.sampled_from(["M1", "M2", "M4"]), point=st.tuples(*[st.floats(0.6, 1.8)] * 3),
+       unequal=st.booleans(), axis=st.integers(0, 2), e=st.integers(-7, 7), seed=st.integers(0, 2**32 - 1))
+def test_chiral_route_matches_full_matrix_reference(sid, point, unequal, axis, e, seed):
+    # off equal alphas M1 and M2 have no characteristic connection; there a
+    # random member of the family, whose D_r is far from self-adjoint, is
+    # checked through its blocks, its refusal and its parallel spinors
+    rng = np.random.default_rng(seed)
+    point = tuple(c * 10.0**e if i == axis else c for i, c in enumerate(point))
+    alphas = tuple(rng.uniform(0.6, 1.8, {"M1": 7, "M2": 5}[sid])) if unequal and sid != "M4" else ()
+    ctx = pipeline(sid, *point, alphas=alphas)
+    conn = ctx["conn"]
+    if conn is None:
+        conn = con.InvariantConnection(ctx["space"], np.tensordot(rng.standard_normal(len(ctx["family"])),
+                                                                  ctx["family"], 1))
+    sub = ctx["analysis"].spinors
+    Dr, Tr, eigs, mu, parallel = dirac_reference(conn.stack, conn.lambda_coeffs, conn.torsion.t3, sub)
+    stack, T, D = spin._dirac_terms(conn.stack, conn.lambda_coeffs, conn.torsion.t3, sub, DEFAULT_TOL)
+    assert sub.dim - rank(stack) == parallel
+    for got, ref in ((D, Dr), (T, Tr)):
+        blocks, same = _chiral_blocks(sub, ref)
+        assert same == 0.0
+        assert np.max(np.abs(got - blocks)) <= 64 * np.finfo(float).eps * np.max(np.abs(ref)) * sub.dim
+    if ctx["conn"] is None:
+        with pytest.raises(StructureViolation, match="not self-adjoint"):
+            spin.dirac_on_invariants(conn, sub)
+        return
+    rep = spin.dirac_on_invariants(conn, sub)
+    assert rep.parallel_spinor_dim == parallel
+    for got, ref, M in ((rep.eigenvalues, eigs, Dr), (rep.torsion_op_eigenvalues, mu, Tr)):
+        bound = 64 * np.finfo(float).eps * np.max(np.abs(M)) * sub.dim
+        assert np.max(np.abs(got - ref)) <= bound
+        assert np.array_equal(got, -got[::-1])
+
+
+@pytest.mark.parametrize("sid, halves", [("M1", (24, 24)), ("M2", (8, 8)), ("M3", (0, 0)), ("M4", (2, 2)),
+                                         ("rotated M1", (24, 24)), ("rotated M4", (2, 2))])
+def test_invariant_spinors_are_chirally_pure(sid, halves):
+    # nullspace_entries solves each connected block of the lift entries, and
+    # the lifts are even, so no block joins the two chiralities; on a frame
+    # rotated in Sp(3) the spinor system is the two half-spin blocks
+    name = spaces.canonical_id(sid.split()[-1])
+    ctx = pipeline(name, 1.1, 0.8, 1.4)
+    space = ctx["space"]
+    if sid.startswith("rotated"):
+        K, H, _ = spaces.frames(name, ctx["params"])
+        space = spaces.assemble(name, np.tensordot(sp3_rotation(3).T, K, axes=1), H)
+    sub = spin.invariant_spinors(space)
+    rows, order, mp, kp = sub.chirality
+    assert (kp, sub.dim - kp) == halves
+    odd = _odd_rows()
+    assert np.array_equal(odd[rows], np.arange(rows.size) >= mp)
+    cols = sub.basis[:, order] != 0
+    assert not np.any(cols[odd, :kp]) and not np.any(cols[~odd, kp:])
+    assert not any(a.flags.writeable for a in (rows, order))
+
+
+@pytest.mark.parametrize("even, odd", [(5, 2), (2, 5), (3, 0)])
+def test_unequal_halves_give_exact_zeros(even, odd):
+    # D_r = [[0, A], [A^H, 0]] with A of shape k+ x k- has |k+ - k-| zero
+    # eigenvalues, and both spectra are exactly +-sigma around them
+    ctx = pipeline("M1", alpha=1.0, beta=1.3, gamma=0.7)
+    conn = ctx["conn"]
+    sub = spin.SpinorSubspace(_graded_basis(np.random.default_rng(even * 10 + odd), even, odd))
+    rep = spin.dirac_on_invariants(conn, sub)
+    Dr, Tr, eigs, mu, parallel = dirac_reference(conn.stack, conn.lambda_coeffs, conn.torsion.t3, sub)
+    for got, ref, M in ((rep.eigenvalues, eigs, Dr), (rep.torsion_op_eigenvalues, mu, Tr)):
+        assert got.shape == (even + odd,)
+        assert np.count_nonzero(got == 0.0) == abs(even - odd)
+        assert np.array_equal(got, -got[::-1])
+        assert np.max(np.abs(got - ref)) <= 64 * np.finfo(float).eps * np.max(np.abs(M)) * sub.dim
+    assert rep.parallel_spinor_dim == parallel
+
+
+def test_mixed_chirality_basis_is_refused():
+    # rows 0 and 1 have popcounts 0 and 1: a column on both mixes the halves
+    basis = np.zeros((128, 2), dtype=complex)
+    basis[3, 0] = 1.0
+    basis[[0, 1], 1] = np.sqrt(0.5)
+    with pytest.raises(StructureViolation, match="column 1 mixes both chiralities"):
+        spin.dirac_on_invariants(pipeline("M2")["conn"], spin.SpinorSubspace(basis))
 
 
 # Reference for the parallel-spinor count: all 14 lifts coeffs . lift(rho) B,
@@ -426,12 +558,13 @@ def _isotropy_rows(sid):
 def test_row_space_count_matches_full_stack(seed, sid, r, in_isotropy, round_off):
     # coeffs of rank r (at most the isotropy's dimension when its rows lie
     # in the isotropy), some rows exactly zero, optionally plus a full-rank
-    # part at round-off size; the basis mixes the first j invariant spinors,
-    # which the isotropy lifts kill, with three random spinors
+    # part at round-off size; the graded basis spans the first j invariant
+    # spinors, which the isotropy lifts kill, and three random spinors
     rng = np.random.default_rng(seed)
     inv = spin.invariant_spinors(pipeline(sid)["space"]).basis
     j = rng.integers(0, inv.shape[1] + 1)
-    basis = np.linalg.qr(np.hstack([inv[:, :j], rng.standard_normal((128, 3)) + 1j * rng.standard_normal((128, 3))]))[0]
+    even = rng.integers(0, 4)
+    basis = _graded_basis(rng, even, 3 - even, inv[:, :j])
     rows = _isotropy_rows(sid) if in_isotropy else np.eye(21)
     left = rng.standard_normal((14, r))
     left[rng.permutation(14)[:rng.integers(0, 15 - r)]] = 0.0
