@@ -453,14 +453,17 @@ def test_dirac_terms_match_loop_reference(seed, k):
 def test_chiral_route_matches_full_matrix_reference(sid, point, unequal, axis, e, seed):
     # off equal alphas M1 and M2 have no characteristic connection; there a
     # random member of the family, whose D_r is far from self-adjoint, is
-    # checked through its blocks, its refusal and its parallel spinors
+    # checked through its blocks, its refusal and its parallel spinors; the
+    # member is scaled with the brackets, which set the size of its torsion,
+    # so its skew part stays comparable to D_r at every metric
     rng = np.random.default_rng(seed)
     point = tuple(c * 10.0**e if i == axis else c for i, c in enumerate(point))
     alphas = tuple(rng.uniform(0.6, 1.8, {"M1": 7, "M2": 5}[sid])) if unequal and sid != "M4" else ()
     ctx = pipeline(sid, *point, alphas=alphas)
     conn = ctx["conn"]
     if conn is None:
-        conn = con.InvariantConnection(ctx["space"], np.tensordot(rng.standard_normal(len(ctx["family"])),
+        scale = np.max(np.abs(ctx["space"].pm))
+        conn = con.InvariantConnection(ctx["space"], np.tensordot(scale * rng.standard_normal(len(ctx["family"])),
                                                                   ctx["family"], 1))
     sub = ctx["analysis"].spinors
     Dr, Tr, eigs, mu, parallel = dirac_reference(conn.stack, conn.lambda_coeffs, conn.torsion.t3, sub)
