@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,30 +28,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _round15(obj):
-    """Normalize floats to 15 significant digits for stable rendering; a
-    non-finite one has no JSON form and raises."""
-    if isinstance(obj, dict):
-        return {k: _round15(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round15(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        if not np.isfinite(obj):
-            raise GstructError(f"the report holds a non-finite value ({float(obj)}): the parameters overflow")
-        return float(f"{float(obj):.15g}")
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
+def _float15(x) -> float:
+    """The one rounding rule of a report: a float to 15 significant digits.
+    A non-finite one has no JSON form and raises, and so does one above
+    1.797693134862315e308 in magnitude, which rounds up to inf."""
+    y = float(f"{float(x):.15g}")
+    if not math.isfinite(y):
+        raise GstructError(f"the report holds a non-finite value ({y}): the parameters overflow")
+    return y
+
+
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _text(obj, pad=None) -> str:
+    """The text of a report value in one walk, every float through
+    ``_float15``: JSON with an indent of 2, pad the newline and indent of the
+    line obj starts on (the bytes that json.dumps writes at indent=2), or
+    with pad None Python's ``str`` of it.  Tuples and arrays read as lists and
+    numpy scalars as Python numbers."""
+    if isinstance(obj, (float, np.floating)):
+        return repr(_float15(obj))
+    if isinstance(obj, str):
+        return repr(obj) if pad is None else encode_basestring_ascii(obj)
+    if obj is None or isinstance(obj, bool):
+        return repr(obj) if pad is None else _JSON_WORDS[obj]
+    if isinstance(obj, (int, np.integer)):
+        return repr(int(obj))
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
-            return [float(f"{v:.15g}") for v in obj.tolist()]
-        return _round15(obj.tolist())
-    return obj
+        return _text(obj.tolist(), pad)
+    inner = None if pad is None else pad + "  "
+    if isinstance(obj, dict):
+        # a key is a str: json.dumps would coerce another type, here the JSON form refuses it
+        parts = [f"{repr(k) if pad is None else encode_basestring_ascii(k)}: {_text(v, inner)}"
+                 for k, v in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        # a plain float, the common element, skips the type tests
+        parts = [repr(_float15(v)) if type(v) is float else _text(v, inner) for v in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"a report holds no {type(obj).__name__}")
+    if pad is None or not parts:
+        return ends[0] + ", ".join(parts) + ends[1]
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1]
 
 
 def _emit(report: dict, fmt: str):
-    report = _round15(report)
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_text(report, "\n"))
         return
 
     def walk(prefix, obj):  # (dotted key, value) of every leaf
@@ -58,10 +84,9 @@ def _emit(report: dict, fmt: str):
             return [(prefix, obj)]
         return [leaf for k, v in obj.items() for leaf in walk(f"{prefix}.{k}" if prefix else k, v)]
 
-    lines = walk("", report)
+    lines = [(k, v if isinstance(v, str) else _text(v)) for k, v in walk("", report)]
     width = max(len(k) for k, _ in lines)
-    for k, v in lines:
-        print(f"{k:<{width}}  {v}")
+    print("\n".join(f"{k:<{width}}  {v}" for k, v in lines))
 
 
 def _tolerance(args) -> ToleranceProfile:

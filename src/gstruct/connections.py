@@ -238,6 +238,9 @@ def classify_type(t3: np.ndarray, scale: float, tol: ToleranceProfile = DEFAULT_
     return {cas: float(np.linalg.norm(p) ** 2) for (_, cas, _), p in zip(reps.LAMBDA3_SPECTRUM, parts)}
 
 
+_PAIRS = np.triu_indices(14, 1)  # the index pairs i < j of the curvature seeds R(K_i, K_j)
+
+
 def holonomy_algebra(
     conn: InvariantConnection, tol: ToleranceProfile = DEFAULT_TOL
 ) -> HolonomyResult:
@@ -250,7 +253,7 @@ def holonomy_algebra(
     orthonormal, the SVD would then keep sigma_k(S) >= 1 - ||r|| and drop
     sigma_(k+1)(S) <= ||r||.  No round runs once on spans rho(sp3), 21
     columns, and at most 21 run.  The basis is pair-orthonormal so(14) matrices."""
-    on = orthonormal_columns(conn.curvature[np.triu_indices(14, 1)].T, tol)
+    on = orthonormal_columns(conn.curvature[_PAIRS].T, tol)
     for _ in range(21):
         if on.shape[1] == 21:
             break

@@ -1,3 +1,4 @@
+import json
 from itertools import permutations
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from gstruct import connections as con
 from gstruct import spaces, verify
 from gstruct.analysis import Analysis
+from gstruct.errors import GstructError
 from gstruct.linalg import DEFAULT_TOL, nullspace, rank
 
 _cache = {}
@@ -239,3 +241,40 @@ def sp3_data():
     from gstruct import sp3
 
     return sp3.load()
+
+
+def _round15(obj):
+    """Reference: the report tree with floats normalized to 15 significant
+    digits; a non-finite one has no JSON form and raises."""
+    if isinstance(obj, dict):
+        return {k: _round15(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round15(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        if not np.isfinite(obj):
+            raise GstructError(f"the report holds a non-finite value ({float(obj)}): the parameters overflow")
+        return float(f"{float(obj):.15g}")
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
+            return [float(f"{v:.15g}") for v in obj.tolist()]
+        return _round15(obj.tolist())
+    return obj
+
+
+def reference_report(report, fmt="json"):
+    """Reference: the stdout of a report as the rounded copy then json.dumps
+    wrote it, or as the table of its dotted-key leaves."""
+    report = _round15(report)
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
+
+    def walk(prefix, obj):
+        if not isinstance(obj, dict):
+            return [(prefix, obj)]
+        return [leaf for k, v in obj.items() for leaf in walk(f"{prefix}.{k}" if prefix else k, v)]
+
+    lines = walk("", report)
+    width = max(len(k) for k, _ in lines)
+    return "".join(f"{k:<{width}}  {v}\n" for k, v in lines)
