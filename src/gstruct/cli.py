@@ -64,8 +64,7 @@ def _text(obj, pad=None) -> str:
                  for k, v in obj.items()]
         ends = "{}"
     elif isinstance(obj, (list, tuple)):
-        # a plain float, the common element, skips the type tests
-        parts = [repr(_float15(v)) if type(v) is float else _text(v, inner) for v in obj]
+        parts = [_text(v, inner) for v in obj]
         ends = "[]"
     else:
         raise TypeError(f"a report holds no {type(obj).__name__}")

@@ -308,16 +308,12 @@ def _eig(pos, v, shape, tol: ToleranceProfile):
 
 
 def orthonormal_columns(V, tol: ToleranceProfile = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span of V: its left singular vectors
-    above ``rank_tol`` times the largest singular value, from one SVD of the
-    rows of V that are not exactly zero, as in ``rank``.  A zero row of V is
-    a zero row of the basis, and a zero or empty V has an (m, 0) basis."""
+    """Orthonormal basis of the column span of V (via SVD)."""
     A = as_matrix(V)
-    rows = np.any(A != 0, axis=1)
-    if not rows.any():
+    if A.size == 0:
+        return A.reshape(A.shape[0], 0)
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
         return A[:, :0]
-    u, s, _ = np.linalg.svd(A[rows], full_matrices=False)
-    u = u[:, :np.count_nonzero(s > tol.rank_tol * s[0])]
-    basis = np.zeros((A.shape[0], u.shape[1]), dtype=u.dtype)
-    basis[rows] = u
-    return basis
+    r = int(np.count_nonzero(s > tol.rank_tol * s[0]))
+    return u[:, :r]
